@@ -10,14 +10,14 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
-echo "==> cargo test -q (real thread pool, FASTANN_THREADS=4)"
-# Same tier-1 suite with the vendored rayon pool defaulting to 4 real
+echo "==> cargo test --workspace -q (real thread pool, FASTANN_THREADS=4)"
+# Same workspace suite with the vendored rayon pool defaulting to 4 real
 # threads: the determinism contract says every reported number must stay
 # bit-identical, so the whole suite must stay green.
-FASTANN_THREADS=4 cargo test -q
+FASTANN_THREADS=4 cargo test --workspace -q
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use fastann_data::{synth, Distance};
-use fastann_hnsw::{Hnsw, HnswConfig};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
 use fastann_kdtree::{KdTree, KdTreeConfig};
 use fastann_vptree::{VpTree, VpTreeConfig};
 
@@ -39,10 +39,11 @@ fn bench_search_by_dim(c: &mut Criterion) {
         let vp = VpTree::build(data.clone(), Distance::L2, VpTreeConfig::default());
         group.bench_with_input(BenchmarkId::new("hnsw_ef64", dim), &dim, |b, _| {
             let mut i = 0;
+            let mut scratch = SearchScratch::default();
             b.iter(|| {
                 let q = queries.get(i % queries.len());
                 i += 1;
-                hnsw.search(black_box(q), 10, 64)
+                hnsw.search(black_box(q), &SearchParams::new(10, 64), &mut scratch)
             })
         });
         group.bench_with_input(BenchmarkId::new("kdtree_exact", dim), &dim, |b, _| {
@@ -73,10 +74,11 @@ fn bench_hnsw_ef_sweep(c: &mut Criterion) {
     for ef in [16usize, 64, 256] {
         group.bench_with_input(BenchmarkId::from_parameter(ef), &ef, |b, &ef| {
             let mut i = 0;
+            let mut scratch = SearchScratch::default();
             b.iter(|| {
                 let q = queries.get(i % queries.len());
                 i += 1;
-                hnsw.search(black_box(q), 10, ef)
+                hnsw.search(black_box(q), &SearchParams::new(10, ef), &mut scratch)
             })
         });
     }

@@ -51,7 +51,7 @@ use fastann_core::{
     DistIndex, EngineConfig, Mutation, MutationRequest, SearchOptions, SearchRequest,
 };
 use fastann_data::{ground_truth, synth, Distance, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchScratch};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,7 +219,7 @@ fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) ->
                 .par_iter()
                 .map_init(
                     || SearchScratch::with_capacity(par.len()),
-                    |scratch, q| par.search_with_scratch(q, K, EF, scratch).0,
+                    |scratch, q| par.search(q, &SearchParams::new(K, EF), scratch).0,
                 )
                 .collect::<Vec<_>>()
         });
@@ -239,8 +239,12 @@ fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) ->
                 .map_init(
                     || SearchScratch::with_capacity(par.len()),
                     |scratch, q| {
-                        par.search_quantized_with_scratch(q, K, ef, RERANK_FACTOR, scratch)
-                            .0
+                        par.search(
+                            q,
+                            &SearchParams::new(K, ef).quantized(RERANK_FACTOR),
+                            scratch,
+                        )
+                        .0
                     },
                 )
                 .collect::<Vec<_>>()
@@ -260,7 +264,7 @@ fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) ->
     let mut scratch = SearchScratch::with_capacity(seq.len());
     let seq_res: Vec<_> = qvecs
         .iter()
-        .map(|q| seq.search_with_scratch(q, K, EF, &mut scratch).0)
+        .map(|q| seq.search(q, &SearchParams::new(K, EF), &mut scratch).0)
         .collect();
     let recall_seq = ground_truth::recall_at_k(&seq_res, &gt, K).mean;
 

@@ -258,9 +258,9 @@ impl<'a> FileCtx<'a> {
         fi == 0 || self.toks[fi - 1].line < self.toks[fi].line
     }
 
-    /// Marks `#[cfg(test)] mod … { … }` interiors in `in_test`,
-    /// mirroring the legacy textual pass: only test *modules* are
-    /// skipped; a `#[cfg(test)]` on a bare fn stays in scope.
+    /// Marks `#[cfg(test)] mod … { … }` interiors in `in_test`: only
+    /// test *modules* are skipped; a `#[cfg(test)]` on a bare fn stays
+    /// in scope.
     fn mark_test_scopes(&mut self) {
         let mut ci = 0usize;
         let mut pending = false;

@@ -5,7 +5,7 @@
 //! * [`lint`] — a token-stream source analysis over `crates/*/src` and
 //!   `src/`: a dependency-free lexer ([`lexer`]) feeds a shared
 //!   per-file context ([`engine`]) on which twelve rules run
-//!   ([`rules`]) — the eight legacy rules (no bare `unwrap`, no
+//!   ([`rules`]) — eight structural rules (no bare `unwrap`, no
 //!   panicking macros in library code, no wildcard/untagged receives
 //!   outside the simulator, registered wire tags, doc comments on
 //!   public items, no direct thread spawning, no new `search_batch*`
@@ -15,8 +15,7 @@
 //!   par-side accumulation) in the crates under the bit-identity
 //!   contract. Justified exceptions live in
 //!   `crates/check/allowlist.txt`, optionally pinned to a line; stale
-//!   entries fail the lint. The pre-engine textual pass survives as
-//!   [`textual`] for the parity regression.
+//!   entries fail the lint.
 //! * [`race`] — a schedule-perturbation race detector: run the same
 //!   workload under K seed-perturbed scheduler interleavings
 //!   ([`fastann_mpisim::SchedPerturb`]) and diff the observable events.
@@ -38,4 +37,3 @@ pub mod lexer;
 pub mod lint;
 pub mod race;
 pub mod rules;
-pub mod textual;

@@ -3,10 +3,8 @@
 //! Twelve rules, run over a lexed token stream ([`crate::lexer`]) with
 //! shared per-file structure ([`crate::engine`]) — strings, char
 //! literals, raw strings, nested block comments and `#[cfg(test)]`
-//! scopes are handled by construction, which closes the textual pass's
-//! blind spots (needles inside literals/comments, multi-line
-//! signatures). The legacy implementation survives as
-//! [`crate::textual`] so the parity regression can prove the port.
+//! scopes are handled by construction, so needles inside
+//! literals/comments and multi-line signatures are matched correctly.
 //!
 //! | rule              | meaning                                                        |
 //! |-------------------|----------------------------------------------------------------|
@@ -292,20 +290,6 @@ pub fn lint_source(rel: &str, content: &str, tag_table: &[(String, u64)]) -> Vec
     out
 }
 
-/// Raw engine findings over the whole workspace, no allowlist applied.
-/// Used by the parity regression against the textual reference pass.
-pub fn raw_findings(root: &Path) -> io::Result<Vec<Violation>> {
-    let files = workspace_files(root)?;
-    let tag_table = parse_tag_table(&root.join("crates/core/src/tags.rs"))?;
-    let mut all = Vec::new();
-    for path in &files {
-        let rel = rel_path(root, path);
-        let content = fs::read_to_string(path)?;
-        all.extend(lint_source(&rel, &content, &tag_table));
-    }
-    Ok(all)
-}
-
 /// The `.rs` files the lint scans, sorted: `crates/*/src/**` and
 /// `src/**`, skipping `tests/`, `benches/`, `vendor/`, `target/`.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
@@ -461,8 +445,7 @@ mod tests {
 
     #[test]
     fn recv_rule_sees_across_wrapped_lines() {
-        // the textual pass only looked at one line; the engine matches
-        // the whole argument span
+        // the engine matches the whole argument span, not one line
         let src = "fn f(rank: &mut Rank) {\n    let a = rank.recv(\n        None,\n        Some(3),\n    );\n}\n";
         let v = lint_str("crates/kdtree/src/x.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -533,8 +516,7 @@ mod tests {
 
     #[test]
     fn doc_rule_handles_multiline_attributes() {
-        // wrapped attribute between the doc and the item — the textual
-        // pass's line heuristic could not see past this
+        // wrapped attribute between the doc and the item
         let src = "/// Documented.\n#[deprecated(\n    note = \"old\",\n)]\npub fn old_one() {}\n";
         assert!(lint_str("crates/core/src/x.rs", src).is_empty());
     }

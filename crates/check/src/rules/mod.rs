@@ -2,9 +2,8 @@
 //!
 //! Every rule is a function from a [`FileCtx`](crate::engine::FileCtx)
 //! to a list of findings; [`run_all`] fans one file out to all of them.
-//! The eight legacy rules (ported from the textual pass) live in
-//! [`panics`], [`wire`], [`docs`] and [`api`]; the determinism family
-//! introduced with the token engine lives in [`determinism`].
+//! The eight structural rules live in [`panics`], [`wire`], [`docs`]
+//! and [`api`]; the determinism family lives in [`determinism`].
 
 pub mod api;
 pub mod determinism;
@@ -15,7 +14,8 @@ pub mod wire;
 use crate::engine::FileCtx;
 use crate::lint::Violation;
 
-/// Every rule identifier the engine can emit, legacy then determinism.
+/// Every rule identifier the engine can emit, structural then
+/// determinism.
 pub const ALL_RULES: [&str; 12] = [
     crate::lint::RULE_UNWRAP,
     crate::lint::RULE_PANIC,
@@ -29,19 +29,6 @@ pub const ALL_RULES: [&str; 12] = [
     crate::lint::RULE_DET_WALL_CLOCK,
     crate::lint::RULE_DET_THREAD_ID,
     crate::lint::RULE_DET_FLOAT_ACCUM,
-];
-
-/// The eight rules ported from the legacy textual pass, in the order
-/// the parity test compares them.
-pub const LEGACY_RULES: [&str; 8] = [
-    crate::lint::RULE_UNWRAP,
-    crate::lint::RULE_PANIC,
-    crate::lint::RULE_RECV,
-    crate::lint::RULE_TAG,
-    crate::lint::RULE_DOC,
-    crate::lint::RULE_SPAWN,
-    crate::lint::RULE_SEARCH_BATCH,
-    crate::lint::RULE_QUANT,
 ];
 
 /// Runs every rule over one file's context.

@@ -260,14 +260,6 @@ impl SearchOptions {
         self
     }
 
-    /// Sets a uniform replication factor with round-robin dispatch
-    /// (builder style). Shim over the unified routing knob — exactly
-    /// `with_routing(RoutingPolicy::Static(r))`.
-    #[deprecated(note = "use with_routing(RoutingPolicy::Static(r))")]
-    pub fn with_replication(self, r: usize) -> Self {
-        self.with_routing(RoutingPolicy::Static(r))
-    }
-
     /// Sets one-sided aggregation on or off (builder style).
     pub fn with_one_sided(mut self, on: bool) -> Self {
         self.one_sided = on;
@@ -370,17 +362,6 @@ mod tests {
         assert_eq!(o.routing.base_replicas(), 3);
         assert!(!o.one_sided);
         assert_eq!(o.ef, 99);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn replication_shim_maps_to_static_routing() {
-        // the satellite contract: the deprecated setter is a one-line shim
-        // over the unified knob, producing an identical options value
-        let shimmed = SearchOptions::new(10).with_replication(3);
-        let direct = SearchOptions::new(10).with_routing(RoutingPolicy::Static(3));
-        assert_eq!(shimmed.routing, direct.routing);
-        assert_eq!(shimmed.routing, RoutingPolicy::Static(3));
     }
 
     #[test]

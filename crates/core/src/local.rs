@@ -15,9 +15,8 @@
 //! accounting stays uniform.
 
 use fastann_data::{ground_truth, Distance, Neighbor, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchScratch};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, SearchStats};
 use fastann_vptree::{VpTree, VpTreeConfig};
-use rayon::prelude::*;
 
 /// Which index structure serves a partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,66 +69,40 @@ impl LocalIndex {
         }
     }
 
-    /// k-NN over the partition; returns local row ids and the number of
-    /// distance evaluations performed (for virtual-time charging).
-    pub fn search(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, u64) {
-        let (r, s) = self.search_detailed(q, k, ef, scratch);
-        (r, s.ndist)
-    }
-
-    /// [`LocalIndex::search`] with full per-search accounting. For
-    /// non-HNSW kinds only `ndist` is meaningful (a tree walk has no beam,
-    /// so `hops`, `heap_pushes` and `ef_churn` stay zero).
-    pub fn search_detailed(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, fastann_hnsw::SearchStats) {
-        match self {
-            LocalIndex::Hnsw(h) => h.search_with_scratch(q, k, ef, scratch),
-            other => {
-                let mut opts = crate::SearchOptions::new(k);
-                opts.ef = ef;
-                opts.quantized = false;
-                other.search_detailed_opts(q, &opts, scratch)
-            }
-        }
-    }
-
-    /// [`LocalIndex::search_detailed`] with the per-request knobs from
-    /// [`crate::SearchOptions`] threaded through: `opts.k`/`opts.ef` bound
-    /// the answer, `opts.quantized` routes an HNSW partition to its SQ8
-    /// traversal + exact re-rank pipeline (`opts.rerank_factor` wide,
-    /// falling back to exact when the partition has no trained quantizer),
-    /// and `opts.entry_beam` overrides the descent beam width (`0`
-    /// inherits the index config). Tree and brute-force kinds are always
-    /// exact and single-entry — they are the ground-truth baselines, so
-    /// quantizing them would defeat their purpose.
+    /// k-NN over the partition with the per-request knobs from
+    /// [`crate::SearchOptions`] threaded through; returns local row ids
+    /// and the per-search accounting the engine charges to virtual time.
+    /// `opts.k`/`opts.ef` bound the answer, `opts.quantized` routes an
+    /// HNSW partition to its SQ8 traversal + exact re-rank pipeline
+    /// (`opts.rerank_factor` wide, falling back to exact when the
+    /// partition has no trained quantizer), and `opts.entry_beam`
+    /// overrides the descent beam width (`0` inherits the index config).
+    /// Tree and brute-force kinds are always exact and single-entry —
+    /// they are the ground-truth baselines, so quantizing them would
+    /// defeat their purpose — and report only `ndist` (a tree walk has no
+    /// beam, so `hops`, `heap_pushes` and `ef_churn` stay zero).
     pub fn search_detailed_opts(
         &self,
         q: &[f32],
         opts: &crate::SearchOptions,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, fastann_hnsw::SearchStats) {
-        let (k, ef) = (opts.k, opts.ef);
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let k = opts.k;
         match self {
-            LocalIndex::Hnsw(h) if opts.quantized => {
-                h.search_quantized_with_beam(q, k, ef, opts.rerank_factor, opts.entry_beam, scratch)
+            LocalIndex::Hnsw(h) => {
+                let params = SearchParams {
+                    k,
+                    ef: opts.ef,
+                    entry_beam: opts.entry_beam,
+                    quantized: opts.quantized.then_some(opts.rerank_factor),
+                };
+                h.search(q, &params, scratch)
             }
-            LocalIndex::Hnsw(h) => h.search_with_beam(q, k, ef, opts.entry_beam, scratch),
             LocalIndex::VpTree(t) => {
                 let (r, s) = t.knn(q, k);
                 (
                     r,
-                    fastann_hnsw::SearchStats {
+                    SearchStats {
                         ndist: s.ndist,
                         ..Default::default()
                     },
@@ -139,43 +112,13 @@ impl LocalIndex {
                 let r = ground_truth::brute_force_one(data, q, k, *metric);
                 (
                     r,
-                    fastann_hnsw::SearchStats {
+                    SearchStats {
                         ndist: data.len() as u64,
                         ..Default::default()
                     },
                 )
             }
         }
-    }
-
-    /// Answers a batch of queries using up to `threads` real OS threads —
-    /// the paper's worker-side OpenMP model, where one MPI rank fans its
-    /// queued queries out across the node's cores.
-    ///
-    /// Output element `i` is exactly what `search(&queries[i], ..)` returns
-    /// (results **and** per-query distance counts): every query's search is
-    /// independent and reads an immutable index, and the pool preserves
-    /// input order, so the outcome is bit-identical for every `threads`
-    /// value, including the sequential `threads = 1`. Each pool worker
-    /// keeps one private [`SearchScratch`] — the per-thread
-    /// distance-evaluation counters — and the per-query counts it reports
-    /// are what callers aggregate into build/query statistics.
-    pub fn search_many(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        ef: usize,
-        threads: usize,
-    ) -> Vec<(Vec<Neighbor>, u64)> {
-        rayon::with_num_threads(threads.max(1), || {
-            queries
-                .par_iter()
-                .map_init(
-                    || SearchScratch::with_capacity(self.len()),
-                    |scratch, q| self.search(q, k, ef, scratch),
-                )
-                .collect()
-        })
     }
 
     /// Number of indexed rows.
@@ -311,6 +254,13 @@ mod tests {
         synth::sift_like(500, 12, 55)
     }
 
+    /// Exact-path options for `k` neighbours at beam width `ef`.
+    fn exact(k: usize, ef: usize) -> crate::SearchOptions {
+        crate::SearchOptions::new(k)
+            .with_ef(ef)
+            .with_quantized(false)
+    }
+
     #[test]
     fn all_kinds_build_and_search() {
         let mut scratch = SearchScratch::default();
@@ -322,9 +272,9 @@ mod tests {
             let idx = LocalIndex::build(kind, rows(), Distance::L2, HnswConfig::with_m(8), 1);
             assert_eq!(idx.len(), 500);
             assert_eq!(idx.dim(), 12);
-            let (r, ndist) = idx.search(rows().get(3), 5, 32, &mut scratch);
+            let (r, stats) = idx.search_detailed_opts(rows().get(3), &exact(5, 32), &mut scratch);
             assert_eq!(r[0].id, 3, "{kind:?} should find the point itself");
-            assert!(ndist > 0, "{kind:?} must report work");
+            assert!(stats.ndist > 0, "{kind:?} must report work");
             assert!(idx.approx_bytes() > 0);
         }
     }
@@ -349,47 +299,10 @@ mod tests {
         );
         let q = synth::queries_near(&data, 10, 0.05, 3);
         for qi in 0..10 {
-            let (a, _) = vp.search(q.get(qi), 7, 0, &mut scratch);
-            let (b, _) = brute.search(q.get(qi), 7, 0, &mut scratch);
+            let (a, _) = vp.search_detailed_opts(q.get(qi), &exact(7, 7), &mut scratch);
+            let (b, _) = brute.search_detailed_opts(q.get(qi), &exact(7, 7), &mut scratch);
             assert_eq!(a, b, "exact kinds must agree on query {qi}");
         }
-    }
-
-    #[test]
-    fn search_many_matches_sequential_for_every_thread_count() {
-        let data = rows();
-        let queries: Vec<Vec<f32>> = synth::queries_near(&data, 16, 0.05, 7)
-            .iter()
-            .map(<[f32]>::to_vec)
-            .collect();
-        for kind in [
-            LocalIndexKind::Hnsw,
-            LocalIndexKind::VpExact,
-            LocalIndexKind::BruteForce,
-        ] {
-            let idx = LocalIndex::build(kind, data.clone(), Distance::L2, HnswConfig::with_m(8), 9);
-            let mut scratch = SearchScratch::default();
-            let expect: Vec<_> = queries
-                .iter()
-                .map(|q| idx.search(q, 5, 48, &mut scratch))
-                .collect();
-            for threads in [1, 2, 7] {
-                let got = idx.search_many(&queries, 5, 48, threads);
-                assert_eq!(got, expect, "{kind:?} with threads={threads} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn search_many_empty_batch() {
-        let idx = LocalIndex::build(
-            LocalIndexKind::Hnsw,
-            rows(),
-            Distance::L2,
-            HnswConfig::with_m(8),
-            9,
-        );
-        assert!(idx.search_many(&[], 5, 48, 4).is_empty());
     }
 
     #[test]

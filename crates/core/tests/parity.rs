@@ -1,16 +1,13 @@
-//! Routing-policy parity: the deprecated `with_replication(r)` shim must
-//! be indistinguishable from `with_routing(RoutingPolicy::Static(r))` —
-//! byte-identical [`fastann_core::QueryReport`]s, virtual times included —
-//! and an explicit uniform [`ReplicaMap`] snapshot must match the implicit
-//! policy-base dispatch. Callers migrating to the routing API must never
-//! see a behaviour change.
+//! Routing-policy parity: an explicit uniform [`ReplicaMap`] snapshot must
+//! match the implicit policy-base dispatch with byte-identical
+//! [`fastann_core::QueryReport`]s, virtual times included, and load-aware
+//! routing may move probes between replicas but never change results.
 
 use fastann_core::{
     DistIndex, EngineConfig, ReplicaMap, RoutingPolicy, SearchOptions, SearchRequest,
 };
 use fastann_data::{synth, VectorSet};
 use fastann_hnsw::HnswConfig;
-use fastann_mpisim::FaultPlan;
 
 fn fixture() -> (VectorSet, DistIndex) {
     let data = synth::sift_like(2_500, 16, 31);
@@ -20,31 +17,6 @@ fn fixture() -> (VectorSet, DistIndex) {
         .with_seed(31);
     let index = DistIndex::build(&data, cfg);
     (queries, index)
-}
-
-#[test]
-fn replication_shim_matches_static_routing() {
-    let (queries, index) = fixture();
-    for r in [1usize, 2, 3] {
-        for one_sided in [false, true] {
-            #[allow(deprecated)]
-            let legacy_opts = SearchOptions::new(10)
-                .with_one_sided(one_sided)
-                .with_replication(r);
-            let legacy = SearchRequest::new(&index, &queries).opts(legacy_opts).run();
-            let routed = SearchRequest::new(&index, &queries)
-                .opts(
-                    SearchOptions::new(10)
-                        .with_one_sided(one_sided)
-                        .with_routing(RoutingPolicy::Static(r)),
-                )
-                .run();
-            assert_eq!(
-                legacy, routed,
-                "with_replication({r}) diverged from Static({r}) (one_sided={one_sided})"
-            );
-        }
-    }
 }
 
 #[test]
@@ -63,37 +35,6 @@ fn uniform_replica_map_matches_policy_base() {
             "uniform ReplicaMap({r}) diverged from policy base"
         );
     }
-}
-
-#[test]
-fn shim_matches_static_routing_under_chaos() {
-    let (queries, index) = fixture();
-    let plan = FaultPlan::new(0xBEEF)
-        .drop_msgs(None, None, None, 0.15)
-        .delay_msgs(None, None, None, 0.20, 2e6);
-    #[allow(deprecated)]
-    let legacy_opts = SearchOptions::new(10)
-        .with_replication(2)
-        .with_timeout_ns(5e5)
-        .with_max_retries(2);
-    let legacy = SearchRequest::new(&index, &queries)
-        .opts(legacy_opts)
-        .chaos(&plan)
-        .run();
-    let routed = SearchRequest::new(&index, &queries)
-        .opts(
-            SearchOptions::new(10)
-                .with_routing(RoutingPolicy::Static(2))
-                .with_timeout_ns(5e5)
-                .with_max_retries(2),
-        )
-        .chaos(&plan)
-        .run();
-    assert_eq!(
-        legacy, routed,
-        "chaos path diverged between shim and policy"
-    );
-    assert!(legacy.retries > 0, "plan should force retries");
 }
 
 #[test]

@@ -1,36 +1,27 @@
 //! Link storage for the layered HNSW graph.
 //!
 //! Adjacency is stored per node as one `Vec<u32>` per layer the node
-//! participates in, behind a `parking_lot::RwLock` so that bulk construction
-//! can insert nodes concurrently (readers of settled neighbourhoods do not
-//! block each other).
+//! participates in. Nothing here is shared mutably across threads: the
+//! batch-parallel build plans insertions concurrently against a `&Graph`
+//! and applies their links sequentially through `&mut Graph`, so plain
+//! vectors suffice.
 
-use parking_lot::RwLock;
-
-/// Per-node adjacency: `layers[l]` holds the node's neighbours at layer `l`,
-/// for `l <= level(node)`.
-#[derive(Debug, Default)]
-pub(crate) struct NodeLinks {
-    pub layers: Vec<Vec<u32>>,
-}
-
-impl NodeLinks {
-    /// Pre-sizes one node's adjacency for a draw of `level`: capacity
-    /// `m_max0` at layer 0 and `m` at each upper layer.
-    pub fn with_level(level: usize, m: usize, m_max0: usize) -> Self {
-        let mut layers = Vec::with_capacity(level + 1);
-        layers.push(Vec::with_capacity(m_max0));
-        for _ in 1..=level {
-            layers.push(Vec::with_capacity(m));
-        }
-        Self { layers }
-    }
-}
-
-/// The whole graph's adjacency, indexed by node id.
+/// The whole graph's adjacency: `nodes[id][l]` holds node `id`'s
+/// neighbours at layer `l`, for `l <= level(id)`.
 #[derive(Debug, Default)]
 pub(crate) struct Graph {
-    pub nodes: Vec<RwLock<NodeLinks>>,
+    nodes: Vec<Vec<Vec<u32>>>,
+}
+
+/// Pre-sizes one node's adjacency for a draw of `level`: capacity `m_max0`
+/// at layer 0 and `m` at each upper layer.
+fn node_with_level(level: usize, m: usize, m_max0: usize) -> Vec<Vec<u32>> {
+    let mut layers = Vec::with_capacity(level + 1);
+    layers.push(Vec::with_capacity(m_max0));
+    for _ in 1..=level {
+        layers.push(Vec::with_capacity(m));
+    }
+    layers
 }
 
 impl Graph {
@@ -38,54 +29,48 @@ impl Graph {
     pub fn for_levels(levels: &[u8], m: usize, m_max0: usize) -> Self {
         let nodes = levels
             .iter()
-            .map(|&l| RwLock::new(NodeLinks::with_level(l as usize, m, m_max0)))
+            .map(|&l| node_with_level(l as usize, m, m_max0))
             .collect();
         Self { nodes }
     }
 
-    /// Copies node `u`'s neighbour list at `layer`.
+    /// Node `u`'s neighbour list at `layer` (empty above its level).
     #[inline]
-    pub fn neighbors(&self, u: u32, layer: usize) -> Vec<u32> {
-        let guard = self.nodes[u as usize].read();
-        guard.layers.get(layer).cloned().unwrap_or_default()
+    pub fn neighbors(&self, u: u32, layer: usize) -> &[u32] {
+        self.nodes[u as usize].get(layer).map_or(&[], Vec::as_slice)
     }
 
-    /// Visits node `u`'s neighbour list at `layer` without copying.
-    #[inline]
-    pub fn with_neighbors<R>(&self, u: u32, layer: usize, f: impl FnOnce(&[u32]) -> R) -> R {
-        let guard = self.nodes[u as usize].read();
-        f(guard.layers.get(layer).map_or(&[][..], |v| v.as_slice()))
+    /// Number of layer lists node `u` stores (`level + 1` when valid).
+    pub fn layer_count(&self, u: u32) -> usize {
+        self.nodes[u as usize].len()
     }
 
     /// Replaces node `u`'s neighbour list at `layer`.
     #[inline]
-    pub fn set_neighbors(&self, u: u32, layer: usize, links: Vec<u32>) {
-        let mut guard = self.nodes[u as usize].write();
-        guard.layers[layer] = links;
+    pub fn set_neighbors(&mut self, u: u32, layer: usize, links: Vec<u32>) {
+        self.nodes[u as usize][layer] = links;
     }
 
     /// Removes `v` from node `u`'s neighbour list at `layer` (no-op when
     /// absent). Used by symmetric pruning: dropping `u -> v` must drop
     /// `v -> u` too, or the graph drifts away from link symmetry.
     #[inline]
-    pub fn remove_neighbor(&self, u: u32, layer: usize, v: u32) {
-        let mut guard = self.nodes[u as usize].write();
-        if let Some(links) = guard.layers.get_mut(layer) {
+    pub fn remove_neighbor(&mut self, u: u32, layer: usize, v: u32) {
+        if let Some(links) = self.nodes[u as usize].get_mut(layer) {
             links.retain(|&x| x != v);
         }
     }
 
     /// Appends storage for one new node participating up to `level`.
     pub fn push_node(&mut self, level: usize, m: usize, m_max0: usize) {
-        self.nodes
-            .push(RwLock::new(NodeLinks::with_level(level, m, m_max0)));
+        self.nodes.push(node_with_level(level, m, m_max0));
     }
 
     /// Total number of directed edges (for memory accounting / tests).
     pub fn edge_count(&self) -> usize {
         self.nodes
             .iter()
-            .map(|n| n.read().layers.iter().map(Vec::len).sum::<usize>())
+            .map(|n| n.iter().map(Vec::len).sum::<usize>())
             .sum()
     }
 }
@@ -98,24 +83,24 @@ mod tests {
     fn for_levels_allocates_layers() {
         let g = Graph::for_levels(&[0, 2, 1], 4, 8);
         assert_eq!(g.nodes.len(), 3);
-        assert_eq!(g.nodes[0].read().layers.len(), 1);
-        assert_eq!(g.nodes[1].read().layers.len(), 3);
-        assert_eq!(g.nodes[2].read().layers.len(), 2);
+        assert_eq!(g.layer_count(0), 1);
+        assert_eq!(g.layer_count(1), 3);
+        assert_eq!(g.layer_count(2), 2);
     }
 
     #[test]
     fn set_and_get_neighbors() {
-        let g = Graph::for_levels(&[1, 1], 4, 8);
+        let mut g = Graph::for_levels(&[1, 1], 4, 8);
         g.set_neighbors(0, 1, vec![1]);
-        assert_eq!(g.neighbors(0, 1), vec![1]);
-        assert_eq!(g.neighbors(0, 0), Vec::<u32>::new());
+        assert_eq!(g.neighbors(0, 1), &[1]);
+        assert!(g.neighbors(0, 0).is_empty());
         // out-of-range layer yields empty, not panic
-        assert_eq!(g.neighbors(0, 5), Vec::<u32>::new());
+        assert!(g.neighbors(0, 5).is_empty());
     }
 
     #[test]
     fn edge_count_sums_layers() {
-        let g = Graph::for_levels(&[1, 0], 4, 8);
+        let mut g = Graph::for_levels(&[1, 0], 4, 8);
         g.set_neighbors(0, 0, vec![1]);
         g.set_neighbors(0, 1, vec![1]);
         g.set_neighbors(1, 0, vec![0]);
@@ -123,10 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn with_neighbors_borrows() {
-        let g = Graph::for_levels(&[0], 2, 4);
-        g.set_neighbors(0, 0, vec![7, 8]);
-        let sum = g.with_neighbors(0, 0, |ns| ns.iter().sum::<u32>());
-        assert_eq!(sum, 15);
+    fn remove_neighbor_keeps_order() {
+        let mut g = Graph::for_levels(&[0], 2, 4);
+        g.set_neighbors(0, 0, vec![7, 8, 9]);
+        g.remove_neighbor(0, 0, 8);
+        assert_eq!(g.neighbors(0, 0), &[7, 9]);
     }
 }

@@ -5,7 +5,6 @@ use std::collections::BinaryHeap;
 
 use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::{Distance, Neighbor, TopK, VectorSet};
-use parking_lot::RwLock;
 use rayon::prelude::*;
 
 use crate::config::HnswConfig;
@@ -43,11 +42,55 @@ pub struct SearchStats {
     pub entry_seeds: u64,
 }
 
+/// Per-call parameters of [`Hnsw::search`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SearchParams {
+    /// Neighbours to return; must be positive.
+    pub k: usize,
+    /// Layer-0 beam width, clamped up to `k`.
+    pub ef: usize,
+    /// Descent beam width: `0` inherits [`HnswConfig::entry_beam`], `1`
+    /// is the classic single-seed greedy descent (still seeded at layer 0
+    /// from the full diverse entry set).
+    pub entry_beam: usize,
+    /// `Some(rerank_factor)` traverses in the SQ8 domain and re-ranks the
+    /// first `rerank_factor * k` beam survivors exactly; `None` traverses
+    /// with the exact metric.
+    pub quantized: Option<usize>,
+}
+
+impl SearchParams {
+    /// Exact search for `k` neighbours with layer-0 beam width `ef`,
+    /// descending with the index's configured entry beam.
+    pub fn new(k: usize, ef: usize) -> Self {
+        Self {
+            k,
+            ef,
+            entry_beam: 0,
+            quantized: None,
+        }
+    }
+
+    /// Sets the descent beam width (builder style); `0` inherits the index
+    /// configuration.
+    pub fn entry_beam(mut self, beam: usize) -> Self {
+        self.entry_beam = beam;
+        self
+    }
+
+    /// Switches to quantized-first search with a `rerank_factor * k`
+    /// exact re-rank pool (builder style).
+    pub fn quantized(mut self, rerank_factor: usize) -> Self {
+        self.quantized = Some(rerank_factor);
+        self
+    }
+}
+
 /// A query lowered into one of the two distance domains a traversal can
 /// run in. Traversal code ([`Hnsw::greedy_step`], [`Hnsw::search_layer`])
 /// only ever sees this enum — the `quantized-traversal` lint forbids it
 /// from touching `squared_l2` / `Distance::eval` directly, so the choice
-/// of domain is confined to [`Hnsw::d`] and the search entry points.
+/// of domain is confined to [`Hnsw::d`] and [`Hnsw::search`].
 enum QueryDist<'a> {
     /// Full-precision traversal with the index metric.
     Exact(&'a [f32]),
@@ -57,8 +100,9 @@ enum QueryDist<'a> {
 
 /// The outcome of the read-only planning half of one insertion: the
 /// neighbour lists selected for each layer (top-down), plus the distance
-/// evaluations the planning spent. Produced concurrently by
-/// [`Hnsw::plan_insert`], consumed sequentially by [`Hnsw::apply_insert`].
+/// evaluations the planning spent. Produced by [`Hnsw::plan_insert`]
+/// (concurrently within a build batch), consumed in order by
+/// [`Hnsw::apply_insert`].
 struct InsertPlan {
     id: u32,
     /// `(layer, selected neighbours)` from the node's top layer down to 0.
@@ -81,18 +125,17 @@ pub struct Hnsw {
     /// their code incrementally and keep quantized search on).
     quant: Option<Sq8>,
     /// `(entry node, top level)`; `None` for an empty index.
-    entry: RwLock<Option<(u32, u8)>>,
+    entry: Option<(u32, u8)>,
     /// Diverse entry set: up to [`ENTRY_SET_CAP`] spread-out nodes that
     /// participate above layer 0, selected farthest-first (k-center) from
     /// the entry point. A pure function of the stored vectors, the level
-    /// assignment and the entry point — see [`Hnsw::select_entry_set`] —
-    /// so legacy serialized blobs recompute exactly the set a fresh build
-    /// would carry. The first member is always the entry point itself;
-    /// empty only for an empty index.
+    /// assignment and the entry point — see [`Hnsw::select_entry_set`].
+    /// The first member is always the entry point itself; empty only for
+    /// an empty index.
     entry_set: Vec<u32>,
     /// Distance evaluations spent during construction (the quantity the
     /// distributed engine charges to a builder's virtual clock).
-    build_ndist: std::sync::atomic::AtomicU64,
+    build_ndist: u64,
     /// `tombstones[id]` marks a removed point: it stays in `data` and stays
     /// traversable as a graph waypoint until [`Hnsw::repair_tombstones`]
     /// detaches it, but it is filtered from every search result. All-`false`
@@ -115,6 +158,11 @@ const MAX_LEVEL: u8 = 30;
 /// per-query overhead stays at most sixteen extra distance evaluations.
 pub(crate) const ENTRY_SET_CAP: usize = 16;
 
+/// Nodes per batch in [`Hnsw::build_parallel`]. Fixed (not derived from
+/// the thread count) so the constructed graph is identical for every
+/// thread count, including 1.
+const PARALLEL_BATCH: usize = 64;
+
 /// Deterministic per-node level assignment: `floor(-ln(U) * mult)` with `U`
 /// derived from a splitmix64 hash of `(seed, id)`, so levels do not depend
 /// on insertion order or thread interleaving.
@@ -130,83 +178,72 @@ fn assign_level(seed: u64, id: u32, mult: f64) -> u8 {
 }
 
 impl Hnsw {
-    /// Builds the index over `data` sequentially (deterministic given the
+    /// Builds the index over `data` sequentially: every node is planned
+    /// against the graph all earlier nodes left (deterministic given the
     /// config seed).
     pub fn build(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
-        let mut index = Self::empty_for(data, dist, config);
-        let mut scratch = SearchScratch::with_capacity(index.len());
-        let order = index.insertion_order();
-        for id in order {
-            index.insert(id, &mut scratch);
-        }
-        // Sequential insertion can orphan a node too: a later neighbour's
-        // overflow prune may drop every reverse edge of an already-settled
-        // node (observed on clustered data, where redundant same-cluster
-        // nodes lose all their edges to better-placed peers).
-        index.repair_layer0(&mut scratch);
-        index.refresh_entry_set();
-        #[cfg(debug_assertions)]
-        if let Err(e) = index.validate() {
-            panic!("sequential build produced an invalid graph: {e}");
-        }
-        index.train_quantizer();
-        index
+        Self::build_batched(data, dist, config, 1)
     }
-
-    /// Nodes per batch in [`Hnsw::build_parallel`]. Fixed (not derived from
-    /// the thread count) so the constructed graph is identical for every
-    /// thread count, including 1.
-    const PARALLEL_BATCH: usize = 64;
 
     /// Builds the index with batch-parallel construction — the analogue of
     /// the multi-threaded OpenMP construction in the paper.
     ///
-    /// Insertion proceeds in fixed batches of [`Self::PARALLEL_BATCH`]
-    /// nodes. For each batch, the expensive read-only part of insertion
-    /// (greedy descent, `ef_construction` beam searches, neighbour
-    /// selection) runs on the rayon pool against the frozen graph
-    /// ([`Hnsw::plan_insert`]); the cheap link mutations are then applied
-    /// sequentially in batch order ([`Hnsw::apply_insert`]). Because no
-    /// thread ever mutates the graph concurrently, the result is
-    /// deterministic, independent of the thread count, and upholds every
-    /// [`Hnsw::validate`] invariant — at the cost of batch members not
-    /// seeing each other as candidates, which perturbs link structure
-    /// slightly versus [`Hnsw::build`] (search quality is equivalent; see
-    /// the parity tests).
+    /// Insertion proceeds in fixed batches of [`PARALLEL_BATCH`] nodes
+    /// whose plans run on the rayon pool against the frozen graph. Batch
+    /// members do not see each other as candidates, which perturbs link
+    /// structure slightly versus [`Hnsw::build`] (search quality is
+    /// equivalent; see the parity tests). The graph is identical for every
+    /// thread count.
     ///
     /// Thread count follows `rayon::current_num_threads()`; wrap the call
     /// in `rayon::with_num_threads(t, ..)` to pin it.
     pub fn build_parallel(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
+        Self::build_batched(data, dist, config, PARALLEL_BATCH)
+    }
+
+    /// The one construction driver. The highest-level node seeds the
+    /// graph; the rest are inserted in batches of `batch`: the read-only
+    /// half of each insertion (greedy descent, `ef_construction` beam
+    /// searches, neighbour selection — [`Hnsw::plan_insert`]) runs for the
+    /// whole batch on the rayon pool, then the link mutations are applied
+    /// sequentially in batch order ([`Hnsw::apply_insert`]). No thread
+    /// ever mutates the graph concurrently, so the result is deterministic
+    /// and upholds every [`Hnsw::validate`] invariant. A one-node batch
+    /// skips the pool and plans on the driver's own scratch — the classic
+    /// sequential insertion, without allocating a visited set per node.
+    fn build_batched(data: VectorSet, dist: Distance, config: HnswConfig, batch: usize) -> Self {
         let mut index = Self::empty_for(data, dist, config);
-        let order = index.insertion_order();
-        if order.is_empty() {
-            return index;
-        }
-        // Seed the graph with the highest-level node so every planner has an
-        // entry point.
         let mut scratch = SearchScratch::with_capacity(index.len());
-        index.insert(order[0], &mut scratch);
-        for batch in order[1..].chunks(Self::PARALLEL_BATCH) {
-            let plans: Vec<InsertPlan> = batch
-                .par_iter()
-                .map_init(
-                    || SearchScratch::with_capacity(index.len()),
-                    |scratch, &id| index.plan_insert(id, scratch),
-                )
-                .collect();
-            for plan in plans {
-                index.apply_insert(plan, &mut scratch);
+        let order = index.insertion_order();
+        if let Some((&first, rest)) = order.split_first() {
+            index.insert(first, &mut scratch);
+            for ids in rest.chunks(batch) {
+                if let [id] = *ids {
+                    index.insert(id, &mut scratch);
+                    continue;
+                }
+                let plans: Vec<InsertPlan> = ids
+                    .par_iter()
+                    .map_init(
+                        || SearchScratch::with_capacity(index.len()),
+                        |scratch, &id| index.plan_insert(id, scratch),
+                    )
+                    .collect();
+                for plan in plans {
+                    index.apply_insert(plan, &mut scratch);
+                }
             }
         }
-        // Planning against a frozen graph means batch peers do not see each
-        // other: clustered peers all court the same pre-batch neighbours,
-        // whose overflow prunes can drop every reverse edge of a redundant
-        // newcomer and orphan it on layer 0.
+        // Insertion can orphan a node: a later neighbour's overflow prune
+        // may drop every reverse edge of an already-settled node (observed
+        // on clustered data, where redundant same-cluster nodes lose all
+        // their edges to better-placed peers), and batch peers that all
+        // court the same pre-batch neighbours make that likelier.
         index.repair_layer0(&mut scratch);
         index.refresh_entry_set();
         #[cfg(debug_assertions)]
         if let Err(e) = index.validate() {
-            panic!("parallel build produced an invalid graph: {e}");
+            panic!("build produced an invalid graph: {e}");
         }
         // Quantizer training is pure per-dimension arithmetic over the
         // already-stored vectors: no distance evaluations, no dependence
@@ -217,10 +254,9 @@ impl Hnsw {
     }
 
     /// Repairs base-layer connectivity deterministically: unlink each
-    /// orphan and re-insert it with the fresh-state sequential path, until
-    /// the base layer is connected (or the round budget runs out — the
-    /// validator then reports any residue).
-    fn repair_layer0(&self, scratch: &mut SearchScratch) {
+    /// orphan and re-insert it, until the base layer is connected (or the
+    /// round budget runs out — the validator then reports any residue).
+    fn repair_layer0(&mut self, scratch: &mut SearchScratch) {
         const MAX_REPAIR_ROUNDS: usize = 10;
         for _ in 0..MAX_REPAIR_ROUNDS {
             let orphans = self.layer0_orphans();
@@ -240,7 +276,7 @@ impl Hnsw {
     fn layer0_reachable(&self) -> Vec<bool> {
         let n = self.len();
         let mut seen = vec![false; n];
-        let Some((ep, _)) = self.entry_snapshot() else {
+        let Some((ep, _)) = self.entry else {
             return seen;
         };
         let mut queue = std::collections::VecDeque::new();
@@ -251,14 +287,12 @@ impl Hnsw {
             }
         }
         while let Some(u) = queue.pop_front() {
-            self.graph.with_neighbors(u, 0, |ns| {
-                for &nb in ns {
-                    if !seen[nb as usize] {
-                        seen[nb as usize] = true;
-                        queue.push_back(nb);
-                    }
+            for &nb in self.graph.neighbors(u, 0) {
+                if !seen[nb as usize] {
+                    seen[nb as usize] = true;
+                    queue.push_back(nb);
                 }
-            });
+            }
         }
         seen
     }
@@ -282,9 +316,9 @@ impl Hnsw {
     /// Symmetrically detaches node `u` from the graph (every `u -> v` and
     /// its reverse edge), leaving its layer lists empty so it can be
     /// re-inserted.
-    fn unlink(&self, u: u32) {
+    fn unlink(&mut self, u: u32) {
         for layer in 0..=(self.levels[u as usize] as usize) {
-            for nb in self.graph.neighbors(u, layer) {
+            for nb in self.graph.neighbors(u, layer).to_vec() {
                 self.graph.remove_neighbor(nb, layer, u);
             }
             self.graph.set_neighbors(u, layer, Vec::new());
@@ -304,9 +338,9 @@ impl Hnsw {
             levels,
             graph,
             quant: None,
-            entry: RwLock::new(None),
+            entry: None,
             entry_set: Vec::new(),
-            build_ndist: std::sync::atomic::AtomicU64::new(0),
+            build_ndist: 0,
             tombstones: vec![false; n],
             live: n,
             mutation_epoch: 0,
@@ -318,16 +352,15 @@ impl Hnsw {
     /// point, capped at [`ENTRY_SET_CAP`]. Ties on equal spread go to the
     /// smaller id; zero-spread candidates (exact duplicates of an already
     /// chosen seed) are never added. A pure function of the stored vectors,
-    /// the level assignment and the entry point — legacy blobs with no
-    /// persisted set recompute exactly what a fresh build selects.
+    /// the level assignment and the entry point.
     ///
     /// Selection distances run through `Distance::eval` directly (not the
     /// traversal's `QueryDist` dispatch): this is build-time geometry over
     /// stored points, like neighbour selection, not query traversal. Its
-    /// `O(cap · n / 16)` evaluations are excluded from `build_ndist` so
-    /// load-time recomputation and fresh builds account identically.
+    /// `O(cap · n / 16)` evaluations are excluded from `build_ndist`, which
+    /// counts graph construction only.
     fn select_entry_set(&self) -> Vec<u32> {
-        let Some((ep, _)) = self.entry_snapshot() else {
+        let Some((ep, _)) = self.entry else {
             return Vec::new();
         };
         let mut cands: Vec<u32> = (0..self.len() as u32)
@@ -369,9 +402,9 @@ impl Hnsw {
     }
 
     /// Recomputes the diverse entry set from the current graph state. Build
-    /// paths call this after base-layer repair; the deserializer calls it
-    /// for pre-v3 blobs that carry no persisted set.
-    pub(crate) fn refresh_entry_set(&mut self) {
+    /// paths call this after base-layer repair; mutations call it when they
+    /// can change the selection.
+    fn refresh_entry_set(&mut self) {
         self.entry_set = self.select_entry_set();
     }
 
@@ -404,7 +437,7 @@ impl Hnsw {
 
     /// Monotone mutation counter: bumped by every [`Hnsw::add`],
     /// [`Hnsw::remove`] and effective [`Hnsw::repair_tombstones`], so equal
-    /// epochs imply an identical live set. Serialized since v4.
+    /// epochs imply an identical live set. Serialized with the index.
     pub fn mutation_epoch(&self) -> u64 {
         self.mutation_epoch
     }
@@ -436,7 +469,7 @@ impl Hnsw {
         self.tombstones[id as usize] = true;
         self.live -= 1;
         self.mutation_epoch += 1;
-        let was_entry = self.entry_snapshot().is_some_and(|(ep, _)| ep == id);
+        let was_entry = self.entry.is_some_and(|(ep, _)| ep == id);
         if was_entry {
             self.reelect_entry();
         }
@@ -462,8 +495,8 @@ impl Hnsw {
                 best = Some((id, lvl));
             }
         }
-        if let Some(e) = best {
-            *self.entry.write() = Some(e);
+        if best.is_some() {
+            self.entry = best;
         }
     }
 
@@ -481,17 +514,13 @@ impl Hnsw {
     /// counts. Returns the number of nodes detached (`0` leaves the epoch
     /// untouched).
     pub fn repair_tombstones(&mut self) -> usize {
-        let dead: Vec<u32> = (0..self.len() as u32)
-            .filter(|&id| self.tombstones[id as usize])
-            .collect();
-        // Only nodes that still carry edges need work; earlier repairs left
-        // the rest already detached.
-        let attached: Vec<u32> = dead
-            .iter()
-            .copied()
+        // Only tombstones that still carry edges need work; earlier repairs
+        // left the rest already detached.
+        let attached: Vec<u32> = (0..self.len() as u32)
             .filter(|&t| {
-                (0..=(self.levels[t as usize] as usize))
-                    .any(|l| self.graph.with_neighbors(t, l, |ns| !ns.is_empty()))
+                self.tombstones[t as usize]
+                    && (0..=(self.levels[t as usize] as usize))
+                        .any(|l| !self.graph.neighbors(t, l).is_empty())
             })
             .collect();
         if attached.is_empty() {
@@ -500,7 +529,7 @@ impl Hnsw {
         let mut scratch = SearchScratch::with_capacity(self.len());
         for &t in &attached {
             for layer in 0..=(self.levels[t as usize] as usize) {
-                let mut t_nbrs = self.graph.neighbors(t, layer);
+                let mut t_nbrs = self.graph.neighbors(t, layer).to_vec();
                 t_nbrs.sort_unstable();
                 for &u in &t_nbrs {
                     if self.tombstones[u as usize] {
@@ -526,14 +555,14 @@ impl Hnsw {
     /// survivors. Mirrors the insert-path link protocol: dropped edges lose
     /// their reverse too, added edges gain one via [`Hnsw::link_back`].
     fn repoint_through(
-        &self,
+        &mut self,
         u: u32,
         t: u32,
         t_nbrs: &[u32],
         layer: usize,
         scratch: &mut SearchScratch,
     ) {
-        let old = self.graph.neighbors(u, layer);
+        let old = self.graph.neighbors(u, layer).to_vec();
         let mut cand_ids: Vec<u32> = old
             .iter()
             .chain(t_nbrs)
@@ -597,24 +626,24 @@ impl Hnsw {
 
     /// Total distance evaluations spent constructing the index.
     pub fn build_ndist(&self) -> u64 {
-        self.build_ndist.load(std::sync::atomic::Ordering::Relaxed)
+        self.build_ndist
     }
 
     /// Current `(entry node, top level)` pair, for serialization.
     pub(crate) fn entry_snapshot(&self) -> Option<(u32, u8)> {
-        *self.entry.read()
+        self.entry
     }
 
-    /// Copy of node `id`'s neighbour list at `layer`, for serialization.
-    pub(crate) fn links_of(&self, id: u32, layer: usize) -> Vec<u32> {
+    /// Node `id`'s neighbour list at `layer`, for serialization.
+    pub(crate) fn links_of(&self, id: u32, layer: usize) -> &[u32] {
         self.graph.neighbors(id, layer)
     }
 
     /// Reassembles an index from deserialized parts. Callers must supply a
     /// structurally valid graph (the deserializer validates link ranges).
-    /// An empty `entry_set` means "no persisted set" — the deserializer
-    /// recomputes one for legacy blobs; validator fixtures that pass one
-    /// explicitly exercise multi-entry reachability.
+    /// Validator fixtures pass an empty `entry_set` for single-entry
+    /// reachability, or an explicit one to exercise multi-entry
+    /// reachability.
     #[allow(clippy::too_many_arguments)] // mirrors the serialized field list
     pub(crate) fn from_parts(
         config: HnswConfig,
@@ -636,7 +665,7 @@ impl Hnsw {
             assert_eq!(q.len(), data.len(), "quantizer row count mismatch");
             assert_eq!(q.dim(), data.dim(), "quantizer dimension mismatch");
         }
-        let graph = Graph::for_levels(&levels, config.m, config.m_max0);
+        let mut graph = Graph::for_levels(&levels, config.m, config.m_max0);
         for (id, per_layer) in links.into_iter().enumerate() {
             for (layer, l) in per_layer.into_iter().enumerate() {
                 graph.set_neighbors(id as u32, layer, l);
@@ -650,18 +679,17 @@ impl Hnsw {
             levels,
             graph,
             quant,
-            entry: RwLock::new(entry),
+            entry,
             entry_set,
-            build_ndist: std::sync::atomic::AtomicU64::new(0),
+            build_ndist: 0,
             tombstones: vec![false; n],
             live: n,
             mutation_epoch: 0,
         }
     }
 
-    /// Attaches deserialized mutation state (v4 blobs): the tombstone map
-    /// and the epoch counter. Pre-v4 blobs carry neither and keep the
-    /// all-live defaults [`Hnsw::from_parts`] installs.
+    /// Attaches deserialized mutation state: the tombstone map and the
+    /// epoch counter ([`Hnsw::from_parts`] installs all-live at epoch 0).
     pub(crate) fn with_mutation_state(mut self, tombstones: Vec<bool>, epoch: u64) -> Self {
         assert_eq!(
             tombstones.len(),
@@ -674,8 +702,8 @@ impl Hnsw {
         self
     }
 
-    /// Highest-level node first, then natural order — gives the parallel
-    /// build a stable entry point.
+    /// Highest-level node first, then natural order — gives every build
+    /// a stable entry point.
     fn insertion_order(&self) -> Vec<u32> {
         let n = self.len();
         if n == 0 {
@@ -725,7 +753,7 @@ impl Hnsw {
 
     /// Top layer currently populated; `None` when empty.
     pub fn top_level(&self) -> Option<u8> {
-        self.entry.read().map(|(_, l)| l)
+        self.entry.map(|(_, l)| l)
     }
 
     /// Total directed edges in the graph (memory/diagnostics).
@@ -785,101 +813,58 @@ impl Hnsw {
         }
     }
 
-    /// Inserts node `id` (its vector is already in `self.data`).
-    /// Construction always runs exact: link structure must not inherit
-    /// quantization error.
-    fn insert(&self, id: u32, scratch: &mut SearchScratch) {
-        let level = self.levels[id as usize];
-        let q = self.data.get(id as usize).to_vec();
-        let qd = QueryDist::Exact(&q);
-        scratch.begin(self.len());
-
-        let entry_snapshot = *self.entry.read();
-        let Some((ep, top)) = entry_snapshot else {
-            *self.entry.write() = Some((id, level));
-            return;
-        };
-
-        let ep_dist = self.d(&qd, ep, scratch);
-        // Beam descent through layers above the node's level. Construction
-        // descends from the single current entry (seeding not-yet-inserted
-        // entry-set nodes would link them prematurely), but still carries
-        // `entry_beam` candidates across layers so clustered inserts do not
-        // get stranded in one basin.
-        let mut eps = self.beam_layers(
-            &qd,
-            vec![Neighbor::new(ep, ep_dist)],
-            top as usize,
-            level as usize,
-            self.config.entry_beam.max(1),
-            scratch,
-        );
-        for lc in (0..=(level.min(top) as usize)).rev() {
-            let w = self.search_layer(&qd, &eps, self.config.ef_construction, lc, scratch);
-            let selected = select_neighbors_heuristic(
-                &self.data,
-                &q,
-                &self.live_candidates(&w),
-                self.config.m,
-                self.dist,
-                self.config.keep_pruned,
-                &mut scratch.ndist,
-            );
-            // connect id <-> selected
-            self.graph.set_neighbors(id, lc, selected.clone());
-            for &s in &selected {
-                self.link_back(s, id, lc, scratch);
-            }
-            eps = w;
-        }
-
-        if level > top {
-            let mut entry = self.entry.write();
-            match *entry {
-                Some((_, cur_top)) if cur_top >= level => {}
-                _ => *entry = Some((id, level)),
-            }
-        }
-        self.build_ndist
-            .fetch_add(scratch.ndist, std::sync::atomic::Ordering::Relaxed);
+    /// Inserts node `id` (its vector is already in `self.data`): a plan
+    /// against the current graph, applied at once.
+    fn insert(&mut self, id: u32, scratch: &mut SearchScratch) {
+        let plan = self.plan_insert(id, scratch);
+        self.apply_insert(plan, scratch);
     }
 
     /// The read-only half of inserting `id`: greedy descent plus per-layer
-    /// beam search and neighbour selection against the current graph. Safe
-    /// to run concurrently with other planners (it takes only read locks);
-    /// the writes happen later in [`Hnsw::apply_insert`].
+    /// beam search and neighbour selection against the current graph. The
+    /// links are written later by [`Hnsw::apply_insert`]; planning every
+    /// layer first selects exactly what interleaved linking would, because
+    /// linking at one layer only touches that layer's lists. Construction
+    /// always runs exact: link structure must not inherit quantization
+    /// error. An empty graph yields an empty plan (the node becomes the
+    /// entry point).
     fn plan_insert(&self, id: u32, scratch: &mut SearchScratch) -> InsertPlan {
         let level = self.levels[id as usize];
-        let q = self.data.get(id as usize).to_vec();
-        let qd = QueryDist::Exact(&q);
+        let q = self.data.get(id as usize);
+        let qd = QueryDist::Exact(q);
         scratch.begin(self.len());
 
-        let (ep, top) = self
-            .entry_snapshot()
-            .expect("plan_insert requires a seeded graph");
-        let ep_dist = self.d(&qd, ep, scratch);
-        let mut eps = self.beam_layers(
-            &qd,
-            vec![Neighbor::new(ep, ep_dist)],
-            top as usize,
-            level as usize,
-            self.config.entry_beam.max(1),
-            scratch,
-        );
-        let mut layers = Vec::with_capacity(level.min(top) as usize + 1);
-        for lc in (0..=(level.min(top) as usize)).rev() {
-            let w = self.search_layer(&qd, &eps, self.config.ef_construction, lc, scratch);
-            let selected = select_neighbors_heuristic(
-                &self.data,
-                &q,
-                &self.live_candidates(&w),
-                self.config.m,
-                self.dist,
-                self.config.keep_pruned,
-                &mut scratch.ndist,
+        let mut layers = Vec::new();
+        if let Some((ep, top)) = self.entry {
+            let ep_dist = self.d(&qd, ep, scratch);
+            // Beam descent through layers above the node's level.
+            // Construction descends from the single current entry (seeding
+            // not-yet-inserted entry-set nodes would link them
+            // prematurely), but still carries `entry_beam` candidates
+            // across layers so clustered inserts do not get stranded in
+            // one basin.
+            let mut eps = self.beam_layers(
+                &qd,
+                vec![Neighbor::new(ep, ep_dist)],
+                top as usize,
+                level as usize,
+                self.config.entry_beam.max(1),
+                scratch,
             );
-            layers.push((lc, selected));
-            eps = w;
+            for lc in (0..=(level.min(top) as usize)).rev() {
+                let w = self.search_layer(&qd, &eps, self.config.ef_construction, lc, scratch);
+                let selected = select_neighbors_heuristic(
+                    &self.data,
+                    q,
+                    &self.live_candidates(&w),
+                    self.config.m,
+                    self.dist,
+                    self.config.keep_pruned,
+                    &mut scratch.ndist,
+                );
+                layers.push((lc, selected));
+                eps = w;
+            }
         }
         InsertPlan {
             id,
@@ -889,10 +874,9 @@ impl Hnsw {
     }
 
     /// The mutating half of inserting `id`: wires up the links a
-    /// [`Hnsw::plan_insert`] selected and refreshes the entry point. Runs
-    /// strictly sequentially (one plan at a time, in batch order), which is
-    /// what keeps the parallel build deterministic and validator-clean.
-    fn apply_insert(&self, plan: InsertPlan, scratch: &mut SearchScratch) {
+    /// [`Hnsw::plan_insert`] selected and promotes the node to entry point
+    /// when it tops the graph.
+    fn apply_insert(&mut self, plan: InsertPlan, scratch: &mut SearchScratch) {
         let InsertPlan { id, layers, ndist } = plan;
         scratch.begin(self.len());
         for (lc, selected) in layers {
@@ -902,17 +886,10 @@ impl Hnsw {
             }
         }
         let level = self.levels[id as usize];
-        {
-            let mut entry = self.entry.write();
-            match *entry {
-                Some((_, cur_top)) if cur_top >= level => {}
-                _ => *entry = Some((id, level)),
-            }
+        if self.entry.is_none_or(|(_, top)| level > top) {
+            self.entry = Some((id, level));
         }
-        self.build_ndist.fetch_add(
-            ndist + scratch.ndist(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        self.build_ndist += ndist + scratch.ndist();
     }
 
     /// Adds edge `from -> to` at `layer`, shrinking `from`'s neighbourhood
@@ -923,9 +900,9 @@ impl Hnsw {
     /// pruning leaves `l -> from` dangling whenever it discards
     /// `from -> l` — the asymmetry the graph validator
     /// ([`Hnsw::validate`]) was written to catch.
-    fn link_back(&self, from: u32, to: u32, layer: usize, scratch: &mut SearchScratch) {
+    fn link_back(&mut self, from: u32, to: u32, layer: usize, scratch: &mut SearchScratch) {
         let max = self.config.max_links(layer);
-        let mut links = self.graph.neighbors(from, layer);
+        let mut links = self.graph.neighbors(from, layer).to_vec();
         if links.contains(&to) {
             return;
         }
@@ -976,21 +953,16 @@ impl Hnsw {
         layer: usize,
         scratch: &mut SearchScratch,
     ) -> (u32, f32) {
-        let mut nbuf: Vec<u32> = Vec::new();
         loop {
-            nbuf.clear();
-            self.graph
-                .with_neighbors(ep, layer, |ns| nbuf.extend_from_slice(ns));
-            let mut improved = false;
-            for &nb in &nbuf {
+            let from = ep;
+            for &nb in self.graph.neighbors(from, layer) {
                 let d = self.d(q, nb, scratch);
                 if d < ep_dist || (d == ep_dist && nb < ep) {
                     ep = nb;
                     ep_dist = d;
-                    improved = true;
                 }
             }
-            if !improved {
+            if ep == from {
                 return (ep, ep_dist);
             }
         }
@@ -1037,7 +1009,7 @@ impl Hnsw {
         beam: usize,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, u64, u64) {
-        let Some((ep, top)) = self.entry_snapshot() else {
+        let Some((ep, top)) = self.entry else {
             return (Vec::new(), 0, 0);
         };
         let mut eps = vec![Neighbor::new(ep, self.d(q, ep, scratch))];
@@ -1090,15 +1062,11 @@ impl Hnsw {
                 scratch.heap_pushes += 1;
             }
         }
-        let mut nbuf: Vec<u32> = Vec::new();
         while let Some(Reverse(c)) = candidates.pop() {
             if c.dist > results.prune_radius() {
                 break;
             }
-            nbuf.clear();
-            self.graph
-                .with_neighbors(c.id, layer, |ns| nbuf.extend_from_slice(ns));
-            for &nb in &nbuf {
+            for &nb in self.graph.neighbors(c.id, layer) {
                 if !scratch.mark(nb) {
                     continue;
                 }
@@ -1201,13 +1169,11 @@ impl Hnsw {
     ///
     /// Every construction path — [`Hnsw::build`], [`Hnsw::build_parallel`],
     /// and [`Hnsw::add`] — must satisfy all of these (the builds check
-    /// automatically in debug profiles). The parallel build upholds them by
-    /// construction: graph mutation is confined to the sequential apply
-    /// phase.
+    /// automatically in debug profiles). Batched construction upholds them
+    /// by confining graph mutation to the sequential apply phase.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
-        let entry = *self.entry.read();
-        let (ep, top) = match (n, entry) {
+        let (ep, top) = match (n, self.entry) {
             (0, None) => return Ok(()),
             (0, Some(_)) => return Err("empty index has an entry point".into()),
             (_, None) => return Err("non-empty index has no entry point".into()),
@@ -1264,7 +1230,7 @@ impl Hnsw {
         }
         for id in 0..n as u32 {
             let level = self.levels[id as usize] as usize;
-            let stored = self.graph.nodes[id as usize].read().layers.len();
+            let stored = self.graph.layer_count(id);
             if stored != level + 1 {
                 return Err(format!(
                     "node {id} at level {level} stores {stored} layer lists"
@@ -1279,13 +1245,13 @@ impl Hnsw {
                         self.config.max_links(layer)
                     ));
                 }
-                let mut sorted = ns.clone();
+                let mut sorted = ns.to_vec();
                 sorted.sort_unstable();
                 sorted.dedup();
                 if sorted.len() != ns.len() {
                     return Err(format!("node {id} layer {layer} has duplicate links"));
                 }
-                for &nb in &ns {
+                for &nb in ns {
                     if nb == id {
                         return Err(format!("node {id} links to itself at layer {layer}"));
                     }
@@ -1301,10 +1267,7 @@ impl Hnsw {
                             self.levels[nb as usize]
                         ));
                     }
-                    let symmetric = self
-                        .graph
-                        .with_neighbors(nb, layer, |back| back.contains(&id));
-                    if !symmetric {
+                    if !self.graph.neighbors(nb, layer).contains(&id) {
                         return Err(format!(
                             "asymmetric link: {id} -> {nb} at layer {layer} has no reverse edge"
                         ));
@@ -1368,49 +1331,53 @@ impl Hnsw {
         Ok(())
     }
 
-    /// k-NN search with beam width `ef` (clamped up to `k`). Allocates a
-    /// fresh scratch; use [`Hnsw::search_with_scratch`] in hot loops.
-    pub fn search(&self, q: &[f32], k: usize, ef: usize) -> (Vec<Neighbor>, SearchStats) {
-        let mut scratch = SearchScratch::with_capacity(self.len());
-
-        self.search_with_scratch(q, k, ef, &mut scratch)
-    }
-
-    /// k-NN search reusing caller-provided scratch space. Always exact;
-    /// [`Hnsw::search_quantized_with_scratch`] is the quantized-first
-    /// variant. Descends with the index's configured `entry_beam`; use
-    /// [`Hnsw::search_with_beam`] to override per query.
-    pub fn search_with_scratch(
+    /// k-NN search: multi-entry descent to layer 0, an `ef`-wide layer-0
+    /// beam (widened by [`Hnsw::inflate_ef`] while tombstones occupy beam
+    /// slots), and the best `k` live survivors.
+    ///
+    /// With `params.quantized = Some(rerank_factor)` this is the
+    /// quantized-first pipeline (the AQR-HNSW recipe): the traversal runs
+    /// with the SQ8 asymmetric distance in the squared-L2 domain over one
+    /// byte per dimension, and the first `rerank_factor * k` beam survivors
+    /// are re-ranked with the exact metric. An index with no trained
+    /// quantizer (empty, non-L2 metric, or a stale grid after
+    /// [`Hnsw::add`]) answers quantized requests on the exact path, so
+    /// callers always get correct results.
+    ///
+    /// Determinism: exact and quantized distances are bit-identical across
+    /// thread counts (same chunked kernels, same reduction order), and the
+    /// result depends only on the index, the query and `params`.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`, a quantized `rerank_factor` is zero, or the
+    /// query dimension does not match the index.
+    pub fn search(
         &self,
         q: &[f32],
-        k: usize,
-        ef: usize,
+        params: &SearchParams,
         scratch: &mut SearchScratch,
     ) -> (Vec<Neighbor>, SearchStats) {
-        self.search_with_beam(q, k, ef, 0, scratch)
-    }
-
-    /// Exact k-NN search with an explicit descent beam width. `entry_beam`
-    /// of `0` inherits the index configuration; `1` degenerates to the
-    /// classic single-seed greedy descent (still seeded at layer 0 from the
-    /// full diverse entry set).
-    pub fn search_with_beam(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        entry_beam: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
+        let k = params.k;
         assert!(k > 0, "k must be positive");
+        assert!(
+            params.quantized != Some(0),
+            "rerank_factor must be positive"
+        );
         assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
         scratch.begin(self.len());
         if self.live == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        let beam = self.resolve_beam(entry_beam);
-        let qd = QueryDist::Exact(q);
-        let ef = self.inflate_ef(ef.max(k));
+        let rerank = params.quantized.zip(self.quant.as_ref());
+        let qd = match rerank {
+            Some((_, sq)) => QueryDist::Quant {
+                sq,
+                prep: sq.prepare_query(q),
+            },
+            None => QueryDist::Exact(q),
+        };
+        let beam = self.resolve_beam(params.entry_beam);
+        let ef = self.inflate_ef(params.ef.max(k));
         let (seeds, hops, entry_seeds) = self.descend(&qd, beam, scratch);
         if seeds.is_empty() {
             return (Vec::new(), SearchStats::default());
@@ -1419,13 +1386,23 @@ impl Hnsw {
         if self.live < self.len() {
             w.retain(|n| !self.tombstones[n.id as usize]);
         }
-        let out: Vec<Neighbor> = w.into_iter().take(k).collect();
+        let (out, pool) = match rerank {
+            Some((factor, _)) => {
+                let pool = factor.saturating_mul(k).min(w.len());
+                let out = rerank_exact(self.dist, &self.data, q, &w, pool, k, &mut scratch.ndist);
+                (out, pool as u64)
+            }
+            None => {
+                w.truncate(k);
+                (w, 0)
+            }
+        };
         (
             out,
             SearchStats {
                 ndist: scratch.ndist(),
-                ndist_quant: 0,
-                rerank: 0,
+                ndist_quant: scratch.ndist_quant(),
+                rerank: pool,
                 hops,
                 heap_pushes: scratch.heap_pushes,
                 ef_churn: scratch.ef_churn,
@@ -1443,102 +1420,6 @@ impl Hnsw {
         } else {
             entry_beam
         }
-    }
-
-    /// Quantized-first k-NN search allocating fresh scratch; see
-    /// [`Hnsw::search_quantized_with_scratch`].
-    pub fn search_quantized(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let mut scratch = SearchScratch::with_capacity(self.len());
-        self.search_quantized_with_scratch(q, k, ef, rerank_factor, &mut scratch)
-    }
-
-    /// Quantized-first k-NN search (the AQR-HNSW recipe): traverse the
-    /// graph with the SQ8 asymmetric distance at full beam width `ef`,
-    /// take the first `rerank_factor * k` beam survivors as the candidate
-    /// pool, and re-rank that pool with the exact metric before returning
-    /// the best `k`.
-    ///
-    /// The traversal runs in the squared-L2 domain (no per-candidate
-    /// square root) over one byte per dimension, so it is both
-    /// bandwidth- and compute-cheaper than the exact walk; the exact
-    /// stage touches only the pool. Falls back to
-    /// [`Hnsw::search_with_scratch`] when no quantizer is available (empty
-    /// index, non-L2 metric, or a stale grid after [`Hnsw::add`]) — the
-    /// exact-metric fallback, so callers always get correct results.
-    ///
-    /// Determinism: quantized distances are bit-identical across thread
-    /// counts (same chunked kernels, same reduction order), so results
-    /// carry the same reproducibility contract as the exact path.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`, `rerank_factor == 0`, or the query dimension
-    /// does not match the index.
-    pub fn search_quantized_with_scratch(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        self.search_quantized_with_beam(q, k, ef, rerank_factor, 0, scratch)
-    }
-
-    /// Quantized-first k-NN search with an explicit descent beam width;
-    /// `entry_beam` semantics match [`Hnsw::search_with_beam`].
-    pub fn search_quantized_with_beam(
-        &self,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-        entry_beam: usize,
-        scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        assert!(k > 0, "k must be positive");
-        assert!(rerank_factor > 0, "rerank_factor must be positive");
-        assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
-        let Some(sq) = self.quant.as_ref() else {
-            return self.search_with_beam(q, k, ef, entry_beam, scratch);
-        };
-        scratch.begin(self.len());
-        if self.live == 0 {
-            return (Vec::new(), SearchStats::default());
-        }
-        let beam = self.resolve_beam(entry_beam);
-        let qd = QueryDist::Quant {
-            sq,
-            prep: sq.prepare_query(q),
-        };
-        let ef = self.inflate_ef(ef.max(k));
-        let (seeds, hops, entry_seeds) = self.descend(&qd, beam, scratch);
-        if seeds.is_empty() {
-            return (Vec::new(), SearchStats::default());
-        }
-        let mut w = self.search_layer(&qd, &seeds, ef, 0, scratch);
-        if self.live < self.len() {
-            w.retain(|n| !self.tombstones[n.id as usize]);
-        }
-        let pool = rerank_factor.saturating_mul(k).min(w.len());
-        let out = rerank_exact(self.dist, &self.data, q, &w, pool, k, &mut scratch.ndist);
-        (
-            out,
-            SearchStats {
-                ndist: scratch.ndist(),
-                ndist_quant: scratch.ndist_quant(),
-                rerank: pool as u64,
-                hops,
-                heap_pushes: scratch.heap_pushes,
-                ef_churn: scratch.ef_churn,
-                entry_seeds,
-            },
-        )
     }
 }
 
@@ -1564,13 +1445,30 @@ mod tests {
         (data, idx)
     }
 
+    /// Exact search on fresh scratch.
+    fn exact(idx: &Hnsw, q: &[f32], k: usize, ef: usize) -> (Vec<Neighbor>, SearchStats) {
+        idx.search(q, &SearchParams::new(k, ef), &mut SearchScratch::default())
+    }
+
+    /// Quantized-first search on fresh scratch.
+    fn quantized(
+        idx: &Hnsw,
+        q: &[f32],
+        k: usize,
+        ef: usize,
+        rerank_factor: usize,
+    ) -> (Vec<Neighbor>, SearchStats) {
+        let params = SearchParams::new(k, ef).quantized(rerank_factor);
+        idx.search(q, &params, &mut SearchScratch::default())
+    }
+
     #[test]
     fn empty_index_searches_empty() {
         let idx = Hnsw::build(VectorSet::new(4), Distance::L2, HnswConfig::default());
-        let (r, s) = idx.search(&[0.0; 4], 3, 10);
+        let (r, s) = exact(&idx, &[0.0; 4], 3, 10);
         assert!(r.is_empty());
         assert_eq!(s.ndist, 0);
-        let (rq, sq) = idx.search_quantized(&[0.0; 4], 3, 10, 3);
+        let (rq, sq) = quantized(&idx, &[0.0; 4], 3, 10, 3);
         assert!(rq.is_empty());
         assert_eq!(sq.ndist, 0);
     }
@@ -1579,7 +1477,7 @@ mod tests {
     fn quantized_search_finds_self_with_exact_distance() {
         let (data, idx) = small_index(400, 16, 51);
         let q = data.get(11);
-        let (hits, stats) = idx.search_quantized(q, 5, 64, 3);
+        let (hits, stats) = quantized(&idx, q, 5, 64, 3);
         assert_eq!(hits[0].id, 11);
         // the re-rank stage scores survivors with the exact metric, so the
         // self-distance is exactly zero despite the quantized traversal
@@ -1606,14 +1504,18 @@ mod tests {
         let mut scratch = SearchScratch::with_capacity(idx.len());
         let exact: Vec<_> = (0..queries.len())
             .map(|i| {
-                idx.search_with_scratch(queries.get(i), 10, 64, &mut scratch)
+                idx.search(queries.get(i), &SearchParams::new(10, 64), &mut scratch)
                     .0
             })
             .collect();
         let quant: Vec<_> = (0..queries.len())
             .map(|i| {
-                idx.search_quantized_with_scratch(queries.get(i), 10, 64, 3, &mut scratch)
-                    .0
+                idx.search(
+                    queries.get(i),
+                    &SearchParams::new(10, 64).quantized(3),
+                    &mut scratch,
+                )
+                .0
             })
             .collect();
         let r_exact = ground_truth::recall_at_k(&exact, &gt, 10).mean;
@@ -1628,8 +1530,8 @@ mod tests {
     fn quantized_search_spends_fewer_exact_evaluations() {
         let (data, idx) = small_index(1500, 32, 61);
         let q = data.get(7);
-        let (_, se) = idx.search(q, 10, 64);
-        let (_, sq) = idx.search_quantized(q, 10, 64, 3);
+        let (_, se) = exact(&idx, q, 10, 64);
+        let (_, sq) = quantized(&idx, q, 10, 64, 3);
         let exact_evals = sq.ndist - sq.ndist_quant;
         assert_eq!(
             exact_evals, sq.rerank,
@@ -1649,8 +1551,8 @@ mod tests {
         let mut s2 = SearchScratch::with_capacity(idx.len());
         for i in (0..800).step_by(97) {
             let q = data.get(i);
-            let (a, sa) = idx.search_quantized_with_scratch(q, 5, 48, 3, &mut s1);
-            let (b, sb) = idx.search_quantized_with_scratch(q, 5, 48, 3, &mut s2);
+            let (a, sa) = idx.search(q, &SearchParams::new(5, 48).quantized(3), &mut s1);
+            let (b, sb) = idx.search(q, &SearchParams::new(5, 48).quantized(3), &mut s2);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id);
@@ -1668,12 +1570,12 @@ mod tests {
         idx.add(&[500.0; 8]); // outside the trained box
         assert!(idx.quantizer().is_none(), "add must invalidate the grid");
         // fallback still answers exactly
-        let (hits, stats) = idx.search_quantized(&[500.0; 8], 1, 16, 3);
+        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16, 3);
         assert_eq!(hits[0].id, 200);
         assert_eq!(stats.ndist_quant, 0, "stale grid must not be used");
         idx.train_quantizer();
         assert!(idx.quantizer().is_some());
-        let (hits, stats) = idx.search_quantized(&[500.0; 8], 1, 16, 3);
+        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16, 3);
         assert_eq!(hits[0].id, 200);
         assert!(stats.ndist_quant > 0, "retrained grid re-enables quantized");
     }
@@ -1687,8 +1589,8 @@ mod tests {
             HnswConfig::with_m(8).seed(23),
         );
         assert!(idx.quantizer().is_none(), "cosine cannot rank in sq-L2");
-        let (a, stats) = idx.search_quantized(data.get(5), 3, 32, 3);
-        let (b, _) = idx.search(data.get(5), 3, 32);
+        let (a, stats) = quantized(&idx, data.get(5), 3, 32, 3);
+        let (b, _) = exact(&idx, data.get(5), 3, 32);
         assert_eq!(a, b, "fallback must equal the exact path");
         assert_eq!(stats.ndist_quant, 0);
     }
@@ -1698,7 +1600,7 @@ mod tests {
         let mut data = VectorSet::new(2);
         data.push(&[1.0, 2.0]);
         let idx = Hnsw::build(data, Distance::L2, HnswConfig::default());
-        let (r, _) = idx.search(&[1.0, 2.0], 3, 10);
+        let (r, _) = exact(&idx, &[1.0, 2.0], 3, 10);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].id, 0);
         assert_eq!(r[0].dist, 0.0);
@@ -1708,7 +1610,7 @@ mod tests {
     fn finds_self_as_nearest() {
         let (data, idx) = small_index(500, 16, 3);
         for i in (0..500).step_by(37) {
-            let (r, _) = idx.search(data.get(i), 1, 32);
+            let (r, _) = exact(&idx, data.get(i), 1, 32);
             assert_eq!(r[0].id, i as u32, "point {i} should find itself");
         }
     }
@@ -1716,7 +1618,7 @@ mod tests {
     #[test]
     fn results_sorted_and_unique() {
         let (data, idx) = small_index(800, 16, 4);
-        let (r, _) = idx.search(data.get(5), 10, 64);
+        let (r, _) = exact(&idx, data.get(5), 10, 64);
         assert_eq!(r.len(), 10);
         for w in r.windows(2) {
             assert!(w[0].dist <= w[1].dist);
@@ -1734,7 +1636,7 @@ mod tests {
         let idx = Hnsw::build(data.clone(), Distance::L2, HnswConfig::with_m(16).seed(5));
         let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
         let approx: Vec<_> = (0..queries.len())
-            .map(|i| idx.search(queries.get(i), 10, 128).0)
+            .map(|i| exact(&idx, queries.get(i), 10, 128).0)
             .collect();
         let rec = ground_truth::recall_at_k(&approx, &gt, 10);
         assert!(rec.mean > 0.9, "recall too low: {}", rec.mean);
@@ -1748,7 +1650,7 @@ mod tests {
         let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
         let recall_for = |ef: usize| {
             let approx: Vec<_> = (0..queries.len())
-                .map(|i| idx.search(queries.get(i), 10, ef).0)
+                .map(|i| exact(&idx, queries.get(i), 10, ef).0)
                 .collect();
             ground_truth::recall_at_k(&approx, &gt, 10).mean
         };
@@ -1761,8 +1663,8 @@ mod tests {
     #[test]
     fn ndist_grows_with_ef() {
         let (data, idx) = small_index(2000, 16, 10);
-        let (_, s_small) = idx.search(data.get(0), 10, 16);
-        let (_, s_large) = idx.search(data.get(0), 10, 256);
+        let (_, s_small) = exact(&idx, data.get(0), 10, 16);
+        let (_, s_large) = exact(&idx, data.get(0), 10, 256);
         assert!(
             s_large.ndist > s_small.ndist,
             "ef=256 ({}) should cost more than ef=16 ({})",
@@ -1776,13 +1678,12 @@ mod tests {
         let (_, idx) = small_index(1000, 8, 11);
         for id in 0..1000u32 {
             for layer in 0..=idx.level(id) as usize {
-                idx.graph.with_neighbors(id, layer, |ns| {
-                    assert!(
-                        ns.len() <= idx.config.max_links(layer),
-                        "node {id} layer {layer} degree {} > bound",
-                        ns.len()
-                    );
-                });
+                let ns = idx.graph.neighbors(id, layer);
+                assert!(
+                    ns.len() <= idx.config.max_links(layer),
+                    "node {id} layer {layer} degree {} > bound",
+                    ns.len()
+                );
             }
         }
     }
@@ -1809,7 +1710,7 @@ mod tests {
         let par = Hnsw::build_parallel(data.clone(), Distance::L2, cfg);
         let rec = |idx: &Hnsw| {
             let approx: Vec<_> = (0..queries.len())
-                .map(|i| idx.search(queries.get(i), 10, 96).0)
+                .map(|i| exact(idx, queries.get(i), 10, 96).0)
                 .collect();
             ground_truth::recall_at_k(&approx, &gt, 10).mean
         };
@@ -1848,8 +1749,8 @@ mod tests {
         }
         for i in (0..900).step_by(97) {
             assert_eq!(
-                one.search(data.get(i), 5, 48).0,
-                four.search(data.get(i), 5, 48).0
+                exact(&one, data.get(i), 5, 48).0,
+                exact(&four, data.get(i), 5, 48).0
             );
         }
     }
@@ -1865,7 +1766,7 @@ mod tests {
         par.validate().expect("parallel build is valid");
         let rec = |idx: &Hnsw| {
             let approx: Vec<_> = (0..queries.len())
-                .map(|i| idx.search(queries.get(i), 10, 96).0)
+                .map(|i| exact(idx, queries.get(i), 10, 96).0)
                 .collect();
             ground_truth::recall_at_k(&approx, &gt, 10).mean
         };
@@ -1887,7 +1788,7 @@ mod tests {
         let single = Hnsw::build_parallel(data, Distance::L2, HnswConfig::default());
         assert_eq!(single.len(), 1);
         single.validate().expect("1-point parallel build is valid");
-        let (r, _) = single.search(&[0.5, 0.5], 1, 8);
+        let (r, _) = exact(&single, &[0.5, 0.5], 1, 8);
         assert_eq!(r[0].id, 0);
     }
 
@@ -1896,14 +1797,14 @@ mod tests {
         // BFS from entry must reach every node: the graph search can only
         // return reachable points.
         let (_, idx) = small_index(600, 8, 14);
-        let (entry, _) = idx.entry.read().expect("non-empty");
+        let (entry, _) = idx.entry.expect("non-empty");
         let n = idx.len();
         let mut seen = vec![false; n];
         let mut queue = std::collections::VecDeque::new();
         seen[entry as usize] = true;
         queue.push_back(entry);
         while let Some(u) = queue.pop_front() {
-            for nb in idx.graph.neighbors(u, 0) {
+            for &nb in idx.graph.neighbors(u, 0) {
                 if !seen[nb as usize] {
                     seen[nb as usize] = true;
                     queue.push_back(nb);
@@ -1920,7 +1821,7 @@ mod tests {
     #[test]
     fn k_larger_than_index_returns_all() {
         let (_, idx) = small_index(5, 8, 15);
-        let (r, _) = idx.search(idx.vectors().get(0), 20, 64);
+        let (r, _) = exact(&idx, idx.vectors().get(0), 20, 64);
         assert_eq!(r.len(), 5);
     }
 
@@ -1928,7 +1829,7 @@ mod tests {
     #[should_panic]
     fn wrong_dim_query_panics() {
         let (_, idx) = small_index(10, 8, 16);
-        let _ = idx.search(&[0.0; 4], 1, 8);
+        let _ = exact(&idx, &[0.0; 4], 1, 8);
     }
 
     #[test]
@@ -1944,8 +1845,8 @@ mod tests {
         let cfg = HnswConfig::with_m(8).seed(18);
         let a = Hnsw::build(data.clone(), Distance::L2, cfg);
         let b = Hnsw::build(data.clone(), Distance::L2, cfg);
-        let qa = a.search(data.get(3), 5, 32).0;
-        let qb = b.search(data.get(3), 5, 32).0;
+        let qa = exact(&a, data.get(3), 5, 32).0;
+        let qb = exact(&b, data.get(3), 5, 32).0;
         assert_eq!(qa, qb);
         assert_eq!(a.edge_count(), b.edge_count());
     }
@@ -1966,7 +1867,7 @@ mod tests {
         assert_eq!(idx.len(), 600);
         // newly added points are findable
         for i in (300..600).step_by(51) {
-            let (r, _) = idx.search(data.get(i), 1, 48);
+            let (r, _) = exact(&idx, data.get(i), 1, 48);
             assert_eq!(r[0].dist, 0.0, "added point {i} not found");
         }
         // recall comparable to a bulk-built index over the same data
@@ -1975,7 +1876,7 @@ mod tests {
         let gt = ground_truth::brute_force(&data, &queries, 5, Distance::L2);
         let rec = |ix: &Hnsw| {
             let res: Vec<_> = (0..queries.len())
-                .map(|i| ix.search(queries.get(i), 5, 64).0)
+                .map(|i| exact(ix, queries.get(i), 5, 64).0)
                 .collect();
             ground_truth::recall_at_k(&res, &gt, 5).mean
         };
@@ -1992,7 +1893,7 @@ mod tests {
         let id = idx.add(&[1.0, 2.0, 3.0]);
         assert_eq!(id, 0);
         idx.add(&[1.1, 2.0, 3.0]);
-        let (r, _) = idx.search(&[1.0, 2.0, 3.0], 2, 8);
+        let (r, _) = exact(&idx, &[1.0, 2.0, 3.0], 2, 8);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].id, 0);
     }
@@ -2142,8 +2043,8 @@ mod tests {
         let mut scratch = SearchScratch::with_capacity(5);
         // beam = 1 exercises the greedy walk; ef = 1 keeps the layer-0
         // search confined to the basin the walk picked
-        let (ra, _) = a.search_with_beam(&[0.0], 1, 1, 1, &mut scratch);
-        let (rb, _) = b.search_with_beam(&[0.0], 1, 1, 1, &mut scratch);
+        let (ra, _) = a.search(&[0.0], &SearchParams::new(1, 1).entry_beam(1), &mut scratch);
+        let (rb, _) = b.search(&[0.0], &SearchParams::new(1, 1).entry_beam(1), &mut scratch);
         assert_eq!(ra[0].id, 1, "tie must resolve to the smaller id");
         assert_eq!(ra, rb, "descent outcome must not depend on link order");
     }
@@ -2159,7 +2060,7 @@ mod tests {
         }
         let idx = Hnsw::build(data, Distance::L2, HnswConfig::with_m(4).seed(2));
         idx.validate().expect("duplicate-point build is valid");
-        let (r, _) = idx.search(&[3.0, 1.0, 4.0, 1.5], 5, 32);
+        let (r, _) = exact(&idx, &[3.0, 1.0, 4.0, 1.5], 5, 32);
         let ids: Vec<u32> = r.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert!(r.iter().all(|n| n.dist == 0.0));
@@ -2273,7 +2174,8 @@ mod tests {
         for i in (0..600).step_by(71) {
             let q = data.get(i);
             for beam in [1, 2, 8] {
-                let (r, _) = idx.search_with_beam(q, 1, 24, beam, &mut scratch);
+                let (r, _) =
+                    idx.search(q, &SearchParams::new(1, 24).entry_beam(beam), &mut scratch);
                 assert_eq!(r[0].id, i as u32, "beam {beam} lost point {i}");
             }
         }
@@ -2284,7 +2186,7 @@ mod tests {
         let (data, idx) = small_index(900, 12, 45);
         assert!(idx.entry_set().len() > 1);
         let mut scratch = SearchScratch::with_capacity(idx.len());
-        let (_, stats) = idx.search_with_scratch(data.get(3), 5, 32, &mut scratch);
+        let (_, stats) = idx.search(data.get(3), &SearchParams::new(5, 32), &mut scratch);
         assert!(
             stats.entry_seeds > 0,
             "multi-member entry set should inject seeds"
@@ -2300,7 +2202,7 @@ mod tests {
             Distance::Cosine,
             HnswConfig::with_m(8).seed(19),
         );
-        let (r, _) = idx.search(data.get(7), 3, 32);
+        let (r, _) = exact(&idx, data.get(7), 3, 32);
         assert_eq!(r[0].id, 7);
     }
 
@@ -2317,12 +2219,16 @@ mod tests {
         assert!((idx.tombstone_ratio() - 0.2).abs() < 1e-9);
         let mut scratch = SearchScratch::with_capacity(idx.len());
         for i in (0..800).step_by(31) {
-            let (r, _) = idx.search_with_scratch(data.get(i), 10, 64, &mut scratch);
+            let (r, _) = idx.search(data.get(i), &SearchParams::new(10, 64), &mut scratch);
             assert!(
                 r.iter().all(|h| idx.is_live(h.id)),
                 "query {i} surfaced a tombstoned id"
             );
-            let (rq, _) = idx.search_quantized_with_scratch(data.get(i), 10, 64, 3, &mut scratch);
+            let (rq, _) = idx.search(
+                data.get(i),
+                &SearchParams::new(10, 64).quantized(3),
+                &mut scratch,
+            );
             assert!(
                 rq.iter().all(|h| idx.is_live(h.id)),
                 "quantized query {i} surfaced a tombstoned id"
@@ -2357,8 +2263,8 @@ mod tests {
         assert_eq!(idx.live_len(), 0);
         assert_eq!(idx.tombstone_ratio(), 1.0);
         idx.validate().expect("fully tombstoned index is valid");
-        assert!(idx.search(data.get(0), 5, 32).0.is_empty());
-        assert!(idx.search_quantized(data.get(0), 5, 32, 3).0.is_empty());
+        assert!(exact(&idx, data.get(0), 5, 32).0.is_empty());
+        assert!(quantized(&idx, data.get(0), 5, 32, 3).0.is_empty());
     }
 
     #[test]
@@ -2390,7 +2296,7 @@ mod tests {
             .quantizer()
             .expect("in-grid add keeps quantized search on");
         assert_eq!(sq.len(), idx.len(), "codebook grew with the index");
-        let (hits, stats) = idx.search_quantized(&v, 2, 32, 4);
+        let (hits, stats) = quantized(&idx, &v, 2, 32, 4);
         assert!(stats.ndist_quant > 0, "traversal stays quantized");
         assert!(
             hits.iter().any(|h| h.id == id || h.id == 42),
@@ -2421,7 +2327,7 @@ mod tests {
                     .collect();
                 gt.sort_unstable();
                 let gt: Vec<u32> = gt.iter().take(10).map(|n| n.id).collect();
-                let (r, _) = idx.search_with_scratch(q, 10, 96, &mut scratch);
+                let (r, _) = idx.search(q, &SearchParams::new(10, 96), &mut scratch);
                 total += r.iter().filter(|h| gt.contains(&h.id)).count() as f64 / 10.0;
             }
             total / queries.len() as f64
@@ -2529,7 +2435,7 @@ mod tests {
         let (ep, _) = idx.entry_snapshot().expect("non-empty");
         // tombstone the entry's entire layer-0 neighbourhood: every descent
         // now must pass through dead waypoints to leave the entry's basin
-        let hood = idx.links_of(ep, 0);
+        let hood = idx.links_of(ep, 0).to_vec();
         for &id in &hood {
             idx.remove(id);
         }
@@ -2539,7 +2445,7 @@ mod tests {
             if !idx.is_live(i as u32) {
                 continue;
             }
-            let (r, _) = idx.search_with_scratch(data.get(i), 1, 64, &mut scratch);
+            let (r, _) = idx.search(data.get(i), &SearchParams::new(1, 64), &mut scratch);
             assert_eq!(r[0].id, i as u32, "point {i} lost behind dead waypoints");
         }
     }

@@ -8,27 +8,23 @@
 //! ```text
 //! magic "FANNHNSW" | version u32 | dist u8 | dim u32 | n u32
 //! m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
-//! extend u8 | keep_pruned u8 | seed u64
-//! entry_beam (v3): u32
+//! extend u8 | keep_pruned u8 | seed u64 | entry_beam u32
 //! entry: present u8 [node u32, level u8]
 //! levels: n × u8
 //! vectors: n × dim × f32
 //! links: per node, per layer 0..=level: len u32, len × u32
-//! quant (v2): present u8 [lo dim × f32, step dim × f32, codes n·dim × u8]
-//! entry set (v3): len u8, len × u32
-//! mutation state (v4): epoch u64, any u8 [tombstones n × u8]
+//! quant: present u8 [lo dim × f32, step dim × f32, codes n·dim × u8]
+//! entry set: len u8, len × u32
+//! mutation state: epoch u64, any u8 [tombstones n × u8]
 //! ```
 //!
-//! Version 2 appends the trained SQ8 quantizer so a loaded index searches
-//! quantized-first without retraining; version 3 adds the `entry_beam`
-//! config knob and the diverse entry set; version 4 adds the mutation
-//! epoch and the tombstone map (one byte per row, written only when any
-//! row is tombstoned — the common all-live case costs nine bytes). Older
-//! blobs are still accepted: version-1 files retrain their quantizer from
-//! the stored vectors, pre-v3 files default `entry_beam` and recompute the
-//! entry set — both pure functions of the stored data, so the loaded index
-//! matches a fresh build exactly — and pre-v4 files load all-live at
-//! epoch zero.
+//! The blob carries the trained SQ8 quantizer, so a loaded index searches
+//! quantized-first without retraining, and the diverse entry set, so a
+//! loaded index descends exactly like the one that was saved. The
+//! tombstone map is one byte per row, written only when any row is
+//! tombstoned — the common all-live case costs nine bytes. Only the
+//! current version is read; a blob of any other version is a
+//! [`LoadError::Format`].
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -42,8 +38,8 @@ use crate::index::Hnsw;
 
 const MAGIC: &[u8; 8] = b"FANNHNSW";
 const VERSION: u32 = 4;
-/// Oldest version [`Hnsw::read_from`] still accepts (pre-quantizer).
-const MIN_VERSION: u32 = 1;
+/// Oldest version [`Hnsw::read_from`] accepts.
+const MIN_VERSION: u32 = 4;
 
 /// Errors raised when loading a serialized index.
 #[derive(Debug)]
@@ -249,17 +245,10 @@ impl Hnsw {
         let extend_candidates = rd.u8()? != 0;
         let keep_pruned = rd.u8()? != 0;
         let seed = rd.u64()?;
-        // pre-v3 blobs predate the knob; the with_m default keeps their
-        // loaded search behaviour aligned with a fresh build
-        let entry_beam = if version >= 3 {
-            let b = rd.u32()? as usize;
-            if b == 0 {
-                return Err(LoadError::Format("zero entry beam".into()));
-            }
-            b
-        } else {
-            HnswConfig::with_m(2).entry_beam
-        };
+        let entry_beam = rd.u32()? as usize;
+        if entry_beam == 0 {
+            return Err(LoadError::Format("zero entry beam".into()));
+        }
         if m < 2 || m_max0 < m {
             return Err(LoadError::Format("implausible link bounds".into()));
         }
@@ -314,94 +303,74 @@ impl Hnsw {
             }
             all_links.push(per_layer);
         }
-        let quant = if version >= 2 {
-            match rd.u8()? {
-                0 => None,
-                1 => {
-                    let mut lo = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        lo.push(rd.f32()?);
-                    }
-                    let mut step = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        let s = rd.f32()?;
-                        if !s.is_finite() || s <= 0.0 {
-                            return Err(LoadError::Format("non-positive quantizer step".into()));
-                        }
-                        step.push(s);
-                    }
-                    let mut codes = vec![0u8; n * dim];
-                    rd.inner
-                        .read_exact(&mut codes)
-                        .map_err(|_| LoadError::Format("truncated".into()))?;
-                    Some(Sq8::from_parts(dim, lo, step, codes))
+        let quant = match rd.u8()? {
+            0 => None,
+            1 => {
+                let mut lo = Vec::with_capacity(dim);
+                for _ in 0..dim {
+                    lo.push(rd.f32()?);
                 }
-                x => return Err(LoadError::Format(format!("bad quantizer flag {x}"))),
-            }
-        } else {
-            None
-        };
-        let entry_set = if version >= 3 {
-            let len = rd.u8()? as usize;
-            let mut es = Vec::with_capacity(len);
-            for _ in 0..len {
-                let e = rd.u32()?;
-                if e as usize >= n {
-                    return Err(LoadError::Format("entry-set member out of range".into()));
+                let mut step = Vec::with_capacity(dim);
+                for _ in 0..dim {
+                    let s = rd.f32()?;
+                    if !s.is_finite() || s <= 0.0 {
+                        return Err(LoadError::Format("non-positive quantizer step".into()));
+                    }
+                    step.push(s);
                 }
-                es.push(e);
+                let mut codes = vec![0u8; n * dim];
+                rd.inner
+                    .read_exact(&mut codes)
+                    .map_err(|_| LoadError::Format("truncated".into()))?;
+                Some(Sq8::from_parts(dim, lo, step, codes))
             }
-            es
-        } else {
-            Vec::new()
+            x => return Err(LoadError::Format(format!("bad quantizer flag {x}"))),
         };
-        let mut index = Hnsw::from_parts(
+        let len = rd.u8()? as usize;
+        let mut entry_set = Vec::with_capacity(len);
+        for _ in 0..len {
+            let e = rd.u32()?;
+            if e as usize >= n {
+                return Err(LoadError::Format("entry-set member out of range".into()));
+            }
+            entry_set.push(e);
+        }
+        let epoch = rd.u64()?;
+        let tombstones = match rd.u8()? {
+            0 => vec![false; n],
+            1 => {
+                let mut map = vec![0u8; n];
+                rd.inner
+                    .read_exact(&mut map)
+                    .map_err(|_| LoadError::Format("truncated".into()))?;
+                let mut tombs = Vec::with_capacity(n);
+                for b in map {
+                    match b {
+                        0 => tombs.push(false),
+                        1 => tombs.push(true),
+                        x => return Err(LoadError::Format(format!("bad tombstone byte {x}"))),
+                    }
+                }
+                tombs
+            }
+            x => return Err(LoadError::Format(format!("bad tombstone flag {x}"))),
+        };
+        Ok(Hnsw::from_parts(
             config, dist, data, levels, all_links, entry, entry_set, quant,
-        );
-        if version >= 4 {
-            let epoch = rd.u64()?;
-            let tombstones = match rd.u8()? {
-                0 => vec![false; n],
-                1 => {
-                    let mut map = vec![0u8; n];
-                    rd.inner
-                        .read_exact(&mut map)
-                        .map_err(|_| LoadError::Format("truncated".into()))?;
-                    let mut tombs = Vec::with_capacity(n);
-                    for b in map {
-                        match b {
-                            0 => tombs.push(false),
-                            1 => tombs.push(true),
-                            x => {
-                                return Err(LoadError::Format(format!("bad tombstone byte {x}")));
-                            }
-                        }
-                    }
-                    tombs
-                }
-                x => return Err(LoadError::Format(format!("bad tombstone flag {x}"))),
-            };
-            index = index.with_mutation_state(tombstones, epoch);
-        }
-        if version < 2 {
-            // pre-quantizer blob: train from the stored vectors (a pure
-            // function of the data, so the grid matches a fresh build)
-            index.train_quantizer();
-        }
-        if version < 3 && !index.is_empty() {
-            // pre-entry-set blob: recompute from the stored vectors and
-            // levels — selection is a pure function of those, so the set
-            // matches what a fresh build of the same data would carry
-            index.refresh_entry_set();
-        }
-        Ok(index)
+        )
+        .with_mutation_state(tombstones, epoch))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastann_data::synth;
+    use crate::{SearchParams, SearchScratch, SearchStats};
+    use fastann_data::{synth, Neighbor};
+
+    fn search(idx: &Hnsw, q: &[f32], params: SearchParams) -> (Vec<Neighbor>, SearchStats) {
+        idx.search(q, &params, &mut SearchScratch::default())
+    }
 
     fn sample_index() -> Hnsw {
         let data = synth::sift_like(600, 12, 77);
@@ -418,7 +387,11 @@ mod tests {
         assert_eq!(back.edge_count(), idx.edge_count());
         for i in (0..600).step_by(41) {
             let q = idx.vectors().get(i);
-            assert_eq!(idx.search(q, 5, 32).0, back.search(q, 5, 32).0, "query {i}");
+            assert_eq!(
+                search(&idx, q, SearchParams::new(5, 32)).0,
+                search(&back, q, SearchParams::new(5, 32)).0,
+                "query {i}"
+            );
         }
     }
 
@@ -432,8 +405,8 @@ mod tests {
         // and answers bit-identically to the original
         for i in (0..600).step_by(17) {
             let q = idx.vectors().get(i);
-            let (a, _) = idx.search(q, 8, 48);
-            let (b, _) = back.search(q, 8, 48);
+            let (a, _) = search(&idx, q, SearchParams::new(8, 48));
+            let (b, _) = search(&back, q, SearchParams::new(8, 48));
             assert_eq!(a.len(), b.len(), "query {i}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id, "query {i}");
@@ -462,13 +435,26 @@ mod tests {
         let back =
             Hnsw::from_bytes(&idx.to_bytes()).expect("decode of just-encoded index succeeds");
         assert!(back.is_empty());
-        assert!(back.search(&[0.0; 4], 3, 8).0.is_empty());
+        assert!(search(&back, &[0.0; 4], SearchParams::new(3, 8))
+            .0
+            .is_empty());
     }
 
     #[test]
     fn bad_magic_rejected() {
         let err = Hnsw::from_bytes(b"NOTANIDX________").unwrap_err();
         assert!(matches!(err, LoadError::Format(_)));
+    }
+
+    #[test]
+    fn older_version_rejected() {
+        let mut bytes = sample_index().to_bytes();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let err = Hnsw::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, LoadError::Format(m) if m.contains("unsupported version 3")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -483,12 +469,12 @@ mod tests {
         }
     }
 
-    /// Bytes the v3 entry-set tail section occupies.
+    /// Bytes the entry-set tail section occupies.
     fn entry_set_sect(idx: &Hnsw) -> usize {
         1 + 4 * idx.entry_set().len()
     }
 
-    /// Bytes the v4 mutation-state tail section occupies.
+    /// Bytes the mutation-state tail section occupies.
     fn mut_sect(idx: &Hnsw) -> usize {
         8 + 1
             + if idx.live_len() < idx.len() {
@@ -518,13 +504,13 @@ mod tests {
         let back = Hnsw::from_bytes(&idx.to_bytes()).expect("round trip");
         let sq = back
             .quantizer()
-            .expect("v2 blob carries the trained quantizer");
+            .expect("the blob carries the trained quantizer");
         assert_eq!(sq.len(), idx.len());
         // quantized search answers bit-identically without retraining
         for i in (0..600).step_by(53) {
             let q = idx.vectors().get(i);
-            let (a, sa) = idx.search_quantized(q, 5, 32, 3);
-            let (b, sb) = back.search_quantized(q, 5, 32, 3);
+            let (a, sa) = search(&idx, q, SearchParams::new(5, 32).quantized(3));
+            let (b, sb) = search(&back, q, SearchParams::new(5, 32).quantized(3));
             assert_eq!(a.len(), b.len(), "query {i}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id, "query {i}");
@@ -544,7 +530,7 @@ mod tests {
         assert!(back.quantizer().is_none());
         // quantized search falls back to exact and still answers
         let q = back.vectors().get(3).to_vec();
-        let (hits, stats) = back.search_quantized(&q, 3, 16, 3);
+        let (hits, stats) = search(&back, &q, SearchParams::new(3, 16).quantized(3));
         assert_eq!(hits[0].id, 3);
         assert_eq!(stats.ndist_quant, 0, "fallback path is exact");
     }
@@ -589,36 +575,13 @@ mod tests {
         assert_eq!(back.config().entry_beam, 7);
     }
 
-    /// Rewrites a v4 blob as its v2 equivalent: patch the version word,
-    /// drop the `entry_beam` config field, truncate the entry-set and
-    /// mutation-state tails.
-    fn downgrade_to_v2(idx: &Hnsw) -> Vec<u8> {
-        let mut bytes = idx.to_bytes();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        // header layout: magic 8 | version 4 | dist 1 | dim 4 | n 4 | m 4
-        // | m_max0 4 | efc 4 | level_mult 8 | extend 1 | keep 1 | seed 8
-        // puts entry_beam at byte 51
-        bytes.drain(51..55);
-        bytes.truncate(bytes.len() - mut_sect(idx) - (1 + 4 * idx.entry_set().len()));
-        bytes
-    }
-
-    /// Rewrites a v4 blob as its v3 equivalent: patch the version word and
-    /// truncate the mutation-state tail.
-    fn downgrade_to_v3(idx: &Hnsw) -> Vec<u8> {
-        let mut bytes = idx.to_bytes();
-        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        bytes.truncate(bytes.len() - mut_sect(idx));
-        bytes
-    }
-
     #[test]
     fn round_trip_preserves_tombstones_and_epoch() {
         let mut idx = sample_index();
         for id in [3u32, 77, 410, 599] {
             assert!(idx.remove(id));
         }
-        let back = Hnsw::from_bytes(&idx.to_bytes()).expect("v4 round trip");
+        let back = Hnsw::from_bytes(&idx.to_bytes()).expect("round trip");
         assert_eq!(back.live_len(), idx.live_len());
         assert_eq!(back.mutation_epoch(), idx.mutation_epoch());
         for id in 0..idx.len() as u32 {
@@ -627,44 +590,10 @@ mod tests {
         back.validate().expect("loaded tombstoned index is valid");
         // deleted ids stay filtered after the round trip
         let q = idx.vectors().get(77);
-        assert!(back.search(q, 5, 48).0.iter().all(|h| h.id != 77));
-    }
-
-    #[test]
-    fn legacy_v3_blob_loads_all_live_at_epoch_zero() {
-        let idx = sample_index();
-        let back = Hnsw::from_bytes(&downgrade_to_v3(&idx)).expect("v3 blob loads");
-        assert_eq!(back.live_len(), back.len());
-        assert_eq!(back.mutation_epoch(), 0);
-        back.validate().expect("legacy v3 load is validator-clean");
-        for i in (0..600).step_by(67) {
-            let q = idx.vectors().get(i);
-            assert_eq!(idx.search(q, 5, 48).0, back.search(q, 5, 48).0, "query {i}");
-        }
-    }
-
-    #[test]
-    fn legacy_v2_blob_recomputes_entry_set() {
-        let idx = sample_index();
-        let back = Hnsw::from_bytes(&downgrade_to_v2(&idx)).expect("v2 blob loads");
-        assert_eq!(back.config().entry_beam, HnswConfig::default().entry_beam);
-        assert_eq!(
-            back.entry_set(),
-            idx.entry_set(),
-            "recomputed entry set must match the fresh build's"
-        );
-        back.validate().expect("legacy load is validator-clean");
-        // and searches answer bit-identically to the fresh build
-        for i in (0..600).step_by(67) {
-            let q = idx.vectors().get(i);
-            let (a, _) = idx.search(q, 5, 48);
-            let (b, _) = back.search(q, 5, 48);
-            assert_eq!(a.len(), b.len(), "query {i}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.id, y.id, "query {i}");
-                assert_eq!(x.dist.to_bits(), y.dist.to_bits(), "query {i}");
-            }
-        }
+        assert!(search(&back, q, SearchParams::new(5, 48))
+            .0
+            .iter()
+            .all(|h| h.id != 77));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use fastann_data::synth::mdcgen;
 use fastann_data::{ground_truth, Distance, Neighbor};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchScratch};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
 
 fn run_exact_and_quantized(
     index: &Hnsw,
@@ -23,12 +23,12 @@ fn run_exact_and_quantized(
     let mut entry_seeds = 0u64;
     for qi in 0..queries.len() {
         let q = queries.get(qi);
-        let (hits, stats) = index.search_with_scratch(q, 10, 64, &mut scratch);
+        let (hits, stats) = index.search(q, &SearchParams::new(10, 64), &mut scratch);
         entry_seeds += stats.entry_seeds;
         ex.push(hits);
         qu.push(
             index
-                .search_quantized_with_scratch(q, 10, 64, 3, &mut scratch)
+                .search(q, &SearchParams::new(10, 64).quantized(3), &mut scratch)
                 .0,
         );
     }
