@@ -23,12 +23,18 @@
 //! per-core dispatched-probe count, with per-partition replica counts
 //! supplied by an adaptive controller through
 //! [`SearchRequest::replicas`].
+//!
+//! One master and one worker loop serve every [`FaultPlan`], vacuous or
+//! not. The master dispatches every probe and flushes every node (round
+//! 0), drains the nodes in rank order, and — under faults — re-dispatches
+//! timed-out probes in later rounds. Only three choices, fixed per batch in
+//! `Batch`, depend on the plan (DESIGN.md §6).
 
 use std::collections::HashSet;
 
 use bytes::{Bytes, BytesMut};
 use fastann_data::{Neighbor, TopK, VectorSet};
-use fastann_hnsw::SearchScratch;
+use fastann_hnsw::{SearchScratch, SearchStats};
 use fastann_mpisim::{
     wire, Cluster, FaultPlan, Rank, SchedPerturb, SimConfig, SpanKind, Topology, Trace,
     VThreadPool, Window,
@@ -47,24 +53,63 @@ use crate::tags;
 pub const TAG_QUERY: u64 = 201;
 /// Worker → master: one answered probe (two-sided result path).
 pub const TAG_RESULT: u64 = 202;
-/// Master → worker: batch over, shut down. Protected from fault injection
-/// on the chaos path.
+/// Master → worker: batch over, shut down. Sent only under faults (without
+/// them the round-0 [`TAG_FLUSH`] is the shutdown). Protected.
 pub const TAG_END: u64 = 203;
-/// Worker → master: all one-sided deposits posted.
-pub const TAG_DONE: u64 = 204;
-/// Fault-tolerant path: master asks a node to acknowledge once every query
-/// queued before this marker has been served (or dropped). Protected.
+/// Master → worker: serve every query queued before this marker, then
+/// acknowledge (unless a fault-free two-sided node, which just returns its
+/// owed results). Protected.
 pub const TAG_FLUSH: u64 = 205;
-/// Fault-tolerant path: the worker's answer to [`TAG_FLUSH`]. Protected.
+/// Worker → master: the answer to [`TAG_FLUSH`] — every result and
+/// one-sided deposit of the round is posted. Protected.
 pub const TAG_FLUSH_ACK: u64 = 206;
 
 /// Virtual cost (ns) of merging one returned neighbour at the master.
 pub(crate) const MERGE_NS_PER_NEIGHBOR: f64 = 4.0;
 
-/// Single dispatch point behind [`SearchRequest`]: a non-vacuous fault
-/// plan takes the fault-tolerant chaos path, anything else the fault-free
-/// path — so `plan: None` and a vacuous plan are provably equivalent,
-/// costs included.
+/// Everything the master and the workers share about one batch.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
+    index: &'a DistIndex,
+    opts: &'a SearchOptions,
+    /// Per-partition replica counts ([`effective_replicas`]).
+    counts: &'a [usize],
+    trace: Option<&'a Trace>,
+    obs: Option<&'a Metrics>,
+    // The only choices of the engine loop that depend on the fault plan:
+    /// A non-vacuous plan is installed: results carry their partition id
+    /// and are de-duplicated by `(query, partition)`, timed-out probes are
+    /// re-dispatched, and the batch ends with [`TAG_END`].
+    faults: bool,
+    /// Results are deposited into the master's RMA window (fault-free only;
+    /// a fault plan forces two-sided collection).
+    one_sided: bool,
+}
+
+impl Batch<'_> {
+    /// `true` when a node's drain ends at its [`TAG_FLUSH_ACK`]; a
+    /// fault-free two-sided node is drained at its owed result count
+    /// instead.
+    fn acked(&self) -> bool {
+        self.faults || self.one_sided
+    }
+
+    /// The unified span layer: one call records a query-path phase into
+    /// the Gantt [`Trace`] (when attached) and into the
+    /// `fastann_span_ns{stage}` histogram of the [`Metrics`] registry
+    /// (when attached), under the same [`Stage::label`].
+    fn span(&self, rank: usize, start: f64, end: f64, kind: SpanKind, stage: Stage) {
+        if let Some(t) = self.trace {
+            t.record(rank, start, end, kind, stage.label());
+        }
+        if let Some(m) = self.obs {
+            m.span(stage, start, end);
+        }
+    }
+}
+
+/// Single dispatch point behind [`SearchRequest`]. `plan: None` and a
+/// vacuous plan are the same input, costs included.
 ///
 /// `replicas` is an optional per-partition replica-count snapshot (the
 /// adaptive controller's [`crate::ReplicaMap`] view); absent, every
@@ -79,12 +124,64 @@ pub(crate) fn dispatch(
     obs: Option<&Metrics>,
 ) -> QueryReport {
     let counts = effective_replicas(index, opts, replicas);
-    match plan {
-        Some(p) if !p.is_vacuous() => {
-            search_batch_chaos_inner(index, queries, opts, &counts, p, trace, obs)
-        }
-        _ => search_batch_inner(index, queries, opts, &counts, trace, obs),
+    assert!(!queries.is_empty(), "empty query batch");
+    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
+    let plan = plan.filter(|p| !p.is_vacuous());
+    let batch = Batch {
+        index,
+        opts,
+        counts: &counts,
+        trace,
+        obs,
+        faults: plan.is_some(),
+        one_sided: opts.one_sided && plan.is_none(),
+    };
+    let n_nodes = index.config.n_nodes();
+    let mut sim = SimConfig::new(n_nodes + 1)
+        .topology(Topology::one_rank_per_node())
+        .net(index.config.net)
+        .cost(index.config.cost)
+        .sched(SchedPerturb::seeded(opts.sched_seed));
+    if let Some(p) = plan {
+        // the control plane (flush handshake + shutdown) is the
+        // failure-detection oracle; the central tag registry says which
+        // tags that is
+        sim = sim.fault(p.clone().protect(&tags::protected_values("engine")));
     }
+
+    let (outs, conservation) = Cluster::new(sim).run_checked(|rank| {
+        if rank.rank() == 0 {
+            RankOut::Master(Box::new(master(rank, &batch, queries)))
+        } else {
+            RankOut::Worker(worker(rank, &batch))
+        }
+    });
+    // Even under injected faults the protocol must account for every
+    // message: fault-plan drops are ledgered, so anything left over in a
+    // mailbox at shutdown is a protocol bug.
+    if cfg!(debug_assertions) {
+        conservation.assert_clean();
+    }
+
+    let mut report: Option<QueryReport> = None;
+    let mut node_busy = vec![0f64; n_nodes];
+    let mut node_comm = vec![0f64; n_nodes];
+    let mut total_ndist = 0u64;
+    for out in outs {
+        match out {
+            RankOut::Master(r) => report = Some(*r),
+            RankOut::Worker(w) => {
+                node_busy[w.node] = w.busy_ns;
+                node_comm[w.node] = w.comm_cpu_ns;
+                total_ndist += w.ndist;
+            }
+        }
+    }
+    let mut report = report.expect("master produced a report");
+    report.node_busy_ns = node_busy;
+    report.node_comm_cpu_ns = node_comm;
+    report.total_ndist = total_ndist;
+    report
 }
 
 /// Resolves the per-partition replica counts a batch dispatches with:
@@ -119,144 +216,6 @@ fn effective_replicas(
     }
 }
 
-/// The unified span layer: one call records a query-path phase into the
-/// Gantt [`Trace`] (when attached) and into the `fastann_span_ns{stage}`
-/// histogram of the [`Metrics`] registry (when attached), under the same
-/// [`Stage::label`].
-fn span(
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-    rank: usize,
-    start: f64,
-    end: f64,
-    kind: SpanKind,
-    stage: Stage,
-) {
-    if let Some(t) = trace {
-        t.record(rank, start, end, kind, stage.label());
-    }
-    if let Some(m) = obs {
-        m.span(stage, start, end);
-    }
-}
-
-fn search_batch_chaos_inner(
-    index: &DistIndex,
-    queries: &VectorSet,
-    opts: &SearchOptions,
-    counts: &[usize],
-    plan: &FaultPlan,
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> QueryReport {
-    if plan.is_vacuous() {
-        // no injected faults — take the exact fault-free path so that
-        // FaultPlan::none() provably changes nothing, costs included
-        return search_batch_inner(index, queries, opts, counts, trace, obs);
-    }
-    assert!(!queries.is_empty(), "empty query batch");
-    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
-    let n_nodes = index.config.n_nodes();
-    // the control plane (shutdown + flush handshake) is the failure-detection
-    // oracle; the central tag registry says which tags that is
-    let protected = plan.clone().protect(&tags::protected_values("engine"));
-    let sim = SimConfig::new(n_nodes + 1)
-        .topology(Topology::one_rank_per_node())
-        .net(index.config.net)
-        .cost(index.config.cost)
-        .fault(protected)
-        .sched(SchedPerturb::seeded(opts.sched_seed));
-    let cluster = Cluster::new(sim);
-
-    let (outs, conservation) = cluster.run_checked(|rank| {
-        if rank.rank() == 0 {
-            RankOut::Master(Box::new(master_chaos(
-                rank, index, queries, opts, counts, trace, obs,
-            )))
-        } else {
-            RankOut::Worker(worker_chaos(rank, index, opts, counts, trace, obs))
-        }
-    });
-    // Even under injected faults the protocol must account for every
-    // message: fault-plan drops are ledgered, so anything left over in a
-    // mailbox at shutdown is a protocol bug.
-    if cfg!(debug_assertions) {
-        conservation.assert_clean();
-    }
-
-    let mut report: Option<QueryReport> = None;
-    let mut node_busy = vec![0f64; n_nodes];
-    let mut node_comm = vec![0f64; n_nodes];
-    let mut total_ndist = 0u64;
-    for out in outs {
-        match out {
-            RankOut::Master(r) => report = Some(*r),
-            RankOut::Worker(w) => {
-                node_busy[w.node] = w.busy_ns;
-                node_comm[w.node] = w.comm_cpu_ns;
-                total_ndist += w.ndist;
-            }
-        }
-    }
-    let mut report = report.expect("master produced a report");
-    report.node_busy_ns = node_busy;
-    report.node_comm_cpu_ns = node_comm;
-    report.total_ndist = total_ndist;
-    report
-}
-
-fn search_batch_inner(
-    index: &DistIndex,
-    queries: &VectorSet,
-    opts: &SearchOptions,
-    counts: &[usize],
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> QueryReport {
-    assert!(!queries.is_empty(), "empty query batch");
-    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
-    let n_nodes = index.config.n_nodes();
-    let sim = SimConfig::new(n_nodes + 1)
-        .topology(Topology::one_rank_per_node())
-        .net(index.config.net)
-        .cost(index.config.cost)
-        .sched(SchedPerturb::seeded(opts.sched_seed));
-    let cluster = Cluster::new(sim);
-
-    let (outs, conservation) = cluster.run_checked(|rank| {
-        if rank.rank() == 0 {
-            RankOut::Master(Box::new(master(
-                rank, index, queries, opts, counts, trace, obs,
-            )))
-        } else {
-            RankOut::Worker(worker(rank, index, opts, counts, trace, obs))
-        }
-    });
-    if cfg!(debug_assertions) {
-        conservation.assert_clean();
-    }
-
-    let mut report: Option<QueryReport> = None;
-    let mut node_busy = vec![0f64; n_nodes];
-    let mut node_comm = vec![0f64; n_nodes];
-    let mut total_ndist = 0u64;
-    for out in outs {
-        match out {
-            RankOut::Master(r) => report = Some(*r),
-            RankOut::Worker(w) => {
-                node_busy[w.node] = w.busy_ns;
-                node_comm[w.node] = w.comm_cpu_ns;
-                total_ndist += w.ndist;
-            }
-        }
-    }
-    let mut report = report.expect("master produced a report");
-    report.node_busy_ns = node_busy;
-    report.node_comm_cpu_ns = node_comm;
-    report.total_ndist = total_ndist;
-    report
-}
-
 enum RankOut {
     Master(Box<QueryReport>),
     Worker(WorkerOut),
@@ -278,49 +237,55 @@ fn encode_query(qid: u32, partition: u32, q: &[f32]) -> Bytes {
     b.freeze()
 }
 
-fn master(
-    rank: &mut Rank,
-    index: &DistIndex,
-    queries: &VectorSet,
-    opts: &SearchOptions,
-    counts: &[usize],
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> QueryReport {
+/// One dispatched `(query, partition)` probe awaiting its answer (tracked
+/// only under faults).
+struct Probe {
+    qid: u32,
+    part: u32,
+    /// Workgroup slot of the first dispatch (failovers derive from it).
+    slot: usize,
+    /// Retries so far; attempt `a` targets workgroup slot `(slot + a) % r`.
+    attempt: usize,
+    /// Virtual time at which this probe counts as timed out.
+    deadline: f64,
+}
+
+/// Sends [`TAG_FLUSH`] to every node: the start of a drain round.
+fn flush_all(rank: &mut Rank, n_nodes: usize) {
+    for j in 0..n_nodes {
+        rank.send_bytes(1 + j, TAG_FLUSH, Bytes::new());
+    }
+}
+
+fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
+    let (index, opts) = (b.index, b.opts);
     let world = rank.world();
     let p_cores = index.config.n_cores;
     let t_cores = index.config.cores_per_node;
     let n_nodes = index.config.n_nodes();
     let nq = queries.len();
     let k = opts.k;
-    let dim = index.dim();
 
-    // One-sided path: expose a window of per-query result slots.
-    let window: Option<Window<TopK>> = if opts.one_sided {
-        Some(Window::create(rank, &world, 0, nq, |_| TopK::new(k)))
-    } else {
-        // workers still participate in the collective create decision via a
-        // barrier so both paths start from synchronised clocks
-        world.barrier(rank);
-        None
-    };
-    if window.is_some() {
-        world.barrier(rank);
-    }
+    // One-sided path: expose a window of per-query result slots. The
+    // barrier gives every rank the same clock origin on both paths.
+    let window = b
+        .one_sided
+        .then(|| Window::create(rank, &world, 0, nq, |_| TopK::new(k)));
+    world.barrier(rank);
 
     let start_ns = rank.now();
-    let route_cost_per_dist = index.config.cost.dist_ns(dim);
+    let route_cost_per_dist = index.config.cost.dist_ns(index.dim());
 
     // Algorithm 5 state: per-workgroup slot choice under the configured
     // routing policy (round-robin or power-of-two-choices).
-    let mut dispatcher = ReplicaDispatcher::with_policy(p_cores, opts.routing, counts);
+    let mut dispatcher = ReplicaDispatcher::with_policy(p_cores, opts.routing, b.counts);
     let mut per_core_queries = vec![0u64; p_cores];
     let mut per_partition_probes = vec![0u64; index.n_partitions()];
     let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
     let mut route_ns = 0f64;
     let mut fanout_total = 0u64;
-    let mut pending_total = 0u64;
-    let mut per_node_pending = vec![0u64; n_nodes];
+    let mut owed = vec![0u64; n_nodes];
+    let mut outstanding: Vec<Probe> = Vec::new();
 
     for qi in 0..nq {
         let q = queries.get(qi);
@@ -329,7 +294,7 @@ fn master(
         rank.charge(c);
         route_ns += c;
         fanout_total += parts.len() as u64;
-        if let Some(m) = obs {
+        if let Some(m) = b.obs {
             m.observe(
                 "fastann_router_fanout",
                 &[],
@@ -340,102 +305,175 @@ fn master(
         for d in parts {
             // workgroup W_d = {d, d+1, …, d+r-1 mod P}; the slot within it
             // follows the routing policy
-            let (core, _slot) = dispatcher.next(d, qi as u64);
+            let (core, slot) = dispatcher.next(d, qi as u64);
             per_core_queries[core] += 1;
             per_partition_probes[d as usize] += 1;
             let node = core / t_cores;
             rank.send_bytes(1 + node, TAG_QUERY, encode_query(qi as u32, d, q));
-            pending_total += 1;
-            per_node_pending[node] += 1;
+            owed[node] += 1;
+            if b.faults {
+                outstanding.push(Probe {
+                    qid: qi as u32,
+                    part: d,
+                    slot,
+                    attempt: 0,
+                    deadline: rank.now() + opts.timeout_ns,
+                });
+            }
         }
     }
-    for nodej in 0..n_nodes {
-        rank.send_bytes(1 + nodej, TAG_END, Bytes::new());
-    }
-    if let Some(m) = obs {
+    // Round 0's flush; without faults it is also the shutdown.
+    flush_all(rank, n_nodes);
+    if let Some(m) = b.obs {
         m.inc("fastann_engine_queries_total", &[], nq as u64);
-        m.inc("fastann_engine_probes_total", &[], pending_total);
+        m.inc("fastann_engine_probes_total", &[], fanout_total);
         m.inc(
             "fastann_routing_decisions_total",
             &[("policy", opts.routing.label())],
-            pending_total,
+            fanout_total,
         );
     }
-    span(
-        trace,
-        obs,
-        0,
-        start_ns,
-        rank.now(),
-        SpanKind::Compute,
-        Stage::Route,
-    );
-    let collect_start = rank.now();
+    b.span(0, start_ns, rank.now(), SpanKind::Compute, Stage::Route);
 
-    // Collection folds message arrivals into the master clock, so it must
-    // visit nodes in a fixed order: a wildcard-source receive would pick
-    // whichever message the OS scheduler enqueued first and make the
-    // virtual-time accounting differ from run to run. Per-source receives
-    // in rank order keep the whole simulation deterministic.
+    // Answers already merged under faults, keyed (query, partition) — a
+    // second answer for the same probe (duplicate fault, retry racing its
+    // original) is discarded instead of double-merged.
+    let mut fulfilled: HashSet<(u32, u32)> = HashSet::new();
     let mut result_bytes = 0u64;
-    if let Some(win) = &window {
-        // One-sided: wait only for per-worker completion signals, then
-        // synchronise with the deposited updates.
-        for j in 0..n_nodes {
-            let _ = rank.recv(Some(1 + j), Some(TAG_DONE));
-        }
-        win.owner_sync(rank);
-        for (qi, top) in tops.iter_mut().enumerate() {
-            win.read(qi, |t| top.merge(t));
-            rank.charge(k as f64 * 1.0);
-        }
-        result_bytes = pending_total * (k as u64) * 8;
-        if let Some(m) = obs {
-            // one window read-merge per query slot
-            m.inc(
-                "fastann_master_merge_ops_total",
-                &[("path", "one_sided")],
-                nq as u64,
-            );
-        }
-    } else {
-        // Two-sided: receive and merge every single result message; the
-        // master knows exactly how many answers each node owes it.
-        for (j, &owed) in per_node_pending.iter().enumerate() {
-            for _ in 0..owed {
-                let msg = rank.recv(Some(1 + j), Some(TAG_RESULT));
-                let mut payload = msg.payload;
-                result_bytes += payload.len() as u64;
-                let qi = wire::get_u32(&mut payload) as usize;
-                let pairs = wire::get_neighbors(&mut payload);
-                rank.charge(pairs.len() as f64 * MERGE_NS_PER_NEIGHBOR);
-                for (id, d) in pairs {
-                    tops[qi].push(Neighbor::new(id, d));
+    let mut merge_ops = 0u64;
+    let mut retries = 0u64;
+    let mut failovers = 0u64;
+    let mut timeout_waits = 0u64;
+    let mut round = 0usize;
+    let mut drain_start = rank.now();
+
+    loop {
+        // Drain each node's mailbox subsequence *in rank order*. Per-source
+        // message order is the sender's program order — deterministic — so
+        // folding arrival times into the master clock in this fixed order
+        // keeps the whole run independent of OS thread scheduling (a
+        // wildcard-source receive would not).
+        for (j, &owed_j) in owed.iter().enumerate() {
+            let mut left = owed_j;
+            while b.acked() || left > 0 {
+                let msg = rank.recv(Some(1 + j), None);
+                match msg.tag {
+                    TAG_FLUSH_ACK => break,
+                    TAG_RESULT => {
+                        left = left.saturating_sub(1);
+                        let mut payload = msg.payload;
+                        result_bytes += payload.len() as u64;
+                        let qid = wire::get_u32(&mut payload);
+                        // under faults the partition id follows the query id
+                        let fresh =
+                            !b.faults || fulfilled.insert((qid, wire::get_u32(&mut payload)));
+                        let pairs = wire::get_neighbors(&mut payload);
+                        if fresh {
+                            merge_ops += 1;
+                            rank.charge(pairs.len() as f64 * MERGE_NS_PER_NEIGHBOR);
+                            for (id, d) in pairs {
+                                tops[qid as usize].push(Neighbor::new(id, d));
+                            }
+                        }
+                    }
+                    t => panic!("master: unexpected tag {t} from node {j}"),
                 }
             }
         }
-        if let Some(m) = obs {
-            // one receive-and-merge per answered probe
+        if let Some(win) = &window {
+            // every ack says that node's deposits are posted: synchronise
+            // with them, then read-merge one slot per query
+            win.owner_sync(rank);
+            for (qi, top) in tops.iter_mut().enumerate() {
+                win.read(qi, |t| top.merge(t));
+                rank.charge(k as f64 * 1.0);
+            }
+            result_bytes = fanout_total * (k as u64) * 8;
+            merge_ops = nq as u64;
+        }
+        b.span(0, drain_start, rank.now(), SpanKind::Wait, Stage::Collect);
+
+        outstanding.retain(|p| !fulfilled.contains(&(p.qid, p.part)));
+        if outstanding.is_empty() || round == opts.max_retries {
+            break;
+        }
+        round += 1;
+
+        // Anything still outstanding has been flushed past on its node: it
+        // was lost (or its owner crashed). Honour the timeout contract —
+        // a probe may only be re-dispatched once its deadline has passed.
+        let max_deadline = outstanding.iter().fold(f64::MIN, |m, p| m.max(p.deadline));
+        if max_deadline > rank.now() {
+            let t0 = rank.now();
+            rank.wait_until(max_deadline);
+            timeout_waits += 1;
+            b.span(0, t0, rank.now(), SpanKind::Recovery, Stage::Timeout);
+        }
+        for p in outstanding.iter_mut() {
+            let prev_core = dispatcher.failover(p.part, p.slot, p.attempt);
+            p.attempt += 1;
+            let core = dispatcher.failover(p.part, p.slot, p.attempt);
+            retries += 1;
+            if core != prev_core {
+                failovers += 1;
+            }
+            per_core_queries[core] += 1;
+            per_partition_probes[p.part as usize] += 1;
+            let t0 = rank.now();
+            rank.send_bytes(
+                1 + core / t_cores,
+                TAG_QUERY,
+                encode_query(p.qid, p.part, queries.get(p.qid as usize)),
+            );
+            p.deadline = rank.now() + opts.timeout_ns;
+            let stage = if core != prev_core {
+                Stage::Failover
+            } else {
+                Stage::Retry
+            };
+            b.span(0, t0, rank.now(), SpanKind::Recovery, stage);
+        }
+        drain_start = rank.now();
+        flush_all(rank, n_nodes);
+    }
+    if b.faults {
+        for j in 0..n_nodes {
+            rank.send_bytes(1 + j, TAG_END, Bytes::new());
+        }
+    }
+
+    // Degraded accounting: whatever survived the retry budget unanswered.
+    let mut missing_partitions = vec![0u32; nq];
+    for p in &outstanding {
+        missing_partitions[p.qid as usize] += 1;
+    }
+    let degraded: Vec<bool> = missing_partitions.iter().map(|&m| m > 0).collect();
+
+    if let Some(m) = b.obs {
+        let path = if b.one_sided {
+            "one_sided"
+        } else {
+            "two_sided"
+        };
+        m.inc(
+            "fastann_master_merge_ops_total",
+            &[("path", path)],
+            merge_ops,
+        );
+        m.inc("fastann_engine_result_bytes_total", &[], result_bytes);
+        // the chaos series exist only for batches that ran under faults
+        if b.faults {
+            m.inc("fastann_chaos_retries_total", &[], retries);
+            m.inc("fastann_chaos_failovers_total", &[], failovers);
+            m.inc("fastann_chaos_timeout_waits_total", &[], timeout_waits);
             m.inc(
-                "fastann_master_merge_ops_total",
-                &[("path", "two_sided")],
-                pending_total,
+                "fastann_chaos_degraded_total",
+                &[],
+                degraded.iter().filter(|&&d| d).count() as u64,
             );
         }
     }
 
-    if let Some(m) = obs {
-        m.inc("fastann_engine_result_bytes_total", &[], result_bytes);
-    }
-    span(
-        trace,
-        obs,
-        0,
-        collect_start,
-        rank.now(),
-        SpanKind::Wait,
-        Stage::Collect,
-    );
     let stats = rank.stats();
     QueryReport {
         results: tops.into_iter().map(TopK::into_sorted).collect(),
@@ -450,17 +488,14 @@ fn master(
         node_comm_cpu_ns: Vec::new(), // filled by the caller
         total_ndist: 0,               // filled by the caller
         result_bytes,
-        degraded: vec![false; nq],
-        missing_partitions: vec![0; nq],
-        retries: 0,
-        failovers: 0,
+        degraded,
+        missing_partitions,
+        retries,
+        failovers,
     }
 }
 
 /// One decoded data-plane query a worker has accepted but not yet answered.
-/// The immediate path answers it on the spot; the deferred-batch path
-/// (`threads > 1`) queues these until `TAG_END` and searches them in
-/// parallel.
 struct PendingQuery {
     qid: u32,
     part: usize,
@@ -468,82 +503,97 @@ struct PendingQuery {
     arrival: f64,
 }
 
-/// The mutable worker state needed to account for and post one answered
-/// query. Shared by the immediate and deferred paths so both produce the
-/// exact same sequence of virtual-time effects: every timestamp is a
-/// function of the `emit` call order alone, never of when the search ran in
-/// real time.
-struct WorkerEmit<'a> {
+/// A worker node's state across the batch.
+struct Worker<'a> {
     rank: &'a mut Rank,
-    pool: &'a mut VThreadPool,
-    window: &'a Option<Window<TopK>>,
-    trace: Option<&'a Trace>,
-    obs: Option<&'a Metrics>,
+    b: &'a Batch<'a>,
+    window: Option<Window<TopK>>,
+    pool: VThreadPool,
+    queued: Vec<PendingQuery>,
+    /// One `(arrival, completion)` pair per answered probe.
+    served: Vec<(f64, f64)>,
+    ndist: u64,
 }
 
-impl WorkerEmit<'_> {
-    /// Charges the virtual thread pool, records the span and the
-    /// local-search metrics, translates local row ids to global ids, and
-    /// posts the answer (RMA deposit or two-sided message) at its virtual
-    /// completion time. Returns that completion time.
-    fn emit(
-        &mut self,
-        index: &DistIndex,
-        item: &PendingQuery,
-        local: &[Neighbor],
-        stats: fastann_hnsw::SearchStats,
-    ) -> f64 {
-        let partition = &index.partitions[item.part];
-        let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
-        let done_at = self.pool.assign(item.arrival, cost);
-        span(
-            self.trace,
-            self.obs,
-            self.rank.rank(),
-            done_at - cost,
-            done_at,
-            SpanKind::Compute,
-            Stage::LocalSearch,
-        );
-        if let Some(m) = self.obs {
-            record_local_search(m, item.part, &stats, cost);
-        }
-        // translate to global ids
-        let pairs: Vec<(u32, f32)> = local
-            .iter()
-            .map(|n| (partition.global_ids[n.id as usize], n.dist))
-            .collect();
-        match self.window {
-            Some(win) => {
-                win.accumulate_at(
-                    self.rank,
-                    item.qid as usize,
-                    pairs.len() * 8 + 8,
-                    done_at,
-                    |t| {
-                        for &(id, d) in &pairs {
-                            t.push(Neighbor::new(id, d));
-                        }
-                    },
-                );
-                if let Some(m) = self.obs {
-                    m.inc("fastann_rma_deposits_total", &[], 1);
+impl Worker<'_> {
+    /// Answers every queued query. The searches fan out over
+    /// `index.config.threads` real threads (per-thread scratch); then the
+    /// virtual-time accounting and the posting replay in arrival order.
+    /// Searches read an immutable index, so results and per-query ndist
+    /// are schedule-independent, and every `pool.assign` and post happens
+    /// in arrival order with the same operands — so when this runs (on
+    /// receipt or at a flush) and on how many threads never changes a
+    /// virtual time.
+    fn serve(&mut self) {
+        let (index, opts) = (self.b.index, self.b.opts);
+        let answers: Vec<(Vec<Neighbor>, SearchStats)> =
+            rayon::with_num_threads(index.config.threads, || {
+                self.queued
+                    .par_iter()
+                    .map_init(SearchScratch::default, |scratch, item| {
+                        index.partitions[item.part]
+                            .index
+                            .search_detailed_opts(&item.q, opts, scratch)
+                    })
+                    .collect()
+            });
+        for (item, (local, stats)) in self.queued.drain(..).zip(answers) {
+            self.ndist += stats.ndist;
+            let partition = &index.partitions[item.part];
+            let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
+            let done_at = self.pool.assign(item.arrival, cost);
+            self.served.push((item.arrival, done_at));
+            self.b.span(
+                self.rank.rank(),
+                done_at - cost,
+                done_at,
+                SpanKind::Compute,
+                Stage::LocalSearch,
+            );
+            if let Some(m) = self.b.obs {
+                record_local_search(m, item.part, &stats, cost);
+            }
+            // translate to global ids
+            let pairs: Vec<(u32, f32)> = local
+                .iter()
+                .map(|n| (partition.global_ids[n.id as usize], n.dist))
+                .collect();
+            match &self.window {
+                Some(win) => {
+                    win.accumulate_at(
+                        self.rank,
+                        item.qid as usize,
+                        pairs.len() * 8 + 8,
+                        done_at,
+                        |t| {
+                            for &(id, d) in &pairs {
+                                t.push(Neighbor::new(id, d));
+                            }
+                        },
+                    );
+                    if let Some(m) = self.b.obs {
+                        m.inc("fastann_rma_deposits_total", &[], 1);
+                    }
+                }
+                None => {
+                    let mut buf = BytesMut::new();
+                    wire::put_u32(&mut buf, item.qid);
+                    if self.b.faults {
+                        // the master de-duplicates by (query, partition)
+                        wire::put_u32(&mut buf, item.part as u32);
+                    }
+                    wire::put_neighbors(&mut buf, &pairs);
+                    self.rank
+                        .send_bytes_at(0, TAG_RESULT, buf.freeze(), done_at);
                 }
             }
-            None => {
-                let mut b = BytesMut::new();
-                wire::put_u32(&mut b, item.qid);
-                wire::put_neighbors(&mut b, &pairs);
-                self.rank.send_bytes_at(0, TAG_RESULT, b.freeze(), done_at);
-            }
         }
-        done_at
     }
 }
 
 /// Folds one answered probe's local-search accounting into the registry:
 /// the HNSW work histograms and the per-partition virtual service time.
-fn record_local_search(m: &Metrics, part: usize, stats: &fastann_hnsw::SearchStats, cost_ns: f64) {
+fn record_local_search(m: &Metrics, part: usize, stats: &SearchStats, cost_ns: f64) {
     m.observe("fastann_hnsw_ndist", &[], stats.ndist as f64, buckets::WORK);
     // quantized vs exact split of the distance work, plus the re-rank pool
     // sizes — the counters the recall-delta gate and dashboards read
@@ -589,8 +639,7 @@ fn record_local_search(m: &Metrics, part: usize, stats: &fastann_hnsw::SearchSta
 /// Folds a worker's whole-batch accounting into the registry: how many
 /// probes it received and the peak backlog of its virtual thread pool.
 /// `served` holds one `(arrival, completion)` pair per answered probe —
-/// virtual times, so the fold is identical in immediate and deferred-batch
-/// modes and across real thread counts.
+/// virtual times, so the fold is identical across real thread counts.
 fn record_worker_batch(m: &Metrics, served: &[(f64, f64)]) {
     m.observe(
         "fastann_worker_batch_size",
@@ -612,511 +661,102 @@ fn record_worker_batch(m: &Metrics, served: &[(f64, f64)]) {
 /// partitions (id ≥ P) wrap onto the existing cores the same way the
 /// dispatcher does. `counts` comes from [`effective_replicas`] — identical
 /// on master and workers, so the mask always covers the dispatch targets.
-fn serveable_partitions(
-    index: &DistIndex,
-    node: usize,
-    t_cores: usize,
-    p_cores: usize,
-    counts: &[usize],
-) -> Vec<bool> {
-    let mut serveable = vec![false; index.n_partitions()];
-    for (p, s) in serveable.iter_mut().enumerate() {
-        let r = counts.get(p).copied().unwrap_or(1).min(p_cores);
-        *s = (0..r).any(|i| {
-            let c = (p + i) % p_cores;
-            c / t_cores == node
-        });
-    }
-    serveable
+fn serveable_partitions(index: &DistIndex, node: usize, counts: &[usize]) -> Vec<bool> {
+    let p_cores = index.config.n_cores;
+    let t_cores = index.config.cores_per_node;
+    (0..index.n_partitions())
+        .map(|p| {
+            let r = counts.get(p).copied().unwrap_or(1).min(p_cores);
+            (0..r).any(|i| (p + i) % p_cores / t_cores == node)
+        })
+        .collect()
 }
 
-fn worker(
-    rank: &mut Rank,
-    index: &DistIndex,
-    opts: &SearchOptions,
-    counts: &[usize],
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> WorkerOut {
+fn worker<'a>(rank: &mut Rank, b: &'a Batch<'a>) -> WorkerOut {
+    let index = b.index;
     let world = rank.world();
     let node = rank.rank() - 1;
-    let t_cores = index.config.cores_per_node;
-    let p_cores = index.config.n_cores;
-    let k = opts.k;
-
-    let window: Option<Window<TopK>> = if opts.one_sided {
-        Some(Window::create(rank, &world, 0, 1, |_| TopK::new(k)))
-    } else {
-        world.barrier(rank);
-        None
-    };
-    // NB: window slot count is decided by the master's create call — the
-    // collective transports the master's Arc, so the `n_slots` argument on
-    // workers is ignored by construction.
-    if window.is_some() {
-        world.barrier(rank);
-    }
-
-    // Partitions this node can serve: partition p is replicated on cores
-    // (p+i) mod P for i < counts[p]. Split-created partitions (id ≥ P) wrap
-    // onto the existing cores, so the table spans every partition, not P.
-    let serveable = serveable_partitions(index, node, t_cores, p_cores, counts);
-
-    let mut pool = VThreadPool::new(t_cores, 0.0);
-    pool.set_perturb(rank.sched_perturb());
-    let mut scratch = SearchScratch::default();
-    let mut ndist_total = 0u64;
-    let threads = index.config.threads;
-    let mut queued: Vec<PendingQuery> = Vec::new();
-    let mut served: Vec<(f64, f64)> = Vec::new();
-
-    loop {
-        let msg = rank.recv(Some(0), None);
-        match msg.tag {
-            TAG_END => break,
-            TAG_QUERY => {
-                let arrival = msg.arrival;
-                let mut payload = msg.payload;
-                let qid = wire::get_u32(&mut payload);
-                let part = wire::get_u32(&mut payload) as usize;
-                let q = wire::get_f32_vec(&mut payload);
-                assert!(
-                    serveable[part],
-                    "node {node} asked to serve partition {part} it does not hold"
-                );
-                let item = PendingQuery {
-                    qid,
-                    part,
-                    q,
-                    arrival,
-                };
-                if threads > 1 {
-                    // Deferred-batch mode ("OpenMP" workers): accept the
-                    // whole batch first, fan the searches out across real
-                    // threads after TAG_END.
-                    queued.push(item);
-                } else {
-                    let (local, stats) = index.partitions[item.part].index.search_detailed_opts(
-                        &item.q,
-                        opts,
-                        &mut scratch,
-                    );
-                    ndist_total += stats.ndist;
-                    let done_at = WorkerEmit {
-                        rank: &mut *rank,
-                        pool: &mut pool,
-                        window: &window,
-                        trace,
-                        obs,
-                    }
-                    .emit(index, &item, &local, stats);
-                    served.push((item.arrival, done_at));
-                }
-            }
-            t => panic!("worker node {node}: unexpected tag {t}"),
-        }
-    }
-
-    // Deferred-batch mode: search every queued query on the real thread
-    // pool (per-worker scratch = per-thread distance counters), then replay
-    // the virtual-time accounting and result posting in arrival order.
-    // Searches read an immutable index, so results and per-query ndist are
-    // schedule-independent, and the replay makes every `pool.assign` /
-    // `send_bytes_at` call happen in the same order with the same operands
-    // as the immediate path — the whole report stays bit-identical to
-    // `threads = 1`.
-    if !queued.is_empty() {
-        let answers: Vec<(Vec<Neighbor>, fastann_hnsw::SearchStats)> =
-            rayon::with_num_threads(threads, || {
-                queued
-                    .par_iter()
-                    .map_init(SearchScratch::default, |scratch, item| {
-                        index.partitions[item.part]
-                            .index
-                            .search_detailed_opts(&item.q, opts, scratch)
-                    })
-                    .collect()
-            });
-        for (item, (local, stats)) in queued.iter().zip(answers) {
-            ndist_total += stats.ndist;
-            let done_at = WorkerEmit {
-                rank: &mut *rank,
-                pool: &mut pool,
-                window: &window,
-                trace,
-                obs,
-            }
-            .emit(index, item, &local, stats);
-            served.push((item.arrival, done_at));
-        }
-    }
-
-    if let Some(m) = obs {
-        record_worker_batch(m, &served);
-    }
-
-    if window.is_some() {
-        // All deposits for this node are posted by its pool makespan.
-        rank.send_bytes_at(0, TAG_DONE, Bytes::new(), pool.makespan());
-    }
-
-    let stats = rank.stats();
-    WorkerOut {
-        node,
-        busy_ns: pool.busy(),
-        comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
-        ndist: ndist_total,
-    }
-}
-
-/// One dispatched `(query, partition)` probe awaiting its answer.
-struct Probe {
-    qid: u32,
-    part: u32,
-    /// Workgroup slot of the first dispatch (failovers derive from it).
-    slot: usize,
-    /// Retries so far; attempt `a` targets workgroup slot `(slot + a) % r`.
-    attempt: usize,
-    /// Virtual time at which this probe counts as timed out.
-    deadline: f64,
-}
-
-/// Chaos-path result message: query id, answered partition, neighbours.
-/// (The fault-free path omits the partition — here the master needs it to
-/// de-duplicate answers that arrive twice, e.g. a duplicated message or a
-/// retry racing its slow original.)
-fn encode_result(qid: u32, part: u32, pairs: &[(u32, f32)]) -> Bytes {
-    let mut b = BytesMut::new();
-    wire::put_u32(&mut b, qid);
-    wire::put_u32(&mut b, part);
-    wire::put_neighbors(&mut b, pairs);
-    b.freeze()
-}
-
-fn master_chaos(
-    rank: &mut Rank,
-    index: &DistIndex,
-    queries: &VectorSet,
-    opts: &SearchOptions,
-    counts: &[usize],
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> QueryReport {
-    let world = rank.world();
-    let p_cores = index.config.n_cores;
-    let t_cores = index.config.cores_per_node;
-    let n_nodes = index.config.n_nodes();
-    let nq = queries.len();
-    let k = opts.k;
-    let dim = index.dim();
-
-    world.barrier(rank); // synchronised clock origin, as on the fault-free path
-
-    let start_ns = rank.now();
-    let route_cost_per_dist = index.config.cost.dist_ns(dim);
-
-    let mut dispatcher = ReplicaDispatcher::with_policy(p_cores, opts.routing, counts);
-    let mut per_core_queries = vec![0u64; p_cores];
-    let mut per_partition_probes = vec![0u64; index.n_partitions()];
-    let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-    let mut route_ns = 0f64;
-    let mut fanout_total = 0u64;
-    let mut outstanding: Vec<Probe> = Vec::new();
-
-    for qi in 0..nq {
-        let q = queries.get(qi);
-        let (parts, ndist) = index.router.route(q, &index.config.route);
-        let c = ndist as f64 * route_cost_per_dist;
-        rank.charge(c);
-        route_ns += c;
-        fanout_total += parts.len() as u64;
-        if let Some(m) = obs {
-            m.observe(
-                "fastann_router_fanout",
-                &[],
-                parts.len() as f64,
-                buckets::COUNT,
-            );
-        }
-        for d in parts {
-            let (core, slot) = dispatcher.next(d, qi as u64);
-            per_core_queries[core] += 1;
-            per_partition_probes[d as usize] += 1;
-            rank.send_bytes(1 + core / t_cores, TAG_QUERY, encode_query(qi as u32, d, q));
-            outstanding.push(Probe {
-                qid: qi as u32,
-                part: d,
-                slot,
-                attempt: 0,
-                deadline: rank.now() + opts.timeout_ns,
-            });
-        }
-    }
-    if let Some(m) = obs {
-        m.inc("fastann_engine_queries_total", &[], nq as u64);
-        m.inc("fastann_engine_probes_total", &[], fanout_total);
-        m.inc(
-            "fastann_routing_decisions_total",
-            &[("policy", opts.routing.label())],
-            fanout_total,
-        );
-    }
-    span(
-        trace,
-        obs,
-        0,
-        start_ns,
-        rank.now(),
-        SpanKind::Compute,
-        Stage::Route,
-    );
-
-    // Answers already merged, keyed (query, partition) — a second answer
-    // for the same probe (duplicate fault, retry racing its original) is
-    // discarded instead of double-merged.
-    let mut fulfilled: HashSet<(u32, u32)> = HashSet::new();
-    let mut result_bytes = 0u64;
-    let mut retries = 0u64;
-    let mut failovers = 0u64;
-    let mut merge_ops = 0u64;
-    let mut timeout_waits = 0u64;
-    let mut round = 0usize;
-
-    loop {
-        // Round barrier: flush every node, then drain each node's mailbox
-        // subsequence *in rank order* until its ack. Per-source message
-        // order is the sender's program order — deterministic — so folding
-        // arrival times into the master clock in this fixed order keeps the
-        // whole run independent of OS thread scheduling.
-        let drain_start = rank.now();
-        for j in 0..n_nodes {
-            rank.send_bytes(1 + j, TAG_FLUSH, Bytes::new());
-        }
-        for j in 0..n_nodes {
-            loop {
-                let msg = rank.recv(Some(1 + j), None);
-                match msg.tag {
-                    TAG_FLUSH_ACK => break,
-                    TAG_RESULT => {
-                        let mut payload = msg.payload;
-                        result_bytes += payload.len() as u64;
-                        let qid = wire::get_u32(&mut payload);
-                        let part = wire::get_u32(&mut payload);
-                        let pairs = wire::get_neighbors(&mut payload);
-                        if fulfilled.insert((qid, part)) {
-                            merge_ops += 1;
-                            rank.charge(pairs.len() as f64 * MERGE_NS_PER_NEIGHBOR);
-                            for (id, d) in pairs {
-                                tops[qid as usize].push(Neighbor::new(id, d));
-                            }
-                        }
-                    }
-                    t => panic!("master: unexpected tag {t} from node {j}"),
-                }
-            }
-        }
-        span(
-            trace,
-            obs,
-            0,
-            drain_start,
-            rank.now(),
-            SpanKind::Wait,
-            Stage::Collect,
-        );
-
-        outstanding.retain(|p| !fulfilled.contains(&(p.qid, p.part)));
-        if outstanding.is_empty() || round == opts.max_retries {
-            break;
-        }
-        round += 1;
-
-        // Anything still outstanding has been flushed past on its node: it
-        // was lost (or its owner crashed). Honour the timeout contract —
-        // a probe may only be re-dispatched once its deadline has passed.
-        let max_deadline = outstanding.iter().fold(f64::MIN, |m, p| m.max(p.deadline));
-        if max_deadline > rank.now() {
-            let t0 = rank.now();
-            rank.wait_until(max_deadline);
-            timeout_waits += 1;
-            span(
-                trace,
-                obs,
-                0,
-                t0,
-                rank.now(),
-                SpanKind::Recovery,
-                Stage::Timeout,
-            );
-        }
-        for p in outstanding.iter_mut() {
-            let prev_core = dispatcher.failover(p.part, p.slot, p.attempt);
-            p.attempt += 1;
-            let core = dispatcher.failover(p.part, p.slot, p.attempt);
-            retries += 1;
-            if core != prev_core {
-                failovers += 1;
-            }
-            per_core_queries[core] += 1;
-            per_partition_probes[p.part as usize] += 1;
-            let t0 = rank.now();
-            rank.send_bytes(
-                1 + core / t_cores,
-                TAG_QUERY,
-                encode_query(p.qid, p.part, queries.get(p.qid as usize)),
-            );
-            p.deadline = rank.now() + opts.timeout_ns;
-            let stage = if core != prev_core {
-                Stage::Failover
-            } else {
-                Stage::Retry
-            };
-            span(trace, obs, 0, t0, rank.now(), SpanKind::Recovery, stage);
-        }
-    }
-    for j in 0..n_nodes {
-        rank.send_bytes(1 + j, TAG_END, Bytes::new());
-    }
-
-    // Degraded accounting: whatever survived the retry budget unanswered.
-    let mut missing_partitions = vec![0u32; nq];
-    for p in &outstanding {
-        missing_partitions[p.qid as usize] += 1;
-    }
-    let degraded: Vec<bool> = missing_partitions.iter().map(|&m| m > 0).collect();
-
-    if let Some(m) = obs {
-        m.inc(
-            "fastann_master_merge_ops_total",
-            &[("path", "two_sided")],
-            merge_ops,
-        );
-        m.inc("fastann_engine_result_bytes_total", &[], result_bytes);
-        m.inc("fastann_chaos_retries_total", &[], retries);
-        m.inc("fastann_chaos_failovers_total", &[], failovers);
-        m.inc("fastann_chaos_timeout_waits_total", &[], timeout_waits);
-        m.inc(
-            "fastann_chaos_degraded_total",
-            &[],
-            degraded.iter().filter(|&&d| d).count() as u64,
-        );
-    }
-
-    let stats = rank.stats();
-    QueryReport {
-        results: tops.into_iter().map(TopK::into_sorted).collect(),
-        total_ns: rank.now() - start_ns,
-        master_route_ns: route_ns,
-        master_comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
-        master_wait_ns: stats.wait_ns,
-        per_core_queries,
-        per_partition_probes,
-        mean_fanout: fanout_total as f64 / nq as f64,
-        node_busy_ns: Vec::new(),     // filled by the caller
-        node_comm_cpu_ns: Vec::new(), // filled by the caller
-        total_ndist: 0,               // filled by the caller
-        result_bytes,
-        degraded,
-        missing_partitions,
-        retries,
-        failovers,
-    }
-}
-
-fn worker_chaos(
-    rank: &mut Rank,
-    index: &DistIndex,
-    opts: &SearchOptions,
-    counts: &[usize],
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> WorkerOut {
-    let world = rank.world();
-    let node = rank.rank() - 1;
-    let t_cores = index.config.cores_per_node;
-    let p_cores = index.config.n_cores;
-    let dim = index.dim();
-
+    // NB: the window's slot count is decided by the master's create call —
+    // the collective transports the master's slots, so `n_slots` here is
+    // ignored by construction.
+    let window = b
+        .one_sided
+        .then(|| Window::create(rank, &world, 0, 1, |_| TopK::new(b.opts.k)));
     world.barrier(rank);
 
-    // Partitions this node can serve (identical to the fault-free path).
-    let serveable = serveable_partitions(index, node, t_cores, p_cores, counts);
-
-    let mut pool = VThreadPool::new(t_cores, 0.0);
+    let serveable = serveable_partitions(index, node, b.counts);
+    let mut pool = VThreadPool::new(index.config.cores_per_node, 0.0);
     pool.set_perturb(rank.sched_perturb());
-    let mut scratch = SearchScratch::default();
-    let mut ndist_total = 0u64;
-    let mut served: Vec<(f64, f64)> = Vec::new();
+    let mut w = Worker {
+        rank,
+        b,
+        window,
+        pool,
+        queued: Vec::new(),
+        served: Vec::new(),
+        ndist: 0,
+    };
 
     loop {
-        let msg = rank.recv(Some(0), None);
+        let msg = w.rank.recv(Some(0), None);
         match msg.tag {
-            TAG_END => break,
-            TAG_FLUSH => {
-                // Control plane: always answered, even by a crashed rank —
-                // the master's failure detection relies on it. Ack once the
-                // search pool has finished everything queued so far.
-                let at = pool.makespan().max(rank.now());
-                rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
-            }
             TAG_QUERY => {
-                if rank.is_crashed() {
+                if w.rank.is_crashed() {
                     // fail-stop data plane: the query is swallowed; the
                     // master's timeout + failover machinery recovers it
                     continue;
                 }
-                let arrival = msg.arrival;
                 let mut payload = msg.payload;
                 let qid = wire::get_u32(&mut payload);
                 let part = wire::get_u32(&mut payload) as usize;
-                let q = wire::get_f32_vec(&mut payload);
                 assert!(
                     serveable[part],
                     "node {node} asked to serve partition {part} it does not hold"
                 );
-                let partition = &index.partitions[part];
-                let (local, sstats) = partition.index.search_detailed_opts(&q, opts, &mut scratch);
-                ndist_total += sstats.ndist;
-                let cost = index.config.cost.dists_ns(sstats.ndist, dim);
-                let done_at = pool.assign(arrival, cost);
-                span(
-                    trace,
-                    obs,
-                    rank.rank(),
-                    done_at - cost,
-                    done_at,
-                    SpanKind::Compute,
-                    Stage::LocalSearch,
-                );
-                if let Some(m) = obs {
-                    record_local_search(m, part, &sstats, cost);
+                w.queued.push(PendingQuery {
+                    qid,
+                    part,
+                    q: wire::get_f32_vec(&mut payload),
+                    arrival: msg.arrival,
+                });
+                // a sequential node searches on receipt, overlapping the
+                // master's dispatch; a threaded one batches until the flush
+                if index.config.threads == 1 {
+                    w.serve();
                 }
-                served.push((arrival, done_at));
-                let pairs: Vec<(u32, f32)> = local
-                    .iter()
-                    .map(|n| (partition.global_ids[n.id as usize], n.dist))
-                    .collect();
-                rank.send_bytes_at(
-                    0,
-                    TAG_RESULT,
-                    encode_result(qid, part as u32, &pairs),
-                    done_at,
-                );
             }
+            TAG_FLUSH => {
+                w.serve();
+                let makespan = w.pool.makespan();
+                if b.faults {
+                    // Control plane: always answered, even by a crashed
+                    // rank — the master's failure detection relies on it.
+                    let at = makespan.max(w.rank.now());
+                    w.rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
+                } else {
+                    // round 0's flush is the shutdown; a one-sided node's
+                    // deposits are all posted by its pool makespan
+                    if b.one_sided {
+                        w.rank
+                            .send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), makespan);
+                    }
+                    break;
+                }
+            }
+            TAG_END => break,
             t => panic!("worker node {node}: unexpected tag {t}"),
         }
     }
 
-    if let Some(m) = obs {
-        record_worker_batch(m, &served);
+    if let Some(m) = b.obs {
+        record_worker_batch(m, &w.served);
     }
-
-    let stats = rank.stats();
+    let stats = w.rank.stats();
     WorkerOut {
         node,
-        busy_ns: pool.busy(),
+        busy_ns: w.pool.busy(),
         comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
-        ndist: ndist_total,
+        ndist: w.ndist,
     }
 }
 

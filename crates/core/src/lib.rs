@@ -69,7 +69,7 @@ mod tune;
 
 pub use build::{DistIndex, Partition};
 pub use config::{EngineConfig, SearchOptions};
-pub use engine::{TAG_DONE, TAG_END, TAG_FLUSH, TAG_FLUSH_ACK, TAG_QUERY, TAG_RESULT};
+pub use engine::{TAG_END, TAG_FLUSH, TAG_FLUSH_ACK, TAG_QUERY, TAG_RESULT};
 pub use fastann_vptree::RouteConfig;
 pub use local::{LocalIndex, LocalIndexKind};
 pub use mutation::{

@@ -63,13 +63,6 @@ pub const TAG_TABLE: &[TagSpec] = &[
     },
     TagSpec {
         namespace: "engine",
-        name: "TAG_DONE",
-        value: 204,
-        protected: true,
-        doc: "worker -> master: all one-sided deposits posted",
-    },
-    TagSpec {
-        namespace: "engine",
         name: "TAG_FLUSH",
         value: 205,
         protected: true,
@@ -212,7 +205,6 @@ mod tests {
             (engine::TAG_QUERY, "TAG_QUERY"),
             (engine::TAG_RESULT, "TAG_RESULT"),
             (engine::TAG_END, "TAG_END"),
-            (engine::TAG_DONE, "TAG_DONE"),
             (engine::TAG_FLUSH, "TAG_FLUSH"),
             (engine::TAG_FLUSH_ACK, "TAG_FLUSH_ACK"),
         ] {

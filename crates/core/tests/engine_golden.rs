@@ -87,27 +87,27 @@ const GOLDEN: [(&str, Triple); 7] = [
     ),
     (
         "mixed",
-        [0x7f357c326848775d, 0x859b4309f8baa129, 0x7e43bdede816dd1d],
+        [0x7f357c326848775d, 0x859b4309f8baa129, 0xc959c5c8ff90f945],
     ),
     (
         "crash-at-start",
-        [0xa2848374305b0ba5, 0x1524c129714102d1, 0xbe7d0ed5b255321d],
+        [0xa2848374305b0ba5, 0x1524c129714102d1, 0x85e0836950dd7609],
     ),
     (
         "crash-mid-batch",
-        [0x6594ae0c43deaa09, 0x89e12fbb8331ce79, 0x7c7d3c21e0036d1d],
+        [0x6594ae0c43deaa09, 0x89e12fbb8331ce79, 0x81169cd375397215],
     ),
     (
         "drop-results",
-        [0x290465adb0b8c905, 0x49b94c3c8c6ea221, 0xe980d1a7c5b85f35],
+        [0x290465adb0b8c905, 0x49b94c3c8c6ea221, 0xb127ac506b5c78e9],
     ),
     (
         "delay-results",
-        [0x36a21c049b29b931, 0x443ab7975a2dfb85, 0x15439815742b54e9],
+        [0x36a21c049b29b931, 0x443ab7975a2dfb85, 0xd26acaa15c0dc3f5],
     ),
     (
         "never-fires",
-        [0x05c35e778141894d, 0x443ab7975a2dfb85, 0xce43f538a2bb6c31],
+        [0x05c35e778141894d, 0x443ab7975a2dfb85, 0x74ac6abc7bcceb01],
     ),
 ];
 
