@@ -34,8 +34,9 @@
 //! [`DistIndex::mutation_log`]; `fastann-serve` keys its result cache on
 //! that epoch. Neither the engine epoch nor the log is persisted by the
 //! `FANNDIST` snapshot format — per-partition tombstones and epochs ride
-//! the HNSW v4 blobs instead — and a split index cannot be snapshotted at
-//! all (the format fixes one partition per core).
+//! the HNSW v4 blobs instead, and a loaded index starts again at epoch 0.
+//! A split index snapshots every partition and keeps mutating after a
+//! reload exactly as the original would.
 
 use fastann_data::select::median;
 use fastann_data::VectorSet;

@@ -10,13 +10,17 @@
 //!          hnsw: m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
 //!          route: margin f32 | max_partitions u64
 //!          router: len u64 | PartitionTree bytes    (VP-tree routers only)
-//!          partitions: n_cores × [ids: len u32, u32… | hnsw: len u64, bytes…]
+//!          partitions: n_partitions × [ids: len u32, u32… | hnsw: len u64, bytes…]
 //! ```
 //!
 //! The header carries the payload length and an FNV-1a-64 checksum over the
 //! payload bytes, so a truncated or bit-flipped snapshot fails loading with
 //! a typed error ([`PersistError::Format`] / [`PersistError::Checksum`])
 //! instead of deserializing garbage into a live index.
+//!
+//! `n_partitions` is the router skeleton's leaf count: `n_cores` after a
+//! build, more once [`crate::MutationRequest::split_above`] has split
+//! partitions (split-created ids wrap onto the existing cores).
 //!
 //! Only the paper's configuration (VP-tree router + HNSW local indexes) is
 //! persistable; exact/brute local indexes rebuild quickly from data, and
@@ -248,14 +252,16 @@ impl DistIndex {
         let mut skel = vec![0u8; skel_len];
         rd_exact(&mut r, &mut skel)?;
         let tree = PartitionTree::from_bytes(&skel, metric);
-        if tree.n_partitions() != n_cores {
-            return Err(PersistError::Format(
-                "skeleton / core-count mismatch".into(),
-            ));
+        // one partition per core, plus any a split added (ids ≥ n_cores)
+        let n_partitions = tree.n_partitions();
+        if n_partitions < n_cores {
+            return Err(PersistError::Format(format!(
+                "skeleton holds {n_partitions} partitions for {n_cores} cores"
+            )));
         }
 
-        let mut partitions = Vec::with_capacity(n_cores);
-        for pid in 0..n_cores {
+        let mut partitions = Vec::with_capacity(n_partitions);
+        for pid in 0..n_partitions {
             let n_ids = rd_u32(&mut r)? as usize;
             let mut ids = Vec::with_capacity(n_ids);
             for _ in 0..n_ids {
@@ -491,6 +497,63 @@ mod tests {
             panic!("trailing bytes must not load")
         };
         assert!(matches!(err, PersistError::Format(_)));
+    }
+
+    #[test]
+    fn split_index_survives_save_load_and_further_mutation() {
+        use crate::mutation::{Mutation, MutationRequest};
+        let data = synth::sift_like(2_000, 12, 90);
+        let cfg = EngineConfig::new(4, 2)
+            .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(90))
+            .with_seed(90);
+        let mut index = DistIndex::build(&data, cfg);
+        MutationRequest::new(&mut index).split_above(300).run();
+        assert_eq!(index.n_partitions(), 8, "four 500-row partitions split");
+
+        let path = tmp("split");
+        index.save(&path).expect("a split index saves");
+        let mut back = DistIndex::load(&path).expect("and loads back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.n_partitions(), 8);
+        let queries = synth::queries_near(&data, 15, 0.02, 91);
+        let search = |ix: &DistIndex| {
+            SearchRequest::new(ix, &queries)
+                .opts(SearchOptions::new(10))
+                .run()
+        };
+        assert_eq!(
+            search(&index),
+            search(&back),
+            "loaded split index answers identically"
+        );
+
+        // the reloaded copy keeps mutating exactly like the original
+        let fresh = synth::sift_like(400, 12, 92);
+        let batch: Vec<Mutation> = (0..fresh.len())
+            .map(|i| Mutation::Upsert {
+                global_id: None,
+                vector: fresh.get(i).to_vec(),
+            })
+            .collect();
+        let a = MutationRequest::new(&mut index)
+            .mutations(batch.clone())
+            .split_above(150)
+            .run();
+        let b = MutationRequest::new(&mut back)
+            .mutations(batch)
+            .split_above(150)
+            .run();
+        assert_eq!(a.outcomes, b.outcomes);
+        assert_eq!(a.splits, b.splits);
+        assert_eq!(a.compactions, b.compactions);
+        assert_eq!(a.ndist, b.ndist);
+        assert_eq!(index.n_partitions(), 16);
+        assert_eq!(back.n_partitions(), 16);
+        assert_eq!(
+            search(&index),
+            search(&back),
+            "mutated copies answer identically"
+        );
     }
 
     #[test]
