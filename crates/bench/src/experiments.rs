@@ -730,7 +730,7 @@ pub fn render_compression(rows: &[CompressionRow]) -> String {
 }
 
 /// VP-tree partitioning vs flat-pivot partitioning at one core count —
-/// the comparison against the paper's reference [16] (Zhou et al.), which
+/// the comparison against the paper's reference \[16\] (Zhou et al.), which
 /// the paper reports an 8X improvement over.
 #[derive(Clone, Copy, Debug)]
 pub struct PivotRow {

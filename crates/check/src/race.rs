@@ -31,7 +31,7 @@ pub struct Divergence {
     /// Index of the first diverging event (may equal the shorter run's
     /// length when one interleaving produced extra events).
     pub index: usize,
-    /// Baseline events around `index` (up to [`WINDOW`] before it).
+    /// Baseline events around `index` (up to four before it).
     pub baseline_window: Vec<String>,
     /// Perturbed events around `index`.
     pub perturbed_window: Vec<String>,

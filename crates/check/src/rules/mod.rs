@@ -1,6 +1,6 @@
 //! The rule set of the token-stream lint engine.
 //!
-//! Every rule is a function from a [`FileCtx`](crate::engine::FileCtx)
+//! Every rule is a function from a [`FileCtx`]
 //! to a list of findings; [`run_all`] fans one file out to all of them.
 //! The eight structural rules live in [`panics`], [`wire`], [`docs`]
 //! and [`api`]; the determinism family lives in [`determinism`].

@@ -155,7 +155,7 @@ impl DistIndex {
     }
 
     /// Builds a **flat-pivot** index — the baseline partitioning of the
-    /// paper's reference [16]: `n_cores` pivots sampled from the data,
+    /// paper's reference \[16\]: `n_cores` pivots sampled from the data,
     /// every point assigned to its closest pivot. Partition sizes are as
     /// imbalanced as the data's cluster structure makes them, and routing
     /// costs `O(P)` per query; compare with [`DistIndex::build`] via

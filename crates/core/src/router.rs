@@ -22,7 +22,7 @@ use crate::routing::{splitmix64, RoutingPolicy};
 pub enum Router {
     /// Hierarchical VP-tree skeleton (the paper's design).
     VpTree(PartitionTree),
-    /// Flat pivot table (the [16] baseline).
+    /// Flat pivot table (the \[16\] baseline).
     FlatPivot {
         /// One pivot vector per partition.
         pivots: VectorSet,

@@ -6,7 +6,7 @@
 //! honest:
 //!
 //! * the chaos engine derives its fault-plan protect list from
-//!   [`protected_values`], so the classification here *is* the behaviour —
+//!   [`protected_values`](crate::tags::protected_values), so the classification here *is* the behaviour —
 //!   a tag marked protected cannot be dropped, delayed or duplicated by a
 //!   [`fastann_mpisim::FaultPlan`] on the chaos path;
 //! * `fastann-check lint` cross-checks every `const TAG_*` declaration and

@@ -1,7 +1,7 @@
 //! Chunked, auto-vectorization-friendly inner loops shared by the f32 and
 //! SQ8 distance paths.
 //!
-//! Every kernel walks its inputs in fixed-width [`LANES`]-wide chunks with
+//! Every kernel walks its inputs in fixed-width [`LANES`](crate::kernels::LANES)-wide chunks with
 //! one accumulator per lane and no per-element branching — the shape LLVM
 //! reliably turns into packed SIMD in release builds (the portable
 //! equivalent of the hand-written AVX kernels ANN libraries ship). The
@@ -10,9 +10,12 @@
 //! bit-identical across calls, threads and thread counts, which is what
 //! the workspace determinism contract requires.
 //!
-//! The f32 kernels ([`squared_l2`], [`dot`], [`l1`], [`chebyshev`]) back
-//! [`crate::metric::Distance`]; the SQ8 kernels ([`sq8_dot`],
-//! [`sq8_norm`]) back the asymmetric quantized distance of
+//! The f32 kernels ([`squared_l2`](crate::kernels::squared_l2),
+//! [`dot`](crate::kernels::dot), [`l1`](crate::kernels::l1),
+//! [`chebyshev`](crate::kernels::chebyshev)) back
+//! [`crate::metric::Distance`]; the SQ8 kernels
+//! ([`sq8_dot`](crate::kernels::sq8_dot),
+//! [`sq8_norm`](crate::kernels::sq8_norm)) back the asymmetric quantized distance of
 //! [`crate::quant::Sq8`], which streams one *byte* per dimension instead
 //! of four and therefore bounds the memory traffic of a quantized-first
 //! graph traversal at a quarter of the exact path's.

@@ -5,15 +5,18 @@
 //! "cannot achieve near perfect recalls" — quantization error puts a
 //! ceiling on recall that no amount of extra search effort removes, while
 //! the paper's uncompressed distributed index reaches recall ≈ 1 by raising
-//! M. [`Sq8`] lets the benchmark suite demonstrate that plateau: vectors
-//! are compressed 4× (f32 → u8 per dimension, per-dimension affine grid)
-//! and searched exhaustively in the quantized domain.
+//! M. [`Sq8`](crate::quant::Sq8) lets the benchmark suite demonstrate
+//! that plateau: vectors are compressed 4× (f32 → u8 per dimension,
+//! per-dimension affine grid) and searched exhaustively in the quantized
+//! domain.
 //!
-//! Beyond the plateau demo, [`Sq8`] is the engine's traversal codec: the
-//! *asymmetric* distance ([`Sq8::prepare_query`] + [`Sq8::asym_l2`]) keeps
-//! the query at full f32 precision and compares it against the quantized
-//! grid points, which halves the quantization error of the
-//! symmetric-quantized [`Sq8::knn`] scan and — via the dot-expansion in
+//! Beyond the plateau demo, [`Sq8`](crate::quant::Sq8) is the engine's
+//! traversal codec: the *asymmetric* distance
+//! ([`Sq8::prepare_query`](crate::quant::Sq8::prepare_query) +
+//! [`Sq8::asym_l2`](crate::quant::Sq8::asym_l2)) keeps the query at full
+//! f32 precision and compares it against the quantized grid points, which
+//! halves the quantization error of the symmetric-quantized
+//! [`Sq8::knn`](crate::quant::Sq8::knn) scan and — via the dot-expansion in
 //! [`crate::kernels::sq8_dot`] — costs one fused multiply-add per
 //! dimension over a quarter of the memory traffic of exact `squared_l2`.
 //! The HNSW index traverses with it and re-ranks a small survivor pool at

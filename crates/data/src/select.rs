@@ -5,10 +5,10 @@
 //! to the vantage point, "using the median of medians algorithm". This module
 //! provides the sequential building blocks:
 //!
-//! * [`select_nth`] — worst-case `O(n)` selection (quickselect with
+//! * [`select_nth`](crate::select::select_nth) — worst-case `O(n)` selection (quickselect with
 //!   median-of-medians pivots),
-//! * [`median`] — lower median of a slice,
-//! * [`weighted_median`] — the primitive used to combine per-rank medians
+//! * [`median`](crate::select::median) — lower median of a slice,
+//! * [`weighted_median`](crate::select::weighted_median) — the primitive used to combine per-rank medians
 //!   into a distributed median.
 
 /// Returns the value of rank `n` (0-based) in `data`, i.e. the element that

@@ -2,14 +2,15 @@
 //!
 //! Two families, mirroring the paper's Table I:
 //!
-//! * [`mdcgen`] — a from-scratch re-implementation of the MDCGen-style
+//! * [`mdcgen`](crate::synth::mdcgen) — a from-scratch re-implementation of the MDCGen-style
 //!   multidimensional cluster generator (Iglesias et al., J. Classification
 //!   2019) that the paper used for SYN_1M and SYN_10M: `k` clusters with
 //!   Gaussian or uniform intra-cluster distributions, outlier injection, and
 //!   query sets drawn from a single cluster with a compactness factor.
-//! * [`descriptors`] — image-descriptor-shaped generators standing in for
-//!   the real corpora: [`sift_like`] (ANN_SIFT1B), [`deep_like`] (DEEP1B)
-//!   and [`gist_like`] (ANN_GIST1M). The real files are billion-scale
+//! * [`descriptors`](crate::synth::descriptors) — image-descriptor-shaped generators standing in for
+//!   the real corpora: [`sift_like`](crate::synth::sift_like) (ANN_SIFT1B),
+//!   [`deep_like`](crate::synth::deep_like) (DEEP1B)
+//!   and [`gist_like`](crate::synth::gist_like) (ANN_GIST1M). The real files are billion-scale
 //!   downloads; these preserve dimensionality, value range and cluster
 //!   structure, which is what the partitioning and search behaviour depend
 //!   on.

@@ -126,7 +126,7 @@ pub struct Hnsw {
     quant: Option<Sq8>,
     /// `(entry node, top level)`; `None` for an empty index.
     entry: Option<(u32, u8)>,
-    /// Diverse entry set: up to [`ENTRY_SET_CAP`] spread-out nodes that
+    /// Diverse entry set: up to 16 spread-out nodes that
     /// participate above layer 0, selected farthest-first (k-center) from
     /// the entry point. A pure function of the stored vectors, the level
     /// assignment and the entry point — see [`Hnsw::select_entry_set`].
@@ -188,7 +188,7 @@ impl Hnsw {
     /// Builds the index with batch-parallel construction — the analogue of
     /// the multi-threaded OpenMP construction in the paper.
     ///
-    /// Insertion proceeds in fixed batches of [`PARALLEL_BATCH`] nodes
+    /// Insertion proceeds in fixed batches of 64 nodes
     /// whose plans run on the rayon pool against the frozen graph. Batch
     /// members do not see each other as candidates, which perturbs link
     /// structure slightly versus [`Hnsw::build`] (search quality is
@@ -408,7 +408,7 @@ impl Hnsw {
         self.entry_set = self.select_entry_set();
     }
 
-    /// The diverse entry set: up to [`ENTRY_SET_CAP`] spread-out
+    /// The diverse entry set: up to 16 spread-out
     /// upper-layer nodes (entry point first) that seed every search's
     /// layer-0 beam from multiple basins.
     pub fn entry_set(&self) -> &[u32] {
@@ -1157,7 +1157,7 @@ impl Hnsw {
     ///   nodes that participate in the layer;
     /// * links are symmetric (`u -> v` implies `v -> u`);
     /// * the diverse entry set, when present, is in range, duplicate-free,
-    ///   starts with the entry point, respects [`ENTRY_SET_CAP`], and every
+    ///   starts with the entry point, holds at most 16 members, and every
     ///   other member participates above layer 0;
     /// * the tombstone map covers every row, agrees with the live counter,
     ///   and — while any live node remains — neither the entry point nor an
@@ -1332,7 +1332,7 @@ impl Hnsw {
     }
 
     /// k-NN search: multi-entry descent to layer 0, an `ef`-wide layer-0
-    /// beam (widened by [`Hnsw::inflate_ef`] while tombstones occupy beam
+    /// beam (widened while tombstones occupy beam
     /// slots), and the best `k` live survivors.
     ///
     /// With `params.quantized = Some(rerank_factor)` this is the

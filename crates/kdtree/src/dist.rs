@@ -1,7 +1,7 @@
 //! Distributed KD-tree engine over `fastann-mpisim` — the PANDA-style
 //! baseline of the paper's Table III.
 //!
-//! **Construction** (mirrors the paper's description of [1]): worker ranks
+//! **Construction** (mirrors the paper's description of \[1\]): worker ranks
 //! start with equal slices of the dataset; the group recursively halves —
 //! agree on the widest dimension (all-gather of per-rank bounds), agree on
 //! the coordinate median (weighted median of per-rank medians), shuffle
