@@ -727,19 +727,19 @@ fn worker<'a>(rank: &mut Rank, b: &'a Batch<'a>) -> WorkerOut {
             }
             TAG_FLUSH => {
                 w.serve();
-                let makespan = w.pool.makespan();
-                if b.faults {
-                    // Control plane: always answered, even by a crashed
-                    // rank — the master's failure detection relies on it.
-                    let at = makespan.max(w.rank.now());
-                    w.rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
-                } else {
-                    // round 0's flush is the shutdown; a one-sided node's
-                    // deposits are all posted by its pool makespan
-                    if b.one_sided {
-                        w.rank
-                            .send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), makespan);
+                if b.acked() {
+                    // every result and deposit is posted by the pool
+                    // makespan; under faults the ack is control plane,
+                    // answered even by a crashed rank, and cannot leave
+                    // before the node has read the flush
+                    let mut at = w.pool.makespan();
+                    if b.faults {
+                        at = at.max(w.rank.now());
                     }
+                    w.rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
+                }
+                if !b.faults {
+                    // without faults round 0's flush is the shutdown
                     break;
                 }
             }
