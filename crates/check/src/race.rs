@@ -194,7 +194,7 @@ pub fn report_events(rep: &QueryReport) -> Vec<String> {
 }
 
 /// Builds a small engine once and returns a seed → events workload over
-/// it: the fault-free `search_batch` path under `sched_seed`, flattened
+/// it: a fault-free `SearchRequest` batch under `sched_seed`, flattened
 /// with [`report_events`]. Used by the CLI `race` subcommand and the
 /// K=8 CI smoke.
 pub fn engine_workload() -> impl Fn(u64) -> Vec<String> {

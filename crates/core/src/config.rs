@@ -156,7 +156,8 @@ pub struct SearchOptions {
     pub ef: usize,
     /// Use MPI one-sided result aggregation (Section IV-C1). When `false`,
     /// workers return results with two-sided messages the master must
-    /// receive one by one.
+    /// receive one by one. A non-vacuous fault plan forces two-sided
+    /// collection: a retried probe's answer must be attributable.
     pub one_sided: bool,
     /// Replication and dispatch policy (Section IV-C2, generalised): how
     /// many replicas each partition's workgroup holds and how probes pick a
@@ -167,11 +168,11 @@ pub struct SearchOptions {
     /// an adaptive controller raise hot partitions per batch through
     /// [`crate::SearchRequest::replicas`].
     pub routing: RoutingPolicy,
-    /// Fault-tolerant path only ([`crate::SearchRequest::chaos`]): virtual
+    /// Used only under a fault plan ([`crate::SearchRequest::chaos`]): virtual
     /// time after dispatch before an unanswered partition probe is declared
     /// timed out and eligible for retry.
     pub timeout_ns: f64,
-    /// Fault-tolerant path only: retry rounds per timed-out probe. Each
+    /// Used only under a fault plan: retry rounds per timed-out probe. Each
     /// retry targets the next replica in the partition's workgroup, so with
     /// `replication > 1` a retry is a failover to a different core. `0`
     /// disables retries (a lost probe degrades the query immediately).
@@ -288,7 +289,7 @@ impl SearchOptions {
         self
     }
 
-    /// Sets the retry budget of the fault-tolerant path (builder style).
+    /// Sets the retry budget under a fault plan (builder style).
     pub fn with_max_retries(mut self, n: usize) -> Self {
         self.max_retries = n;
         self

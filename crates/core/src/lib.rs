@@ -15,8 +15,9 @@
 //! * [`SearchRequest`] — Section IV-B, Algorithms 3–4: the master routes
 //!   each query to the partitions `F(q)` chosen by the VP-tree skeleton;
 //!   worker nodes answer with multi-threaded local HNSW searches (modelled
-//!   by per-node virtual thread pools). One builder covers the fault-free,
-//!   traced, fault-tolerant and metered variants.
+//!   by per-node virtual thread pools). One builder and one master/worker
+//!   loop cover the fault-free, traced, fault-tolerant and metered
+//!   variants.
 //! * [`SearchOptions::one_sided`] — Section IV-C1: workers deposit results
 //!   straight into the master's memory window (`MPI_Get_accumulate`
 //!   semantics) instead of two-sided replies.

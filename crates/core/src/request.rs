@@ -37,9 +37,10 @@ use crate::stats::QueryReport;
 /// executes on the simulated cluster and returns the merged
 /// [`QueryReport`].
 ///
-/// With no fault plan (or a vacuous one) the batch takes the fault-free
-/// path; a non-vacuous plan takes the fault-tolerant chaos path with
-/// timeouts, retries and replica failover. Attaching a [`Trace`] records
+/// Every batch runs through one engine loop. With no fault plan (or a
+/// vacuous one) nothing is injected; under a non-vacuous plan the same
+/// loop adds timeouts, retries and replica failover, and collects
+/// results two-sided. Attaching a [`Trace`] records
 /// Gantt spans; attaching a [`Metrics`] registry records the full
 /// instrumented query path (router fan-out, per-stage spans, local-search
 /// work, worker service times, merge ops, chaos recovery counters) —
@@ -87,9 +88,9 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Runs under the given seeded fault plan (the fault-tolerant path,
-    /// unless the plan is vacuous — [`FaultPlan::is_vacuous`] — which
-    /// provably takes the fault-free path, costs included).
+    /// Runs under the given seeded fault plan. A vacuous plan
+    /// ([`FaultPlan::is_vacuous`]) injects nothing and reports exactly
+    /// what no plan does, costs included.
     pub fn chaos(mut self, plan: &'a FaultPlan) -> Self {
         self.plan = Some(plan);
         self

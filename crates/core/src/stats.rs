@@ -112,12 +112,13 @@ pub struct QueryReport {
     pub result_bytes: u64,
     /// Per-query degraded flag: `true` when at least one routed partition
     /// never answered (within the retry budget) and the result is a
-    /// partial top-k. Always all-`false` on the fault-free paths.
+    /// partial top-k. Always all-`false` without a (non-vacuous) fault
+    /// plan.
     pub degraded: Vec<bool>,
     /// Per-query count of routed partitions that never answered.
     pub missing_partitions: Vec<u32>,
     /// Partition probes re-dispatched after a virtual-time timeout
-    /// (fault-tolerant path only).
+    /// (under a fault plan only).
     pub retries: u64,
     /// Retries that failed over to a *different* replica core (a subset of
     /// `retries`; zero when `replication == 1`).

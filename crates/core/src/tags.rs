@@ -5,16 +5,17 @@
 //! protected/faultable classification. Two consumers keep the table
 //! honest:
 //!
-//! * the chaos engine derives its fault-plan protect list from
-//!   [`protected_values`](crate::tags::protected_values), so the classification here *is* the behaviour —
-//!   a tag marked protected cannot be dropped, delayed or duplicated by a
-//!   [`fastann_mpisim::FaultPlan`] on the chaos path;
+//! * the engine derives its fault-plan protect list from
+//!   [`protected_values`](crate::tags::protected_values), so the
+//!   classification here *is* the behaviour — a tag marked protected
+//!   cannot be dropped, delayed or duplicated by a
+//!   [`fastann_mpisim::FaultPlan`];
 //! * `fastann-check lint` cross-checks every `const TAG_*` declaration and
 //!   every tag passed to `send_bytes`/`send_bytes_at` in library code
 //!   against this table, so an unregistered tag fails CI.
 //!
 //! Protected tags form the control plane: shutdown markers and the flush
-//! handshake the fault-tolerant master uses as its failure detector (a
+//! handshake the engine master uses as its failure detector under faults (a
 //! perfect detector in the ULFM sense). Faultable tags are the data plane
 //! — queries and results — which the retry/failover machinery can recover.
 

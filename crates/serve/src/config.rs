@@ -79,8 +79,8 @@ pub struct ServeConfig {
     /// per-probe `timeout_ns` is clamped to the tightest deadline headroom
     /// ([`SearchOptions::cap_timeout_ns`]).
     pub search: SearchOptions,
-    /// Optional fault plan: when set (and non-vacuous), batches dispatch
-    /// through the fault-tolerant chaos path.
+    /// Optional fault plan every batch dispatches under: a non-vacuous
+    /// plan adds the engine's timeouts, retries and replica failover.
     pub fault: Option<FaultPlan>,
     /// Virtual latency of a cache-served answer (key encode + probe +
     /// copy-out; no engine dispatch).
