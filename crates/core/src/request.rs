@@ -40,11 +40,11 @@ use crate::stats::QueryReport;
 /// Every batch runs through one engine loop. With no fault plan (or a
 /// vacuous one) nothing is injected; under a non-vacuous plan the same
 /// loop adds timeouts, retries and replica failover, and collects
-/// results two-sided. Attaching a [`Trace`] records
-/// Gantt spans; attaching a [`Metrics`] registry records the full
-/// instrumented query path (router fan-out, per-stage spans, local-search
-/// work, worker service times, merge ops, chaos recovery counters) —
-/// snapshots are bit-identical across thread counts and schedules.
+/// results two-sided. Attaching a [`Trace`] records Gantt spans;
+/// attaching a [`Metrics`] registry records the full instrumented query
+/// path (router fan-out, per-stage spans, local-search work, worker
+/// service times, merge ops, chaos recovery counters) — snapshots are
+/// bit-identical across thread counts and schedules.
 #[derive(Clone, Copy)]
 pub struct SearchRequest<'a> {
     index: &'a DistIndex,
