@@ -1,14 +1,23 @@
-//! Chunked, auto-vectorization-friendly inner loops shared by the f32 and
-//! SQ8 distance paths.
+//! Chunked inner loops shared by the f32 and SQ8 distance paths.
 //!
-//! Every kernel walks its inputs in fixed-width [`LANES`](crate::kernels::LANES)-wide chunks with
-//! one accumulator per lane and no per-element branching — the shape LLVM
-//! reliably turns into packed SIMD in release builds (the portable
-//! equivalent of the hand-written AVX kernels ANN libraries ship). The
-//! remainder elements reuse the same accumulator array, so the reduction
-//! order is a pure function of the input length: results are
-//! bit-identical across calls, threads and thread counts, which is what
-//! the workspace determinism contract requires.
+//! Every kernel walks its inputs in [`LANES`](crate::kernels::LANES)-wide
+//! chunks with one accumulator per lane and no per-element branching, then
+//! folds the lanes in a fixed pairwise order. The float-add order is a pure
+//! function of the input length: results are bit-identical across calls,
+//! threads, thread counts and build profiles, which is what the workspace
+//! determinism contract requires. `tests/kernel_golden.rs` pins that order
+//! by hash over non-integer, mixed-magnitude inputs.
+//!
+//! The chunk loop lives in one out-of-line function per kernel
+//! (`lanes`), and that is what makes it vectorize. There the lane array
+//! meets only constant-index, full-width uses, and LLVM's SLP vectorizer
+//! packs each chunk into one 8-lane subtract/multiply/add
+//! (`vsubps`/`vmulps`/`vaddps` on a ymm register with AVX2). Inlined into a
+//! caller next to the dynamically indexed tail loop, the same loop splits
+//! into 2-, 1-, 4- and 1-lane pieces and runs at scalar speed, about
+//! 0.4 ns per dimension. The price is one call per distance. The caller
+//! maps the tail to terms and hands them in, so the call returns the
+//! finished `f32` in a register.
 //!
 //! The f32 kernels ([`squared_l2`](crate::kernels::squared_l2),
 //! [`dot`](crate::kernels::dot), [`l1`](crate::kernels::l1),
@@ -19,6 +28,8 @@
 //! [`crate::quant::Sq8`], which streams one *byte* per dimension instead
 //! of four and therefore bounds the memory traffic of a quantized-first
 //! graph traversal at a quarter of the exact path's.
+
+use std::ops::Add;
 
 /// Accumulator width of every chunked kernel. Eight f32 lanes is one AVX2
 /// register (and half an AVX-512 register); narrower widths leave packed
@@ -41,6 +52,50 @@ fn hmax(acc: [f32; LANES]) -> f32 {
         .max(acc[2].max(acc[6]).max(acc[3].max(acc[7])))
 }
 
+/// Folds the elementwise `term(a[i], b[i])` into lane `i % LANES` with
+/// `combine`, in index order within each lane, then `reduce`s the lanes.
+///
+/// The tail (the last `len % LANES` elements) maps to terms here, in the
+/// caller's inlined copy; [`lanes`] combines them into lanes `0..r`
+/// after the chunk loop. The zero terms of lanes `r..` leave those lanes
+/// unchanged: every lane starts at +0.0, a round-to-nearest sum reaches
+/// -0.0 only from two -0.0 operands, and a lane max never drops below its
+/// +0.0 start, so `acc + 0.0` and `max(acc, 0.0)` are `acc` bit for bit.
+#[inline(always)]
+fn fold<A: Copy, B: Copy>(
+    a: &[A],
+    b: &[B],
+    term: impl Fn(A, B) -> f32 + Copy,
+    combine: impl Fn(f32, f32) -> f32,
+    reduce: impl Fn([f32; LANES]) -> f32,
+) -> f32 {
+    let (ca, ta) = a.as_chunks::<LANES>();
+    let (cb, tb) = b.as_chunks::<LANES>();
+    let mut tail = [0.0f32; LANES];
+    for (t, (&x, &y)) in tail.iter_mut().zip(ta.iter().zip(tb)) {
+        *t = term(x, y);
+    }
+    lanes(ca, cb, &tail, term, combine, reduce)
+}
+
+/// The chunk loop of [`fold`], then the tail combine and `reduce`. Out of
+/// line so the loop vectorizes to full width (see the module docs).
+#[inline(never)]
+fn lanes<A: Copy, B: Copy>(
+    a: &[[A; LANES]],
+    b: &[[B; LANES]],
+    tail: &[f32; LANES],
+    term: impl Fn(A, B) -> f32,
+    combine: impl Fn(f32, f32) -> f32,
+    reduce: impl Fn([f32; LANES]) -> f32,
+) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    for (xa, xb) in a.iter().zip(b) {
+        acc = std::array::from_fn(|j| combine(acc[j], term(xa[j], xb[j])));
+    }
+    reduce(std::array::from_fn(|j| combine(acc[j], tail[j])))
+}
+
 /// Squared Euclidean distance, chunked over [`LANES`] accumulators.
 ///
 /// # Panics
@@ -50,20 +105,16 @@ fn hmax(acc: [f32; LANES]) -> f32 {
 #[inline]
 pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "squared_l2 between different dimensions");
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for j in 0..LANES {
-            let d = xa[j] - xb[j];
-            acc[j] += d * d;
-        }
-    }
-    for (j, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        let d = x - y;
-        acc[j] += d * d;
-    }
-    hsum(acc)
+    fold(
+        a,
+        b,
+        |x, y| {
+            let d = x - y;
+            d * d
+        },
+        f32::add,
+        hsum,
+    )
 }
 
 /// Dot product, chunked over [`LANES`] accumulators.
@@ -74,18 +125,7 @@ pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot between different dimensions");
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for j in 0..LANES {
-            acc[j] += xa[j] * xb[j];
-        }
-    }
-    for (j, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[j] += x * y;
-    }
-    hsum(acc)
+    fold(a, b, |x, y| x * y, f32::add, hsum)
 }
 
 /// Manhattan distance, chunked over [`LANES`] accumulators.
@@ -95,18 +135,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn l1(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "l1 between different dimensions");
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for j in 0..LANES {
-            acc[j] += (xa[j] - xb[j]).abs();
-        }
-    }
-    for (j, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[j] += (x - y).abs();
-    }
-    hsum(acc)
+    fold(a, b, |x, y| (x - y).abs(), f32::add, hsum)
 }
 
 /// Chebyshev distance, chunked over [`LANES`] max accumulators.
@@ -116,18 +145,18 @@ pub fn l1(a: &[f32], b: &[f32]) -> f32 {
 #[inline]
 pub fn chebyshev(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "chebyshev between different dimensions");
-    let mut acc = [0.0f32; LANES];
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for j in 0..LANES {
-            acc[j] = acc[j].max((xa[j] - xb[j]).abs());
-        }
-    }
-    for (j, (x, y)) in ca.remainder().iter().zip(cb.remainder()).enumerate() {
-        acc[j] = acc[j].max((x - y).abs());
-    }
-    hmax(acc)
+    // `if t > acc` is `acc.max(t)` bit for bit here: both drop a NaN term,
+    // and the one tie whose operands differ in bits, -0.0 against +0.0,
+    // cannot occur because lanes start at +0.0 and `abs` clears the sign.
+    // The comparison packs into one `vmaxps` per chunk; `f32::max` adds a
+    // NaN blend that breaks the loop into shuffled pieces.
+    fold(
+        a,
+        b,
+        |x, y| (x - y).abs(),
+        |acc, t| if t > acc { t } else { acc },
+        hmax,
+    )
 }
 
 /// Weighted dot product of an f32 query vector against one SQ8 code row:
@@ -135,27 +164,17 @@ pub fn chebyshev(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// This is the per-candidate inner loop of the asymmetric quantized
 /// distance (see [`crate::quant::Sq8::asym_l2`]): the byte codes widen to
-/// f32 in-register, so the loop does one load + one fused multiply-add
-/// per dimension over a quarter of the exact path's bytes, with no
-/// per-element branching and no square root.
+/// f32 in-register, so each chunk is one widening load, one multiply and
+/// one add (Rust never contracts them into a fused multiply-add) over a
+/// quarter of the exact path's bytes, with no per-element branching and
+/// no square root.
 ///
 /// # Panics
 /// Panics on a length mismatch, in every build profile.
 #[inline]
 pub fn sq8_dot(w: &[f32], codes: &[u8]) -> f32 {
     assert_eq!(w.len(), codes.len(), "sq8_dot between different dimensions");
-    let mut acc = [0.0f32; LANES];
-    let mut cw = w.chunks_exact(LANES);
-    let mut cc = codes.chunks_exact(LANES);
-    for (xw, xc) in (&mut cw).zip(&mut cc) {
-        for j in 0..LANES {
-            acc[j] += xw[j] * xc[j] as f32;
-        }
-    }
-    for (j, (x, c)) in cw.remainder().iter().zip(cc.remainder()).enumerate() {
-        acc[j] += x * *c as f32;
-    }
-    hsum(acc)
+    fold(w, codes, |x, c| x * c as f32, f32::add, hsum)
 }
 
 /// Squared grid norm of one SQ8 code row: `Σ_d (step[d] · codes[d])²`.
@@ -173,20 +192,16 @@ pub fn sq8_norm(step: &[f32], codes: &[u8]) -> f32 {
         codes.len(),
         "sq8_norm between different dimensions"
     );
-    let mut acc = [0.0f32; LANES];
-    let mut cs = step.chunks_exact(LANES);
-    let mut cc = codes.chunks_exact(LANES);
-    for (xs, xc) in (&mut cs).zip(&mut cc) {
-        for j in 0..LANES {
-            let v = xs[j] * xc[j] as f32;
-            acc[j] += v * v;
-        }
-    }
-    for (j, (s, c)) in cs.remainder().iter().zip(cc.remainder()).enumerate() {
-        let v = s * *c as f32;
-        acc[j] += v * v;
-    }
-    hsum(acc)
+    fold(
+        step,
+        codes,
+        |s, c| {
+            let v = s * c as f32;
+            v * v
+        },
+        f32::add,
+        hsum,
+    )
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 pub mod ground_truth;
 /// `fvecs` / `bvecs` / `ivecs` dataset file IO.
 pub mod io;
-/// Chunked, auto-vectorization-friendly distance inner loops.
+/// Chunked distance inner loops that compile to packed SIMD.
 pub mod kernels;
 /// Distance metrics over dense `f32` vectors.
 pub mod metric;

@@ -5,9 +5,9 @@
 //! enum dispatched with `match` — cheap, `Copy`, and trivially sendable
 //! across the simulated cluster, unlike a boxed trait object.
 //!
-//! The inner loops live in [`crate::kernels`] — chunked 8-lane scalar
-//! loops that LLVM reliably auto-vectorises in release builds, shared with
-//! the SQ8 asymmetric path in [`crate::quant`]; this is the portable
+//! The inner loops live in [`crate::kernels`] — chunked 8-lane loops that
+//! compile to packed SIMD in release builds, shared with the SQ8
+//! asymmetric path in [`crate::quant`]; this is the portable
 //! equivalent of the SIMD-optimised bucket scans in PANDA. This module
 //! re-exports the f32 kernels under their historical names so existing
 //! callers keep compiling.

@@ -17,8 +17,10 @@
 //! f32 precision and compares it against the quantized grid points, which
 //! halves the quantization error of the symmetric-quantized
 //! [`Sq8::knn`](crate::quant::Sq8::knn) scan and — via the dot-expansion in
-//! [`crate::kernels::sq8_dot`] — costs one fused multiply-add per
-//! dimension over a quarter of the memory traffic of exact `squared_l2`.
+//! [`crate::kernels::sq8_dot`] — costs one multiply and one add per
+//! dimension (never fused: Rust does not contract them into an FMA, which
+//! keeps the result bit-identical across ISAs) over a quarter of the
+//! memory traffic of exact `squared_l2`.
 //! The HNSW index traverses with it and re-ranks a small survivor pool at
 //! full precision (the AQR-HNSW recipe).
 
