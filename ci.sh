@@ -22,6 +22,12 @@ echo "==> cargo test --workspace -q (real thread pool, FASTANN_THREADS=4)"
 # bit-identical, so the whole suite must stay green.
 FASTANN_THREADS=4 cargo test --workspace -q
 
+echo "==> cargo test --release (kernel, graph and engine goldens on optimized codegen)"
+# Debug builds do not vectorize the distance kernels' chunk loops, so
+# only a release build checks that the code that ships keeps the frozen
+# float-add order (kernel_golden) and the graph and engine goldens.
+cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core
+
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json
 test -s target/lint_findings.json
