@@ -39,10 +39,13 @@ impl CostModel {
         self.dist_ns(dim) * n as f64
     }
 
-    /// Measures the real L2 kernel on this host and returns a model fitted
-    /// to it. Non-deterministic across hosts by design; tests and the
-    /// default experiment harness use [`CostModel::default`].
+    /// Times [`fastann_data::kernels::squared_l2`], the kernel every exact
+    /// probe runs, on this host and returns a model fitted to it.
+    /// Non-deterministic across hosts by design; tests and the default
+    /// experiment harness use [`CostModel::default`].
     pub fn calibrate(dim: usize) -> Self {
+        use fastann_data::kernels::squared_l2;
+        use std::hint::black_box;
         use std::time::Instant;
         let n = 4096usize;
         let a: Vec<f32> = (0..dim).map(|i| i as f32 * 0.37).collect();
@@ -50,10 +53,10 @@ impl CostModel {
         let start = Instant::now();
         let mut acc = 0f32;
         for _ in 0..n {
-            acc += fastann_kernel_l2(&a, &b);
+            acc += squared_l2(black_box(&a), black_box(&b));
         }
         let elapsed = start.elapsed().as_nanos() as f64;
-        std::hint::black_box(acc);
+        black_box(acc);
         let per_eval = elapsed / n as f64;
         // Split measured cost into a small base and a per-dim slope.
         let base = 8.0f64.min(per_eval * 0.2);
@@ -62,12 +65,6 @@ impl CostModel {
             per_dim_ns: ((per_eval - base) / dim as f64).max(0.01),
         }
     }
-}
-
-/// Minimal local copy of the squared-L2 kernel so calibration does not pull
-/// in a dependency cycle with `fastann-data`.
-fn fastann_kernel_l2(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
