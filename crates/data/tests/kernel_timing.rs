@@ -6,10 +6,10 @@
 //! ```
 //!
 //! It prints the median ns per call of `squared_l2`, `dot`, `l1`, `sq8_dot`
-//! and `Sq8::asym_l2` at dims 16, 32, 128, 256, 512 and 960, each kernel
-//! inlined into a loop over rows the way a graph probe calls it. A kernel
-//! whose lane loop stops vectorizing shows up here as a jump to scalar
-//! speed, about 0.4 ns per dimension on a 2020s x86 core.
+//! and `Sq8::asym_l2` at dims 16, 32, 128, 256, 512 and 960, each called
+//! in a loop over rows the way a graph probe calls it. A kernel whose
+//! chunk loop stops vectorizing shows up here as a jump to scalar speed,
+//! about 0.4 ns per dimension on a 2020s x86 core.
 
 use std::hint::black_box;
 use std::time::Instant;
