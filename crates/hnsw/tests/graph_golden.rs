@@ -6,8 +6,13 @@
 //! blob plus `build_ndist`, and 50 queries are fingerprinted over their
 //! result ids, distance bits and every `SearchStats` field, exact and SQ8,
 //! at `entry_beam` 0 (the index default) and 1 (single-seed greedy
-//! descent). The constants pin today's graphs and answers: a refactor of
-//! the build or search core must leave every one of them unchanged.
+//! descent). A second sweep fingerprints the live, tombstoned and repaired
+//! states over k ∈ {1, 10} and `ef` ∈ {k, 48, 200}: `ef = 1` and
+//! `ef = 10` sit below the number of layer-0 seeds (the descent beam plus
+//! the unconsumed entry-set members), so the beam's replace-the-worst rule
+//! runs on the seeds before any expansion. The constants pin today's
+//! graphs and answers: a refactor of the build or search core must leave
+//! every one of them unchanged.
 
 use fastann_data::synth::{self, mdcgen};
 use fastann_data::{Distance, VectorSet};
@@ -41,40 +46,64 @@ fn graph_hash(index: &Hnsw) -> u64 {
     h.0
 }
 
-/// Every query, exact and SQ8, at `entry_beam` 0 and 1.
-fn search_hash(index: &Hnsw, queries: &VectorSet) -> u64 {
+/// Every query under every parameter set, query-major.
+fn hash_searches(index: &Hnsw, queries: &VectorSet, params: &[SearchParams]) -> u64 {
     let mut h = Fnv::new();
     let mut scratch = SearchScratch::default();
     for qi in 0..queries.len() {
-        for quantized in [None, Some(3)] {
-            for entry_beam in [0, 1] {
-                let params = SearchParams {
-                    k: 10,
-                    ef: 48,
-                    entry_beam,
-                    quantized,
-                };
-                let (hits, s) = index.search(queries.get(qi), &params, &mut scratch);
-                h.u64(hits.len() as u64);
-                for n in &hits {
-                    h.u64(u64::from(n.id));
-                    h.u64(u64::from(n.dist.to_bits()));
-                }
-                for x in [
-                    s.ndist,
-                    s.ndist_quant,
-                    s.rerank,
-                    s.hops,
-                    s.heap_pushes,
-                    s.ef_churn,
-                    s.entry_seeds,
-                ] {
-                    h.u64(x);
-                }
+        for p in params {
+            let (hits, s) = index.search(queries.get(qi), p, &mut scratch);
+            h.u64(hits.len() as u64);
+            for n in &hits {
+                h.u64(u64::from(n.id));
+                h.u64(u64::from(n.dist.to_bits()));
+            }
+            for x in [
+                s.ndist,
+                s.ndist_quant,
+                s.rerank,
+                s.hops,
+                s.heap_pushes,
+                s.ef_churn,
+                s.entry_seeds,
+            ] {
+                h.u64(x);
             }
         }
     }
     h.0
+}
+
+/// `k`, exact and SQ8, at `entry_beam` 0 and 1.
+fn params_at(k: usize, ef: usize) -> Vec<SearchParams> {
+    let mut out = Vec::new();
+    for quantized in [None, Some(3)] {
+        for entry_beam in [0, 1] {
+            out.push(SearchParams {
+                k,
+                ef,
+                entry_beam,
+                quantized,
+            });
+        }
+    }
+    out
+}
+
+/// Every query at k = 10, ef = 48.
+fn search_hash(index: &Hnsw, queries: &VectorSet) -> u64 {
+    hash_searches(index, queries, &params_at(10, 48))
+}
+
+/// Every query at k ∈ {1, 10} and ef ∈ {k, 48, 200}.
+fn sweep_hash(index: &Hnsw, queries: &VectorSet) -> u64 {
+    let mut params = Vec::new();
+    for k in [1, 10] {
+        for ef in [k, 48, 200] {
+            params.extend(params_at(k, ef));
+        }
+    }
+    hash_searches(index, queries, &params)
 }
 
 /// Fingerprints of one corpus, in the order [`fingerprints`] takes them.
@@ -88,7 +117,16 @@ struct Golden {
     search_repaired: u64,
 }
 
-fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> Golden {
+/// Parameter-sweep fingerprints of the live, tombstoned and repaired
+/// states.
+#[derive(Debug, PartialEq, Eq)]
+struct Sweep {
+    live: u64,
+    tombstoned: u64,
+    repaired: u64,
+}
+
+fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Sweep) {
     let cfg = HnswConfig::with_m(8).ef_construction(64).seed(seed);
     let par = |threads| {
         rayon::with_num_threads(threads, || {
@@ -105,7 +143,11 @@ fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> Golden {
     let adds = synth::queries_near(&data, 100, 0.02, seed ^ 0xadd);
     let mut index = Hnsw::build(data, Distance::L2, cfg);
     let build = graph_hash(&index);
+    // ef = 1 must sit below the layer-0 seed count for the sweep to run
+    // the replace-the-worst rule on the seeds.
+    assert!(index.entry_set().len() > 1, "entry set too small to seed");
     let search = search_hash(&index, queries);
+    let sweep_live = sweep_hash(&index, queries);
     for i in 0..adds.len() {
         index.add(adds.get(i));
     }
@@ -113,23 +155,30 @@ fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> Golden {
         index.remove(id);
     }
     let search_tombstoned = search_hash(&index, queries);
+    let sweep_tombstoned = sweep_hash(&index, queries);
     index.repair_tombstones();
     index.validate().expect("repaired graph is valid");
-    Golden {
+    let golden = Golden {
         build,
         build_parallel,
         search,
         search_tombstoned,
         mutated: graph_hash(&index),
         search_repaired: search_hash(&index, queries),
-    }
+    };
+    let sweep = Sweep {
+        live: sweep_live,
+        tombstoned: sweep_tombstoned,
+        repaired: sweep_hash(&index, queries),
+    };
+    (golden, sweep)
 }
 
 #[test]
 fn sift_like_golden() {
     let data = synth::sift_like(1500, 24, 11);
     let queries = synth::queries_near(&data, 50, 0.02, 12);
-    let got = fingerprints(data, &queries, 11);
+    let (got, sweep) = fingerprints(data, &queries, 11);
     assert_eq!(
         got,
         Golden {
@@ -141,13 +190,21 @@ fn sift_like_golden() {
             search_repaired: 0x7570_0f4c_bed7_ff45,
         }
     );
+    assert_eq!(
+        sweep,
+        Sweep {
+            live: 0xd386_eed0_f182_ae85,
+            tombstoned: 0xb8a7_e327_8285_2ae5,
+            repaired: 0x4a35_7048_464e_0511,
+        }
+    );
 }
 
 #[test]
 fn deep_like_golden() {
     let data = synth::deep_like(1500, 32, 21);
     let queries = synth::queries_near(&data, 50, 0.02, 22);
-    let got = fingerprints(data, &queries, 21);
+    let (got, sweep) = fingerprints(data, &queries, 21);
     assert_eq!(
         got,
         Golden {
@@ -157,6 +214,14 @@ fn deep_like_golden() {
             search_tombstoned: 0xd97b_0ed2_6444_a9f5,
             mutated: 0xa9bf_979f_42f8_adc2,
             search_repaired: 0xeb4b_7346_4e01_fe1d,
+        }
+    );
+    assert_eq!(
+        sweep,
+        Sweep {
+            live: 0xb39c_8ae5_17b2_f7e1,
+            tombstoned: 0x6d4f_f9cb_2f04_3925,
+            repaired: 0xb776_a5ad_7731_2c5d,
         }
     );
 }
@@ -173,7 +238,7 @@ fn mdcgen_golden() {
         seed: 31,
     });
     let queries = ds.queries_all_clusters(50, 0.01, 32);
-    let got = fingerprints(ds.points, &queries, 31);
+    let (got, sweep) = fingerprints(ds.points, &queries, 31);
     assert_eq!(
         got,
         Golden {
@@ -183,6 +248,14 @@ fn mdcgen_golden() {
             search_tombstoned: 0x4584_6869_1de8_c57d,
             mutated: 0xdd56_d9e2_6fbb_70d5,
             search_repaired: 0xfe59_c951_e7e1_8e25,
+        }
+    );
+    assert_eq!(
+        sweep,
+        Sweep {
+            live: 0x3e92_39de_2e45_73aa,
+            tombstoned: 0x0741_f03b_beb3_d985,
+            repaired: 0x06ea_fc4b_ae00_41c9,
         }
     );
 }
