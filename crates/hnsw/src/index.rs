@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fastann_data::quant::{Sq8, Sq8Query};
-use fastann_data::{Distance, Neighbor, TopK, VectorSet};
+use fastann_data::{Distance, Neighbor, VectorSet};
 use rayon::prelude::*;
 
 use crate::config::HnswConfig;
@@ -1044,6 +1044,11 @@ impl Hnsw {
 
     /// `ef`-bounded best-first search on one layer (HNSW Algorithm 2).
     /// Returns up to `ef` nearest candidates sorted ascending.
+    ///
+    /// The result set is a plain bounded max-heap on `(dist, id)`: a
+    /// candidate enters while fewer than `ef` are held, and afterwards
+    /// only by replacing a strictly worse worst. The visited epoch admits
+    /// each id once, so unlike `TopK::push` no duplicate check is needed.
     fn search_layer(
         &self,
         q: &QueryDist<'_>,
@@ -1054,16 +1059,21 @@ impl Hnsw {
     ) -> Vec<Neighbor> {
         scratch.new_epoch(self.len());
         let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-        let mut results = TopK::new(ef);
+        let mut results: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(ef + 1);
         for &ep in entry_points {
             if scratch.mark(ep.id) {
                 candidates.push(Reverse(ep));
-                results.push(ep);
+                if results.len() < ef {
+                    results.push(ep);
+                } else if let Some(mut worst) = results.peek_mut().filter(|w| ep < **w) {
+                    *worst = ep;
+                }
                 scratch.heap_pushes += 1;
             }
         }
         while let Some(Reverse(c)) = candidates.pop() {
-            if c.dist > results.prune_radius() {
+            let full = results.len() == ef;
+            if full && c.dist > results.peek().map_or(f32::INFINITY, |w| w.dist) {
                 break;
             }
             for &nb in self.graph.neighbors(c.id, layer) {
@@ -1071,18 +1081,22 @@ impl Hnsw {
                     continue;
                 }
                 let d = self.d(q, nb, scratch);
-                if !results.is_full() || d < results.prune_radius() {
-                    let n = Neighbor::new(nb, d);
-                    candidates.push(Reverse(n));
-                    if results.is_full() {
-                        scratch.ef_churn += 1;
-                    }
+                let n = Neighbor::new(nb, d);
+                if results.len() < ef {
                     results.push(n);
-                    scratch.heap_pushes += 1;
+                } else if let Some(mut worst) = results.peek_mut().filter(|w| d < w.dist) {
+                    *worst = n;
+                    scratch.ef_churn += 1;
+                } else {
+                    continue;
                 }
+                candidates.push(Reverse(n));
+                scratch.heap_pushes += 1;
             }
         }
-        results.into_sorted()
+        let mut out = results.into_vec();
+        out.sort_unstable();
+        out
     }
 
     /// Appends one vector to the index and links it into the graph —
