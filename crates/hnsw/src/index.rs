@@ -1,7 +1,6 @@
 //! The HNSW index: construction and search.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::{Distance, Neighbor, VectorSet};
@@ -852,18 +851,17 @@ impl Hnsw {
                 scratch,
             );
             for lc in (0..=(level.min(top) as usize)).rev() {
-                let w = self.search_layer(&qd, &eps, self.config.ef_construction, lc, scratch);
+                self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
                 let selected = select_neighbors_heuristic(
                     &self.data,
                     q,
-                    &self.live_candidates(&w),
+                    &self.live_candidates(&eps),
                     self.config.m,
                     self.dist,
                     self.config.keep_pruned,
                     &mut scratch.ndist,
                 );
                 layers.push((lc, selected));
-                eps = w;
             }
         }
         InsertPlan {
@@ -969,9 +967,8 @@ impl Hnsw {
     }
 
     /// Carries a candidate beam from `top` down to `level + 1` (the layers
-    /// a descent crosses without stopping): width-`beam` best-first search
-    /// per layer, or the cheaper greedy walk when the beam is a single
-    /// candidate wide. Returns the beam to seed the next stage with.
+    /// a descent crosses without stopping). Returns the beam to seed the
+    /// next stage with.
     fn beam_layers(
         &self,
         q: &QueryDist<'_>,
@@ -982,14 +979,28 @@ impl Hnsw {
         scratch: &mut SearchScratch,
     ) -> Vec<Neighbor> {
         for lc in ((level + 1)..=top).rev() {
-            eps = if beam == 1 && eps.len() == 1 {
-                let (id, d) = self.greedy_step(q, eps[0].id, eps[0].dist, lc, scratch);
-                vec![Neighbor::new(id, d)]
-            } else {
-                self.search_layer(q, &eps, beam, lc, scratch)
-            };
+            self.layer_step(q, &mut eps, beam, lc, scratch);
         }
         eps
+    }
+
+    /// Moves the beam `eps` through one upper layer: width-`beam`
+    /// best-first search, or the cheaper greedy walk when the beam is a
+    /// single candidate wide.
+    fn layer_step(
+        &self,
+        q: &QueryDist<'_>,
+        eps: &mut Vec<Neighbor>,
+        beam: usize,
+        layer: usize,
+        scratch: &mut SearchScratch,
+    ) {
+        if beam == 1 && eps.len() == 1 {
+            let (id, d) = self.greedy_step(q, eps[0].id, eps[0].dist, layer, scratch);
+            eps[0] = Neighbor::new(id, d);
+        } else {
+            self.search_layer(q, eps, beam, layer, scratch);
+        }
     }
 
     /// Multi-entry beam descent — the upper-layer half of a search. Starts
@@ -1030,37 +1041,37 @@ impl Hnsw {
         };
         for lc in (1..=(top as usize)).rev() {
             fold_in(lc, &mut eps, scratch);
-            eps = if beam == 1 && eps.len() == 1 {
-                let (id, d) = self.greedy_step(q, eps[0].id, eps[0].dist, lc, scratch);
-                vec![Neighbor::new(id, d)]
-            } else {
-                self.search_layer(q, &eps, beam, lc, scratch)
-            };
+            self.layer_step(q, &mut eps, beam, lc, scratch);
             hops += 1;
         }
         fold_in(0, &mut eps, scratch);
         (eps, hops, entry_seeds)
     }
 
-    /// `ef`-bounded best-first search on one layer (HNSW Algorithm 2).
-    /// Returns up to `ef` nearest candidates sorted ascending.
+    /// `ef`-bounded best-first search on one layer (HNSW Algorithm 2),
+    /// seeded from `eps`, which it overwrites with up to `ef` nearest
+    /// candidates sorted ascending.
     ///
     /// The result set is a plain bounded max-heap on `(dist, id)`: a
     /// candidate enters while fewer than `ef` are held, and afterwards
     /// only by replacing a strictly worse worst. The visited epoch admits
     /// each id once, so unlike `TopK::push` no duplicate check is needed.
+    /// Both heaps live in `scratch`, so a search allocates nothing once
+    /// the scratch has grown to the largest `ef` it serves.
     fn search_layer(
         &self,
         q: &QueryDist<'_>,
-        entry_points: &[Neighbor],
+        eps: &mut Vec<Neighbor>,
         ef: usize,
         layer: usize,
         scratch: &mut SearchScratch,
-    ) -> Vec<Neighbor> {
+    ) {
         scratch.new_epoch(self.len());
-        let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
-        let mut results: BinaryHeap<Neighbor> = BinaryHeap::with_capacity(ef + 1);
-        for &ep in entry_points {
+        let mut candidates = std::mem::take(&mut scratch.candidates);
+        let mut results = std::mem::take(&mut scratch.results);
+        candidates.clear();
+        results.clear();
+        for &ep in eps.iter() {
             if scratch.mark(ep.id) {
                 candidates.push(Reverse(ep));
                 if results.len() < ef {
@@ -1094,9 +1105,11 @@ impl Hnsw {
                 scratch.heap_pushes += 1;
             }
         }
-        let mut out = results.into_vec();
-        out.sort_unstable();
-        out
+        eps.clear();
+        eps.extend(results.drain());
+        eps.sort_unstable();
+        scratch.candidates = candidates;
+        scratch.results = results;
     }
 
     /// Appends one vector to the index and links it into the graph —
@@ -1392,11 +1405,11 @@ impl Hnsw {
         };
         let beam = self.resolve_beam(params.entry_beam);
         let ef = self.inflate_ef(params.ef.max(k));
-        let (seeds, hops, entry_seeds) = self.descend(&qd, beam, scratch);
-        if seeds.is_empty() {
+        let (mut w, hops, entry_seeds) = self.descend(&qd, beam, scratch);
+        if w.is_empty() {
             return (Vec::new(), SearchStats::default());
         }
-        let mut w = self.search_layer(&qd, &seeds, ef, 0, scratch);
+        self.search_layer(&qd, &mut w, ef, 0, scratch);
         if self.live < self.len() {
             w.retain(|n| !self.tombstones[n.id as usize]);
         }

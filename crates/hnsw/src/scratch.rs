@@ -1,13 +1,27 @@
 //! Reusable per-thread search scratch space.
 
-/// Epoch-based visited set plus the distance-evaluation counter for one
-/// search. Reusing one `SearchScratch` across searches avoids re-zeroing a
-/// visited bitmap per query — `mark` compares against the current epoch, so
-/// resetting is a single counter bump.
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use fastann_data::Neighbor;
+
+/// Everything one search needs besides the index: the epoch-based visited
+/// set, the beam's two heaps and the per-search counters.
+///
+/// Reusing one `SearchScratch` across searches makes a layer's setup
+/// allocation-free. `mark` compares against the current epoch, so
+/// forgetting every visited mark is a single counter bump. The candidate
+/// min-heap and the result max-heap are cleared at the start of each
+/// layer search and keep their capacity from one layer, probe or
+/// construction search to the next.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     visited: Vec<u32>,
     epoch: u32,
+    /// The beam's frontier: unexpanded candidates, nearest on top.
+    pub(crate) candidates: BinaryHeap<Reverse<Neighbor>>,
+    /// The beam's result set: the best `ef` found so far, worst on top.
+    pub(crate) results: BinaryHeap<Neighbor>,
     /// Distance evaluations performed by the search currently using this
     /// scratch. Read via [`SearchScratch::ndist`].
     pub(crate) ndist: u64,
@@ -25,11 +39,7 @@ impl SearchScratch {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             visited: vec![0; n],
-            epoch: 0,
-            ndist: 0,
-            ndist_quant: 0,
-            heap_pushes: 0,
-            ef_churn: 0,
+            ..Self::default()
         }
     }
 
