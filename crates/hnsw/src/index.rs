@@ -1976,22 +1976,21 @@ mod tests {
 
     #[test]
     fn validator_rejects_degree_overflow() {
-        // m = 2 -> layer-0 bound is m_max0 = 4; give node 0 five links
+        // m = 2 -> layer-1 bound is 2; give node 0 three layer-1 links
+        // (the layer-0 slab cannot even hold more than m_max0 = 4)
         let links = vec![
-            vec![vec![1, 2, 3, 4, 5]],
-            vec![vec![0]],
-            vec![vec![0]],
-            vec![vec![0]],
-            vec![vec![0]],
-            vec![vec![0]],
+            vec![vec![1, 2, 3], vec![1, 2, 3]],
+            vec![vec![0], vec![0]],
+            vec![vec![0], vec![0]],
+            vec![vec![0], vec![0]],
         ];
         let idx = Hnsw::from_parts(
             HnswConfig::with_m(2),
             Distance::L2,
-            tiny_points(6),
-            vec![0; 6],
+            tiny_points(4),
+            vec![1; 4],
             links,
-            Some((0, 0)),
+            Some((0, 1)),
             Vec::new(),
             None,
         );

@@ -25,6 +25,11 @@
 //! tombstoned — the common all-live case costs nine bytes. Only the
 //! current version is read; a blob of any other version is a
 //! [`LoadError::Format`].
+//!
+//! The reader checks every link list against its layer's degree bound
+//! (`m_max0` at layer 0, `m` above), and refuses an `m_max0` above
+//! [`MAX_M_MAX0`]: a loaded graph reserves `m_max0` layer-0 slots per
+//! node, so a corrupt header must not size that allocation.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -40,6 +45,9 @@ const MAGIC: &[u8; 8] = b"FANNHNSW";
 const VERSION: u32 = 4;
 /// Oldest version [`Hnsw::read_from`] accepts.
 const MIN_VERSION: u32 = 4;
+/// Largest layer-0 degree bound a blob may declare. The HNSW paper's
+/// sweeps stop at M = 64 (`m_max0` = 128); this leaves 8× headroom.
+const MAX_M_MAX0: usize = 1024;
 
 /// Errors raised when loading a serialized index.
 #[derive(Debug)]
@@ -252,6 +260,11 @@ impl Hnsw {
         if m < 2 || m_max0 < m {
             return Err(LoadError::Format("implausible link bounds".into()));
         }
+        if m_max0 > MAX_M_MAX0 {
+            return Err(LoadError::Format(format!(
+                "m_max0 {m_max0} above the cap of {MAX_M_MAX0}"
+            )));
+        }
         let config = HnswConfig {
             m,
             m_max0,
@@ -286,10 +299,16 @@ impl Hnsw {
         let mut all_links: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
         for &lvl in &levels {
             let mut per_layer = Vec::with_capacity(lvl as usize + 1);
-            for _ in 0..=lvl as usize {
+            for layer in 0..=lvl as usize {
                 let len = rd.u32()? as usize;
                 if len > n {
                     return Err(LoadError::Format("implausible link count".into()));
+                }
+                if len > config.max_links(layer) {
+                    return Err(LoadError::Format(format!(
+                        "layer {layer} link list of {len} exceeds degree bound {}",
+                        config.max_links(layer)
+                    )));
                 }
                 let mut links = Vec::with_capacity(len);
                 for _ in 0..len {
@@ -495,6 +514,45 @@ mod tests {
         bytes[last_link..last_link + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Hnsw::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, LoadError::Format(_)));
+    }
+
+    /// Byte offset of the `m` header field; `m_max0` follows it.
+    const M_AT: usize = 8 + 4 + 1 + 4 + 4;
+
+    #[test]
+    fn over_degree_link_list_rejected() {
+        let idx = sample_index(); // m = 8, m_max0 = 16
+        let bytes = idx.to_bytes();
+        // Declaring tighter bounds turns every fuller list into an
+        // over-degree one: m_max0 = 8 at layer 0, m = 2 above it.
+        for (at, bound, layer) in [(M_AT + 4, 8u32, 0), (M_AT, 2, 1)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&bound.to_le_bytes());
+            let err = Hnsw::from_bytes(&bad).unwrap_err();
+            assert!(
+                matches!(&err, LoadError::Format(m)
+                    if m.contains(&format!("layer {layer} link list"))
+                        && m.contains(&format!("degree bound {bound}"))),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn absurd_m_max0_rejected() {
+        let mut bytes = sample_index().to_bytes();
+        let huge = (MAX_M_MAX0 + 1) as u32;
+        bytes[M_AT + 4..M_AT + 8].copy_from_slice(&huge.to_le_bytes());
+        let err = Hnsw::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, LoadError::Format(m) if m.contains("above the cap")),
+            "{err}"
+        );
+        bytes[M_AT + 4..M_AT + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Hnsw::from_bytes(&bytes),
+            Err(LoadError::Format(_))
+        ));
     }
 
     #[test]
