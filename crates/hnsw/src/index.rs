@@ -581,7 +581,6 @@ impl Hnsw {
         cands.sort_unstable();
         let selected = select_neighbors_heuristic(
             &self.data,
-            uv,
             &cands,
             self.config.max_links(layer),
             self.dist,
@@ -854,7 +853,6 @@ impl Hnsw {
                 self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
                 let selected = select_neighbors_heuristic(
                     &self.data,
-                    q,
                     &self.live_candidates(&eps),
                     self.config.m,
                     self.dist,
@@ -917,7 +915,6 @@ impl Hnsw {
             cands.sort_unstable();
             let selected = select_neighbors_heuristic(
                 &self.data,
-                fv,
                 &cands,
                 max,
                 self.dist,

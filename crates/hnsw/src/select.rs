@@ -18,7 +18,6 @@ use fastann_data::{Distance, Neighbor, VectorSet};
 /// the number of distance evaluations performed.
 pub(crate) fn select_neighbors_heuristic(
     data: &VectorSet,
-    query: &[f32],
     candidates: &[Neighbor],
     m: usize,
     dist: Distance,
@@ -29,7 +28,6 @@ pub(crate) fn select_neighbors_heuristic(
         candidates.windows(2).all(|w| w[0].dist <= w[1].dist),
         "candidates must be sorted by distance"
     );
-    let _ = query; // distances to query are already in `candidates`
     let mut selected: Vec<Neighbor> = Vec::with_capacity(m);
     let mut pruned: Vec<Neighbor> = Vec::new();
 
@@ -66,13 +64,6 @@ pub(crate) fn select_neighbors_heuristic(
     selected.iter().map(|n| n.id).collect()
 }
 
-/// Plain nearest-`m` selection (HNSW Algorithm 3) — kept as the reference
-/// the heuristic is tested against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn select_neighbors_simple(candidates: &[Neighbor], m: usize) -> Vec<u32> {
-    candidates.iter().take(m).map(|n| n.id).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,7 +91,7 @@ mod tests {
         let q = [5.0f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &q, &c, 2, Distance::L2, false, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, false, &mut nd);
         assert_eq!(sel, vec![2, 3], "one representative per cluster");
         assert!(nd > 0);
     }
@@ -113,7 +104,7 @@ mod tests {
         let q = [-0.5f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &q, &c, 3, Distance::L2, false, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 3, Distance::L2, false, &mut nd);
         assert_eq!(sel, vec![0]);
     }
 
@@ -123,8 +114,8 @@ mod tests {
         let q = [0.5f32];
         let c = cands(&data, &q, &[0, 1, 2]);
         let mut nd = 0;
-        let none = select_neighbors_heuristic(&data, &q, &c, 3, Distance::L2, false, &mut nd);
-        let filled = select_neighbors_heuristic(&data, &q, &c, 3, Distance::L2, true, &mut nd);
+        let none = select_neighbors_heuristic(&data, &c, 3, Distance::L2, false, &mut nd);
+        let filled = select_neighbors_heuristic(&data, &c, 3, Distance::L2, true, &mut nd);
         assert!(none.len() <= filled.len());
         assert_eq!(filled.len(), 3, "keep_pruned fills to m when possible");
     }
@@ -135,24 +126,15 @@ mod tests {
         let q = [5.0f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &q, &c, 2, Distance::L2, true, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, true, &mut nd);
         assert_eq!(sel.len(), 2);
-    }
-
-    #[test]
-    fn simple_takes_nearest() {
-        let data = line_data();
-        let q = [0.0f32];
-        let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
-        let sel = select_neighbors_simple(&c, 3);
-        assert_eq!(sel, vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_candidates_ok() {
         let data = line_data();
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &[0.0], &[], 4, Distance::L2, true, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &[], 4, Distance::L2, true, &mut nd);
         assert!(sel.is_empty());
         assert_eq!(nd, 0);
     }
@@ -163,7 +145,7 @@ mod tests {
         let q = [10.2f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &q, &c, 1, Distance::L2, false, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 1, Distance::L2, false, &mut nd);
         assert_eq!(sel, vec![3], "nearest candidate is always kept");
     }
 }
