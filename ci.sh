@@ -28,6 +28,12 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 # float-add order (kernel_golden) and the graph and engine goldens.
 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core
 
+echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
+# SearchScratch carries the beam's heaps from one probe to the next
+# within a rayon split; a state leak between probes would show only where
+# the splits differ, and only on the optimized build that ships.
+FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core
+
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json
 test -s target/lint_findings.json
