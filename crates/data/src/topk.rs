@@ -2,9 +2,10 @@
 //!
 //! [`TopK`] is a bounded max-heap keyed on distance: it retains the `k`
 //! smallest-distance [`Neighbor`]s seen so far and exposes the current worst
-//! (k-th) distance for search pruning. This is the container every search
-//! routine in the workspace funnels candidates through, and the unit the
-//! distributed engine merges across partitions.
+//! (k-th) distance for search pruning. The tree and brute-force searches
+//! funnel candidates through it, and it is the unit the distributed engine
+//! merges across partitions. The HNSW layer beam keeps its own bounded
+//! heap with the same order (see [`TopK::push`]).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -99,6 +100,12 @@ impl TopK {
     /// order: a duplicate arriving early eats a slot (or evicts a distinct
     /// worse candidate) that a distinct candidate arriving late can no
     /// longer claim.
+    ///
+    /// The distributed merge relies on the check, and the exact re-rank
+    /// of quantized survivors goes through the same checked push. The HNSW
+    /// layer beam does not use `TopK`: its visited set admits each id
+    /// once, so it keeps a plain bounded heap with the same
+    /// replace-the-worst rule and no scan.
     #[inline]
     pub fn push(&mut self, n: Neighbor) -> bool {
         if self.heap.len() < self.k {
