@@ -841,14 +841,10 @@ impl Hnsw {
             // prematurely), but still carries `entry_beam` candidates
             // across layers so clustered inserts do not get stranded in
             // one basin.
-            let mut eps = self.beam_layers(
-                &qd,
-                vec![Neighbor::new(ep, ep_dist)],
-                top as usize,
-                level as usize,
-                self.config.entry_beam.max(1),
-                scratch,
-            );
+            let mut eps = vec![Neighbor::new(ep, ep_dist)];
+            for lc in ((level as usize + 1)..=(top as usize)).rev() {
+                self.layer_step(&qd, &mut eps, self.config.entry_beam.max(1), lc, scratch);
+            }
             for lc in (0..=(level.min(top) as usize)).rev() {
                 self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
                 let selected = select_neighbors_heuristic(
@@ -961,24 +957,6 @@ impl Hnsw {
                 return (ep, ep_dist);
             }
         }
-    }
-
-    /// Carries a candidate beam from `top` down to `level + 1` (the layers
-    /// a descent crosses without stopping). Returns the beam to seed the
-    /// next stage with.
-    fn beam_layers(
-        &self,
-        q: &QueryDist<'_>,
-        mut eps: Vec<Neighbor>,
-        top: usize,
-        level: usize,
-        beam: usize,
-        scratch: &mut SearchScratch,
-    ) -> Vec<Neighbor> {
-        for lc in ((level + 1)..=top).rev() {
-            self.layer_step(q, &mut eps, beam, lc, scratch);
-        }
-        eps
     }
 
     /// Moves the beam `eps` through one upper layer: width-`beam`
