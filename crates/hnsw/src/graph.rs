@@ -18,7 +18,7 @@
 //! suffice.
 
 /// The whole graph's adjacency, for nodes `0..n`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Graph {
     /// Slot count per node in `base`: the layer-0 degree bound.
     m_max0: usize,
@@ -62,7 +62,8 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, u: u32, layer: usize) -> &[u32] {
         if layer == 0 {
-            &self.base[self.slots(u)][..self.degree[u as usize] as usize]
+            let start = u as usize * self.m_max0;
+            &self.base[start..start + self.degree[u as usize] as usize]
         } else {
             self.upper[u as usize]
                 .get(layer - 1)
@@ -121,11 +122,7 @@ impl Graph {
 
     /// Appends storage for one new node participating up to `level`.
     pub fn push_node(&mut self, level: usize, m: usize, m_max0: usize) {
-        debug_assert!(
-            self.upper.is_empty() || m_max0 == self.m_max0,
-            "layer-0 stride changed"
-        );
-        self.m_max0 = m_max0;
+        debug_assert_eq!(m_max0, self.m_max0, "layer-0 stride changed");
         self.base.resize(self.base.len() + m_max0, 0);
         self.degree.push(0);
         self.upper.push(upper_with_level(level, m));
