@@ -1031,8 +1031,8 @@ impl Hnsw {
     /// candidate enters while fewer than `ef` are held, and afterwards
     /// only by replacing a strictly worse worst. The visited epoch admits
     /// each id once, so unlike `TopK::push` no duplicate check is needed.
-    /// Both heaps live in `scratch`, so a search allocates nothing once
-    /// the scratch has grown to the largest `ef` it serves.
+    /// Both heaps live in `scratch`, so neither allocates once the
+    /// scratch has served the largest `ef` it will see.
     fn search_layer(
         &self,
         q: &QueryDist<'_>,
@@ -1058,8 +1058,7 @@ impl Hnsw {
             }
         }
         while let Some(Reverse(c)) = candidates.pop() {
-            let full = results.len() == ef;
-            if full && c.dist > results.peek().map_or(f32::INFINITY, |w| w.dist) {
+            if results.len() == ef && results.peek().is_some_and(|w| c.dist > w.dist) {
                 break;
             }
             for &nb in self.graph.neighbors(c.id, layer) {
