@@ -3,10 +3,9 @@
 //! Layer 0, where every node lives and every search spends its beam, is
 //! one fixed-stride slab: node `u`'s links fill the first `degree[u]` of
 //! the `m_max0` slots starting at `u * m_max0`. Expanding a node is one
-//! bounds-checked slice of that slab instead of three dependent pointer
-//! loads. The slab costs `4 * m_max0` bytes per node plus a 4-byte degree,
-//! the same link capacity the per-node lists used to reserve, without
-//! their per-node vector headers and allocations.
+//! bounds-checked slice of that slab, with no pointer to chase. The slab
+//! reserves `4 * m_max0` bytes per node plus a 4-byte degree and needs no
+//! per-node allocation.
 //!
 //! Upper layers hold only the ≈1/M of nodes promoted above layer 0, so
 //! they stay per-node vectors: `upper[u][l - 1]` holds node `u`'s links
