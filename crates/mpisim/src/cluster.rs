@@ -1,12 +1,42 @@
-//! Cluster construction and rank-thread orchestration.
+//! Cluster construction, sessions and rank-thread orchestration.
+//!
+//! A [`Session`] is one simulated cluster kept alive across many runs of
+//! a program, the way the paper's MPI job outlives the query batches it
+//! serves:
+//!
+//! 1. [`Cluster::session`] builds the shared state (mailboxes, ledger,
+//!    window registry) from the [`SimConfig`], which stays fixed for the
+//!    session, and hands a [`Session`] to the caller's body.
+//! 2. The first [`Session::epoch`] publishes its job and then spawns one
+//!    thread per rank `1..n`; they find the job waiting, so a one-epoch
+//!    session has no start rendezvous. Later epochs wake the same
+//!    threads. Rank 0 always runs on the caller's thread.
+//! 3. At the start of every epoch each rank is reset to what a fresh
+//!    cluster gives it: clock 0, zeroed [`crate::RankStats`] —
+//!    `msgs_sent` is the sequence number behind network jitter and fault
+//!    fates, `msgs_recv` salts perturbed matching — and the fault plan's
+//!    crash point and one-shot stall re-armed.
+//! 4. At the end of every epoch, once all ranks have returned, the ledger
+//!    is closed into that epoch's [`Conservation`] and zeroed, leftover
+//!    mail is reported as leaked and drained, and the window registry is
+//!    cleared. An epoch therefore reports exactly what
+//!    [`Cluster::run_checked`] — itself a one-epoch session — reports for
+//!    the same program.
+//! 5. When the body returns (or unwinds), the session closes and the rank
+//!    threads are joined.
+//!
+//! A panic on any rank poisons the session: every blocked receive and
+//! the epoch rendezvous give up at once, and the caller re-raises the
+//! panicking rank's own payload.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
@@ -115,7 +145,7 @@ pub struct LeakedMsg {
 /// every posted send must have been received, explicitly dropped by the
 /// [`FaultPlan`], or be reported here as leaked with its `(src, dst, tag)`
 /// triple.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Conservation {
     /// Logical sends posted (`send_bytes` / `send_bytes_at` calls).
     pub sent: u64,
@@ -149,16 +179,36 @@ impl Conservation {
     }
 }
 
-/// State shared by all rank threads of one cluster run.
+/// A rank panic's payload, tagged with the rank that raised it.
+type RankPanic = (usize, Box<dyn Any + Send>);
+
+/// State shared by all rank threads of one session.
 pub(crate) struct Shared {
     pub(crate) cfg: SimConfig,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) ledger: Ledger,
     registry: Mutex<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
     next_key: AtomicU64,
+    /// Set once a rank's program panics: blocked receives and the epoch
+    /// rendezvous give up instead of waiting on a peer that never answers.
+    poisoned: AtomicBool,
+    /// The first panic of the session — the one the caller re-raises.
+    panic: Mutex<Option<RankPanic>>,
 }
 
 impl Shared {
+    fn new(cfg: SimConfig) -> Self {
+        Self {
+            mailboxes: (0..cfg.n_ranks).map(|_| Mailbox::default()).collect(),
+            cfg,
+            ledger: Ledger::default(),
+            registry: Mutex::new(HashMap::new()),
+            next_key: AtomicU64::new(1),
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+
     pub(crate) fn registry_put(&self, value: Box<dyn Any + Send + Sync>) -> u64 {
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
         self.registry.lock().insert(key, Arc::from(value));
@@ -172,10 +222,225 @@ impl Shared {
             .cloned()
             .unwrap_or_else(|| panic!("registry key {key} not found"))
     }
+
+    /// `true` once a rank of this session has panicked.
+    #[inline]
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Records `rank`'s panic (the first one wins) and wakes every
+    /// blocked receive. Each mailbox lock is taken before its notify, so a
+    /// receiver that saw the flag clear is already waiting when woken.
+    fn poison(&self, rank: usize, payload: Box<dyn Any + Send>) {
+        self.panic.lock().get_or_insert((rank, payload));
+        // pairs with the Acquire load in `is_poisoned`: a rank that sees
+        // the flag also sees the recorded panic
+        self.poisoned.store(true, Ordering::Release);
+        for mb in &self.mailboxes {
+            drop(mb.queue.lock());
+            mb.cv.notify_all();
+        }
+    }
+
+    /// Ends an epoch once every rank has returned: closes the ledger into
+    /// a [`Conservation`] and zeroes it, drains leftover mail as leaked,
+    /// and clears the window registry.
+    fn close_epoch(&self) -> Conservation {
+        let mut leaked = Vec::new();
+        for (dst, mb) in self.mailboxes.iter().enumerate() {
+            leaked.extend(mb.queue.lock().drain(..).map(|m| LeakedMsg {
+                src: m.src,
+                dst,
+                tag: m.tag,
+            }));
+        }
+        self.registry.lock().clear();
+        self.next_key.store(1, Ordering::Relaxed);
+        let take = |n: &AtomicU64| n.swap(0, Ordering::Relaxed);
+        let l = &self.ledger;
+        Conservation {
+            sent: take(&l.sent),
+            delivered: take(&l.delivered),
+            dropped: take(&l.dropped),
+            duplicated: take(&l.duplicated),
+            received: take(&l.received),
+            leaked,
+        }
+    }
 }
 
-/// A simulated cluster: spawns one OS thread per rank and runs an SPMD
-/// closure on each.
+/// The epoch rendezvous between the caller (rank 0) and ranks 1..n.
+struct Control<J, W> {
+    state: Mutex<EpochState<J, W>>,
+    /// Wakes the workers: an epoch was published or the session ended.
+    start: Condvar,
+    /// Wakes the caller: the last worker finished the epoch.
+    done: Condvar,
+}
+
+struct EpochState<J, W> {
+    /// Number of the latest published epoch (0 before the first).
+    epoch: u64,
+    job: Option<Arc<J>>,
+    /// Rank `r`'s result of the current epoch sits at `r - 1`.
+    results: Vec<Option<W>>,
+    finished: usize,
+    closed: bool,
+}
+
+impl<J, W> Control<J, W> {
+    /// Poisons the session on `rank`'s panic and wakes both rendezvous
+    /// sides.
+    fn poison(&self, shared: &Shared, rank: usize, payload: Box<dyn Any + Send>) {
+        shared.poison(rank, payload);
+        let _state = self.state.lock();
+        self.start.notify_all();
+        self.done.notify_all();
+    }
+}
+
+/// One rank's loop: wait for an epoch, reset, run `program`, report.
+fn worker_loop<J, W>(
+    mut rank: Rank,
+    ctl: &Control<J, W>,
+    program: &(dyn Fn(&mut Rank, &J) -> W + Sync),
+) {
+    let r = rank.rank();
+    let mut seen = 0;
+    loop {
+        let job = {
+            let mut st = ctl.state.lock();
+            while st.epoch == seen && !st.closed && !rank.shared.is_poisoned() {
+                ctl.start.wait(&mut st);
+            }
+            if st.closed || rank.shared.is_poisoned() {
+                return;
+            }
+            seen = st.epoch;
+            Arc::clone(st.job.as_ref().expect("a published epoch carries its job"))
+        };
+        rank.reset();
+        match panic::catch_unwind(AssertUnwindSafe(|| program(&mut rank, &job))) {
+            Ok(out) => {
+                let mut st = ctl.state.lock();
+                st.results[r - 1] = Some(out);
+                st.finished += 1;
+                if st.finished == st.results.len() {
+                    ctl.done.notify_one();
+                }
+            }
+            Err(payload) => {
+                ctl.poison(&rank.shared, r, payload);
+                return;
+            }
+        }
+    }
+}
+
+/// What one [`Session::epoch`] produced.
+pub struct Epoch<R, W> {
+    /// Rank 0's result.
+    pub root: R,
+    /// The result of ranks `1..n`, in rank order.
+    pub workers: Vec<W>,
+    /// The epoch's message ledger (see [`Cluster::run_checked`]).
+    pub conservation: Conservation,
+}
+
+/// A live simulated cluster: ranks `1..n` run on their own threads for
+/// the whole session, rank 0 runs on the caller's. Opened by
+/// [`Cluster::session`]; every [`Session::epoch`] starts from the state a
+/// freshly spawned cluster has.
+pub struct Session<'s, J, W> {
+    shared: Arc<Shared>,
+    ctl: Arc<Control<J, W>>,
+    root: Rank,
+    /// Spawns ranks `1..n`; taken by the first epoch, whose job the ranks
+    /// find already published.
+    spawn: Option<Box<dyn FnOnce() + 's>>,
+}
+
+impl<J, W> Session<'_, J, W> {
+    /// Runs one epoch: ranks `1..n` run the session's worker program on
+    /// `job` while rank 0 runs `root` on the calling thread.
+    ///
+    /// Every rank starts the epoch as [`Cluster::run`] would start it:
+    /// clock 0, zeroed [`crate::RankStats`] (so message sequence numbers,
+    /// network jitter, fault fates and perturbed matching replay), and the
+    /// [`FaultPlan`]'s crash point and one-shot stall re-armed. The epoch
+    /// ends once every rank has returned; the returned [`Conservation`]
+    /// covers this epoch alone, and leftover mail and RMA windows do not
+    /// reach the next one.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of any rank, with that rank's payload.
+    pub fn epoch<R>(&mut self, job: J, root: impl FnOnce(&mut Rank, &J) -> R) -> Epoch<R, W> {
+        let job = Arc::new(job);
+        {
+            let mut st = self.ctl.state.lock();
+            st.epoch += 1;
+            st.job = Some(Arc::clone(&job));
+            st.finished = 0;
+            self.ctl.start.notify_all();
+        }
+        if let Some(spawn) = self.spawn.take() {
+            spawn();
+        }
+        self.root.reset();
+        let root = match panic::catch_unwind(AssertUnwindSafe(|| root(&mut self.root, &job))) {
+            Ok(r) => r,
+            Err(payload) => {
+                self.ctl.poison(&self.shared, 0, payload);
+                self.raise()
+            }
+        };
+        let workers = {
+            let mut st = self.ctl.state.lock();
+            while st.finished < st.results.len() && !self.shared.is_poisoned() {
+                self.ctl.done.wait(&mut st);
+            }
+            if self.shared.is_poisoned() {
+                drop(st);
+                self.raise();
+            }
+            st.job = None;
+            st.results
+                .iter_mut()
+                .map(|r| r.take().expect("every rank reported"))
+                .collect()
+        };
+        Epoch {
+            root,
+            workers,
+            conservation: self.shared.close_epoch(),
+        }
+    }
+
+    /// Re-raises the session's first panic.
+    fn raise(&self) -> ! {
+        let (rank, payload) = self
+            .shared
+            .panic
+            .lock()
+            .take()
+            .expect("a poisoned session holds its panic");
+        eprintln!("simulated rank {rank} panicked");
+        panic::resume_unwind(payload)
+    }
+}
+
+impl<J, W> Drop for Session<'_, J, W> {
+    /// Ends the session — also when the caller unwinds between epochs —
+    /// so the ranks' threads exit and the scope can join them.
+    fn drop(&mut self) {
+        self.ctl.state.lock().closed = true;
+        self.ctl.start.notify_all();
+    }
+}
+
+/// A simulated cluster: runs an SPMD closure on every rank, rank 0 on the
+/// calling thread and each other rank on a thread of its own.
 pub struct Cluster {
     cfg: SimConfig,
 }
@@ -192,8 +457,7 @@ impl Cluster {
     }
 
     /// Runs `f` on every rank and returns the per-rank results in rank
-    /// order. Panics in any rank are propagated (with the rank id) after
-    /// all threads have been joined or abandoned.
+    /// order. A panic in any rank is re-raised with that rank's payload.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
@@ -211,82 +475,259 @@ impl Cluster {
     /// sends in flight (or a crashed receiver's backlog) legitimately leaves
     /// mail behind. Fault-free protocol paths should assert
     /// [`Conservation::is_clean`].
+    ///
+    /// This is a session of one epoch.
     pub fn run_checked<R, F>(&self, f: F) -> (Vec<R>, Conservation)
     where
         R: Send,
         F: Fn(&mut Rank) -> R + Send + Sync,
     {
+        self.session(
+            |rank, _: &()| f(rank),
+            |mut s| {
+                let e = s.epoch((), |rank, _| f(rank));
+                let mut out = Vec::with_capacity(e.workers.len() + 1);
+                out.push(e.root);
+                out.extend(e.workers);
+                (out, e.conservation)
+            },
+        )
+    }
+
+    /// Opens a session and hands it to `body`: ranks `1..n` are spawned
+    /// once (at the first epoch) and run `worker` on every epoch's job
+    /// until `body` returns; rank 0 runs on the calling thread, inside
+    /// [`Session::epoch`]. The [`SimConfig`] is fixed for the session.
+    ///
+    /// Rank 0 sees the calling thread's thread-local state (a rayon
+    /// thread-count override, say) and spawned ranks start without it; a
+    /// program that reads such state pins it on every rank itself.
+    ///
+    /// A rank that panics poisons the session: blocked receives on every
+    /// rank give up at once, and the caller re-raises the first panic's
+    /// payload.
+    pub fn session<J, W, T>(
+        &self,
+        worker: impl Fn(&mut Rank, &J) -> W + Sync,
+        body: impl for<'s> FnOnce(Session<'s, J, W>) -> T,
+    ) -> T
+    where
+        J: Send + Sync,
+        W: Send,
+    {
         let n = self.cfg.n_ranks;
-        let shared = Arc::new(Shared {
-            cfg: self.cfg.clone(),
-            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
-            ledger: Ledger::default(),
-            registry: Mutex::new(HashMap::new()),
-            next_key: AtomicU64::new(1),
+        let shared = Arc::new(Shared::new(self.cfg.clone()));
+        let ctl = Arc::new(Control {
+            state: Mutex::new(EpochState {
+                epoch: 0,
+                job: None,
+                results: (1..n).map(|_| None).collect(),
+                finished: 0,
+                closed: false,
+            }),
+            start: Condvar::new(),
+            done: Condvar::new(),
         });
-
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-
         std::thread::scope(|scope| {
-            let f = &f;
-            let mut handles = Vec::with_capacity(n);
-            for (r, slot) in results.iter_mut().enumerate() {
-                let shared = Arc::clone(&shared);
-                let builder = std::thread::Builder::new()
-                    .name(format!("simrank-{r}"))
-                    .stack_size(self.cfg.stack_bytes);
-                let handle = builder
-                    .spawn_scoped(scope, move || {
-                        let mut rank = Rank::new(r, shared);
-                        *slot = Some(f(&mut rank));
-                    })
-                    .expect("failed to spawn rank thread");
-                handles.push((r, handle));
-            }
-            let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
-            for (r, h) in handles {
-                if let Err(p) = h.join() {
-                    first_panic.get_or_insert((r, p));
+            let worker: &(dyn Fn(&mut Rank, &J) -> W + Sync) = &worker;
+            let spawn = {
+                let (shared, ctl) = (Arc::clone(&shared), Arc::clone(&ctl));
+                move || {
+                    for r in 1..n {
+                        let rank = Rank::new(r, Arc::clone(&shared));
+                        let ctl = Arc::clone(&ctl);
+                        std::thread::Builder::new()
+                            .name(format!("simrank-{r}"))
+                            .stack_size(shared.cfg.stack_bytes)
+                            .spawn_scoped(scope, move || worker_loop(rank, &ctl, worker))
+                            .expect("failed to spawn rank thread");
+                    }
                 }
-            }
-            if let Some((r, p)) = first_panic {
-                eprintln!("simulated rank {r} panicked");
-                std::panic::resume_unwind(p);
-            }
-        });
-
-        let ledger = &shared.ledger;
-        let mut leaked = Vec::new();
-        for (dst, mb) in shared.mailboxes.iter().enumerate() {
-            for m in mb.queue.lock().iter() {
-                leaked.push(LeakedMsg {
-                    src: m.src,
-                    dst,
-                    tag: m.tag,
-                });
-            }
-        }
-        let conservation = Conservation {
-            sent: ledger.sent.load(Ordering::Relaxed),
-            delivered: ledger.delivered.load(Ordering::Relaxed),
-            dropped: ledger.dropped.load(Ordering::Relaxed),
-            duplicated: ledger.duplicated.load(Ordering::Relaxed),
-            received: ledger.received.load(Ordering::Relaxed),
-            leaked,
-        };
-
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("rank produced no result"))
-            .collect();
-        (results, conservation)
+            };
+            body(Session {
+                root: Rank::new(0, Arc::clone(&shared)),
+                shared,
+                ctl,
+                spawn: Some(Box::new(spawn)),
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::RankStats;
+    use bytes::Bytes;
+
+    fn panic_text(payload: &(dyn Any + Send)) -> &str {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>")
+    }
+
+    /// A 600 s watchdog: a test that relies on it instead of on poisoning
+    /// hangs visibly.
+    fn patient(n_ranks: usize) -> SimConfig {
+        let mut cfg = SimConfig::new(n_ranks);
+        cfg.recv_timeout = Duration::from_secs(600);
+        cfg
+    }
+
+    #[test]
+    fn worker_panic_wakes_the_blocked_root_and_keeps_its_payload() {
+        let out = panic::catch_unwind(|| {
+            Cluster::new(patient(3)).run(|rank| {
+                if rank.rank() == 0 {
+                    // rank 1 never sends: only the poisoned session wakes
+                    // this receive before the watchdog
+                    let _ = rank.recv(Some(1), None);
+                }
+                if rank.rank() == 1 {
+                    panic!("rank 1 failed on purpose");
+                }
+            })
+        });
+        let payload = out.expect_err("the worker's panic reaches the caller");
+        assert_eq!(panic_text(&*payload), "rank 1 failed on purpose");
+    }
+
+    #[test]
+    fn root_panic_releases_workers_blocked_on_it() {
+        let out = panic::catch_unwind(|| {
+            Cluster::new(patient(4)).run(|rank| {
+                if rank.rank() == 0 {
+                    panic!("rank 0 failed on purpose");
+                }
+                let _ = rank.recv(Some(0), None);
+            })
+        });
+        let payload = out.expect_err("rank 0's panic reaches the caller");
+        assert_eq!(panic_text(&*payload), "rank 0 failed on purpose");
+    }
+
+    #[test]
+    fn caller_panic_between_epochs_closes_the_session() {
+        let out = panic::catch_unwind(|| {
+            let _: () = Cluster::new(patient(3)).session(
+                |rank, _: &()| rank.rank(),
+                |mut s| {
+                    let e = s.epoch((), |rank, _| rank.rank());
+                    assert_eq!(e.workers, vec![1, 2]);
+                    // the workers now wait for the next epoch
+                    panic::panic_any("caller failed between epochs")
+                },
+            );
+        });
+        let payload = out.expect_err("the caller's panic propagates");
+        assert_eq!(panic_text(&*payload), "caller failed between epochs");
+    }
+
+    const DATA: u64 = 1;
+    const END: u64 = 2;
+    const GO: u64 = 3;
+
+    /// Rank 0 releases every worker, then drains each worker's stream in
+    /// rank order up to its end marker; each worker sends twelve data
+    /// messages of growing size between compute charges.
+    fn chatter(rank: &mut Rank) -> (f64, RankStats) {
+        let n = rank.size();
+        if rank.rank() == 0 {
+            for j in 1..n {
+                rank.charge(500.0);
+                rank.send_bytes(j, GO, Bytes::from_static(b"go"));
+            }
+            for j in 1..n {
+                while rank.recv(Some(j), None).tag != END {
+                    rank.charge(100.0);
+                }
+            }
+        } else {
+            let _ = rank.recv(Some(0), Some(GO));
+            for i in 0..12 {
+                rank.charge(1_000.0 * (1 + i % 3) as f64);
+                rank.send_bytes(0, DATA, Bytes::from(vec![0u8; 16 * (i + 1)]));
+            }
+            rank.send_bytes(0, END, Bytes::new());
+        }
+        (rank.now(), rank.stats())
+    }
+
+    /// Every fault kind on the data tag, a crash, a one-shot stall,
+    /// network jitter and an active schedule perturbation.
+    fn chaos_config() -> SimConfig {
+        let plan = FaultPlan::new(17)
+            .drop_msgs(None, None, Some(DATA), 0.2)
+            .delay_msgs(None, None, Some(DATA), 0.2, 5e4)
+            .duplicate_msgs(None, None, Some(DATA), 0.2)
+            .crash(3, 8e3)
+            .stall(1, 2e3, 7e4)
+            .protect(&[END, GO]);
+        let net = NetModel {
+            jitter_frac: 0.3,
+            ..NetModel::default()
+        };
+        SimConfig::new(4)
+            .net(net)
+            .fault(plan)
+            .sched(SchedPerturb::seeded(0xABCD))
+    }
+
+    #[test]
+    fn validator_every_epoch_replays_a_fresh_cluster() {
+        let cfg = chaos_config();
+        let (fresh, fresh_cons) = Cluster::new(cfg.clone()).run_checked(chatter);
+        assert!(fresh_cons.dropped > 0, "drops fired");
+        assert!(fresh_cons.duplicated > 0, "duplicates fired");
+        assert!(fresh[1].1.stall_ns > 0.0, "the stall fired");
+        assert!(fresh[3].1.msgs_dropped > 0, "the crash suppressed sends");
+        fresh_cons.assert_clean();
+        Cluster::new(cfg).session(
+            |rank, _: &()| chatter(rank),
+            |mut s| {
+                for k in 0..4 {
+                    let e = s.epoch((), |rank, _| chatter(rank));
+                    let mut ranks = vec![e.root];
+                    ranks.extend(e.workers);
+                    assert_eq!(ranks, fresh, "epoch {k}: clocks or RankStats moved");
+                    assert_eq!(e.conservation, fresh_cons, "epoch {k}: ledger moved");
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn validator_leak_is_reported_in_its_own_epoch_only() {
+        // job `true`: rank 0 leaks a message to rank 1; job `false`: rank
+        // 1 looks for it in the next epoch
+        Cluster::new(SimConfig::new(2)).session(
+            |rank, &leak: &bool| {
+                (!leak)
+                    .then(|| rank.try_recv(Some(0), None).map(|m| m.tag))
+                    .flatten()
+            },
+            |mut s| {
+                let leaky = s.epoch(true, |rank, &leak| {
+                    if leak {
+                        rank.send_bytes(1, 42, Bytes::from_static(b"lost"));
+                    }
+                });
+                assert_eq!(
+                    leaky.conservation.leaked,
+                    vec![LeakedMsg {
+                        src: 0,
+                        dst: 1,
+                        tag: 42
+                    }]
+                );
+                let clean = s.epoch(false, |_, _| ());
+                assert_eq!(clean.workers, vec![None], "leaked mail was drained");
+                assert_eq!(clean.conservation, Conservation::default());
+            },
+        );
+    }
 
     #[test]
     fn run_returns_results_in_rank_order() {

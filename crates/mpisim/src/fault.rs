@@ -45,7 +45,7 @@ pub enum FaultAction {
 
 /// One message-fault rule: scope (wildcards via `None`) + probability +
 /// action. First matching rule wins.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct FaultRule {
     src: Option<usize>,
     dst: Option<usize>,
@@ -80,7 +80,7 @@ pub enum Fate {
 /// Build with [`FaultPlan::new`] + the builder methods; pass to
 /// [`crate::SimConfig::fault`]. [`FaultPlan::none`] (also `Default`)
 /// injects nothing and costs nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,

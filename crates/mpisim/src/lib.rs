@@ -5,7 +5,7 @@
 //! in the repository's DESIGN.md — this repo reproduces cluster-scale
 //! behaviour on a single-core host).
 //!
-//! Each simulated MPI rank runs as an OS thread with its own **virtual
+//! Each simulated MPI rank runs on an OS thread with its own **virtual
 //! clock** (nanoseconds, `f64`). Clocks advance two ways:
 //!
 //! * **compute** — code charges modelled work explicitly, e.g.
@@ -34,6 +34,35 @@
 //! });
 //! assert!(results.iter().all(|&s| s == 6.0));
 //! ```
+//!
+//! A **session** ([`Cluster::session`]) keeps one cluster alive for many
+//! runs of a program, the way a long-lived MPI job serves a stream of
+//! work. Ranks `1..n` are spawned once and rank 0 runs on the caller's
+//! thread. Every [`Session::epoch`] starts each rank from exactly what a
+//! fresh cluster gives it: clock 0, zeroed [`RankStats`] (the message
+//! sequence numbers behind network jitter, fault fates and perturbed
+//! matching restart), and the fault plan's crash point and one-shot stall
+//! re-armed. Every epoch ends with its own [`Conservation`] ledger, its
+//! leftover mail reported as leaked and drained, and its RMA windows
+//! released. [`Cluster::run`] is a session of one epoch.
+//!
+//! ```
+//! use fastann_mpisim::{Cluster, SimConfig};
+//!
+//! let clocks = Cluster::new(SimConfig::new(3)).session(
+//!     |rank, &ns: &f64| {
+//!         rank.charge(ns);
+//!         rank.now()
+//!     },
+//!     |mut s| {
+//!         (1..=3)
+//!             .map(|i| s.epoch(f64::from(i), |rank, _| rank.now()).workers)
+//!             .collect::<Vec<_>>()
+//!     },
+//! );
+//! // every epoch starts from clock 0
+//! assert_eq!(clocks, vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
+//! ```
 
 #![forbid(unsafe_code)]
 
@@ -50,7 +79,7 @@ mod vthreads;
 /// Little-endian wire encoding helpers shared by every protocol.
 pub mod wire;
 
-pub use cluster::{Cluster, Conservation, LeakedMsg, SimConfig};
+pub use cluster::{Cluster, Conservation, Epoch, LeakedMsg, Session, SimConfig};
 pub use comm::{Comm, ReduceOp};
 pub use cost::CostModel;
 pub use fault::{Fate, FaultAction, FaultPlan};

@@ -88,16 +88,26 @@ pub struct Rank {
 
 impl Rank {
     pub(crate) fn new(rank: usize, shared: Arc<Shared>) -> Self {
-        let crash_at = shared.cfg.fault.crashed_at(rank);
-        let stall = shared.cfg.fault.stall_of(rank);
-        Self {
+        let mut r = Self {
             rank,
             shared,
             clock: 0.0,
             stats: RankStats::default(),
-            crash_at,
-            stall,
-        }
+            crash_at: None,
+            stall: None,
+        };
+        r.reset();
+        r
+    }
+
+    /// Returns this rank to the state [`Rank::new`] gives it: the start of
+    /// a session epoch.
+    pub(crate) fn reset(&mut self) {
+        let fault = &self.shared.cfg.fault;
+        self.crash_at = fault.crashed_at(self.rank);
+        self.stall = fault.stall_of(self.rank);
+        self.clock = 0.0;
+        self.stats = RankStats::default();
     }
 
     /// This rank's global id.
@@ -292,7 +302,8 @@ impl Rank {
     ///
     /// # Panics
     /// Panics after the cluster's watchdog timeout — a deadlocked simulated
-    /// program fails loudly instead of hanging the host.
+    /// program fails loudly instead of hanging the host — and at once when
+    /// another rank of the session has panicked.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u64>) -> Msg {
         self.maybe_stall_realtime();
         let msg = self.wait_message(src, tag);
@@ -353,6 +364,12 @@ impl Rank {
         loop {
             if let Some(m) = take_match(&mut q, src, tag, &perturb, salt) {
                 return m;
+            }
+            if self.shared.is_poisoned() {
+                panic!(
+                    "rank {} gave up waiting for src={:?} tag={:?}: another simulated rank panicked",
+                    self.rank, src, tag
+                );
             }
             let timeout = self.shared.cfg.recv_timeout;
             if mb.cv.wait_for(&mut q, timeout).timed_out() {
