@@ -29,6 +29,11 @@
 //! 0), drains the nodes in rank order, and — under faults — re-dispatches
 //! timed-out probes in later rounds. Only three choices, fixed per batch in
 //! `Batch`, depend on the plan (DESIGN.md §6).
+//!
+//! Every batch is one epoch of a [`SearchSession`]: the worker ranks are
+//! spawned once per session and every epoch starts them from a fresh
+//! cluster's state, so a batch reports the same numbers whether it runs
+//! alone ([`crate::SearchRequest::run`]) or anywhere in a stream.
 
 use std::collections::HashSet;
 
@@ -36,7 +41,7 @@ use bytes::{Bytes, BytesMut};
 use fastann_data::{Neighbor, TopK, VectorSet};
 use fastann_hnsw::{SearchScratch, SearchStats};
 use fastann_mpisim::{
-    wire, Cluster, FaultPlan, Rank, SchedPerturb, SimConfig, SpanKind, Topology, Trace,
+    wire, Cluster, FaultPlan, Rank, SchedPerturb, Session, SimConfig, SpanKind, Topology, Trace,
     VThreadPool, Window,
 };
 use fastann_obs::{buckets, Metrics, Stage};
@@ -44,6 +49,7 @@ use rayon::prelude::*;
 
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
+use crate::request::SearchSession;
 use crate::router::ReplicaDispatcher;
 use crate::stats::QueryReport;
 use crate::tags;
@@ -67,15 +73,16 @@ pub const TAG_FLUSH_ACK: u64 = 206;
 /// Virtual cost (ns) of merging one returned neighbour at the master.
 pub(crate) const MERGE_NS_PER_NEIGHBOR: f64 = 4.0;
 
-/// Everything the master and the workers share about one batch.
-#[derive(Clone, Copy)]
-struct Batch<'a> {
+/// Everything the master and the workers share about one batch: the job
+/// of one session epoch. It owns its per-batch parts, so the session's
+/// worker ranks can hold it for the epoch.
+pub(crate) struct Batch<'a> {
     index: &'a DistIndex,
-    opts: &'a SearchOptions,
+    opts: SearchOptions,
     /// Per-partition replica counts ([`effective_replicas`]).
-    counts: &'a [usize],
-    trace: Option<&'a Trace>,
-    obs: Option<&'a Metrics>,
+    counts: Vec<usize>,
+    trace: Option<Trace>,
+    obs: Option<Metrics>,
     // The only choices of the engine loop that depend on the fault plan:
     /// A non-vacuous plan is installed: results carry their partition id
     /// and are de-duplicated by `(query, partition)`, timed-out probes are
@@ -99,88 +106,98 @@ impl Batch<'_> {
     /// `fastann_span_ns{stage}` histogram of the [`Metrics`] registry
     /// (when attached), under the same [`Stage::label`].
     fn span(&self, rank: usize, start: f64, end: f64, kind: SpanKind, stage: Stage) {
-        if let Some(t) = self.trace {
+        if let Some(t) = &self.trace {
             t.record(rank, start, end, kind, stage.label());
         }
-        if let Some(m) = self.obs {
+        if let Some(m) = &self.obs {
             m.span(stage, start, end);
         }
     }
 }
 
-/// Single dispatch point behind [`SearchRequest`]. `plan: None` and a
+/// The simulated cluster of a [`SearchSession`]: rank 0 is the master,
+/// ranks `1..=n_nodes` the worker nodes.
+pub(crate) type EngineCluster<'c, 'a> = Session<'c, Batch<'a>, WorkerOut>;
+
+/// Opens the session behind [`SearchSession::open`]. `plan: None` and a
 /// vacuous plan are the same input, costs included.
-///
-/// `replicas` is an optional per-partition replica-count snapshot (the
-/// adaptive controller's [`crate::ReplicaMap`] view); absent, every
-/// partition holds the policy's base replica count.
-pub(crate) fn dispatch(
-    index: &DistIndex,
-    queries: &VectorSet,
-    opts: &SearchOptions,
-    replicas: Option<&[usize]>,
-    plan: Option<&FaultPlan>,
-    trace: Option<&Trace>,
-    obs: Option<&Metrics>,
-) -> QueryReport {
-    let counts = effective_replicas(index, opts, replicas);
-    assert!(!queries.is_empty(), "empty query batch");
-    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
+pub(crate) fn open<'a, T>(
+    index: &'a DistIndex,
+    plan: Option<&'a FaultPlan>,
+    sched_seed: u64,
+    body: impl FnOnce(&mut SearchSession<'_, 'a>) -> T,
+) -> T {
     let plan = plan.filter(|p| !p.is_vacuous());
-    let batch = Batch {
-        index,
-        opts,
-        counts: &counts,
-        trace,
-        obs,
-        faults: plan.is_some(),
-        one_sided: opts.one_sided && plan.is_none(),
-    };
-    let n_nodes = index.config.n_nodes();
-    let mut sim = SimConfig::new(n_nodes + 1)
+    let mut sim = SimConfig::new(index.config.n_nodes() + 1)
         .topology(Topology::one_rank_per_node())
         .net(index.config.net)
         .cost(index.config.cost)
-        .sched(SchedPerturb::seeded(opts.sched_seed));
+        .sched(SchedPerturb::seeded(sched_seed));
     if let Some(p) = plan {
         // the control plane (flush handshake + shutdown) is the
         // failure-detection oracle; the central tag registry says which
         // tags that is
         sim = sim.fault(p.clone().protect(&tags::protected_values("engine")));
     }
+    // the master runs on this thread; the worker ranks see its rayon
+    // thread count too
+    let threads = rayon::current_num_threads();
+    Cluster::new(sim).session(
+        move |rank, b: &Batch| rayon::with_num_threads(threads, || worker(rank, b)),
+        |cluster| {
+            body(&mut SearchSession {
+                index,
+                plan,
+                sched_seed,
+                cluster,
+            })
+        },
+    )
+}
 
-    let (outs, conservation) = Cluster::new(sim).run_checked(|rank| {
-        if rank.rank() == 0 {
-            RankOut::Master(Box::new(master(rank, &batch, queries)))
-        } else {
-            RankOut::Worker(worker(rank, &batch))
-        }
-    });
+/// Single dispatch point behind [`crate::SearchRequest`]: runs one batch
+/// as one epoch of `session` (which has checked that the batch is its
+/// own: same index, fault plan and schedule seed).
+///
+/// `replicas` is an optional per-partition replica-count snapshot (the
+/// adaptive controller's [`crate::ReplicaMap`] view); absent, every
+/// partition holds the policy's base replica count.
+pub(crate) fn dispatch(
+    session: &mut SearchSession<'_, '_>,
+    queries: &VectorSet,
+    opts: &SearchOptions,
+    replicas: Option<&[usize]>,
+    trace: Option<&Trace>,
+    obs: Option<&Metrics>,
+) -> QueryReport {
+    let index = session.index;
+    let counts = effective_replicas(index, opts, replicas);
+    assert!(!queries.is_empty(), "empty query batch");
+    assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
+    let faults = session.plan.is_some();
+    let batch = Batch {
+        index,
+        opts: *opts,
+        counts,
+        trace: trace.cloned(),
+        obs: obs.cloned(),
+        faults,
+        one_sided: opts.one_sided && !faults,
+    };
+    let epoch = session
+        .cluster
+        .epoch(batch, |rank, b| master(rank, b, queries));
     // Even under injected faults the protocol must account for every
     // message: fault-plan drops are ledgered, so anything left over in a
-    // mailbox at shutdown is a protocol bug.
+    // mailbox at the end of the batch is a protocol bug.
     if cfg!(debug_assertions) {
-        conservation.assert_clean();
+        epoch.conservation.assert_clean();
     }
 
-    let mut report: Option<QueryReport> = None;
-    let mut node_busy = vec![0f64; n_nodes];
-    let mut node_comm = vec![0f64; n_nodes];
-    let mut total_ndist = 0u64;
-    for out in outs {
-        match out {
-            RankOut::Master(r) => report = Some(*r),
-            RankOut::Worker(w) => {
-                node_busy[w.node] = w.busy_ns;
-                node_comm[w.node] = w.comm_cpu_ns;
-                total_ndist += w.ndist;
-            }
-        }
-    }
-    let mut report = report.expect("master produced a report");
-    report.node_busy_ns = node_busy;
-    report.node_comm_cpu_ns = node_comm;
-    report.total_ndist = total_ndist;
+    let mut report = epoch.root;
+    report.node_busy_ns = epoch.workers.iter().map(|w| w.busy_ns).collect();
+    report.node_comm_cpu_ns = epoch.workers.iter().map(|w| w.comm_cpu_ns).collect();
+    report.total_ndist = epoch.workers.iter().map(|w| w.ndist).sum();
     report
 }
 
@@ -216,13 +233,8 @@ fn effective_replicas(
     }
 }
 
-enum RankOut {
-    Master(Box<QueryReport>),
-    Worker(WorkerOut),
-}
-
-struct WorkerOut {
-    node: usize,
+/// A worker node's accounting for one batch.
+pub(crate) struct WorkerOut {
     busy_ns: f64,
     comm_cpu_ns: f64,
     ndist: u64,
@@ -258,7 +270,7 @@ fn flush_all(rank: &mut Rank, n_nodes: usize) {
 }
 
 fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
-    let (index, opts) = (b.index, b.opts);
+    let (index, opts) = (b.index, &b.opts);
     let world = rank.world();
     let p_cores = index.config.n_cores;
     let t_cores = index.config.cores_per_node;
@@ -278,7 +290,7 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
 
     // Algorithm 5 state: per-workgroup slot choice under the configured
     // routing policy (round-robin or power-of-two-choices).
-    let mut dispatcher = ReplicaDispatcher::with_policy(p_cores, opts.routing, b.counts);
+    let mut dispatcher = ReplicaDispatcher::with_policy(p_cores, opts.routing, &b.counts);
     let mut per_core_queries = vec![0u64; p_cores];
     let mut per_partition_probes = vec![0u64; index.n_partitions()];
     let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
@@ -294,7 +306,7 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
         rank.charge(c);
         route_ns += c;
         fanout_total += parts.len() as u64;
-        if let Some(m) = b.obs {
+        if let Some(m) = &b.obs {
             m.observe(
                 "fastann_router_fanout",
                 &[],
@@ -324,7 +336,7 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
     }
     // Round 0's flush; without faults it is also the shutdown.
     flush_all(rank, n_nodes);
-    if let Some(m) = b.obs {
+    if let Some(m) = &b.obs {
         m.inc("fastann_engine_queries_total", &[], nq as u64);
         m.inc("fastann_engine_probes_total", &[], fanout_total);
         m.inc(
@@ -449,7 +461,7 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
     }
     let degraded: Vec<bool> = missing_partitions.iter().map(|&m| m > 0).collect();
 
-    if let Some(m) = b.obs {
+    if let Some(m) = &b.obs {
         let path = if b.one_sided {
             "one_sided"
         } else {
@@ -525,7 +537,7 @@ impl Worker<'_> {
     /// receipt or at a flush) and on how many threads never changes a
     /// virtual time.
     fn serve(&mut self) {
-        let (index, opts) = (self.b.index, self.b.opts);
+        let (index, opts) = (self.b.index, &self.b.opts);
         let answers: Vec<(Vec<Neighbor>, SearchStats)> =
             rayon::with_num_threads(index.config.threads, || {
                 self.queued
@@ -550,7 +562,7 @@ impl Worker<'_> {
                 SpanKind::Compute,
                 Stage::LocalSearch,
             );
-            if let Some(m) = self.b.obs {
+            if let Some(m) = &self.b.obs {
                 record_local_search(m, item.part, &stats, cost);
             }
             // translate to global ids
@@ -571,7 +583,7 @@ impl Worker<'_> {
                             }
                         },
                     );
-                    if let Some(m) = self.b.obs {
+                    if let Some(m) = &self.b.obs {
                         m.inc("fastann_rma_deposits_total", &[], 1);
                     }
                 }
@@ -684,7 +696,7 @@ fn worker<'a>(rank: &mut Rank, b: &'a Batch<'a>) -> WorkerOut {
         .then(|| Window::create(rank, &world, 0, 1, |_| TopK::new(b.opts.k)));
     world.barrier(rank);
 
-    let serveable = serveable_partitions(index, node, b.counts);
+    let serveable = serveable_partitions(index, node, &b.counts);
     let mut pool = VThreadPool::new(index.config.cores_per_node, 0.0);
     pool.set_perturb(rank.sched_perturb());
     let mut w = Worker {
@@ -748,12 +760,11 @@ fn worker<'a>(rank: &mut Rank, b: &'a Batch<'a>) -> WorkerOut {
         }
     }
 
-    if let Some(m) = b.obs {
+    if let Some(m) = &b.obs {
         record_worker_batch(m, &w.served);
     }
     let stats = w.rank.stats();
     WorkerOut {
-        node,
         busy_ns: w.pool.busy(),
         comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
         ndist: w.ndist,
@@ -959,6 +970,59 @@ mod tests {
         let (_, index) = build_small(500, 8, 4, 2, 19);
         let queries = synth::sift_like(3, 16, 20);
         let _ = search_batch(&index, &queries, &SearchOptions::new(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "query dimension mismatch")]
+    fn dimension_mismatch_mid_stream_panics() {
+        // the assert fires between two epochs, while the workers wait for
+        // the next one: the session must close, not hang
+        let (data, index) = build_small(500, 8, 4, 2, 19);
+        let good = synth::queries_near(&data, 3, 0.02, 20);
+        let bad = synth::sift_like(3, 16, 20);
+        SearchSession::open(&index, None, 0, |s| {
+            s.run(SearchRequest::new(&index, &good));
+            s.run(SearchRequest::new(&index, &bad))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan must be its session's")]
+    fn session_rejects_a_batch_under_another_fault_plan() {
+        let (data, index) = build_small(500, 8, 4, 2, 27);
+        let queries = synth::queries_near(&data, 3, 0.02, 28);
+        let plan = FaultPlan::new(1).crash(1, 0.0);
+        SearchSession::open(&index, None, 0, |s| {
+            s.run(SearchRequest::new(&index, &queries).chaos(&plan))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule seed must be its session's")]
+    fn session_rejects_a_batch_under_another_schedule_seed() {
+        let (data, index) = build_small(500, 8, 4, 2, 27);
+        let queries = synth::queries_near(&data, 3, 0.02, 28);
+        let opts = SearchOptions::new(5).with_sched_seed(3);
+        SearchSession::open(&index, None, 0, |s| {
+            s.run(SearchRequest::new(&index, &queries).opts(opts))
+        });
+    }
+
+    #[test]
+    fn streamed_batches_report_what_lone_batches_report() {
+        // consecutive batches of one stream differ in k, transport and
+        // replication; each must report exactly what it reports alone
+        let (data, index) = build_small(2000, 16, 8, 2, 29);
+        let queries = synth::queries_near(&data, 12, 0.02, 30);
+        let requests = [
+            SearchOptions::new(10),
+            SearchOptions::new(3).with_one_sided(false),
+            SearchOptions::new(7).with_routing(RoutingPolicy::Static(2)),
+        ]
+        .map(|o| SearchRequest::new(&index, &queries).opts(o));
+        let streamed = SearchRequest::run_all(requests);
+        let alone: Vec<QueryReport> = requests.iter().map(|r| r.run()).collect();
+        assert_eq!(streamed, alone);
     }
 
     #[test]

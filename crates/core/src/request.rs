@@ -21,6 +21,23 @@
 //! assert_eq!(report.results.len(), 4);
 //! assert!(metrics.snapshot().counter("fastann_engine_queries_total", &[]) == Some(4));
 //! ```
+//!
+//! A stream of batches runs on one simulated cluster: a [`SearchSession`]
+//! spawns the worker ranks once and runs every batch as an epoch that
+//! starts from a fresh cluster's state, so each batch reports exactly what
+//! [`SearchRequest::run`] reports for it.
+//!
+//! ```
+//! use fastann_core::{DistIndex, EngineConfig, SearchRequest, SearchOptions};
+//! use fastann_data::synth;
+//!
+//! let data = synth::sift_like(600, 8, 1);
+//! let index = DistIndex::build(&data, EngineConfig::new(4, 2));
+//! let queries = synth::queries_near(&data, 4, 0.02, 2);
+//! let batches = [5, 8].map(|k| SearchRequest::new(&index, &queries).opts(SearchOptions::new(k)));
+//! let reports = SearchRequest::run_all(batches);
+//! assert_eq!(reports[1], batches[1].run());
+//! ```
 
 use fastann_data::VectorSet;
 use fastann_mpisim::{FaultPlan, Trace};
@@ -28,7 +45,7 @@ use fastann_obs::Metrics;
 
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
-use crate::engine;
+use crate::engine::{self, EngineCluster};
 use crate::routing::ReplicaMap;
 use crate::stats::QueryReport;
 
@@ -123,19 +140,90 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Executes the batch on the simulated cluster.
+    /// Executes the batch on the simulated cluster: a one-batch
+    /// [`SearchSession`].
     ///
     /// # Panics
     /// Panics on dimension mismatch or empty query set.
     pub fn run(self) -> QueryReport {
+        SearchSession::open(self.index, self.plan, self.opts.sched_seed, |s| s.run(self))
+    }
+
+    /// Executes a stream of batches on one simulated cluster and returns
+    /// their reports in order. The session takes its index, fault plan and
+    /// schedule seed from the first request; every request must share
+    /// them. Requests are pulled one at a time, each after the previous
+    /// batch has finished.
+    ///
+    /// # Panics
+    /// Panics as [`SearchSession::run`] does.
+    pub fn run_all(requests: impl IntoIterator<Item = SearchRequest<'a>>) -> Vec<QueryReport> {
+        let mut requests = requests.into_iter().peekable();
+        let Some(&first) = requests.peek() else {
+            return Vec::new();
+        };
+        SearchSession::open(first.index, first.plan, first.opts.sched_seed, |s| {
+            requests.map(|r| s.run(r)).collect()
+        })
+    }
+}
+
+/// One simulated cluster serving a stream of [`SearchRequest`] batches
+/// over one index — the paper's long-lived master and workers
+/// (Algorithms 3–4).
+///
+/// The worker ranks are spawned once per session. Every batch runs as one
+/// epoch that starts from exactly the state a freshly spawned cluster
+/// has, so [`SearchSession::run`] reports, bit for bit, what
+/// [`SearchRequest::run`] reports for the same request. The fault plan and
+/// the schedule seed configure the cluster and are fixed for the session.
+pub struct SearchSession<'c, 'a> {
+    pub(crate) index: &'a DistIndex,
+    /// The session's non-vacuous fault plan.
+    pub(crate) plan: Option<&'a FaultPlan>,
+    pub(crate) sched_seed: u64,
+    pub(crate) cluster: EngineCluster<'c, 'a>,
+}
+
+impl<'a> SearchSession<'_, 'a> {
+    /// Opens a session over `index` under `plan` (`None` and a vacuous
+    /// plan are the same) and schedule seed `sched_seed`, hands it to
+    /// `body`, and shuts the cluster down when `body` returns.
+    pub fn open<T>(
+        index: &'a DistIndex,
+        plan: Option<&'a FaultPlan>,
+        sched_seed: u64,
+        body: impl FnOnce(&mut SearchSession<'_, 'a>) -> T,
+    ) -> T {
+        engine::open(index, plan, sched_seed, body)
+    }
+
+    /// Runs one batch as the session's next epoch.
+    ///
+    /// # Panics
+    /// Panics when the request names another index, fault plan or
+    /// schedule seed than the session — a session never re-spawns its
+    /// cluster — and on dimension mismatch or empty query set.
+    pub fn run(&mut self, req: SearchRequest<'_>) -> QueryReport {
+        assert!(
+            std::ptr::eq(req.index, self.index),
+            "a search session serves only the index it was opened on"
+        );
+        assert!(
+            req.plan.filter(|p| !p.is_vacuous()) == self.plan,
+            "a batch's fault plan must be its session's"
+        );
+        assert_eq!(
+            req.opts.sched_seed, self.sched_seed,
+            "a batch's schedule seed must be its session's"
+        );
         engine::dispatch(
-            self.index,
-            self.queries,
-            &self.opts,
-            self.replicas.map(|m| m.counts()),
-            self.plan,
-            self.trace,
-            self.metrics,
+            self,
+            req.queries,
+            &req.opts,
+            req.replicas.map(|m| m.counts()),
+            req.trace,
+            req.metrics,
         )
     }
 }

@@ -14,10 +14,15 @@
 //! identically. Cases are folded into one fingerprint triple per fault
 //! plan. The constants pin today's reports, metrics and spans: a refactor
 //! of the engine loop must leave every one of them unchanged.
+//!
+//! The same grid also runs through [`SearchSession`]s, three times back
+//! to back per session, and every repetition must fold to the same
+//! constants: a batch reports the same whether it runs alone or after
+//! others on a long-lived cluster.
 
 use fastann_core::{
     DistIndex, EngineConfig, QueryReport, ReplicaMap, RoutingPolicy, SearchOptions, SearchRequest,
-    TAG_QUERY, TAG_RESULT,
+    SearchSession, TAG_QUERY, TAG_RESULT,
 };
 use fastann_data::{synth, VectorSet};
 use fastann_hnsw::HnswConfig;
@@ -144,8 +149,28 @@ fn span_bytes(t: &Trace) -> Vec<u8> {
     format!("{v:?}").into_bytes()
 }
 
-/// Runs one case and fingerprints it.
+/// Runs one case alone and fingerprints it.
 fn run_case(
+    index: &DistIndex,
+    queries: &VectorSet,
+    opts: SearchOptions,
+    replicas: Option<&ReplicaMap>,
+    plan: Option<&FaultPlan>,
+) -> (QueryReport, Triple) {
+    run_case_with(
+        |r: SearchRequest<'_>| r.run(),
+        index,
+        queries,
+        opts,
+        replicas,
+        plan,
+    )
+}
+
+/// Runs one case through `run` (alone, or as a session's next batch) and
+/// fingerprints it.
+fn run_case_with(
+    run: impl FnOnce(SearchRequest<'_>) -> QueryReport,
     index: &DistIndex,
     queries: &VectorSet,
     opts: SearchOptions,
@@ -162,7 +187,7 @@ fn run_case(
     if let Some(map) = replicas {
         req = req.replicas(map);
     }
-    let report = req.run();
+    let report = run(req);
     let prom = metrics.snapshot().to_prometheus();
     let non_span: String = prom
         .lines()
@@ -250,4 +275,97 @@ fn engine_fingerprints_match_goldens() {
         GOLDEN.to_vec(),
         "engine fingerprints moved (report, non-span metrics, spans+metrics); now:\n{table}"
     );
+}
+
+/// Repetitions of the grid per session.
+const REPS: usize = 3;
+
+/// Runs every case `REPS` times back to back through one session over
+/// `index` and fingerprints each batch: `[rep][case]`.
+fn session_sweep(
+    index: &DistIndex,
+    queries: &VectorSet,
+    cases: &[(SearchOptions, Option<&ReplicaMap>)],
+    plan: Option<&FaultPlan>,
+) -> Vec<Vec<Triple>> {
+    SearchSession::open(index, plan, 0, |s| {
+        (0..REPS)
+            .map(|_| {
+                cases
+                    .iter()
+                    .map(|&(opts, replicas)| {
+                        let run = |r: SearchRequest<'_>| s.run(r);
+                        run_case_with(run, index, queries, opts, replicas, plan).1
+                    })
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn session_repetitions_match_goldens() {
+    let data = synth::sift_like(3000, 16, 41);
+    let queries = synth::queries_near(&data, 25, 0.02, 42);
+    let plans = plans();
+    // folded[rep][plan]
+    let mut folded: Vec<Vec<[Fnv; 3]>> = (0..REPS)
+        .map(|_| {
+            plans
+                .iter()
+                .map(|_| [Fnv::new(), Fnv::new(), Fnv::new()])
+                .collect()
+        })
+        .collect();
+    for cores_per_node in [1, 2] {
+        let indexes = [
+            build(&data, cores_per_node, 1),
+            build(&data, cores_per_node, 4),
+        ];
+        let mut hot = ReplicaMap::uniform(indexes[0].n_partitions(), 1);
+        hot.set_count(0, 3);
+        let mut cases = Vec::new();
+        for one_sided in [true, false] {
+            for (routing, replicas) in [
+                (RoutingPolicy::Static(1), None),
+                (RoutingPolicy::Static(2), None),
+                (RoutingPolicy::PowerOfTwo { base: 1, max: 3 }, Some(&hot)),
+            ] {
+                let opts = SearchOptions::new(10)
+                    .with_one_sided(one_sided)
+                    .with_routing(routing);
+                cases.push((opts, replicas));
+            }
+        }
+        for (pi, (name, plan)) in plans.iter().enumerate() {
+            // triples[threads][rep][case]
+            let triples: Vec<Vec<Vec<Triple>>> = indexes
+                .iter()
+                .map(|index| session_sweep(index, &queries, &cases, plan.as_ref()))
+                .collect();
+            assert_eq!(
+                triples[0], triples[1],
+                "{name}: threads 1 and 4 disagree in a session (cores_per_node={cores_per_node})"
+            );
+            for (rep, cases) in triples[0].iter().enumerate() {
+                for triple in cases {
+                    for (h, &x) in folded[rep][pi].iter_mut().zip(triple) {
+                        h.u64(x);
+                    }
+                }
+            }
+        }
+    }
+    for (rep, folded) in folded.iter().enumerate() {
+        let got: Vec<(&str, Triple)> = plans
+            .iter()
+            .zip(folded)
+            .map(|((name, _), h)| (*name, [h[0].0, h[1].0, h[2].0]))
+            .collect();
+        assert_eq!(
+            got,
+            GOLDEN.to_vec(),
+            "repetition {rep} of a session moved the engine fingerprints"
+        );
+    }
 }
