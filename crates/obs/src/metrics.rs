@@ -238,6 +238,21 @@ impl Metrics {
         }
     }
 
+    /// `(count, sum)` of the histogram series `name{labels}`, read in
+    /// place: the same pair [`MetricsSnapshot::histogram`] returns, without
+    /// snapshotting the registry. `None` when the series is absent or not
+    /// a histogram.
+    pub fn histogram(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> Option<(u64, f64)> {
+        match self.inner.lock().get(&key(name, labels)) {
+            Some(Slot::Histogram(h)) => Some((h.count, h.sum_fp as f64 / SUM_SCALE)),
+            _ => None,
+        }
+    }
+
     /// An immutable, sorted snapshot of every series. Two registries
     /// that accumulated the same observations — in any order, from any
     /// number of threads — snapshot identically (`==` compares exact
@@ -271,6 +286,22 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_reads_in_place_what_the_snapshot_reads() {
+        let m = Metrics::new();
+        m.observe("h", &[("p", "1")], 2.5, buckets::COUNT);
+        m.observe("h", &[("p", "1")], 0.126, buckets::COUNT);
+        m.inc("c", &[], 1);
+        let s = m.snapshot();
+        assert_eq!(
+            m.histogram("h", &[("p", "1")]),
+            s.histogram("h", &[("p", "1")])
+        );
+        assert_eq!(m.histogram("h", &[("p", "1")]).map(|(n, _)| n), Some(2));
+        assert_eq!(m.histogram("h", &[("p", "2")]), None);
+        assert_eq!(m.histogram("c", &[]), None, "a counter is not a histogram");
+    }
 
     #[test]
     fn counters_accumulate() {

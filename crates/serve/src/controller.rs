@@ -10,8 +10,8 @@
 //! accounting via [`fastann_core::DistIndex::node_memory_bytes_for`]).
 //! Partitions whose share falls below the cold threshold decay back toward
 //! the policy base. Every input is virtual-time or counted-work arithmetic
-//! read from a deterministic [`MetricsSnapshot`] — never wall clock — so
-//! runs replay bit-identically at any `FASTANN_THREADS` setting.
+//! read from the deterministic [`Metrics`] registry — never wall clock —
+//! so runs replay bit-identically at any `FASTANN_THREADS` setting.
 //!
 //! Raises and decays bump the map's generation (the epoch idiom): each
 //! dispatched batch takes a snapshot of the map, so in-flight dispatch
@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 
 use fastann_core::{DistIndex, ReplicaMap, RoutingPolicy};
-use fastann_obs::MetricsSnapshot;
+use fastann_obs::Metrics;
 
 /// Tuning knobs of the [`ReplicaController`].
 ///
@@ -167,12 +167,12 @@ impl ReplicaController {
 
     /// Folds one batch's metrics into the sliding window and applies at
     /// most one raise and one decay. `now_ns` is the batch's virtual
-    /// completion time; `snap` is the registry snapshot *after* the batch
+    /// completion time; `metrics` is the registry *after* the batch
     /// (cumulative sums — the controller takes deltas internally).
     pub fn observe(
         &mut self,
         now_ns: f64,
-        snap: &MetricsSnapshot,
+        metrics: &Metrics,
         index: &DistIndex,
     ) -> ControllerAction {
         self.ensure_cover(index.n_partitions());
@@ -182,7 +182,7 @@ impl ReplicaController {
         let mut delta = vec![0.0f64; n];
         for (p, d) in delta.iter_mut().enumerate() {
             let label = p.to_string();
-            let sum = snap
+            let sum = metrics
                 .histogram("fastann_worker_service_ns", &[("partition", &label)])
                 .map(|(_count, s)| s)
                 .unwrap_or(0.0);
@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use fastann_core::EngineConfig;
     use fastann_data::synth;
-    use fastann_obs::{buckets, Metrics};
+    use fastann_obs::buckets;
 
     fn po2(base: usize, max: usize) -> RoutingPolicy {
         RoutingPolicy::PowerOfTwo { base, max }
@@ -296,7 +296,7 @@ mod tests {
         // partition 2 takes 90% of the service time
         record(&m, 2, 9_000.0);
         record(&m, 0, 1_000.0);
-        let act = c.observe(1e6, &m.snapshot(), &index);
+        let act = c.observe(1e6, &m, &index);
         assert_eq!(act.raised, Some(2));
         assert_eq!(c.map().count(2), 2);
         assert_eq!(c.map().generation(), 1);
@@ -305,7 +305,7 @@ mod tests {
         // traffic moves entirely to partition 0; after the window slides
         // past the hot samples, partition 2 decays
         record(&m, 0, 50_000.0);
-        let act = c.observe(1e6 + 2.0 * c.policy.window_ns, &m.snapshot(), &index);
+        let act = c.observe(1e6 + 2.0 * c.policy.window_ns, &m, &index);
         assert_eq!(act.decayed, Some(2));
         assert_eq!(c.map().count(2), 1);
         assert_eq!(c.decays(), 1);
@@ -317,10 +317,10 @@ mod tests {
         let m = Metrics::new();
         let mut c = ReplicaController::new(4, po2(1, 2), ControllerPolicy::new());
         record(&m, 1, 10_000.0);
-        let a1 = c.observe(1e5, &m.snapshot(), &index);
+        let a1 = c.observe(1e5, &m, &index);
         assert_eq!(a1.raised, Some(1));
         record(&m, 1, 10_000.0);
-        let a2 = c.observe(2e5, &m.snapshot(), &index);
+        let a2 = c.observe(2e5, &m, &index);
         assert_eq!(a2.raised, None, "already at max=2");
         assert_eq!(c.map().count(1), 2);
     }
@@ -340,7 +340,7 @@ mod tests {
             ControllerPolicy::new().with_memory_budget(bytes_now),
         );
         record(&m, 0, 10_000.0);
-        let act = c.observe(1e5, &m.snapshot(), &index);
+        let act = c.observe(1e5, &m, &index);
         assert_eq!(act.raised, None, "budget must veto the raise");
         assert_eq!(c.map().count(0), 1);
         assert_eq!(c.map().generation(), 0);
@@ -351,7 +351,7 @@ mod tests {
         let index = small_index();
         let m = Metrics::new();
         let mut c = ReplicaController::new(4, po2(1, 3), ControllerPolicy::new());
-        let act = c.observe(1e5, &m.snapshot(), &index);
+        let act = c.observe(1e5, &m, &index);
         assert_eq!(act, ControllerAction::default());
         assert_eq!(c.map().generation(), 0);
     }

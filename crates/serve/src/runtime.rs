@@ -7,15 +7,19 @@
 //! batches are serialized on one simulated cluster — a batch triggered
 //! while the previous one is still running dispatches when the engine
 //! frees up — so queueing delay is real and admission control has
-//! something to protect. Every quantity is virtual (`f64` ns), every
-//! container is iterated in a deterministic order, and the engine itself
-//! honours the PR-3 thread-determinism contract, so a run replays
-//! bit-identically from the same inputs at any `threads` setting.
+//! something to protect. The cluster is one [`SearchSession`] per run:
+//! its rank threads are spawned once, and every batch is an epoch of it.
+//! Every quantity is virtual (`f64` ns), every container is iterated in a
+//! deterministic order, and the engine itself honours the PR-3
+//! thread-determinism contract, so a run replays bit-identically from the
+//! same inputs at any `threads` setting.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 
-use fastann_core::{DistIndex, Mutation, MutationReport, MutationRequest, SearchRequest};
+use fastann_core::{
+    DistIndex, Mutation, MutationReport, MutationRequest, SearchRequest, SearchSession,
+};
 use fastann_data::quant::Sq8;
 use fastann_data::VectorSet;
 use fastann_mpisim::{EventQueue, VClock};
@@ -292,9 +296,17 @@ impl PartialOrd for OrdNs {
     }
 }
 
-/// One run's mutable simulation state, borrowing the runtime.
+/// One run's mutable simulation state, borrowing the runtime: the index
+/// and the configuration shared (the index also serves the run's
+/// [`SearchSession`]), the cache, controller and service estimate
+/// exclusively.
 struct Sim<'a> {
-    rt: &'a mut ServeRuntime,
+    index: &'a DistIndex,
+    cfg: &'a ServeConfig,
+    metrics: Option<&'a Metrics>,
+    cache: &'a mut ResultCache,
+    controller: Option<&'a mut ReplicaController>,
+    service_est_ns: &'a mut f64,
     clock: VClock,
     events: EventQueue<Ev>,
     forming: Vec<Request>,
@@ -328,9 +340,22 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(rt: &'a mut ServeRuntime) -> Self {
-        let parts = rt.index.n_partitions();
+        let ServeRuntime {
+            index,
+            cfg,
+            cache,
+            service_est_ns,
+            metrics,
+            controller,
+        } = rt;
+        let parts = index.n_partitions();
         Self {
-            rt,
+            index,
+            cfg,
+            metrics: metrics.as_ref(),
+            cache,
+            controller: controller.as_mut(),
+            service_est_ns,
             clock: VClock::new(),
             events: EventQueue::new(),
             forming: Vec::new(),
@@ -360,24 +385,33 @@ impl<'a> Sim<'a> {
     fn validate(&self, r: &Request) {
         assert_eq!(
             r.query.len(),
-            self.rt.index.dim(),
+            self.index.dim(),
             "request {} dimension mismatch",
             r.id
         );
         assert!(r.k >= 1, "request {} asks for zero neighbours", r.id);
     }
 
-    /// Drains the event queue. With a closed-loop driver, every outcome
-    /// schedules the owning client's next request.
-    fn run(&mut self, mut driver: Option<DriverRef<'_, '_>>) {
+    /// Drains the event queue on one simulated cluster, opened for the
+    /// whole stream. With a closed-loop driver, every outcome schedules
+    /// the owning client's next request.
+    fn run(&mut self, driver: Option<DriverRef<'_, '_>>) {
+        let (index, cfg) = (self.index, self.cfg);
+        SearchSession::open(index, cfg.fault.as_ref(), cfg.search.sched_seed, |engine| {
+            self.drain(engine, driver)
+        });
+        debug_assert!(self.forming.is_empty(), "timer must have flushed the tail");
+    }
+
+    fn drain(&mut self, engine: &mut SearchSession<'_, '_>, mut driver: Option<DriverRef<'_, '_>>) {
         while let Some((at, ev)) = self.events.pop() {
             self.clock.advance_to(at);
             let first_new = self.outcomes.len();
             match ev {
-                Ev::Arrival(req) => self.on_arrival(req),
+                Ev::Arrival(req) => self.on_arrival(engine, req),
                 Ev::BatchTimer(batch_id) => {
                     if batch_id == self.forming_batch_id && !self.forming.is_empty() {
-                        self.flush();
+                        self.flush(engine);
                     }
                 }
             }
@@ -389,7 +423,7 @@ impl<'a> Sim<'a> {
                     let (finished_id, next_at) = match &self.outcomes[i] {
                         Outcome::Completed(c) => (c.id, c.done_ns),
                         Outcome::Rejected { id, at_ns, .. } => {
-                            (*id, at_ns + self.rt.cfg.retry_backoff_ns.max(1.0))
+                            (*id, at_ns + self.cfg.retry_backoff_ns.max(1.0))
                         }
                     };
                     let Some(&client) = drv.client_of.get(&finished_id) else {
@@ -401,15 +435,14 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        debug_assert!(self.forming.is_empty(), "timer must have flushed the tail");
     }
 
     /// The attached metrics registry, if any.
-    fn obs(&self) -> Option<&Metrics> {
-        self.rt.metrics.as_ref()
+    fn obs(&self) -> Option<&'a Metrics> {
+        self.metrics
     }
 
-    fn on_arrival(&mut self, req: Request) {
+    fn on_arrival(&mut self, engine: &mut SearchSession<'_, '_>, req: Request) {
         let now = self.clock.now();
         self.requests += 1;
 
@@ -432,7 +465,7 @@ impl<'a> Sim<'a> {
         }
 
         // 1. per-tenant token bucket
-        let adm = self.rt.cfg.admission;
+        let adm = self.cfg.admission;
         let bucket = self
             .buckets
             .entry(req.tenant)
@@ -445,14 +478,14 @@ impl<'a> Sim<'a> {
         // 2. result cache — a hit answers without queue or engine, which
         // is exactly why it sits before the depth bound: cached traffic
         // must stay cheap when the system sheds load
-        let metric = self.rt.index.config.metric;
-        let cached = self.rt.cache.lookup(&req.query, req.k, metric);
+        let metric = self.index.config.metric;
+        let cached = self.cache.lookup(&req.query, req.k, metric);
         if let Some(m) = self.obs() {
             let outcome = if cached.is_some() { "hit" } else { "miss" };
             m.inc("fastann_serve_cache_total", &[("outcome", outcome)], 1);
         }
         if let Some(results) = cached {
-            let done = now + self.rt.cfg.cache_hit_ns;
+            let done = now + self.cfg.cache_hit_ns;
             if let Some(m) = self.obs() {
                 m.span(Stage::CacheLookup, now, done);
             }
@@ -486,7 +519,7 @@ impl<'a> Sim<'a> {
         // of stalling every tenant globally. The home lookup is a
         // fan-out-1 router probe in virtual-time-free admission code —
         // deterministic, and uncharged like the other admission checks.
-        let home = self.rt.index.home_partition(&req.query);
+        let home = self.index.home_partition(&req.query);
         if self
             .part_outstanding
             .get(home as usize)
@@ -501,8 +534,8 @@ impl<'a> Sim<'a> {
         // still answer in time? The service estimate is an EMA of
         // observed batch times, so the check adapts as load changes.
         if req.deadline_ns.is_finite() {
-            let est_start = (now + self.rt.cfg.batch.max_wait_ns).max(self.engine_free_ns);
-            if est_start + self.rt.service_est_ns > req.deadline_ns {
+            let est_start = (now + self.cfg.batch.max_wait_ns).max(self.engine_free_ns);
+            if est_start + *self.service_est_ns > req.deadline_ns {
                 self.reject(&req, now, Rejection::DeadlineUnmeetable);
                 return;
             }
@@ -515,7 +548,7 @@ impl<'a> Sim<'a> {
         }
         if self.forming.is_empty() {
             self.events.push(
-                now + self.rt.cfg.batch.max_wait_ns,
+                now + self.cfg.batch.max_wait_ns,
                 Ev::BatchTimer(self.forming_batch_id),
             );
         }
@@ -524,8 +557,8 @@ impl<'a> Sim<'a> {
         }
         self.forming.push(req);
         self.forming_homes.push(home);
-        if self.forming.len() >= self.rt.cfg.batch.max_batch {
-            self.flush();
+        if self.forming.len() >= self.cfg.batch.max_batch {
+            self.flush(engine);
         }
     }
 
@@ -566,8 +599,9 @@ impl<'a> Sim<'a> {
         });
     }
 
-    /// Dispatches the forming batch through the engine.
-    fn flush(&mut self) {
+    /// Dispatches the forming batch through the engine, as the next epoch
+    /// of the run's cluster.
+    fn flush(&mut self, engine: &mut SearchSession<'_, '_>) {
         let batch = std::mem::take(&mut self.forming);
         let homes = std::mem::take(&mut self.forming_homes);
         self.forming_batch_id += 1;
@@ -575,12 +609,12 @@ impl<'a> Sim<'a> {
         // one simulated cluster: a batch waits for the previous one
         let dispatch = trigger.max(self.engine_free_ns);
 
-        let mut queries = VectorSet::new(self.rt.index.dim());
+        let mut queries = VectorSet::new(self.index.dim());
         for r in &batch {
             queries.push(&r.query);
         }
         let kmax = batch.iter().map(|r| r.k).max().unwrap_or(1);
-        let mut opts = self.rt.cfg.search;
+        let mut opts = self.cfg.search;
         opts.k = kmax;
         opts.ef = opts.ef.max(kmax);
         // deadline propagation: the tightest headroom in the batch caps
@@ -594,22 +628,22 @@ impl<'a> Sim<'a> {
         // adaptive routing: snapshot the controller's replica map for
         // this batch — generation bumps after this instant do not affect
         // a batch already dispatched (the epoch idiom)
-        let n_parts = self.rt.index.n_partitions();
-        let replica_snap = self.rt.controller.as_mut().map(|ctl| {
+        let n_parts = self.index.n_partitions();
+        let replica_snap = self.controller.as_mut().map(|ctl| {
             ctl.ensure_cover(n_parts);
             ctl.map().clone()
         });
 
-        let mut engine_req = SearchRequest::new(&self.rt.index, &queries)
+        let mut engine_req = SearchRequest::new(self.index, &queries)
             .opts(opts)
-            .plan(self.rt.cfg.fault.as_ref());
+            .plan(self.cfg.fault.as_ref());
         if let Some(map) = replica_snap.as_ref() {
             engine_req = engine_req.replicas(map);
         }
-        if let Some(m) = self.rt.metrics.as_ref() {
+        if let Some(m) = self.metrics {
             engine_req = engine_req.metrics(m);
         }
-        let report = engine_req.run();
+        let report = engine.run(engine_req);
         let done = dispatch + report.total_ns;
         if let Some(m) = self.obs() {
             m.inc("fastann_serve_batches_total", &[], 1);
@@ -633,13 +667,12 @@ impl<'a> Sim<'a> {
             }
         }
         // adapt the feasibility estimate (deterministic EMA, α = 1/2)
-        self.rt.service_est_ns = 0.5 * self.rt.service_est_ns + 0.5 * report.total_ns;
+        *self.service_est_ns = 0.5 * *self.service_est_ns + 0.5 * report.total_ns;
 
         // feed the batch's service-time metrics to the replica controller
         // at the batch's virtual completion instant
-        let rt = &mut *self.rt;
-        if let (Some(ctl), Some(m)) = (rt.controller.as_mut(), rt.metrics.as_ref()) {
-            let act = ctl.observe(done, &m.snapshot(), &rt.index);
+        if let (Some(ctl), Some(m)) = (self.controller.as_mut(), self.metrics) {
+            let act = ctl.observe(done, m, self.index);
             if act.raised.is_some() {
                 m.inc("fastann_replica_raises_total", &[], 1);
             }
@@ -657,7 +690,7 @@ impl<'a> Sim<'a> {
             );
         }
 
-        let metric = self.rt.index.config.metric;
+        let metric = self.index.config.metric;
         for (i, (req, home)) in batch.into_iter().zip(homes).enumerate() {
             let mut results = report.results[i].clone();
             results.truncate(req.k);
@@ -667,13 +700,12 @@ impl<'a> Sim<'a> {
             } else {
                 // degraded (partial) answers are never cached: a fault is
                 // transient, a cache entry is not
-                self.rt
-                    .cache
+                self.cache
                     .insert(&req.query, req.k, metric, results.clone());
             }
             if req.deadline_ns.is_finite() && done > req.deadline_ns {
                 self.deadline_misses += 1;
-                if let Some(m) = self.rt.metrics.as_ref() {
+                if let Some(m) = self.metrics {
                     m.inc("fastann_serve_deadline_misses_total", &[], 1);
                 }
             }
@@ -708,7 +740,7 @@ impl<'a> Sim<'a> {
             }
         }
         latencies.sort_unstable_by(f64::total_cmp);
-        let (raises, decays, finals, generation) = match self.rt.controller.as_ref() {
+        let (raises, decays, finals, generation) = match self.controller.as_deref() {
             Some(c) => (
                 c.raises(),
                 c.decays(),
@@ -731,7 +763,7 @@ impl<'a> Sim<'a> {
             } else {
                 self.dispatched as f64 / self.batches as f64
             },
-            cache: self.rt.cache.stats(),
+            cache: self.cache.stats(),
             p50_ns: percentile(&latencies, 0.50),
             p95_ns: percentile(&latencies, 0.95),
             p99_ns: percentile(&latencies, 0.99),
