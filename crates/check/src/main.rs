@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fastann-check lint [--root PATH] [--json FILE]  # workspace source lint
-//! fastann-check race [--k N] [--seed S]           # K-interleaving race smoke
+//! fastann-check race [--k N] [--seed S]           # race smoke: one batch, then a stream
 //! ```
 //!
 //! `--json` additionally writes the full report (violations, suppressed
@@ -88,10 +88,15 @@ fn run_race(args: &[String]) -> ExitCode {
     let seed = flag_value(args, "--seed")
         .and_then(parse_u64)
         .unwrap_or(0x5EED);
-    let workload = race::engine_workload();
-    let report = race::explore(k, seed, workload);
-    print!("{}", report.render());
-    if report.is_clean() {
+    let engine = race::explore(k, seed, race::engine_workload());
+    let stream = race::explore(k, seed, race::stream_workload());
+    let mut clean = true;
+    for (name, report) in [("one batch", engine), ("batch stream", stream)] {
+        println!("workload: {name}");
+        print!("{}", report.render());
+        clean &= report.is_clean();
+    }
+    if clean {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

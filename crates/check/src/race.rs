@@ -13,7 +13,7 @@
 //! index with both interleavings' event windows around it.
 
 use fastann_core::{DistIndex, EngineConfig, QueryReport, SearchOptions, SearchRequest};
-use fastann_data::synth;
+use fastann_data::{synth, VectorSet};
 
 /// How many events around the first divergence each window keeps.
 const WINDOW: usize = 4;
@@ -193,17 +193,42 @@ pub fn report_events(rep: &QueryReport) -> Vec<String> {
     ev
 }
 
+/// The small engine both workloads search: index and query batch.
+fn small_engine() -> (DistIndex, VectorSet) {
+    let data = synth::sift_like(900, 12, 42);
+    let queries = synth::queries_near(&data, 10, 0.02, 43);
+    let index = DistIndex::build(&data, EngineConfig::new(8, 2).with_seed(42));
+    (index, queries)
+}
+
 /// Builds a small engine once and returns a seed → events workload over
 /// it: a fault-free `SearchRequest` batch under `sched_seed`, flattened
 /// with [`report_events`]. Used by the CLI `race` subcommand and the
 /// K=8 CI smoke.
 pub fn engine_workload() -> impl Fn(u64) -> Vec<String> {
-    let data = synth::sift_like(900, 12, 42);
-    let queries = synth::queries_near(&data, 10, 0.02, 43);
-    let index = DistIndex::build(&data, EngineConfig::new(8, 2).with_seed(42));
+    let (index, queries) = small_engine();
     move |seed| {
         let opts = SearchOptions::new(8).with_sched_seed(seed);
         report_events(&SearchRequest::new(&index, &queries).opts(opts).run())
+    }
+}
+
+/// Like [`engine_workload`], over a stream: four batches with different
+/// `k` and `ef` run back to back through one [`SearchRequest::run_all`]
+/// session under `sched_seed`, every report's events concatenated. State
+/// that leaks from one epoch of the long-lived cluster into the next, and
+/// depends on the schedule, shows as a divergence.
+pub fn stream_workload() -> impl Fn(u64) -> Vec<String> {
+    let (index, queries) = small_engine();
+    move |seed| {
+        let batches = [(8, 64), (3, 16), (10, 128), (5, 40)].map(|(k, ef)| {
+            let opts = SearchOptions::new(k).with_ef(ef).with_sched_seed(seed);
+            SearchRequest::new(&index, &queries).opts(opts)
+        });
+        SearchRequest::run_all(batches)
+            .iter()
+            .flat_map(report_events)
+            .collect()
     }
 }
 

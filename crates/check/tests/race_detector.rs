@@ -105,3 +105,21 @@ fn engine_fault_free_k8_is_clean() {
         report.render()
     );
 }
+
+#[test]
+fn engine_stream_k8_is_clean() {
+    // A stream of batches on one long-lived cluster must be as
+    // schedule-neutral as a lone batch: no epoch inherits state that
+    // depends on how the previous one was scheduled.
+    let report = race::explore(8, 0x5EED, race::stream_workload());
+    assert!(
+        report.is_clean(),
+        "batch stream diverged: {}",
+        report.render()
+    );
+    assert_eq!(
+        report.baseline_len,
+        4 * 13,
+        "four reports of ten queries plus three aggregate events each"
+    );
+}
