@@ -628,11 +628,13 @@ mod tests {
     const DATA: u64 = 1;
     const END: u64 = 2;
     const GO: u64 = 3;
+    const LOST: u64 = 4;
 
     /// Rank 0 releases every worker, then drains each worker's stream in
     /// rank order up to its end marker; each worker sends twelve data
-    /// messages of growing size between compute charges.
-    fn chatter(rank: &mut Rank) -> (f64, RankStats) {
+    /// messages of growing size between compute charges. With `leak`,
+    /// rank 0 finally sends rank 1 a message nobody receives.
+    fn chatter(rank: &mut Rank, leak: bool) -> (f64, RankStats) {
         let n = rank.size();
         if rank.rank() == 0 {
             for j in 1..n {
@@ -643,6 +645,9 @@ mod tests {
                 while rank.recv(Some(j), None).tag != END {
                     rank.charge(100.0);
                 }
+            }
+            if leak {
+                rank.send_bytes(1, LOST, Bytes::from_static(b"lost"));
             }
         } else {
             let _ = rank.recv(Some(0), Some(GO));
@@ -678,53 +683,40 @@ mod tests {
     #[test]
     fn validator_every_epoch_replays_a_fresh_cluster() {
         let cfg = chaos_config();
-        let (fresh, fresh_cons) = Cluster::new(cfg.clone()).run_checked(chatter);
-        assert!(fresh_cons.dropped > 0, "drops fired");
-        assert!(fresh_cons.duplicated > 0, "duplicates fired");
-        assert!(fresh[1].1.stall_ns > 0.0, "the stall fired");
-        assert!(fresh[3].1.msgs_dropped > 0, "the crash suppressed sends");
-        fresh_cons.assert_clean();
+        let fresh = |leak| Cluster::new(cfg.clone()).run_checked(|rank| chatter(rank, leak));
+        let (clean, clean_cons) = fresh(false);
+        assert!(clean_cons.dropped > 0, "drops fired");
+        assert!(clean_cons.duplicated > 0, "duplicates fired");
+        assert!(clean[1].1.stall_ns > 0.0, "the stall fired");
+        assert!(clean[3].1.msgs_dropped > 0, "the crash suppressed sends");
+        clean_cons.assert_clean();
+        let (leaky, leaky_cons) = fresh(true);
+        let lost = LeakedMsg {
+            src: 0,
+            dst: 1,
+            tag: LOST,
+        };
+        assert_eq!(leaky_cons.leaked, vec![lost]);
         Cluster::new(cfg).session(
-            |rank, _: &()| chatter(rank),
+            |rank, &leak: &bool| chatter(rank, leak),
             |mut s| {
-                for k in 0..4 {
-                    let e = s.epoch((), |rank, _| chatter(rank));
+                // a leaking epoch reports its own leak; the next one must
+                // be clean again
+                for (k, leak) in [false, true, false, false, true, false]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let e = s.epoch(leak, |rank, &leak| chatter(rank, leak));
+                    let (want, want_cons) = if leak {
+                        (&leaky, &leaky_cons)
+                    } else {
+                        (&clean, &clean_cons)
+                    };
                     let mut ranks = vec![e.root];
                     ranks.extend(e.workers);
-                    assert_eq!(ranks, fresh, "epoch {k}: clocks or RankStats moved");
-                    assert_eq!(e.conservation, fresh_cons, "epoch {k}: ledger moved");
+                    assert_eq!(&ranks, want, "epoch {k}: clocks or RankStats moved");
+                    assert_eq!(&e.conservation, want_cons, "epoch {k}: ledger moved");
                 }
-            },
-        );
-    }
-
-    #[test]
-    fn validator_leak_is_reported_in_its_own_epoch_only() {
-        // job `true`: rank 0 leaks a message to rank 1; job `false`: rank
-        // 1 looks for it in the next epoch
-        Cluster::new(SimConfig::new(2)).session(
-            |rank, &leak: &bool| {
-                (!leak)
-                    .then(|| rank.try_recv(Some(0), None).map(|m| m.tag))
-                    .flatten()
-            },
-            |mut s| {
-                let leaky = s.epoch(true, |rank, &leak| {
-                    if leak {
-                        rank.send_bytes(1, 42, Bytes::from_static(b"lost"));
-                    }
-                });
-                assert_eq!(
-                    leaky.conservation.leaked,
-                    vec![LeakedMsg {
-                        src: 0,
-                        dst: 1,
-                        tag: 42
-                    }]
-                );
-                let clean = s.epoch(false, |_, _| ());
-                assert_eq!(clean.workers, vec![None], "leaked mail was drained");
-                assert_eq!(clean.conservation, Conservation::default());
             },
         );
     }
