@@ -271,6 +271,9 @@ impl Shared {
 }
 
 /// The epoch rendezvous between the caller (rank 0) and ranks 1..n.
+/// Waiters test their condition under `state`; every change to it is
+/// made under `state` and notified after the lock is released, so a
+/// woken thread does not block again on the notifier's lock.
 struct Control<J, W> {
     state: Mutex<EpochState<J, W>>,
     /// Wakes the workers: an epoch was published or the session ended.
@@ -294,7 +297,7 @@ impl<J, W> Control<J, W> {
     /// sides.
     fn poison(&self, shared: &Shared, rank: usize, payload: Box<dyn Any + Send>) {
         shared.poison(rank, payload);
-        let _state = self.state.lock();
+        drop(self.state.lock());
         self.start.notify_all();
         self.done.notify_all();
     }
@@ -323,10 +326,13 @@ fn worker_loop<J, W>(
         rank.reset();
         match panic::catch_unwind(AssertUnwindSafe(|| program(&mut rank, &job))) {
             Ok(out) => {
-                let mut st = ctl.state.lock();
-                st.results[r - 1] = Some(out);
-                st.finished += 1;
-                if st.finished == st.results.len() {
+                let last = {
+                    let mut st = ctl.state.lock();
+                    st.results[r - 1] = Some(out);
+                    st.finished += 1;
+                    st.finished == st.results.len()
+                };
+                if last {
                     ctl.done.notify_one();
                 }
             }
@@ -382,8 +388,8 @@ impl<J, W> Session<'_, J, W> {
             st.epoch += 1;
             st.job = Some(Arc::clone(&job));
             st.finished = 0;
-            self.ctl.start.notify_all();
         }
+        self.ctl.start.notify_all();
         if let Some(spawn) = self.spawn.take() {
             spawn();
         }
