@@ -7,8 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace -D warnings (Cargo.lock must match the manifests)"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

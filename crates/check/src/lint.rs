@@ -14,7 +14,7 @@
 //! | `tag-registry`    | every `TAG_*` constant and every sent tag is registered        |
 //! | `missing-doc`     | every `pub` item of the registered crates has a doc comment    |
 //! | `no-thread-spawn` | no direct thread spawning outside the simulator — go through the rayon pool |
-//! | `search-batch-variant` | no new `pub fn search_batch*` entry points — one `SearchRequest` builder; only `#[deprecated]` shims may keep the old names |
+//! | `search-batch-variant` | no `pub fn search_batch*` entry points — one `SearchRequest` builder |
 //! | `quantized-traversal` | HNSW traversal code goes through `QueryDist` dispatch — no direct exact-distance kernels in `crates/hnsw/src` outside the re-rank stage |
 //! | `det-map-iter`    | no order-exposing `HashMap`/`HashSet` traversal in contract crates without a `det:sort`/`det:fold` annotation |
 //! | `det-wall-clock`  | no `Instant::now`/`SystemTime::now` outside `crates/bench` — reported time is virtual |
@@ -49,8 +49,7 @@ pub const RULE_TAG: &str = "tag-registry";
 pub const RULE_DOC: &str = "missing-doc";
 /// Rule identifier: direct thread spawning outside the simulator.
 pub const RULE_SPAWN: &str = "no-thread-spawn";
-/// Rule identifier: a new `search_batch*` public entry point outside the
-/// deprecated-shim family.
+/// Rule identifier: a `search_batch*` public entry point.
 pub const RULE_SEARCH_BATCH: &str = "search-batch-variant";
 /// Rule identifier: direct exact-distance evaluation in HNSW traversal
 /// code. Traversal must dispatch through `QueryDist` so the quantized
@@ -522,15 +521,17 @@ mod tests {
     }
 
     #[test]
-    fn flags_new_search_batch_variants_but_not_deprecated_shims() {
+    fn flags_every_search_batch_variant_including_deprecated_shims() {
         let fresh =
             "/// Documented, but still a new variant.\npub fn search_batch_faster(q: &Q) -> R {}\n";
         let v = lint_str("crates/core/src/x.rs", fresh);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, RULE_SEARCH_BATCH);
-        // the deprecation attribute marks a shim
+        // a deprecation attribute does not exempt a shim
         let shim = "/// Old entry point.\n#[deprecated(note = \"use the builder\")]\npub fn search_batch(q: &Q) -> R {}\n";
-        assert!(lint_str("crates/core/src/x.rs", shim).is_empty());
+        let v = lint_str("crates/core/src/x.rs", shim);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, RULE_SEARCH_BATCH);
         // mentions in comments are fine
         let bench = "// docs may mention pub fn search_batch\n";
         assert!(lint_str("crates/bench/src/x.rs", bench).is_empty());

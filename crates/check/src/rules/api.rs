@@ -2,9 +2,9 @@
 //! rules.
 //!
 //! The five legacy `search_batch*` entry points were deleted in favour
-//! of the `SearchRequest` builder; a new public variant of the family
-//! must not appear (un-deprecated — the multiple-owner algorithm keeps
-//! its allowlisted name). In `crates/hnsw/src`,
+//! of the `SearchRequest` builder; no public function of the family may
+//! appear again (the multiple-owner algorithm keeps its allowlisted
+//! name). In `crates/hnsw/src`,
 //! traversal code (`greedy_step` / `search_layer`) must dispatch every
 //! distance through `QueryDist`, and the raw exact kernel may not be
 //! called anywhere in the crate — the re-rank stage is the one
@@ -24,22 +24,14 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         if ctx.in_test(ci) {
             continue;
         }
-        // pub fn search_batch* without a #[deprecated] attribute
+        // any pub fn search_batch*
         if ctx.is_ident(ci, "pub")
             && ctx.is_ident(ci + 1, "fn")
             && ctx
                 .ident(ci + 2)
                 .is_some_and(|n| n.starts_with("search_batch"))
         {
-            let mut deprecated = false;
-            ctx.walk_back_attrs(ci, |lo, hi| {
-                if (lo..hi).any(|cj| ctx.is_ident(cj, "deprecated")) {
-                    deprecated = true;
-                }
-            });
-            if !deprecated {
-                ctx.flag(out, ci, RULE_SEARCH_BATCH);
-            }
+            ctx.flag(out, ci, RULE_SEARCH_BATCH);
         }
         if !is_hnsw {
             continue;

@@ -48,7 +48,7 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
         if !is_head {
             continue;
         }
-        let documented = ctx.walk_back_attrs(ci, |_, _| {});
+        let documented = ctx.walk_back_attrs(ci);
         if !documented {
             let line = ctx.line(ci);
             ctx.flag_msg(

@@ -1,10 +1,3 @@
-/// Deprecated shim over the `SearchRequest` builder — allowed to stay.
-#[deprecated(note = "use SearchRequest::new(...).run()")]
-pub fn search_batch(queries: &[Query]) -> Vec<Hit> {
-    let _ = queries;
-    Vec::new()
-}
-
 /// Not part of the `search_batch*` family at all.
 pub fn search_one(query: &Query) -> Option<Hit> {
     let _ = query;

@@ -1,5 +1,5 @@
-/// A new routing variant of the retired family: documented, but not a
-/// deprecated shim, so it must be flagged.
+/// A new routing variant of the retired family: documented, but still
+/// flagged.
 pub fn search_batch_turbo(queries: &[Query]) -> Vec<Hit> {
     let _ = queries;
     Vec::new()

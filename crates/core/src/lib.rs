@@ -80,7 +80,7 @@ pub use mutation::{
 pub use owner::search_batch_multi_owner;
 pub use persist::PersistError;
 pub use request::{SearchRequest, SearchSession};
-pub use router::{ReplicaDispatcher, Router};
+pub use router::Router;
 pub use routing::{ReplicaMap, RoutingPolicy};
 pub use stats::{BuildStats, Distribution, QueryReport};
 pub use tune::{tune_routing, TuneOutcome};

@@ -113,15 +113,6 @@ impl<'a> SearchRequest<'a> {
         self
     }
 
-    /// Like [`SearchRequest::chaos`] but optional at the call site —
-    /// `None` means fault-free. Layered runtimes (the `fastann-serve`
-    /// micro-batcher) thread their configured `Option<&FaultPlan>`
-    /// straight through.
-    pub fn plan(mut self, plan: Option<&'a FaultPlan>) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Records a virtual-time execution trace: per-query compute spans on
     /// the worker rows, dispatch/collect/recovery phases on the master
     /// row. Render with [`Trace::render`].

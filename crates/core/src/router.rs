@@ -96,17 +96,6 @@ pub struct ReplicaDispatcher {
 }
 
 impl ReplicaDispatcher {
-    /// Dispatcher over `p_cores` cores with a uniform replication factor
-    /// `replication ≥ 1` and round-robin slot choice (the Algorithm-5
-    /// baseline).
-    pub fn new(p_cores: usize, replication: usize) -> Self {
-        Self::with_policy(
-            p_cores,
-            RoutingPolicy::Static(replication),
-            &vec![replication; p_cores],
-        )
-    }
-
     /// Dispatcher over `p_cores` cores with per-partition replica
     /// `counts` (one entry per partition) and the slot choice of `policy`.
     ///
@@ -365,7 +354,7 @@ mod tests {
 
     #[test]
     fn dispatcher_round_robins_within_workgroup() {
-        let mut d = ReplicaDispatcher::new(8, 3);
+        let mut d = ReplicaDispatcher::with_policy(8, RoutingPolicy::Static(3), &[3; 8]);
         // partition 6's workgroup is {6, 7, 0}
         assert_eq!(d.next_primary(6), (6, 0));
         assert_eq!(d.next_primary(6), (7, 1));
@@ -377,7 +366,7 @@ mod tests {
 
     #[test]
     fn dispatcher_failover_cycles_replicas() {
-        let d = ReplicaDispatcher::new(8, 2);
+        let d = ReplicaDispatcher::with_policy(8, RoutingPolicy::Static(2), &[2; 8]);
         let (core, slot) = (5, 1); // probe of partition 4 sent to slot 1
         assert_eq!(d.member(4, slot), core);
         assert_eq!(
@@ -390,7 +379,7 @@ mod tests {
 
     #[test]
     fn dispatcher_without_replication_is_identity() {
-        let mut d = ReplicaDispatcher::new(4, 1);
+        let mut d = ReplicaDispatcher::with_policy(4, RoutingPolicy::Static(1), &[1; 4]);
         for part in 0..4u32 {
             assert_eq!(d.next_primary(part), (part as usize, 0));
             assert_eq!(d.next_primary(part), (part as usize, 0));
@@ -403,9 +392,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "replica counts must be within 1..=p_cores")]
     fn dispatcher_rejects_oversized_replication() {
-        let _ = ReplicaDispatcher::new(4, 5);
+        let _ = ReplicaDispatcher::with_policy(4, RoutingPolicy::Static(5), &[5; 4]);
     }
 
     #[test]
@@ -469,16 +458,6 @@ mod tests {
             "po2 must spread the hot partition: per-core {per_core:?}"
         );
         assert!(per_core[..4].iter().all(|&c| c > 0), "every replica used");
-    }
-
-    #[test]
-    fn static_policy_with_uniform_counts_matches_legacy_dispatcher() {
-        let mut legacy = ReplicaDispatcher::new(8, 3);
-        let mut unified = ReplicaDispatcher::with_policy(8, RoutingPolicy::Static(3), &[3usize; 8]);
-        for qid in 0..48u64 {
-            let part = (qid % 8) as u32;
-            assert_eq!(legacy.next(part, qid), unified.next(part, qid));
-        }
     }
 
     #[test]

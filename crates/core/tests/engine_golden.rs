@@ -181,9 +181,11 @@ fn run_case_with(
     let metrics = Metrics::new();
     let mut req = SearchRequest::new(index, queries)
         .opts(opts)
-        .plan(plan)
         .trace(&trace)
         .metrics(&metrics);
+    if let Some(p) = plan {
+        req = req.chaos(p);
+    }
     if let Some(map) = replicas {
         req = req.replicas(map);
     }

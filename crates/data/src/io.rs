@@ -57,6 +57,74 @@ fn read_dim_header(r: &mut impl Read) -> Result<Option<usize>, VecsError> {
     Ok(Some(d as usize))
 }
 
+/// Reads up to `limit` records of `width`-byte components from a TEXMEX
+/// stream, decoding each component with `decode` and handing every row to
+/// `push`. With `uniform`, a record whose dimension differs from the first
+/// one is rejected on its header, before its body is read. Bodies are read
+/// through [`Read::take`], so memory grows only with the bytes actually
+/// present, whatever a header claims.
+fn read_records<T>(
+    r: &mut impl Read,
+    limit: Option<usize>,
+    width: usize,
+    uniform: bool,
+    truncated: &str,
+    decode: impl Fn(&[u8]) -> T,
+    mut push: impl FnMut(&[T]),
+) -> Result<(), VecsError> {
+    let mut first_dim = None;
+    let mut buf: Vec<u8> = Vec::new();
+    let mut row: Vec<T> = Vec::new();
+    let mut count = 0usize;
+    while limit.is_none_or(|l| count < l) {
+        let Some(dim) = read_dim_header(r)? else {
+            break;
+        };
+        let first = *first_dim.get_or_insert(dim);
+        if uniform && first != dim {
+            return Err(VecsError::Format(format!(
+                "mixed dimensions: {first} then {dim}"
+            )));
+        }
+        let len = dim as u64 * width as u64;
+        buf.clear();
+        r.take(len).read_to_end(&mut buf)?;
+        if buf.len() as u64 != len {
+            return Err(VecsError::Format(truncated.into()));
+        }
+        row.clear();
+        row.extend(buf.chunks_exact(width).map(&decode));
+        push(&row);
+        count += 1;
+    }
+    Ok(())
+}
+
+/// Reads a TEXMEX vector stream into a [`VectorSet`]; `what` names the
+/// format in the empty-stream error.
+fn read_vector_set(
+    r: &mut impl Read,
+    limit: Option<usize>,
+    width: usize,
+    what: &str,
+    decode: impl Fn(&[u8]) -> f32,
+) -> Result<VectorSet, VecsError> {
+    let mut out: Option<VectorSet> = None;
+    read_records(
+        r,
+        limit,
+        width,
+        true,
+        "truncated vector body",
+        decode,
+        |row| {
+            out.get_or_insert_with(|| VectorSet::new(row.len()))
+                .push(row)
+        },
+    )?;
+    out.ok_or_else(|| VecsError::Format(format!("empty {what} stream")))
+}
+
 /// Reads an `.fvecs` file (`f32` components). `limit` caps the number of
 /// vectors read (`None` reads all).
 pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<VectorSet, VecsError> {
@@ -66,32 +134,9 @@ pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Vector
 
 /// Reads `.fvecs` data from any reader.
 pub fn read_fvecs_from(r: &mut impl Read, limit: Option<usize>) -> Result<VectorSet, VecsError> {
-    let mut out: Option<VectorSet> = None;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut count = 0usize;
-    while limit.is_none_or(|l| count < l) {
-        let Some(dim) = read_dim_header(r)? else {
-            break;
-        };
-        buf.resize(dim * 4, 0);
-        r.read_exact(&mut buf)
-            .map_err(|_| VecsError::Format("truncated vector body".into()))?;
-        let vs = out.get_or_insert_with(|| VectorSet::new(dim));
-        if vs.dim() != dim {
-            return Err(VecsError::Format(format!(
-                "mixed dimensions: {} then {}",
-                vs.dim(),
-                dim
-            )));
-        }
-        let row: Vec<f32> = buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        vs.push(&row);
-        count += 1;
-    }
-    out.ok_or_else(|| VecsError::Format("empty fvecs stream".into()))
+    read_vector_set(r, limit, 4, "fvecs", |c| {
+        f32::from_le_bytes([c[0], c[1], c[2], c[3]])
+    })
 }
 
 /// Reads a `.bvecs` file (`u8` components, e.g. ANN_SIFT1B base vectors),
@@ -103,29 +148,7 @@ pub fn read_bvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Vector
 
 /// Reads `.bvecs` data from any reader.
 pub fn read_bvecs_from(r: &mut impl Read, limit: Option<usize>) -> Result<VectorSet, VecsError> {
-    let mut out: Option<VectorSet> = None;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut count = 0usize;
-    while limit.is_none_or(|l| count < l) {
-        let Some(dim) = read_dim_header(r)? else {
-            break;
-        };
-        buf.resize(dim, 0);
-        r.read_exact(&mut buf)
-            .map_err(|_| VecsError::Format("truncated vector body".into()))?;
-        let vs = out.get_or_insert_with(|| VectorSet::new(dim));
-        if vs.dim() != dim {
-            return Err(VecsError::Format(format!(
-                "mixed dimensions: {} then {}",
-                vs.dim(),
-                dim
-            )));
-        }
-        let row: Vec<f32> = buf.iter().map(|&b| b as f32).collect();
-        vs.push(&row);
-        count += 1;
-    }
-    out.ok_or_else(|| VecsError::Format("empty bvecs stream".into()))
+    read_vector_set(r, limit, 1, "bvecs", |c| c[0] as f32)
 }
 
 /// Reads an `.ivecs` file — the TEXMEX ground-truth format: each record is
@@ -144,20 +167,15 @@ pub fn read_ivecs_from(
     limit: Option<usize>,
 ) -> Result<Vec<Vec<u32>>, VecsError> {
     let mut out = Vec::new();
-    let mut buf: Vec<u8> = Vec::new();
-    while limit.is_none_or(|l| out.len() < l) {
-        let Some(dim) = read_dim_header(r)? else {
-            break;
-        };
-        buf.resize(dim * 4, 0);
-        r.read_exact(&mut buf)
-            .map_err(|_| VecsError::Format("truncated record body".into()))?;
-        let row: Vec<u32> = buf
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u32)
-            .collect();
-        out.push(row);
-    }
+    read_records(
+        r,
+        limit,
+        4,
+        false,
+        "truncated record body",
+        |c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u32,
+        |row| out.push(row.to_vec()),
+    )?;
     if out.is_empty() {
         return Err(VecsError::Format("empty ivecs stream".into()));
     }
@@ -245,6 +263,18 @@ mod tests {
         buf.extend_from_slice(&1.0f32.to_le_bytes()); // only 1 of 3 floats
         let err = read_fvecs_from(&mut Cursor::new(buf), None).unwrap_err();
         assert!(matches!(err, VecsError::Format(_)));
+
+        // A header claiming i32::MAX components over a 4-byte body: each
+        // reader must reject it without first allocating what it claims.
+        let mut huge = Vec::new();
+        huge.extend_from_slice(&i32::MAX.to_le_bytes());
+        huge.extend_from_slice(&1.0f32.to_le_bytes());
+        let fvecs = read_fvecs_from(&mut Cursor::new(&huge), None).unwrap_err();
+        let bvecs = read_bvecs_from(&mut Cursor::new(&huge), None).unwrap_err();
+        let ivecs = read_ivecs_from(&mut Cursor::new(&huge), None).unwrap_err();
+        assert!(matches!(fvecs, VecsError::Format(_)));
+        assert!(matches!(bvecs, VecsError::Format(_)));
+        assert!(matches!(ivecs, VecsError::Format(_)));
     }
 
     #[test]

@@ -634,9 +634,10 @@ impl<'a> Sim<'a> {
             ctl.map().clone()
         });
 
-        let mut engine_req = SearchRequest::new(self.index, &queries)
-            .opts(opts)
-            .plan(self.cfg.fault.as_ref());
+        let mut engine_req = SearchRequest::new(self.index, &queries).opts(opts);
+        if let Some(plan) = self.cfg.fault.as_ref() {
+            engine_req = engine_req.chaos(plan);
+        }
         if let Some(map) = replica_snap.as_ref() {
             engine_req = engine_req.replicas(map);
         }
