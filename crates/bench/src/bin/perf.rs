@@ -51,13 +51,12 @@ use fastann_core::{
     DistIndex, EngineConfig, Mutation, MutationRequest, SearchOptions, SearchRequest,
 };
 use fastann_data::{ground_truth, synth, Distance, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, RERANK_FACTOR};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const K: usize = 10;
 const EF: usize = 64;
-const RERANK_FACTOR: usize = 3;
 /// The CI gate: quantized recall@K may trail exact recall@K on the same
 /// graph by at most this much.
 const MAX_RECALL_DELTA: f64 = 0.01;

@@ -12,7 +12,9 @@
 //! any fault-free divergence is a race, minimized to the first diverging
 //! index with both interleavings' event windows around it.
 
-use fastann_core::{DistIndex, EngineConfig, QueryReport, SearchOptions, SearchRequest};
+use fastann_core::{
+    DistIndex, EngineConfig, QueryReport, SearchOptions, SearchRequest, SearchSession,
+};
 use fastann_data::{synth, VectorSet};
 
 /// How many events around the first divergence each window keeps.
@@ -214,8 +216,8 @@ pub fn engine_workload() -> impl Fn(u64) -> Vec<String> {
 }
 
 /// Like [`engine_workload`], over a stream: four batches with different
-/// `k` and `ef` run back to back through one [`SearchRequest::run_all`]
-/// session under `sched_seed`, every report's events concatenated. State
+/// `k` and `ef` run back to back through one [`SearchSession`] under
+/// `sched_seed`, every report's events concatenated. State
 /// that leaks from one epoch of the long-lived cluster into the next, and
 /// depends on the schedule, shows as a divergence.
 pub fn stream_workload() -> impl Fn(u64) -> Vec<String> {
@@ -225,10 +227,12 @@ pub fn stream_workload() -> impl Fn(u64) -> Vec<String> {
             let opts = SearchOptions::new(k).with_ef(ef).with_sched_seed(seed);
             SearchRequest::new(&index, &queries).opts(opts)
         });
-        SearchRequest::run_all(batches)
-            .iter()
-            .flat_map(report_events)
-            .collect()
+        SearchSession::open(&index, None, seed, |s| {
+            batches
+                .iter()
+                .flat_map(|&b| report_events(&s.run(b)))
+                .collect()
+        })
     }
 }
 

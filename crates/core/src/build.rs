@@ -16,7 +16,7 @@ use bytes::{Bytes, BytesMut};
 use fastann_data::select::{median, weighted_median};
 use fastann_data::VectorSet;
 use fastann_mpisim::{wire, Cluster, Rank, ReduceOp, SimConfig, Topology, VThreadPool};
-use fastann_vptree::{select_vantage, PartitionTreeBuilder};
+use fastann_vptree::{select_vantage, PartitionTree};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -126,10 +126,9 @@ impl DistIndex {
             .into_iter()
             .map(|p| p.expect("missing partition"))
             .collect();
-        let mut skel = skeleton.expect("node 0 produced the skeleton");
-        let mut builder = PartitionTreeBuilder::new();
-        let root = decode_vp_subtree(&mut skel, &mut builder);
-        let tree = builder.finish(root, config.metric);
+        let skel = skeleton.expect("node 0 produced the skeleton");
+        let tree = PartitionTree::from_bytes(&skel, config.metric)
+            .expect("node 0 ships a well-formed skeleton");
         assert_eq!(
             tree.n_partitions(),
             config.n_cores,
@@ -287,7 +286,8 @@ struct NodeBuildOut {
     shuffle_bytes: u64,
 }
 
-/// Encoded VP subtree: leaf = [0, pid]; inner = [1, mu, vp…, left…, right…].
+/// Encoded VP subtree: leaf = [0, pid]; inner = [1, mu, vp…, left…, right…],
+/// the layout [`PartitionTree::from_bytes`] reads.
 fn encode_leaf(pid: u32) -> BytesMut {
     let mut b = BytesMut::new();
     wire::put_u32(&mut b, 0);
@@ -303,20 +303,6 @@ fn encode_inner(mu: f32, vp: &[f32], left: &[u8], right: &[u8]) -> BytesMut {
     b.extend_from_slice(left);
     b.extend_from_slice(right);
     b
-}
-
-fn decode_vp_subtree(buf: &mut Bytes, b: &mut PartitionTreeBuilder) -> u32 {
-    let tag = wire::get_u32(buf);
-    if tag == 0 {
-        let pid = wire::get_u32(buf);
-        b.leaf(pid)
-    } else {
-        let mu = wire::get_f32(buf);
-        let vp = wire::get_f32_vec(buf);
-        let left = decode_vp_subtree(buf, b);
-        let right = decode_vp_subtree(buf, b);
-        b.inner(vp, mu, left, right)
-    }
 }
 
 fn encode_rows(ids: &[u32], rows: &VectorSet, take: &[usize]) -> Bytes {

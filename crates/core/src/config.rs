@@ -92,12 +92,6 @@ impl EngineConfig {
         self.n_cores / self.cores_per_node
     }
 
-    /// Sets the metric (builder style).
-    pub fn with_metric(mut self, metric: Distance) -> Self {
-        self.metric = metric;
-        self
-    }
-
     /// Sets the HNSW parameters (builder style).
     pub fn with_hnsw(mut self, hnsw: HnswConfig) -> Self {
         self.hnsw = hnsw;
@@ -113,18 +107,6 @@ impl EngineConfig {
     /// Sets the routing policy (builder style).
     pub fn with_route(mut self, route: RouteConfig) -> Self {
         self.route = route;
-        self
-    }
-
-    /// Sets the simulated interconnect (builder style).
-    pub fn with_net(mut self, net: NetModel) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Sets the virtual-clock cost model (builder style).
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -186,24 +168,11 @@ pub struct SearchOptions {
     /// race` sweeps seeds and reports any divergence as a race.
     pub sched_seed: u64,
     /// Traverse each local HNSW with the SQ8 asymmetric distance and
-    /// re-rank survivors at full precision (the default). Partitions
-    /// without a trained quantizer (non-L2 metrics, stale grids) fall
-    /// back to exact automatically; set `false` to force exact traversal
-    /// everywhere.
+    /// re-rank the first `RERANK_FACTOR * k` survivors at full precision
+    /// ([`fastann_hnsw::RERANK_FACTOR`]; the default). Partitions without a trained
+    /// quantizer (non-L2 metrics, stale grids) fall back to exact
+    /// automatically; set `false` to force exact traversal everywhere.
     pub quantized: bool,
-    /// Quantized-first re-rank pool multiplier: the first
-    /// `rerank_factor * k` quantized beam survivors are re-scored with
-    /// the exact metric before the top `k` are returned. Higher values
-    /// buy back recall lost to quantization error at a small exact-eval
-    /// cost; `3` recovers exact-level recall on the synthetic workloads.
-    pub rerank_factor: usize,
-    /// Width of the multi-entry descent beam in each local HNSW. `0` (the
-    /// default) inherits the index's build-time `HnswConfig::entry_beam`;
-    /// any other value overrides it per batch. `1` degenerates to the
-    /// classic single-seed greedy descent (still seeded at layer 0 from
-    /// the index's diverse entry set) — which collapses recall on
-    /// clustered data; see DESIGN.md §13.
-    pub entry_beam: usize,
 }
 
 impl Default for SearchOptions {
@@ -228,28 +197,12 @@ impl SearchOptions {
             max_retries: 2,
             sched_seed: 0,
             quantized: true,
-            rerank_factor: 3,
-            entry_beam: 0,
         }
     }
 
     /// Enables or disables quantized-first traversal (builder style).
     pub fn with_quantized(mut self, on: bool) -> Self {
         self.quantized = on;
-        self
-    }
-
-    /// Sets the per-batch descent beam override (builder style); `0`
-    /// restores "inherit the index configuration".
-    pub fn with_entry_beam(mut self, beam: usize) -> Self {
-        self.entry_beam = beam;
-        self
-    }
-
-    /// Sets the re-rank pool multiplier (builder style).
-    pub fn with_rerank_factor(mut self, f: usize) -> Self {
-        assert!(f >= 1, "rerank factor must be at least 1");
-        self.rerank_factor = f;
         self
     }
 
@@ -264,14 +217,6 @@ impl SearchOptions {
     /// Sets one-sided aggregation on or off (builder style).
     pub fn with_one_sided(mut self, on: bool) -> Self {
         self.one_sided = on;
-        self
-    }
-
-    /// Sets the neighbour count `k` (builder style). Does not touch `ef`
-    /// — start from [`SearchOptions::new`] to derive `ef` from `k`.
-    pub fn with_k(mut self, k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        self.k = k;
         self
     }
 
@@ -380,31 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn quantized_defaults_on_with_rerank_factor_three() {
+    fn quantized_defaults_on() {
         let o = SearchOptions::new(10);
         assert!(o.quantized, "quantized-first is the default traversal");
-        assert_eq!(o.rerank_factor, 3);
-        let o = o.with_quantized(false).with_rerank_factor(5);
-        assert!(!o.quantized);
-        assert_eq!(o.rerank_factor, 5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_rerank_factor_rejected() {
-        let _ = SearchOptions::new(10).with_rerank_factor(0);
-    }
-
-    #[test]
-    fn entry_beam_defaults_to_inherit() {
-        let o = SearchOptions::new(10);
-        assert_eq!(o.entry_beam, 0, "0 = inherit the index config");
-        assert_eq!(o.with_entry_beam(6).entry_beam, 6);
-        assert_eq!(
-            o.with_entry_beam(6).with_entry_beam(0).entry_beam,
-            0,
-            "0 restores inheritance"
-        );
+        assert!(!o.with_quantized(false).quantized);
     }
 
     #[test]

@@ -1020,7 +1020,9 @@ mod tests {
             SearchOptions::new(7).with_routing(RoutingPolicy::Static(2)),
         ]
         .map(|o| SearchRequest::new(&index, &queries).opts(o));
-        let streamed = SearchRequest::run_all(requests);
+        let streamed: Vec<QueryReport> = SearchSession::open(&index, None, 0, |s| {
+            requests.iter().map(|&r| s.run(r)).collect()
+        });
         let alone: Vec<QueryReport> = requests.iter().map(|r| r.run()).collect();
         assert_eq!(streamed, alone);
     }

@@ -15,7 +15,7 @@
 //! accounting stays uniform.
 
 use fastann_data::{ground_truth, Distance, Neighbor, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, SearchStats};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, SearchStats, RERANK_FACTOR};
 use fastann_vptree::{VpTree, VpTreeConfig};
 
 /// Which index structure serves a partition.
@@ -72,12 +72,11 @@ impl LocalIndex {
     /// k-NN over the partition with the per-request knobs from
     /// [`crate::SearchOptions`] threaded through; returns local row ids
     /// and the per-search accounting the engine charges to virtual time.
-    /// `opts.k`/`opts.ef` bound the answer, `opts.quantized` routes an
+    /// `opts.k`/`opts.ef` bound the answer, and `opts.quantized` routes an
     /// HNSW partition to its SQ8 traversal + exact re-rank pipeline
-    /// (`opts.rerank_factor` wide, falling back to exact when the
-    /// partition has no trained quantizer), and `opts.entry_beam`
-    /// overrides the descent beam width (`0` inherits the index config).
-    /// Tree and brute-force kinds are always exact and single-entry —
+    /// ([`RERANK_FACTOR`] wide, falling back to exact when the partition
+    /// has no trained quantizer); the descent beam is the index's
+    /// configured one. Tree and brute-force kinds are always exact and single-entry —
     /// they are the ground-truth baselines, so quantizing them would
     /// defeat their purpose — and report only `ndist` (a tree walk has no
     /// beam, so `hops`, `heap_pushes` and `ef_churn` stay zero).
@@ -91,10 +90,8 @@ impl LocalIndex {
         match self {
             LocalIndex::Hnsw(h) => {
                 let params = SearchParams {
-                    k,
-                    ef: opts.ef,
-                    entry_beam: opts.entry_beam,
-                    quantized: opts.quantized.then_some(opts.rerank_factor),
+                    quantized: opts.quantized.then_some(RERANK_FACTOR),
+                    ..SearchParams::new(k, opts.ef)
                 };
                 h.search(q, &params, scratch)
             }
@@ -165,12 +162,6 @@ impl LocalIndex {
     /// `true` when every reported neighbour is exact.
     pub fn is_exact(&self) -> bool {
         !matches!(self, LocalIndex::Hnsw(_))
-    }
-
-    /// `true` when the partition supports live mutation (HNSW only — the
-    /// tree and brute-force kinds are frozen ground-truth baselines).
-    pub fn supports_mutation(&self) -> bool {
-        matches!(self, LocalIndex::Hnsw(_))
     }
 
     /// The underlying HNSW graph, when this partition is served by one.

@@ -7,7 +7,7 @@
 //! ```text
 //! header:  magic "FANNDIST" | version u32 | payload_len u64 | fnv1a64 u64
 //! payload: metric u8 | n_cores u32 | cores_per_node u32 | seed u64
-//!          hnsw: m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
+//!          hnsw: config record (HnswConfig::write_record, 34 bytes)
 //!          route: margin f32 | max_partitions u64
 //!          router: len u64 | PartitionTree bytes    (VP-tree routers only)
 //!          partitions: n_partitions × [ids: len u32, u32… | hnsw: len u64, bytes…]
@@ -17,6 +17,11 @@
 //! payload bytes, so a truncated or bit-flipped snapshot fails loading with
 //! a typed error ([`PersistError::Format`] / [`PersistError::Checksum`])
 //! instead of deserializing garbage into a live index.
+//!
+//! The HNSW record is the one every partition blob also carries, so a
+//! loaded index rebuilds partitions (compaction, splits) with exactly the
+//! configuration it was built with. Version 2 files, which kept only four
+//! of its fields, are refused.
 //!
 //! `n_partitions` is the router skeleton's leaf count: `n_cores` after a
 //! build, more once [`crate::MutationRequest::split_above`] has split
@@ -32,7 +37,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fastann_data::Distance;
-use fastann_hnsw::Hnsw;
+use fastann_hnsw::{Hnsw, HnswConfig};
 use fastann_vptree::PartitionTree;
 
 use crate::build::{DistIndex, Partition};
@@ -42,7 +47,7 @@ use crate::router::Router;
 use crate::stats::BuildStats;
 
 const MAGIC: &[u8; 8] = b"FANNDIST";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// FNV-1a 64-bit over `bytes` — the snapshot payload checksum. Chosen for
 /// being dependency-free and byte-order independent; this guards against
@@ -99,29 +104,6 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-fn metric_code(d: Distance) -> u8 {
-    match d {
-        Distance::L2 => 0,
-        Distance::SquaredL2 => 1,
-        Distance::L1 => 2,
-        Distance::Chebyshev => 3,
-        Distance::Cosine => 4,
-        Distance::NegativeDot => 5,
-    }
-}
-
-fn metric_from(c: u8) -> Result<Distance, PersistError> {
-    Ok(match c {
-        0 => Distance::L2,
-        1 => Distance::SquaredL2,
-        2 => Distance::L1,
-        3 => Distance::Chebyshev,
-        4 => Distance::Cosine,
-        5 => Distance::NegativeDot,
-        x => return Err(PersistError::Format(format!("unknown metric code {x}"))),
-    })
-}
-
 fn rd_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), PersistError> {
     r.read_exact(buf)
         .map_err(|_| PersistError::Format("truncated".into()))
@@ -139,6 +121,19 @@ fn rd_u64(r: &mut impl Read) -> Result<u64, PersistError> {
     Ok(u64::from_le_bytes(b))
 }
 
+/// Splits a section of a length read from the file off the payload,
+/// without allocating: a corrupt length can claim no more than is left.
+fn rd_section<'p>(r: &mut &'p [u8], len: u64) -> Result<&'p [u8], PersistError> {
+    if len > r.len() as u64 {
+        return Err(PersistError::Format(format!(
+            "section of {len} bytes overruns the payload"
+        )));
+    }
+    let (head, rest) = r.split_at(len as usize);
+    *r = rest;
+    Ok(head)
+}
+
 impl DistIndex {
     /// Writes the index to `path`.
     ///
@@ -153,15 +148,11 @@ impl DistIndex {
         // and checksum, and the indexes being persisted fit in memory by
         // construction.
         let mut payload: Vec<u8> = Vec::new();
-        payload.push(metric_code(self.config.metric));
+        payload.push(self.config.metric.code());
         payload.extend_from_slice(&(self.config.n_cores as u32).to_le_bytes());
         payload.extend_from_slice(&(self.config.cores_per_node as u32).to_le_bytes());
         payload.extend_from_slice(&self.config.seed.to_le_bytes());
-        let h = &self.config.hnsw;
-        payload.extend_from_slice(&(h.m as u32).to_le_bytes());
-        payload.extend_from_slice(&(h.m_max0 as u32).to_le_bytes());
-        payload.extend_from_slice(&(h.ef_construction as u32).to_le_bytes());
-        payload.extend_from_slice(&h.level_mult.to_bits().to_le_bytes());
+        self.config.hnsw.write_record(&mut payload)?;
         payload.extend_from_slice(&self.config.route.margin_frac.to_bits().to_le_bytes());
         payload.extend_from_slice(&(self.config.route.max_partitions as u64).to_le_bytes());
         let skel = tree.to_bytes();
@@ -231,7 +222,8 @@ impl DistIndex {
         let mut r: &[u8] = &payload;
         let mut mc = [0u8; 1];
         rd_exact(&mut r, &mut mc)?;
-        let metric = metric_from(mc[0])?;
+        let metric = Distance::from_code(mc[0])
+            .ok_or_else(|| PersistError::Format(format!("unknown metric code {}", mc[0])))?;
         let n_cores = rd_u32(&mut r)? as usize;
         let cores_per_node = rd_u32(&mut r)? as usize;
         let seed = rd_u64(&mut r)?;
@@ -241,17 +233,15 @@ impl DistIndex {
         {
             return Err(PersistError::Format("implausible cluster shape".into()));
         }
-        let m = rd_u32(&mut r)? as usize;
-        let m_max0 = rd_u32(&mut r)? as usize;
-        let ef_construction = rd_u32(&mut r)? as usize;
-        let level_mult = f64::from_bits(rd_u64(&mut r)?);
+        let hnsw_config = HnswConfig::read_record(&mut r)
+            .map_err(|e| PersistError::Format(format!("hnsw config: {e}")))?;
         let margin_frac = f32::from_bits(rd_u32(&mut r)?);
         let max_partitions = rd_u64(&mut r)? as usize;
 
-        let skel_len = rd_u64(&mut r)? as usize;
-        let mut skel = vec![0u8; skel_len];
-        rd_exact(&mut r, &mut skel)?;
-        let tree = PartitionTree::from_bytes(&skel, metric);
+        let skel_len = rd_u64(&mut r)?;
+        let skel = rd_section(&mut r, skel_len)?;
+        let tree = PartitionTree::from_bytes(skel, metric)
+            .map_err(|e| PersistError::Format(format!("router skeleton: {e}")))?;
         // one partition per core, plus any a split added (ids ≥ n_cores)
         let n_partitions = tree.n_partitions();
         if n_partitions < n_cores {
@@ -262,20 +252,18 @@ impl DistIndex {
 
         let mut partitions = Vec::with_capacity(n_partitions);
         for pid in 0..n_partitions {
-            let n_ids = rd_u32(&mut r)? as usize;
-            let mut ids = Vec::with_capacity(n_ids);
-            for _ in 0..n_ids {
-                ids.push(rd_u32(&mut r)?);
-            }
-            let blob_len = rd_u64(&mut r)? as usize;
-            let mut blob = vec![0u8; blob_len];
-            rd_exact(&mut r, &mut blob)?;
-            let hnsw = Hnsw::from_bytes(&blob)
+            let n_ids = rd_u32(&mut r)?;
+            let ids: Vec<u32> = rd_section(&mut r, 4 * u64::from(n_ids))?
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            let blob_len = rd_u64(&mut r)?;
+            let hnsw = Hnsw::from_bytes(rd_section(&mut r, blob_len)?)
                 .map_err(|e| PersistError::Format(format!("partition {pid}: {e}")))?;
-            if hnsw.len() != n_ids {
+            if hnsw.len() != ids.len() {
                 return Err(PersistError::Format(format!(
                     "partition {pid}: {} ids but {} vectors",
-                    n_ids,
+                    ids.len(),
                     hnsw.len()
                 )));
             }
@@ -295,10 +283,7 @@ impl DistIndex {
         let mut config = EngineConfig::new(n_cores, cores_per_node);
         config.metric = metric;
         config.seed = seed;
-        config.hnsw.m = m;
-        config.hnsw.m_max0 = m_max0;
-        config.hnsw.ef_construction = ef_construction;
-        config.hnsw.level_mult = level_mult;
+        config.hnsw = hnsw_config;
         config.route.margin_frac = margin_frac;
         config.route.max_partitions = max_partitions;
 
@@ -484,6 +469,38 @@ mod tests {
     }
 
     #[test]
+    fn crafted_skeleton_length_is_a_format_error() {
+        // A checksum is no MAC: whoever edits a file can recompute it. A
+        // root vantage length of u32::MAX must fail as a format error
+        // instead of sizing an allocation.
+        let (_, index) = build_one(93);
+        let path = tmp("crafted");
+        index.save(&path).expect("save to temp dir succeeds");
+        let mut bytes = std::fs::read(&path).expect("saved file is readable");
+        // header 28 | metric, shape, seed 17 | hnsw record 34 | route 12 |
+        // skeleton length 8 | root: tag 4, mu 4, vantage length
+        let at = 28 + 17 + 34 + 12 + 8 + 8;
+        assert_eq!(
+            bytes[at..at + 4],
+            12u32.to_le_bytes(),
+            "root vantage length"
+        );
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = fnv1a64(&bytes[28..]);
+        bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite succeeds");
+        let res = DistIndex::load(&path);
+        std::fs::remove_file(&path).ok();
+        let Err(PersistError::Format(m)) = res else {
+            panic!("a crafted skeleton must be a format error")
+        };
+        assert!(
+            m.contains("router skeleton") && m.contains("overruns"),
+            "{m}"
+        );
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
         let (_, index) = build_one(89);
         let path = tmp("trailing");
@@ -504,7 +521,12 @@ mod tests {
         use crate::mutation::{Mutation, MutationRequest};
         let data = synth::sift_like(2_000, 12, 90);
         let cfg = EngineConfig::new(4, 2)
-            .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(90))
+            .with_hnsw(
+                HnswConfig::with_m(8)
+                    .ef_construction(40)
+                    .seed(90)
+                    .entry_beam(1),
+            )
             .with_seed(90);
         let mut index = DistIndex::build(&data, cfg);
         MutationRequest::new(&mut index).split_above(300).run();
@@ -515,6 +537,10 @@ mod tests {
         let mut back = DistIndex::load(&path).expect("and loads back");
         std::fs::remove_file(&path).ok();
         assert_eq!(back.n_partitions(), 8);
+        assert_eq!(
+            back.config.hnsw, index.config.hnsw,
+            "the HNSW config survives, so rebuilt partitions match"
+        );
         let queries = synth::queries_near(&data, 15, 0.02, 91);
         let search = |ix: &DistIndex| {
             SearchRequest::new(ix, &queries)

@@ -28,14 +28,16 @@
 //! [`SearchRequest::run`] reports for it.
 //!
 //! ```
-//! use fastann_core::{DistIndex, EngineConfig, SearchRequest, SearchOptions};
+//! use fastann_core::{DistIndex, EngineConfig, SearchOptions, SearchRequest, SearchSession};
 //! use fastann_data::synth;
 //!
 //! let data = synth::sift_like(600, 8, 1);
 //! let index = DistIndex::build(&data, EngineConfig::new(4, 2));
 //! let queries = synth::queries_near(&data, 4, 0.02, 2);
 //! let batches = [5, 8].map(|k| SearchRequest::new(&index, &queries).opts(SearchOptions::new(k)));
-//! let reports = SearchRequest::run_all(batches);
+//! let reports: Vec<_> = SearchSession::open(&index, None, 0, |s| {
+//!     batches.iter().map(|&b| s.run(b)).collect()
+//! });
 //! assert_eq!(reports[1], batches[1].run());
 //! ```
 
@@ -138,24 +140,6 @@ impl<'a> SearchRequest<'a> {
     /// Panics on dimension mismatch or empty query set.
     pub fn run(self) -> QueryReport {
         SearchSession::open(self.index, self.plan, self.opts.sched_seed, |s| s.run(self))
-    }
-
-    /// Executes a stream of batches on one simulated cluster and returns
-    /// their reports in order. The session takes its index, fault plan and
-    /// schedule seed from the first request; every request must share
-    /// them. Requests are pulled one at a time, each after the previous
-    /// batch has finished.
-    ///
-    /// # Panics
-    /// Panics as [`SearchSession::run`] does.
-    pub fn run_all(requests: impl IntoIterator<Item = SearchRequest<'a>>) -> Vec<QueryReport> {
-        let mut requests = requests.into_iter().peekable();
-        let Some(&first) = requests.peek() else {
-            return Vec::new();
-        };
-        SearchSession::open(first.index, first.plan, first.opts.sched_seed, |s| {
-            requests.map(|r| s.run(r)).collect()
-        })
     }
 }
 

@@ -61,6 +61,20 @@ impl Distance {
         matches!(self, Distance::L2 | Distance::L1 | Distance::Chebyshev)
     }
 
+    /// One-byte code the index file formats store for this metric: its
+    /// position in the declaration order above, so that order is frozen.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The metric stored as `code`, or `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<Distance> {
+        use Distance::*;
+        [L2, SquaredL2, L1, Chebyshev, Cosine, NegativeDot]
+            .get(usize::from(code))
+            .copied()
+    }
+
     /// Human-readable name, used in reports and benchmark tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -104,6 +118,16 @@ mod tests {
         // diffs: -4,-2,0,2,4 -> squares 16+4+0+4+16 = 40
         assert!((Distance::SquaredL2.eval(&A, &B) - 40.0).abs() < 1e-6);
         assert!((Distance::L2.eval(&A, &B) - 40.0f32.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn codes_round_trip_and_stay_frozen() {
+        for c in 0..6u8 {
+            let d = Distance::from_code(c).expect("codes 0..6 name a metric");
+            assert_eq!(d.code(), c);
+        }
+        assert_eq!(Distance::from_code(4), Some(Distance::Cosine));
+        assert_eq!(Distance::from_code(6), None);
     }
 
     #[test]

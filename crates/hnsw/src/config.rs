@@ -6,33 +6,19 @@
 /// time for M ∈ {8, 16, 32, 64}, default 16): the number of bidirectional
 /// links created for a newly inserted node per layer. Higher `m` yields a
 /// denser graph — better recall, more memory, slower search.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HnswConfig {
     /// Number of established connections per inserted node per layer
     /// (the paper's `M`, default 16).
     pub m: usize,
-    /// Maximum connections a layer-0 node may hold; `2 * m` per the HNSW
-    /// paper's recommendation.
-    pub m_max0: usize,
     /// Beam width during construction (`efConstruction`).
     pub ef_construction: usize,
-    /// Level-assignment multiplier; the HNSW paper recommends `1 / ln(M)`.
-    pub level_mult: f64,
-    /// Extend candidate set with candidates' neighbours before heuristic
-    /// selection (HNSW Algorithm 4 `extendCandidates`; useful for very
-    /// clustered data).
-    pub extend_candidates: bool,
-    /// Re-add pruned candidates if the selection falls short of `m`
-    /// (HNSW Algorithm 4 `keepPrunedConnections`).
-    pub keep_pruned: bool,
     /// RNG seed for level assignment.
     pub seed: u64,
     /// Width of the multi-entry beam carried across the upper layers
-    /// during descent (construction and the default for searches). `1`
-    /// degenerates to the classic single-seed greedy walk — which strands
-    /// queries in the wrong basin on multi-modal (clustered) data; see
-    /// DESIGN.md §13. Searches can override per query via
-    /// `SearchOptions::with_entry_beam`.
+    /// during descent, at construction and search alike. `1` degenerates
+    /// to the classic single-seed greedy walk — which strands queries in
+    /// the wrong basin on multi-modal (clustered) data; see DESIGN.md §13.
     pub entry_beam: usize,
 }
 
@@ -42,14 +28,23 @@ impl HnswConfig {
         assert!(m >= 2, "M must be at least 2");
         Self {
             m,
-            m_max0: 2 * m,
             ef_construction: 200,
-            level_mult: 1.0 / (m as f64).ln(),
-            extend_candidates: false,
-            keep_pruned: true,
             seed: 0,
             entry_beam: 4,
         }
+    }
+
+    /// Maximum connections a layer-0 node may hold: `2 * m`, the HNSW
+    /// paper's recommendation.
+    #[inline]
+    pub fn m_max0(&self) -> usize {
+        2 * self.m
+    }
+
+    /// Level-assignment multiplier `1 / ln(m)`, the HNSW paper's
+    /// recommendation.
+    pub fn level_mult(&self) -> f64 {
+        1.0 / (self.m as f64).ln()
     }
 
     /// Sets the RNG seed (builder style).
@@ -76,7 +71,7 @@ impl HnswConfig {
     #[inline]
     pub fn max_links(&self, layer: usize) -> usize {
         if layer == 0 {
-            self.m_max0
+            self.m_max0()
         } else {
             self.m
         }
@@ -98,15 +93,15 @@ mod tests {
     fn default_matches_paper() {
         let c = HnswConfig::default();
         assert_eq!(c.m, 16);
-        assert_eq!(c.m_max0, 32);
+        assert_eq!(c.m_max0(), 32);
         assert_eq!(c.ef_construction, 200);
-        assert!((c.level_mult - 1.0 / 16f64.ln()).abs() < 1e-12);
+        assert!((c.level_mult() - 1.0 / 16f64.ln()).abs() < 1e-12);
     }
 
     #[test]
     fn with_m_derives_bounds() {
         let c = HnswConfig::with_m(8);
-        assert_eq!(c.m_max0, 16);
+        assert_eq!(c.m_max0(), 16);
         assert_eq!(c.max_links(0), 16);
         assert_eq!(c.max_links(1), 8);
         assert_eq!(c.max_links(5), 8);

@@ -85,6 +85,12 @@ impl SearchParams {
     }
 }
 
+/// Re-rank pool multiplier of the engine's quantized-first searches: the
+/// first `RERANK_FACTOR * k` quantized beam survivors are re-scored with
+/// the exact metric. `3` recovers exact-level recall on the synthetic
+/// workloads at a small exact-eval cost.
+pub const RERANK_FACTOR: usize = 3;
+
 /// A query lowered into one of the two distance domains a traversal can
 /// run in. Traversal code ([`Hnsw::greedy_step`], [`Hnsw::search_layer`])
 /// only ever sees this enum — the `quantized-traversal` lint forbids it
@@ -326,10 +332,11 @@ impl Hnsw {
 
     fn empty_for(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
         let n = data.len();
+        let mult = config.level_mult();
         let levels: Vec<u8> = (0..n as u32)
-            .map(|id| assign_level(config.seed, id, config.level_mult))
+            .map(|id| assign_level(config.seed, id, mult))
             .collect();
-        let graph = Graph::for_levels(&levels, config.m, config.m_max0);
+        let graph = Graph::for_levels(&levels, config.m, config.m_max0());
         Self {
             config,
             dist,
@@ -584,7 +591,6 @@ impl Hnsw {
             &cands,
             self.config.max_links(layer),
             self.dist,
-            self.config.keep_pruned,
             &mut scratch.ndist,
         );
         for &l in &old {
@@ -663,7 +669,7 @@ impl Hnsw {
             assert_eq!(q.len(), data.len(), "quantizer row count mismatch");
             assert_eq!(q.dim(), data.dim(), "quantizer dimension mismatch");
         }
-        let mut graph = Graph::for_levels(&levels, config.m, config.m_max0);
+        let mut graph = Graph::for_levels(&levels, config.m, config.m_max0());
         for (id, per_layer) in links.into_iter().enumerate() {
             for (layer, l) in per_layer.into_iter().enumerate() {
                 graph.set_neighbors(id as u32, layer, l);
@@ -852,7 +858,6 @@ impl Hnsw {
                     &self.live_candidates(&eps),
                     self.config.m,
                     self.dist,
-                    self.config.keep_pruned,
                     &mut scratch.ndist,
                 );
                 layers.push((lc, selected));
@@ -909,14 +914,8 @@ impl Hnsw {
                 })
                 .collect();
             cands.sort_unstable();
-            let selected = select_neighbors_heuristic(
-                &self.data,
-                &cands,
-                max,
-                self.dist,
-                self.config.keep_pruned,
-                &mut scratch.ndist,
-            );
+            let selected =
+                select_neighbors_heuristic(&self.data, &cands, max, self.dist, &mut scratch.ndist);
             for &l in &links {
                 if !selected.contains(&l) {
                     self.graph.remove_neighbor(l, layer, from);
@@ -1101,13 +1100,13 @@ impl Hnsw {
             assert_eq!(v.len(), self.dim(), "inserted vector has wrong dimension");
         }
         let id = self.data.len() as u32;
-        let level = assign_level(self.config.seed, id, self.config.level_mult);
+        let level = assign_level(self.config.seed, id, self.config.level_mult());
         self.data.push(v);
         self.levels.push(level);
         self.tombstones.push(false);
         self.live += 1;
         self.graph
-            .push_node(level as usize, self.config.m, self.config.m_max0);
+            .push_node(level as usize, self.config.m, self.config.m_max0());
         let mut scratch = SearchScratch::with_capacity(self.len());
         self.insert(id, &mut scratch);
         // A new upper-layer node can change the k-center selection; pure
@@ -1524,6 +1523,28 @@ mod tests {
         assert!(
             r_quant >= r_exact - 0.01,
             "quantized recall {r_quant} dropped more than 0.01 below exact {r_exact}"
+        );
+    }
+
+    #[test]
+    fn higher_rerank_factor_never_hurts_recall() {
+        // the same traversal re-ranks a superset pool, so no true
+        // neighbour the smaller pool found can drop out
+        let data = synth::deep_like(3_000, 24, 41);
+        let queries = synth::queries_near(&data, 30, 0.02, 42);
+        let cfg = HnswConfig::with_m(8).ef_construction(60).seed(41);
+        let idx = Hnsw::build(data.clone(), Distance::L2, cfg);
+        let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
+        let recall = |factor: usize| {
+            let hits: Vec<_> = (0..queries.len())
+                .map(|i| quantized(&idx, queries.get(i), 10, 40, factor).0)
+                .collect();
+            ground_truth::recall_at_k(&hits, &gt, 10).mean
+        };
+        let (rec1, rec5) = (recall(1), recall(5));
+        assert!(
+            rec5 >= rec1 - 1e-9,
+            "a larger re-rank pool lost recall: factor 1 -> {rec1}, factor 5 -> {rec5}"
         );
     }
 

@@ -12,7 +12,8 @@
 //!
 //! Implemented here:
 //! * insertion with the *heuristic* neighbour selection of the HNSW paper's
-//!   Algorithm 4 (`extend_candidates` / `keep_pruned` knobs included),
+//!   Algorithm 4, always back-filling pruned candidates up to `M`
+//!   (`keepPrunedConnections`; `extendCandidates` is not implemented),
 //! * `ef`-bounded best-first layer search with an epoch-based visited set,
 //! * one insertion core — a read-only plan applied sequentially — driving
 //!   both the sequential build (batches of one) and the multi-threaded
@@ -46,6 +47,6 @@ mod select;
 mod serialize;
 
 pub use config::HnswConfig;
-pub use index::{Hnsw, SearchParams, SearchStats};
+pub use index::{Hnsw, SearchParams, SearchStats, RERANK_FACTOR};
 pub use scratch::SearchScratch;
 pub use serialize::LoadError;

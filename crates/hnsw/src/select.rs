@@ -11,17 +11,17 @@ use fastann_data::{Distance, Neighbor, VectorSet};
 
 /// Selects up to `m` neighbours from `candidates` (must be sorted by
 /// ascending distance to the query point) using the diversification
-/// heuristic. `keep_pruned` back-fills with the nearest pruned candidates if
-/// fewer than `m` survive.
+/// heuristic, then back-fills with the nearest pruned candidates if fewer
+/// than `m` survive (Algorithm 4's `keepPrunedConnections`, always on).
 ///
-/// Returns ids ordered as selected (nearest-first). Increments `ndist` by
-/// the number of distance evaluations performed.
+/// Returns the survivors nearest-first, followed by the back-filled
+/// candidates nearest-first. Increments `ndist` by the number of distance
+/// evaluations performed.
 pub(crate) fn select_neighbors_heuristic(
     data: &VectorSet,
     candidates: &[Neighbor],
     m: usize,
     dist: Distance,
-    keep_pruned: bool,
     ndist: &mut u64,
 ) -> Vec<u32> {
     debug_assert!(
@@ -52,13 +52,11 @@ pub(crate) fn select_neighbors_heuristic(
         }
     }
 
-    if keep_pruned {
-        for &p in &pruned {
-            if selected.len() >= m {
-                break;
-            }
-            selected.push(p);
+    for &p in &pruned {
+        if selected.len() >= m {
+            break;
         }
+        selected.push(p);
     }
 
     selected.iter().map(|n| n.id).collect()
@@ -91,7 +89,7 @@ mod tests {
         let q = [5.0f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, false, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, &mut nd);
         assert_eq!(sel, vec![2, 3], "one representative per cluster");
         assert!(nd > 0);
     }
@@ -99,25 +97,30 @@ mod tests {
     #[test]
     fn heuristic_prunes_shadowed_same_direction_points() {
         let data = line_data();
-        // Query left of everything: 0 shadows 1, 2; 3 shadows nothing new
-        // (3 is closer to 0 than to q), so only the nearest survives.
+        // Query left of everything: 0 shadows 1, 2, 3 and 4 (each is
+        // closer to 0 than to q), so only the nearest survives; the
+        // back-fill then restores the nearest pruned ones, nearest-first.
         let q = [-0.5f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &c, 3, Distance::L2, false, &mut nd);
-        assert_eq!(sel, vec![0]);
+        let sel = select_neighbors_heuristic(&data, &c, 3, Distance::L2, &mut nd);
+        assert_eq!(sel, vec![0, 1, 2]);
+        assert_eq!(nd, 4, "each later candidate is checked against 0 alone");
     }
 
     #[test]
-    fn keep_pruned_backfills() {
+    fn backfill_appends_pruned_after_survivors() {
         let data = line_data();
-        let q = [0.5f32];
-        let c = cands(&data, &q, &[0, 1, 2]);
+        // q = 5: survivors 2 and 3 (one per cluster); 1, 0 and 4 are
+        // pruned. The back-fill appends them by distance to q (4, 5, 6),
+        // after the survivors, not merged into distance order.
+        let q = [5.0f32];
+        let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let none = select_neighbors_heuristic(&data, &c, 3, Distance::L2, false, &mut nd);
-        let filled = select_neighbors_heuristic(&data, &c, 3, Distance::L2, true, &mut nd);
-        assert!(none.len() <= filled.len());
-        assert_eq!(filled.len(), 3, "keep_pruned fills to m when possible");
+        let sel = select_neighbors_heuristic(&data, &c, 3, Distance::L2, &mut nd);
+        assert_eq!(sel, vec![2, 3, 1]);
+        let all = select_neighbors_heuristic(&data, &c, 5, Distance::L2, &mut nd);
+        assert_eq!(all, vec![2, 3, 1, 0, 4]);
     }
 
     #[test]
@@ -126,7 +129,7 @@ mod tests {
         let q = [5.0f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, true, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 2, Distance::L2, &mut nd);
         assert_eq!(sel.len(), 2);
     }
 
@@ -134,7 +137,7 @@ mod tests {
     fn empty_candidates_ok() {
         let data = line_data();
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &[], 4, Distance::L2, true, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &[], 4, Distance::L2, &mut nd);
         assert!(sel.is_empty());
         assert_eq!(nd, 0);
     }
@@ -145,7 +148,7 @@ mod tests {
         let q = [10.2f32];
         let c = cands(&data, &q, &[0, 1, 2, 3, 4]);
         let mut nd = 0;
-        let sel = select_neighbors_heuristic(&data, &c, 1, Distance::L2, false, &mut nd);
+        let sel = select_neighbors_heuristic(&data, &c, 1, Distance::L2, &mut nd);
         assert_eq!(sel, vec![3], "nearest candidate is always kept");
     }
 }

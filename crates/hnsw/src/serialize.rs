@@ -7,8 +7,8 @@
 //!
 //! ```text
 //! magic "FANNHNSW" | version u32 | dist u8 | dim u32 | n u32
-//! m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
-//! extend u8 | keep_pruned u8 | seed u64 | entry_beam u32
+//! config: m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
+//!         0u8 | 1u8 | seed u64 | entry_beam u32
 //! entry: present u8 [node u32, level u8]
 //! levels: n × u8
 //! vectors: n × dim × f32
@@ -26,10 +26,17 @@
 //! current version is read; a blob of any other version is a
 //! [`LoadError::Format`].
 //!
+//! The config record is [`HnswConfig::write_record`]'s, shared with the
+//! distributed index file. `m_max0` and `level_mult` are derived from `m`,
+//! and the two flag bytes are the retired `extendCandidates` (off) and
+//! `keepPrunedConnections` (on) knobs; they stay in the record so the
+//! format does not move, and the reader refuses a record whose stored
+//! values disagree with `m`.
+//!
 //! The reader checks every link list against its layer's degree bound
-//! (`m_max0` at layer 0, `m` above), and refuses an `m_max0` above
-//! [`MAX_M_MAX0`]: a loaded graph reserves `m_max0` layer-0 slots per
-//! node, so a corrupt header must not size that allocation.
+//! (`m_max0` at layer 0, `m` above), and refuses an `m` above [`MAX_M`]:
+//! a loaded graph reserves `2 * m` layer-0 slots per node, so a corrupt
+//! header must not size that allocation.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -45,9 +52,9 @@ const MAGIC: &[u8; 8] = b"FANNHNSW";
 const VERSION: u32 = 4;
 /// Oldest version [`Hnsw::read_from`] accepts.
 const MIN_VERSION: u32 = 4;
-/// Largest layer-0 degree bound a blob may declare. The HNSW paper's
-/// sweeps stop at M = 64 (`m_max0` = 128); this leaves 8× headroom.
-const MAX_M_MAX0: usize = 1024;
+/// Largest `M` a config record may declare. The HNSW paper's sweeps stop
+/// at M = 64; this leaves 8× headroom.
+const MAX_M: usize = 512;
 
 /// Errors raised when loading a serialized index.
 #[derive(Debug)]
@@ -73,29 +80,6 @@ impl From<std::io::Error> for LoadError {
     fn from(e: std::io::Error) -> Self {
         LoadError::Io(e)
     }
-}
-
-fn dist_code(d: Distance) -> u8 {
-    match d {
-        Distance::L2 => 0,
-        Distance::SquaredL2 => 1,
-        Distance::L1 => 2,
-        Distance::Chebyshev => 3,
-        Distance::Cosine => 4,
-        Distance::NegativeDot => 5,
-    }
-}
-
-fn dist_from_code(c: u8) -> Result<Distance, LoadError> {
-    Ok(match c {
-        0 => Distance::L2,
-        1 => Distance::SquaredL2,
-        2 => Distance::L1,
-        3 => Distance::Chebyshev,
-        4 => Distance::Cosine,
-        5 => Distance::NegativeDot,
-        x => return Err(LoadError::Format(format!("unknown distance code {x}"))),
-    })
 }
 
 struct Reader<R> {
@@ -124,11 +108,78 @@ impl<R: Read> Reader<R> {
             .map_err(|_| LoadError::Format("truncated".into()))?;
         Ok(u64::from_le_bytes(b))
     }
-    fn f64(&mut self) -> Result<f64, LoadError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
     fn f32(&mut self) -> Result<f32, LoadError> {
         Ok(f32::from_bits(self.u32()?))
+    }
+    /// The next `len` bytes, allocated as they arrive.
+    fn bytes(&mut self, len: u64) -> Result<Vec<u8>, LoadError> {
+        let mut out = Vec::new();
+        (&mut self.inner).take(len).read_to_end(&mut out)?;
+        if out.len() as u64 != len {
+            return Err(LoadError::Format("truncated".into()));
+        }
+        Ok(out)
+    }
+}
+
+impl HnswConfig {
+    /// Writes the config record: `m`, the derived `m_max0`,
+    /// `ef_construction`, the derived `level_mult`, the flag bytes `0` and
+    /// `1`, `seed` and `entry_beam` — 34 bytes, little endian.
+    pub fn write_record(&self, w: &mut impl Write) -> std::io::Result<()> {
+        w.write_all(&(self.m as u32).to_le_bytes())?;
+        w.write_all(&(self.m_max0() as u32).to_le_bytes())?;
+        w.write_all(&(self.ef_construction as u32).to_le_bytes())?;
+        w.write_all(&self.level_mult().to_bits().to_le_bytes())?;
+        w.write_all(&[0, 1])?;
+        w.write_all(&self.seed.to_le_bytes())?;
+        w.write_all(&(self.entry_beam as u32).to_le_bytes())
+    }
+
+    /// Reads a record written by [`HnswConfig::write_record`].
+    ///
+    /// # Errors
+    /// [`LoadError::Format`] on truncation, an `m` below 2 or above the
+    /// cap, a stored `m_max0`, `level_mult` or flag byte that is not the
+    /// one `m` derives, or a zero `ef_construction` or `entry_beam`.
+    pub fn read_record(r: &mut impl Read) -> Result<HnswConfig, LoadError> {
+        let mut rd = Reader { inner: r };
+        let m = rd.u32()? as usize;
+        let m_max0 = rd.u32()? as usize;
+        let ef_construction = rd.u32()? as usize;
+        let level_mult = rd.u64()?;
+        let flags = [rd.u8()?, rd.u8()?];
+        let seed = rd.u64()?;
+        let entry_beam = rd.u32()? as usize;
+        if m < 2 {
+            return Err(LoadError::Format("implausible link bounds".into()));
+        }
+        if m > MAX_M {
+            return Err(LoadError::Format(format!("m {m} above the cap of {MAX_M}")));
+        }
+        let config = HnswConfig {
+            m,
+            ef_construction,
+            seed,
+            entry_beam,
+        };
+        if m_max0 != config.m_max0() {
+            return Err(LoadError::Format(format!(
+                "m_max0 {m_max0} disagrees with m {m}"
+            )));
+        }
+        if level_mult != config.level_mult().to_bits() {
+            return Err(LoadError::Format(format!(
+                "level_mult disagrees with m {m}"
+            )));
+        }
+        if flags != [0, 1] {
+            return Err(LoadError::Format(format!("bad config flags {flags:?}")));
+        }
+        if ef_construction == 0 || entry_beam == 0 {
+            return Err(LoadError::Format("zero construction or entry beam".into()));
+        }
+        Ok(config)
     }
 }
 
@@ -142,19 +193,12 @@ impl Hnsw {
 
     /// Writes the serialized index to any writer.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let cfg = self.config();
         w.write_all(MAGIC)?;
         w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&[dist_code(self.distance())])?;
+        w.write_all(&[self.distance().code()])?;
         w.write_all(&(self.dim() as u32).to_le_bytes())?;
         w.write_all(&(self.len() as u32).to_le_bytes())?;
-        w.write_all(&(cfg.m as u32).to_le_bytes())?;
-        w.write_all(&(cfg.m_max0 as u32).to_le_bytes())?;
-        w.write_all(&(cfg.ef_construction as u32).to_le_bytes())?;
-        w.write_all(&cfg.level_mult.to_bits().to_le_bytes())?;
-        w.write_all(&[u8::from(cfg.extend_candidates), u8::from(cfg.keep_pruned)])?;
-        w.write_all(&cfg.seed.to_le_bytes())?;
-        w.write_all(&(cfg.entry_beam as u32).to_le_bytes())?;
+        self.config().write_record(w)?;
         match self.entry_snapshot() {
             Some((node, level)) => {
                 w.write_all(&[1u8])?;
@@ -240,41 +284,15 @@ impl Hnsw {
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(LoadError::Format(format!("unsupported version {version}")));
         }
-        let dist = dist_from_code(rd.u8()?)?;
+        let code = rd.u8()?;
+        let dist = Distance::from_code(code)
+            .ok_or_else(|| LoadError::Format(format!("unknown distance code {code}")))?;
         let dim = rd.u32()? as usize;
         let n = rd.u32()? as usize;
         if dim == 0 {
             return Err(LoadError::Format("zero dimension".into()));
         }
-        let m = rd.u32()? as usize;
-        let m_max0 = rd.u32()? as usize;
-        let ef_construction = rd.u32()? as usize;
-        let level_mult = rd.f64()?;
-        let extend_candidates = rd.u8()? != 0;
-        let keep_pruned = rd.u8()? != 0;
-        let seed = rd.u64()?;
-        let entry_beam = rd.u32()? as usize;
-        if entry_beam == 0 {
-            return Err(LoadError::Format("zero entry beam".into()));
-        }
-        if m < 2 || m_max0 < m {
-            return Err(LoadError::Format("implausible link bounds".into()));
-        }
-        if m_max0 > MAX_M_MAX0 {
-            return Err(LoadError::Format(format!(
-                "m_max0 {m_max0} above the cap of {MAX_M_MAX0}"
-            )));
-        }
-        let config = HnswConfig {
-            m,
-            m_max0,
-            ef_construction,
-            level_mult,
-            extend_candidates,
-            keep_pruned,
-            seed,
-            entry_beam,
-        };
+        let config = HnswConfig::read_record(&mut rd.inner)?;
         let entry = match rd.u8()? {
             0 => None,
             1 => {
@@ -287,14 +305,18 @@ impl Hnsw {
             }
             x => return Err(LoadError::Format(format!("bad entry flag {x}"))),
         };
-        let mut levels = Vec::with_capacity(n);
-        for _ in 0..n {
-            levels.push(rd.u8()?);
-        }
-        let mut flat = Vec::with_capacity(n * dim);
-        for _ in 0..n * dim {
-            flat.push(rd.f32()?);
-        }
+        // Read the n-sized sections through `take`: a corrupt `n` or `dim`
+        // then costs only the bytes actually present, never an allocation
+        // sized by the header.
+        let levels = rd.bytes(n as u64)?;
+        let flat_len = (n as u64 * dim as u64)
+            .checked_mul(4)
+            .ok_or_else(|| LoadError::Format("implausible vector section".into()))?;
+        let flat = rd
+            .bytes(flat_len)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
         let data = VectorSet::from_flat(dim, flat);
         let mut all_links: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
         for &lvl in &levels {
@@ -325,11 +347,11 @@ impl Hnsw {
         let quant = match rd.u8()? {
             0 => None,
             1 => {
-                let mut lo = Vec::with_capacity(dim);
+                let mut lo = Vec::new();
                 for _ in 0..dim {
                     lo.push(rd.f32()?);
                 }
-                let mut step = Vec::with_capacity(dim);
+                let mut step = Vec::new();
                 for _ in 0..dim {
                     let s = rd.f32()?;
                     if !s.is_finite() || s <= 0.0 {
@@ -516,43 +538,101 @@ mod tests {
         assert!(matches!(err, LoadError::Format(_)));
     }
 
-    /// Byte offset of the `m` header field; `m_max0` follows it.
+    /// Byte offset of the config record (`m` first, `m_max0` after it).
     const M_AT: usize = 8 + 4 + 1 + 4 + 4;
+    /// Byte offset of the record's `level_mult` and flag bytes.
+    const MULT_AT: usize = M_AT + 12;
+    const FLAGS_AT: usize = MULT_AT + 8;
+
+    /// `bytes` with its config record rewritten to `cfg`'s.
+    fn with_record(bytes: &[u8], cfg: HnswConfig) -> Vec<u8> {
+        let mut rec = Vec::new();
+        cfg.write_record(&mut rec)
+            .expect("writing to a Vec cannot fail");
+        let mut out = bytes.to_vec();
+        out[M_AT..M_AT + rec.len()].copy_from_slice(&rec);
+        out
+    }
+
+    fn format_err(bytes: &[u8]) -> String {
+        match Hnsw::from_bytes(bytes) {
+            Err(LoadError::Format(m)) => m,
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
 
     #[test]
     fn over_degree_link_list_rejected() {
         let idx = sample_index(); // m = 8, m_max0 = 16
         let bytes = idx.to_bytes();
-        // Declaring tighter bounds turns every fuller list into an
-        // over-degree one: m_max0 = 8 at layer 0, m = 2 above it.
-        for (at, bound, layer) in [(M_AT + 4, 8u32, 0), (M_AT, 2, 1)] {
+        // A consistent record with m = 4 turns every layer-0 list longer
+        // than 8 into an over-degree one.
+        let m = format_err(&with_record(&bytes, HnswConfig::with_m(4)));
+        assert!(
+            m.contains("layer 0 link list") && m.contains("degree bound 8"),
+            "{m}"
+        );
+        // A layer-1 list whose length field claims m + 1 links.
+        let node = (0..idx.len() as u32)
+            .find(|&id| idx.level(id) >= 1)
+            .expect("a 600-point build has upper-layer nodes");
+        let entry_sect = if idx.entry_snapshot().is_some() { 6 } else { 1 };
+        let mut at = M_AT + 34 + entry_sect + idx.len() + 4 * idx.len() * idx.dim();
+        for id in 0..node {
+            for layer in 0..=idx.level(id) as usize {
+                at += 4 + 4 * idx.links_of(id, layer).len();
+            }
+        }
+        at += 4 + 4 * idx.links_of(node, 0).len();
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
+        let m = format_err(&bad);
+        assert!(
+            m.contains("layer 1 link list of 9") && m.contains("degree bound 8"),
+            "{m}"
+        );
+        // Tightening one stored bound alone no longer declares a smaller
+        // degree: the record disagrees with itself.
+        for (at, value, msg) in [
+            (M_AT + 4, 8u32, "m_max0 8 disagrees with m 8"),
+            (M_AT, 2, "m_max0 16 disagrees with m 2"),
+        ] {
             let mut bad = bytes.clone();
-            bad[at..at + 4].copy_from_slice(&bound.to_le_bytes());
-            let err = Hnsw::from_bytes(&bad).unwrap_err();
-            assert!(
-                matches!(&err, LoadError::Format(m)
-                    if m.contains(&format!("layer {layer} link list"))
-                        && m.contains(&format!("degree bound {bound}"))),
-                "{err}"
-            );
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let m = format_err(&bad);
+            assert!(m.contains(msg), "{m}");
         }
     }
 
     #[test]
     fn absurd_m_max0_rejected() {
-        let mut bytes = sample_index().to_bytes();
-        let huge = (MAX_M_MAX0 + 1) as u32;
-        bytes[M_AT + 4..M_AT + 8].copy_from_slice(&huge.to_le_bytes());
-        let err = Hnsw::from_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, LoadError::Format(m) if m.contains("above the cap")),
-            "{err}"
-        );
-        bytes[M_AT + 4..M_AT + 8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            Hnsw::from_bytes(&bytes),
-            Err(LoadError::Format(_))
-        ));
+        let bytes = sample_index().to_bytes();
+        for m_max0 in [1025u32, u32::MAX] {
+            let mut bad = bytes.clone();
+            bad[M_AT + 4..M_AT + 8].copy_from_slice(&m_max0.to_le_bytes());
+            let m = format_err(&bad);
+            assert!(m.contains("disagrees with m 8"), "{m}");
+        }
+        // m itself is capped, so the layer-0 slab of 2 * m slots per node
+        // stays bounded; the cap is inclusive.
+        let m = format_err(&with_record(&bytes, HnswConfig::with_m(MAX_M + 1)));
+        assert!(m.contains("m 513 above the cap of 512"), "{m}");
+        let mut huge = bytes.clone();
+        huge[M_AT..M_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(format_err(&huge).contains("above the cap"));
+        let at_cap = Hnsw::from_bytes(&with_record(&bytes, HnswConfig::with_m(MAX_M)))
+            .expect("every link list fits the wider bounds");
+        assert_eq!(at_cap.config().m, MAX_M);
+        // a level_mult that is not 1 / ln(m)
+        let mut bad = bytes.clone();
+        bad[MULT_AT] ^= 1;
+        assert!(format_err(&bad).contains("level_mult disagrees with m 8"));
+        // flag bytes other than the retired knobs' fixed 0 and 1
+        for flags in [[1u8, 1], [0, 0], [0, 2]] {
+            let mut bad = bytes.clone();
+            bad[FLAGS_AT..FLAGS_AT + 2].copy_from_slice(&flags);
+            assert!(format_err(&bad).contains("bad config flags"), "{flags:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,11 @@ use crate::net::{NetModel, Topology};
 use crate::rank::{Mailbox, Rank};
 use crate::vthreads::SchedPerturb;
 
+/// Stack size per rank thread. Simulated programs keep their data in
+/// shared structures, so a modest stack suffices even for thousands of
+/// ranks.
+const RANK_STACK_BYTES: usize = 1 << 20;
+
 /// Configuration of a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -55,10 +60,6 @@ pub struct SimConfig {
     pub net: NetModel,
     /// Compute cost model for [`Rank::charge_dists`].
     pub cost: CostModel,
-    /// Stack size per rank thread. Simulated programs keep their data in
-    /// shared structures, so a modest stack suffices even for thousands of
-    /// ranks.
-    pub stack_bytes: usize,
     /// Watchdog: a blocking receive that waits longer than this (real time)
     /// panics, turning simulated deadlocks into test failures.
     pub recv_timeout: Duration,
@@ -80,7 +81,6 @@ impl SimConfig {
             topology: Topology::default(),
             net: NetModel::default(),
             cost: CostModel::default(),
-            stack_bytes: 1 << 20,
             recv_timeout: Duration::from_secs(120),
             fault: FaultPlan::none(),
             sched: SchedPerturb::none(),
@@ -544,7 +544,7 @@ impl Cluster {
                         let ctl = Arc::clone(&ctl);
                         std::thread::Builder::new()
                             .name(format!("simrank-{r}"))
-                            .stack_size(shared.cfg.stack_bytes)
+                            .stack_size(RANK_STACK_BYTES)
                             .spawn_scoped(scope, move || worker_loop(rank, &ctl, worker))
                             .expect("failed to spawn rank thread");
                     }

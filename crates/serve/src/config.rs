@@ -60,6 +60,20 @@ impl Default for AdmissionPolicy {
     }
 }
 
+/// Virtual latency of a cache-served answer (key encode + probe +
+/// copy-out; no engine dispatch).
+pub const CACHE_HIT_NS: f64 = 2_000.0;
+
+/// Initial estimate of one batch's engine service time, used for
+/// deadline-feasibility checks before the first batch completes; the
+/// runtime then tracks an exponential moving average of observed service
+/// times.
+pub const SERVICE_ESTIMATE_NS: f64 = 2e6;
+
+/// Closed-loop clients back off this long (virtual ns) after a rejection
+/// before issuing their next request.
+pub const RETRY_BACKOFF_NS: f64 = 200_000.0;
+
 /// Full configuration of a [`crate::ServeRuntime`].
 ///
 /// `#[non_exhaustive]`: construct with [`ServeConfig::new`] (or
@@ -82,17 +96,6 @@ pub struct ServeConfig {
     /// Optional fault plan every batch dispatches under: a non-vacuous
     /// plan adds the engine's timeouts, retries and replica failover.
     pub fault: Option<FaultPlan>,
-    /// Virtual latency of a cache-served answer (key encode + probe +
-    /// copy-out; no engine dispatch).
-    pub cache_hit_ns: f64,
-    /// Initial estimate of one batch's engine service time, used for
-    /// deadline-feasibility checks before the first batch completes; the
-    /// runtime then tracks an exponential moving average of observed
-    /// service times.
-    pub service_estimate_ns: f64,
-    /// Closed-loop clients back off this long (virtual ns) after a
-    /// rejection before issuing their next request.
-    pub retry_backoff_ns: f64,
     /// Knobs of the adaptive replication controller; only consulted when
     /// [`ServeConfig::search`] carries an adaptive
     /// [`fastann_core::RoutingPolicy`].
@@ -116,9 +119,6 @@ impl ServeConfig {
             cache_capacity: 1024,
             search,
             fault: None,
-            cache_hit_ns: 2_000.0,
-            service_estimate_ns: 2e6,
-            retry_backoff_ns: 200_000.0,
             controller: ControllerPolicy::default(),
         }
     }

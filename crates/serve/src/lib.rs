@@ -45,7 +45,9 @@ mod runtime;
 
 pub use admission::TokenBucket;
 pub use cache::{CacheStats, ResultCache};
-pub use config::{AdmissionPolicy, BatchPolicy, ServeConfig};
+pub use config::{
+    AdmissionPolicy, BatchPolicy, ServeConfig, CACHE_HIT_NS, RETRY_BACKOFF_NS, SERVICE_ESTIMATE_NS,
+};
 pub use controller::{ControllerAction, ControllerPolicy, ReplicaController};
 pub use report::ServeReport;
 pub use request::{Completion, Outcome, Rejection, Request};

@@ -27,7 +27,7 @@ use fastann_obs::{buckets, Metrics, Stage};
 
 use crate::admission::TokenBucket;
 use crate::cache::ResultCache;
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, CACHE_HIT_NS, RETRY_BACKOFF_NS, SERVICE_ESTIMATE_NS};
 use crate::controller::ReplicaController;
 use crate::report::{percentile, ServeReport};
 use crate::request::{Completion, Outcome, Rejection, Request};
@@ -68,7 +68,7 @@ pub struct ClosedRequest {
 /// Closed-loop workload shape: `clients` concurrent clients, each issuing
 /// its next request the moment its previous one terminates (completions
 /// re-issue immediately; rejections back off by
-/// [`ServeConfig::retry_backoff_ns`]), until `total_requests` have been
+/// [`RETRY_BACKOFF_NS`]), until `total_requests` have been
 /// issued overall.
 pub struct ClosedLoopSpec {
     /// Concurrent clients (all start at virtual time 0).
@@ -105,7 +105,7 @@ impl ServeRuntime {
             "cache codec dimensionality must match the index"
         );
         let cache = ResultCache::new(codec, cfg.cache_capacity);
-        let service_est_ns = cfg.service_estimate_ns;
+        let service_est_ns = SERVICE_ESTIMATE_NS;
         // an adaptive routing policy needs the controller and a metrics
         // registry to feed it (callers may still swap in their own
         // registry with `set_metrics`)
@@ -157,12 +157,6 @@ impl ServeRuntime {
         }
         self.index = index;
         self.cache.bump_epoch();
-    }
-
-    /// The adaptive controller's live per-partition replica counts; `None`
-    /// under static routing.
-    pub fn replica_counts(&self) -> Option<&[usize]> {
-        self.controller.as_ref().map(|c| c.map().counts())
     }
 
     /// Result-cache counter snapshot.
@@ -422,9 +416,7 @@ impl<'a> Sim<'a> {
                     }
                     let (finished_id, next_at) = match &self.outcomes[i] {
                         Outcome::Completed(c) => (c.id, c.done_ns),
-                        Outcome::Rejected { id, at_ns, .. } => {
-                            (*id, at_ns + self.cfg.retry_backoff_ns.max(1.0))
-                        }
+                        Outcome::Rejected { id, at_ns, .. } => (*id, at_ns + RETRY_BACKOFF_NS),
                     };
                     let Some(&client) = drv.client_of.get(&finished_id) else {
                         continue;
@@ -485,7 +477,7 @@ impl<'a> Sim<'a> {
             m.inc("fastann_serve_cache_total", &[("outcome", outcome)], 1);
         }
         if let Some(results) = cached {
-            let done = now + self.cfg.cache_hit_ns;
+            let done = now + CACHE_HIT_NS;
             if let Some(m) = self.obs() {
                 m.span(Stage::CacheLookup, now, done);
             }

@@ -21,6 +21,12 @@ use rand::SeedableRng;
 
 use crate::vantage::select_vantage;
 
+/// Deepest skeleton [`PartitionTree::from_bytes`] accepts. A build over
+/// `P` cores is `log2(P)` deep and each split deepens one leaf by one, so
+/// a real skeleton stays far below this; the bound keeps a crafted one
+/// from exhausting the stack.
+const MAX_SKELETON_DEPTH: usize = 1024;
+
 #[derive(Clone, Debug)]
 enum PNode {
     Inner {
@@ -351,42 +357,79 @@ impl PartitionTree {
         out
     }
 
-    /// Deserializes a skeleton produced by [`PartitionTree::to_bytes`].
+    /// Deserializes a skeleton produced by [`PartitionTree::to_bytes`] —
+    /// from an index file or from the distributed construction's wire
+    /// message, which ships the same layout.
     ///
-    /// # Panics
-    /// Panics on malformed input (the skeleton travels inside trusted
-    /// index files and simulated messages, not across trust boundaries).
-    pub fn from_bytes(bytes: &[u8], dist: Distance) -> PartitionTree {
-        struct Rd<'a>(&'a [u8], usize);
-        impl Rd<'_> {
-            fn u32(&mut self) -> u32 {
-                let v = u32::from_le_bytes(self.0[self.1..self.1 + 4].try_into().expect("u32"));
-                self.1 += 4;
-                v
+    /// # Errors
+    /// A description of the first defect: truncation, an unknown node
+    /// tag, a vantage length longer than the bytes left, vantage vectors
+    /// of different lengths, nesting deeper than 1024 levels,
+    /// leaf ids that are not `0..n_partitions`, or trailing bytes.
+    pub fn from_bytes(bytes: &[u8], dist: Distance) -> Result<PartitionTree, String> {
+        fn u32_of(rd: &mut &[u8]) -> Result<u32, String> {
+            let (head, rest) = rd.split_first_chunk::<4>().ok_or("truncated skeleton")?;
+            *rd = rest;
+            Ok(u32::from_le_bytes(*head))
+        }
+        fn rec(rd: &mut &[u8], nodes: &mut Vec<PNode>, depth: usize) -> Result<u32, String> {
+            if depth > MAX_SKELETON_DEPTH {
+                return Err(format!("skeleton deeper than {MAX_SKELETON_DEPTH}"));
             }
-            fn f32(&mut self) -> f32 {
-                f32::from_bits(self.u32())
+            let node = match u32_of(rd)? {
+                0 => PNode::Leaf {
+                    partition: u32_of(rd)?,
+                },
+                1 => {
+                    let mu = f32::from_bits(u32_of(rd)?);
+                    let len = u32_of(rd)? as usize;
+                    if len > rd.len() / 4 {
+                        return Err(format!("vantage length {len} overruns the skeleton"));
+                    }
+                    let vp = (0..len)
+                        .map(|_| u32_of(rd).map(f32::from_bits))
+                        .collect::<Result<Vec<f32>, String>>()?;
+                    let left = rec(rd, nodes, depth + 1)?;
+                    let right = rec(rd, nodes, depth + 1)?;
+                    PNode::Inner {
+                        vp,
+                        mu,
+                        left,
+                        right,
+                    }
+                }
+                tag => return Err(format!("bad skeleton node tag {tag}")),
+            };
+            nodes.push(node);
+            Ok((nodes.len() - 1) as u32)
+        }
+        let mut rd = bytes;
+        let mut nodes = Vec::new();
+        let root = rec(&mut rd, &mut nodes, 0)?;
+        if !rd.is_empty() {
+            return Err(format!("{} trailing bytes in skeleton", rd.len()));
+        }
+        let mut vp_lens = nodes.iter().filter_map(|n| match n {
+            PNode::Inner { vp, .. } => Some(vp.len()),
+            PNode::Leaf { .. } => None,
+        });
+        if let Some(first) = vp_lens.next() {
+            if vp_lens.any(|l| l != first) {
+                return Err("vantage vectors of different lengths".into());
             }
         }
-        fn rec(rd: &mut Rd<'_>, b: &mut PartitionTreeBuilder) -> u32 {
-            let tag = rd.u32();
-            if tag == 0 {
-                let p = rd.u32();
-                b.leaf(p)
-            } else {
-                let mu = rd.f32();
-                let n = rd.u32() as usize;
-                let vp: Vec<f32> = (0..n).map(|_| rd.f32()).collect();
-                let left = rec(rd, b);
-                let right = rec(rd, b);
-                b.inner(vp, mu, left, right)
-            }
+        let mut leaves: Vec<u32> = nodes
+            .iter()
+            .filter_map(|n| match n {
+                PNode::Leaf { partition } => Some(*partition),
+                PNode::Inner { .. } => None,
+            })
+            .collect();
+        leaves.sort_unstable();
+        if leaves.iter().enumerate().any(|(i, &p)| p as usize != i) {
+            return Err("leaf partition ids are not 0..n_partitions".into());
         }
-        let mut rd = Rd(bytes, 0);
-        let mut b = PartitionTreeBuilder::new();
-        let root = rec(&mut rd, &mut b);
-        assert_eq!(rd.1, bytes.len(), "trailing bytes in skeleton");
-        b.finish(root, dist)
+        Ok(PartitionTree { nodes, root, dist })
     }
 
     /// Serialized size estimate in bytes (vantage vectors dominate); used
@@ -690,7 +733,7 @@ mod tests {
     fn skeleton_round_trips_through_bytes() {
         let data = synth::sift_like(600, 8, 11);
         let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 11);
-        let back = PartitionTree::from_bytes(&tree.to_bytes(), Distance::L2);
+        let back = PartitionTree::from_bytes(&tree.to_bytes(), Distance::L2).expect("round trip");
         assert_eq!(back.n_partitions(), 16);
         let cfg = RouteConfig {
             margin_frac: 0.3,
@@ -700,6 +743,32 @@ mod tests {
             let q = data.get(qi);
             assert_eq!(tree.route(q, &cfg), back.route(q, &cfg), "query {qi}");
         }
+    }
+
+    #[test]
+    fn malformed_skeleton_bytes_are_errors() {
+        let data = synth::sift_like(300, 4, 13);
+        let (tree, _) = PartitionTree::build_local(&data, 4, Distance::L2, 13);
+        let good = tree.to_bytes();
+        let err = |bytes: &[u8]| {
+            PartitionTree::from_bytes(bytes, Distance::L2).expect_err("malformed skeleton")
+        };
+        assert!(err(&good[..good.len() - 1]).contains("truncated"));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(err(&trailing).contains("trailing"));
+        // the root's vantage length, claiming far more than the file holds
+        let mut huge = good.clone();
+        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(err(&huge).contains("overruns"));
+        let mut tag = good.clone();
+        tag[..4].copy_from_slice(&7u32.to_le_bytes());
+        assert!(err(&tag).contains("node tag 7"));
+        let words = |w: &[u32]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        // an inner node over two leaves that both claim partition 1
+        assert!(err(&words(&[1, 0, 0, 0, 1, 0, 1])).contains("not 0..n_partitions"));
+        let deep = words(&[1, 0, 0].repeat(1025));
+        assert!(err(&deep).contains("deeper than 1024"));
     }
 
     #[test]
@@ -733,7 +802,7 @@ mod tests {
             "outside-the-ball rows must route to the new partition: {routed:?}"
         );
         // the split survives a serialization round trip
-        let back = PartitionTree::from_bytes(&tree.to_bytes(), Distance::L2);
+        let back = PartitionTree::from_bytes(&tree.to_bytes(), Distance::L2).expect("round trip");
         assert_eq!(back.n_partitions(), 9);
         for &id in rows.iter().take(16) {
             let q = data.get(id as usize);

@@ -7,15 +7,16 @@ use rand::SeedableRng;
 
 use crate::vantage::select_vantage;
 
+/// Vantage-point candidates sampled per node (the paper samples 100).
+const CANDIDATE_SAMPLE: usize = 16;
+/// Data points sampled to score each vantage-point candidate.
+const SPREAD_SAMPLE: usize = 64;
+
 /// Construction parameters for [`VpTree`].
 #[derive(Clone, Copy, Debug)]
 pub struct VpTreeConfig {
     /// Maximum points in a leaf bucket.
     pub bucket_size: usize,
-    /// Vantage-point candidates sampled per node (the paper samples 100).
-    pub candidate_sample: usize,
-    /// Data points sampled to score each candidate.
-    pub spread_sample: usize,
     /// RNG seed; construction is deterministic given the seed.
     pub seed: u64,
 }
@@ -24,8 +25,6 @@ impl Default for VpTreeConfig {
     fn default() -> Self {
         Self {
             bucket_size: 32,
-            candidate_sample: 16,
-            spread_sample: 64,
             seed: 0,
         }
     }
@@ -431,8 +430,8 @@ fn build_rec(
 
     // --- vantage point selection (second-moment heuristic) ---
     let slice = &ids[start..end];
-    let n_cand = config.candidate_sample.min(n).max(1);
-    let n_sample = config.spread_sample.min(n).max(1);
+    let n_cand = CANDIDATE_SAMPLE.min(n).max(1);
+    let n_sample = SPREAD_SAMPLE.min(n).max(1);
     let candidates: Vec<u32> = slice.choose_multiple(rng, n_cand).copied().collect();
     let sample: Vec<u32> = slice.choose_multiple(rng, n_sample).copied().collect();
     let (best, sel_ndist) = select_vantage(data, &candidates, data, &sample, dist);
@@ -782,7 +781,7 @@ mod proptests {
             let tree = VpTree::build(
                 data.clone(),
                 Distance::L2,
-                VpTreeConfig { bucket_size: bucket, seed, ..Default::default() },
+                VpTreeConfig { bucket_size: bucket, seed },
             );
             let q = fastann_data::synth::sift_like(3, 6, seed ^ 0xabc);
             for qi in 0..3 {

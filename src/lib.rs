@@ -18,6 +18,12 @@
 
 #![forbid(unsafe_code)]
 
+/// Compiles (and, unless marked `no_run`, runs) every Rust block in
+/// README.md as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use fastann_core as core;
 pub use fastann_data as data;
 pub use fastann_hnsw as hnsw;
