@@ -325,13 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_defaults_on() {
-        let o = SearchOptions::new(10);
-        assert!(o.quantized, "quantized-first is the default traversal");
-        assert!(!o.with_quantized(false).quantized);
-    }
-
-    #[test]
     fn cap_timeout_clamps_only_under_deadline_pressure() {
         let o = SearchOptions::new(10); // default timeout 1e7 ns
         assert_eq!(

@@ -159,11 +159,6 @@ impl LocalIndex {
         }
     }
 
-    /// `true` when every reported neighbour is exact.
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, LocalIndex::Hnsw(_))
-    }
-
     /// The underlying HNSW graph, when this partition is served by one.
     pub fn as_hnsw(&self) -> Option<&Hnsw> {
         match self {
@@ -297,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn exactness_flags() {
+    fn both_kinds_count_build_work() {
         let h = LocalIndex::build(
             LocalIndexKind::Hnsw,
             rows(),
@@ -312,8 +307,6 @@ mod tests {
             HnswConfig::with_m(8),
             4,
         );
-        assert!(!h.is_exact());
-        assert!(v.is_exact());
         assert!(h.build_ndist() > 0);
         assert!(v.build_ndist() > 0);
     }

@@ -405,16 +405,26 @@ mod tests {
         let (_, index) = build_one(85);
         let path = tmp("corrupt");
         index.save(&path).expect("save to temp dir succeeds");
-        let mut bytes = std::fs::read(&path).expect("saved file is readable");
-        let cut = bytes.len() / 2;
-        bytes.truncate(cut);
-        std::fs::write(&path, &bytes).expect("rewrite of corrupted bytes succeeds");
-        let res = DistIndex::load(&path);
+        let clean = std::fs::read(&path).expect("saved file is readable");
+        let truncated = clean[..clean.len() / 2].to_vec();
+        // A checksum is no MAC: whoever edits a file can recompute it. The
+        // root's vantage length (after header 28, metric and shape 17, hnsw
+        // record 34, route 12, skeleton length 8, tag and mu 8) set to
+        // u32::MAX must fail without sizing an allocation.
+        let mut crafted = clean.clone();
+        let at = 28 + 17 + 34 + 12 + 8 + 8;
+        assert_eq!(crafted[at..at + 4], 12u32.to_le_bytes(), "vantage length");
+        crafted[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = fnv1a64(&crafted[28..]);
+        crafted[20..28].copy_from_slice(&sum.to_le_bytes());
+        for (bytes, msg) in [(truncated, "does not match"), (crafted, "overruns")] {
+            std::fs::write(&path, &bytes).expect("rewrite of corrupted bytes succeeds");
+            let Err(PersistError::Format(m)) = DistIndex::load(&path) else {
+                panic!("corrupted file must fail as a format error")
+            };
+            assert!(m.contains(msg), "{m}");
+        }
         std::fs::remove_file(&path).ok();
-        let Err(err) = res else {
-            panic!("corrupted file must not load")
-        };
-        assert!(matches!(err, PersistError::Format(_)));
     }
 
     #[test]
@@ -469,38 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn crafted_skeleton_length_is_a_format_error() {
-        // A checksum is no MAC: whoever edits a file can recompute it. A
-        // root vantage length of u32::MAX must fail as a format error
-        // instead of sizing an allocation.
-        let (_, index) = build_one(93);
-        let path = tmp("crafted");
-        index.save(&path).expect("save to temp dir succeeds");
-        let mut bytes = std::fs::read(&path).expect("saved file is readable");
-        // header 28 | metric, shape, seed 17 | hnsw record 34 | route 12 |
-        // skeleton length 8 | root: tag 4, mu 4, vantage length
-        let at = 28 + 17 + 34 + 12 + 8 + 8;
-        assert_eq!(
-            bytes[at..at + 4],
-            12u32.to_le_bytes(),
-            "root vantage length"
-        );
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = fnv1a64(&bytes[28..]);
-        bytes[20..28].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &bytes).expect("rewrite succeeds");
-        let res = DistIndex::load(&path);
-        std::fs::remove_file(&path).ok();
-        let Err(PersistError::Format(m)) = res else {
-            panic!("a crafted skeleton must be a format error")
-        };
-        assert!(
-            m.contains("router skeleton") && m.contains("overruns"),
-            "{m}"
-        );
-    }
-
-    #[test]
     fn trailing_garbage_is_rejected() {
         let (_, index) = build_one(89);
         let path = tmp("trailing");
@@ -520,14 +498,11 @@ mod tests {
     fn split_index_survives_save_load_and_further_mutation() {
         use crate::mutation::{Mutation, MutationRequest};
         let data = synth::sift_like(2_000, 12, 90);
-        let cfg = EngineConfig::new(4, 2)
-            .with_hnsw(
-                HnswConfig::with_m(8)
-                    .ef_construction(40)
-                    .seed(90)
-                    .entry_beam(1),
-            )
-            .with_seed(90);
+        let hnsw = HnswConfig::with_m(8)
+            .ef_construction(40)
+            .seed(90)
+            .entry_beam(1);
+        let cfg = EngineConfig::new(4, 2).with_hnsw(hnsw).with_seed(90);
         let mut index = DistIndex::build(&data, cfg);
         MutationRequest::new(&mut index).split_above(300).run();
         assert_eq!(index.n_partitions(), 8, "four 500-row partitions split");

@@ -258,11 +258,11 @@ mod tests {
     /// Two-leaf skeleton with a single boundary at `mu`, vantage point at
     /// the origin.
     fn boundary_tree(mu: f32) -> Router {
-        let mut b = fastann_vptree::PartitionTreeBuilder::new();
-        let near = b.leaf(0);
-        let far = b.leaf(1);
-        let root = b.inner(vec![0.0, 0.0], mu, near, far);
-        Router::VpTree(b.finish(root, Distance::L2))
+        // preorder: inner [1, mu, 2, vp], leaf [0, 0], leaf [0, 1]
+        let words = [1, mu.to_bits(), 2, 0, 0, 0, 0, 0, 1u32];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let tree = fastann_vptree::PartitionTree::from_bytes(&bytes, Distance::L2);
+        Router::VpTree(tree.expect("a well-formed two-leaf skeleton"))
     }
 
     #[test]

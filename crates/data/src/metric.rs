@@ -121,12 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn codes_round_trip_and_stay_frozen() {
+    fn codes_round_trip() {
         for c in 0..6u8 {
-            let d = Distance::from_code(c).expect("codes 0..6 name a metric");
-            assert_eq!(d.code(), c);
+            assert_eq!(Distance::from_code(c).map(Distance::code), Some(c));
         }
-        assert_eq!(Distance::from_code(4), Some(Distance::Cosine));
         assert_eq!(Distance::from_code(6), None);
     }
 

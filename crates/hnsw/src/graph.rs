@@ -120,9 +120,8 @@ impl Graph {
     }
 
     /// Appends storage for one new node participating up to `level`.
-    pub fn push_node(&mut self, level: usize, m: usize, m_max0: usize) {
-        debug_assert_eq!(m_max0, self.m_max0, "layer-0 stride changed");
-        self.base.resize(self.base.len() + m_max0, 0);
+    pub fn push_node(&mut self, level: usize, m: usize) {
+        self.base.resize(self.base.len() + self.m_max0, 0);
         self.degree.push(0);
         self.upper.push(upper_with_level(level, m));
     }
@@ -209,7 +208,7 @@ mod tests {
     fn push_node_extends_the_slab() {
         let mut g = Graph::for_levels(&[0], 2, 4);
         g.set_neighbors(0, 0, vec![1]);
-        g.push_node(1, 2, 4);
+        g.push_node(1, 2);
         g.set_neighbors(1, 0, vec![0]);
         assert_eq!(g.neighbors(0, 0), &[1]);
         assert_eq!(g.neighbors(1, 0), &[0]);

@@ -1105,8 +1105,7 @@ impl Hnsw {
         self.levels.push(level);
         self.tombstones.push(false);
         self.live += 1;
-        self.graph
-            .push_node(level as usize, self.config.m, self.config.m_max0());
+        self.graph.push_node(level as usize, self.config.m);
         let mut scratch = SearchScratch::with_capacity(self.len());
         self.insert(id, &mut scratch);
         // A new upper-layer node can change the k-center selection; pure

@@ -418,6 +418,29 @@ mod tests {
         Hnsw::build(data, Distance::L2, HnswConfig::with_m(8).seed(77))
     }
 
+    /// `bytes` with `patch` written at `at`.
+    fn patched(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[at..at + patch.len()].copy_from_slice(patch);
+        out
+    }
+
+    /// `bytes` with its config record rewritten to `cfg`'s.
+    fn with_record(bytes: &[u8], cfg: HnswConfig) -> Vec<u8> {
+        let mut rec = Vec::new();
+        cfg.write_record(&mut rec)
+            .expect("writing to a Vec cannot fail");
+        patched(bytes, M_AT, &rec)
+    }
+
+    /// Asserts `bytes` fail to load with a format error naming `parts`.
+    fn assert_format_err(bytes: &[u8], parts: &[&str]) {
+        match Hnsw::from_bytes(bytes) {
+            Err(LoadError::Format(m)) => assert!(parts.iter().all(|p| m.contains(p)), "{m}"),
+            other => panic!("expected a format error naming {parts:?}, got {other:?}"),
+        }
+    }
+
     #[test]
     fn round_trip_preserves_search_results() {
         let idx = sample_index();
@@ -483,29 +506,28 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let err = Hnsw::from_bytes(b"NOTANIDX________").unwrap_err();
-        assert!(matches!(err, LoadError::Format(_)));
+        assert_format_err(b"NOTANIDX________", &["bad magic"]);
     }
 
     #[test]
     fn older_version_rejected() {
         let mut bytes = sample_index().to_bytes();
         bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let err = Hnsw::from_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(&err, LoadError::Format(m) if m.contains("unsupported version 3")),
-            "{err}"
-        );
+        assert_format_err(&bytes, &["unsupported version 3"]);
     }
 
     #[test]
     fn truncation_rejected() {
         let bytes = sample_index().to_bytes();
         for cut in [8usize, 20, 60, bytes.len() / 2, bytes.len() - 3] {
-            let err = Hnsw::from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, LoadError::Format(_)),
-                "cut at {cut} should fail"
+            assert_format_err(&bytes[..cut], &[]);
+        }
+        // a dimension or row count the blob does not hold is truncation,
+        // not an allocation sized by the header
+        for at in [13, 17] {
+            assert_format_err(
+                &patched(&bytes, at, &u32::MAX.to_le_bytes()),
+                &["truncated"],
             );
         }
     }
@@ -534,8 +556,7 @@ mod tests {
         let quant_sect = 1 + 8 * idx.dim() + idx.len() * idx.dim();
         let last_link = bytes.len() - mut_sect(&idx) - entry_set_sect(&idx) - quant_sect - 4;
         bytes[last_link..last_link + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Hnsw::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, LoadError::Format(_)));
+        assert_format_err(&bytes, &[]);
     }
 
     /// Byte offset of the config record (`m` first, `m_max0` after it).
@@ -544,35 +565,11 @@ mod tests {
     const MULT_AT: usize = M_AT + 12;
     const FLAGS_AT: usize = MULT_AT + 8;
 
-    /// `bytes` with its config record rewritten to `cfg`'s.
-    fn with_record(bytes: &[u8], cfg: HnswConfig) -> Vec<u8> {
-        let mut rec = Vec::new();
-        cfg.write_record(&mut rec)
-            .expect("writing to a Vec cannot fail");
-        let mut out = bytes.to_vec();
-        out[M_AT..M_AT + rec.len()].copy_from_slice(&rec);
-        out
-    }
-
-    fn format_err(bytes: &[u8]) -> String {
-        match Hnsw::from_bytes(bytes) {
-            Err(LoadError::Format(m)) => m,
-            other => panic!("expected a format error, got {other:?}"),
-        }
-    }
-
     #[test]
     fn over_degree_link_list_rejected() {
         let idx = sample_index(); // m = 8, m_max0 = 16
         let bytes = idx.to_bytes();
-        // A consistent record with m = 4 turns every layer-0 list longer
-        // than 8 into an over-degree one.
-        let m = format_err(&with_record(&bytes, HnswConfig::with_m(4)));
-        assert!(
-            m.contains("layer 0 link list") && m.contains("degree bound 8"),
-            "{m}"
-        );
-        // A layer-1 list whose length field claims m + 1 links.
+        // offset of the first upper-layer node's layer-1 list length
         let node = (0..idx.len() as u32)
             .find(|&id| idx.level(id) >= 1)
             .expect("a 600-point build has upper-layer nodes");
@@ -584,55 +581,63 @@ mod tests {
             }
         }
         at += 4 + 4 * idx.links_of(node, 0).len();
-        let mut bad = bytes.clone();
-        bad[at..at + 4].copy_from_slice(&9u32.to_le_bytes());
-        let m = format_err(&bad);
-        assert!(
-            m.contains("layer 1 link list of 9") && m.contains("degree bound 8"),
-            "{m}"
-        );
-        // Tightening one stored bound alone no longer declares a smaller
-        // degree: the record disagrees with itself.
-        for (at, value, msg) in [
-            (M_AT + 4, 8u32, "m_max0 8 disagrees with m 8"),
-            (M_AT, 2, "m_max0 16 disagrees with m 2"),
+        for (bad, parts) in [
+            // a consistent record with m = 4 makes every layer-0 list
+            // longer than 8 over-degree
+            (
+                with_record(&bytes, HnswConfig::with_m(4)),
+                &["layer 0 link list", "degree bound 8"][..],
+            ),
+            (
+                patched(&bytes, at, &9u32.to_le_bytes()),
+                &["layer 1 link list of 9 exceeds degree bound 8"],
+            ),
+            // tightening one stored bound alone makes the record
+            // disagree with itself
+            (
+                patched(&bytes, M_AT + 4, &8u32.to_le_bytes()),
+                &["m_max0 8 disagrees with m 8"],
+            ),
+            (
+                patched(&bytes, M_AT, &2u32.to_le_bytes()),
+                &["m_max0 16 disagrees with m 2"],
+            ),
         ] {
-            let mut bad = bytes.clone();
-            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            let m = format_err(&bad);
-            assert!(m.contains(msg), "{m}");
+            assert_format_err(&bad, parts);
         }
     }
 
     #[test]
     fn absurd_m_max0_rejected() {
         let bytes = sample_index().to_bytes();
-        for m_max0 in [1025u32, u32::MAX] {
-            let mut bad = bytes.clone();
-            bad[M_AT + 4..M_AT + 8].copy_from_slice(&m_max0.to_le_bytes());
-            let m = format_err(&bad);
-            assert!(m.contains("disagrees with m 8"), "{m}");
+        let max = u32::MAX.to_le_bytes();
+        for (bad, msg) in [
+            (
+                patched(&bytes, M_AT + 4, &1025u32.to_le_bytes()),
+                "m_max0 1025 disagrees",
+            ),
+            (patched(&bytes, M_AT + 4, &max), "disagrees with m 8"),
+            // m itself is capped, so the 2 * m layer-0 slab stays bounded
+            (
+                with_record(&bytes, HnswConfig::with_m(MAX_M + 1)),
+                "m 513 above the cap of 512",
+            ),
+            (patched(&bytes, M_AT, &max), "above the cap"),
+            // a level_mult other than 1 / ln(m)
+            (
+                patched(&bytes, MULT_AT, &[bytes[MULT_AT] ^ 1]),
+                "level_mult disagrees",
+            ),
+            // flag bytes other than the retired knobs' fixed 0 and 1
+            (patched(&bytes, FLAGS_AT, &[1, 1]), "bad config flags"),
+            (patched(&bytes, FLAGS_AT, &[0, 0]), "bad config flags"),
+            (patched(&bytes, FLAGS_AT, &[0, 2]), "bad config flags"),
+        ] {
+            assert_format_err(&bad, &[msg]);
         }
-        // m itself is capped, so the layer-0 slab of 2 * m slots per node
-        // stays bounded; the cap is inclusive.
-        let m = format_err(&with_record(&bytes, HnswConfig::with_m(MAX_M + 1)));
-        assert!(m.contains("m 513 above the cap of 512"), "{m}");
-        let mut huge = bytes.clone();
-        huge[M_AT..M_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(format_err(&huge).contains("above the cap"));
         let at_cap = Hnsw::from_bytes(&with_record(&bytes, HnswConfig::with_m(MAX_M)))
-            .expect("every link list fits the wider bounds");
+            .expect("the cap is inclusive, and every list fits the wider bounds");
         assert_eq!(at_cap.config().m, MAX_M);
-        // a level_mult that is not 1 / ln(m)
-        let mut bad = bytes.clone();
-        bad[MULT_AT] ^= 1;
-        assert!(format_err(&bad).contains("level_mult disagrees with m 8"));
-        // flag bytes other than the retired knobs' fixed 0 and 1
-        for flags in [[1u8, 1], [0, 0], [0, 2]] {
-            let mut bad = bytes.clone();
-            bad[FLAGS_AT..FLAGS_AT + 2].copy_from_slice(&flags);
-            assert!(format_err(&bad).contains("bad config flags"), "{flags:?}");
-        }
     }
 
     #[test]
@@ -684,8 +689,7 @@ mod tests {
         let sect = 1 + 4 * dim + 4 * dim + n * dim;
         let step0 = bytes.len() - mut_sect(&idx) - entry_set_sect(&idx) - sect + 1 + 4 * dim;
         bytes[step0..step0 + 4].copy_from_slice(&0.0f32.to_bits().to_le_bytes());
-        let err = Hnsw::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, LoadError::Format(_)));
+        assert_format_err(&bytes, &[]);
     }
 
     #[test]
@@ -741,8 +745,7 @@ mod tests {
         assert!(!idx.entry_set().is_empty());
         let first = bytes.len() - mut_sect(&idx) - 4 * idx.entry_set().len();
         bytes[first..first + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Hnsw::from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, LoadError::Format(_)));
+        assert_format_err(&bytes, &[]);
     }
 
     #[test]

@@ -49,6 +49,6 @@ mod partition;
 mod tree;
 mod vantage;
 
-pub use partition::{PartitionTree, PartitionTreeBuilder, RouteConfig};
+pub use partition::{PartitionTree, RouteConfig};
 pub use tree::{VpSearchStats, VpTree, VpTreeConfig};
 pub use vantage::{select_vantage, spread_about_median};

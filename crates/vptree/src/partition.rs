@@ -60,56 +60,6 @@ impl Default for RouteConfig {
     }
 }
 
-/// Builder used by the distributed construction to assemble a skeleton from
-/// already-computed `(vantage, mu)` pairs.
-#[derive(Debug, Default)]
-pub struct PartitionTreeBuilder {
-    nodes: Vec<PNode>,
-}
-
-impl PartitionTreeBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a leaf naming `partition`; returns its node handle.
-    pub fn leaf(&mut self, partition: u32) -> u32 {
-        self.nodes.push(PNode::Leaf { partition });
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// Adds an inner node over two existing handles; returns its handle.
-    pub fn inner(&mut self, vp: Vec<f32>, mu: f32, left: u32, right: u32) -> u32 {
-        assert!((left as usize) < self.nodes.len(), "unknown left child");
-        assert!((right as usize) < self.nodes.len(), "unknown right child");
-        self.nodes.push(PNode::Inner {
-            vp,
-            mu,
-            left,
-            right,
-        });
-        (self.nodes.len() - 1) as u32
-    }
-
-    /// Finishes the tree with `root` as the root handle.
-    ///
-    /// # Panics
-    /// Panics if `root` is not a node or the structure is not a tree that
-    /// covers every node exactly once.
-    pub fn finish(self, root: u32, dist: Distance) -> PartitionTree {
-        assert!((root as usize) < self.nodes.len(), "unknown root");
-        let tree = PartitionTree {
-            nodes: self.nodes,
-            root,
-            dist,
-        };
-        tree.validate()
-            .expect("skeleton builder produced an invalid tree");
-        tree
-    }
-}
-
 /// The master-side partition skeleton: maps a query to the partitions that
 /// must be searched.
 #[derive(Clone, Debug)]
@@ -363,9 +313,9 @@ impl PartitionTree {
     ///
     /// # Errors
     /// A description of the first defect: truncation, an unknown node
-    /// tag, a vantage length longer than the bytes left, vantage vectors
-    /// of different lengths, nesting deeper than 1024 levels,
-    /// leaf ids that are not `0..n_partitions`, or trailing bytes.
+    /// tag, a vantage length longer than the bytes left, nesting deeper
+    /// than 1024 levels, leaf ids that are not `0..n_partitions`, or
+    /// trailing bytes.
     pub fn from_bytes(bytes: &[u8], dist: Distance) -> Result<PartitionTree, String> {
         fn u32_of(rd: &mut &[u8]) -> Result<u32, String> {
             let (head, rest) = rd.split_first_chunk::<4>().ok_or("truncated skeleton")?;
@@ -408,15 +358,6 @@ impl PartitionTree {
         let root = rec(&mut rd, &mut nodes, 0)?;
         if !rd.is_empty() {
             return Err(format!("{} trailing bytes in skeleton", rd.len()));
-        }
-        let mut vp_lens = nodes.iter().filter_map(|n| match n {
-            PNode::Inner { vp, .. } => Some(vp.len()),
-            PNode::Leaf { .. } => None,
-        });
-        if let Some(first) = vp_lens.next() {
-            if vp_lens.any(|l| l != first) {
-                return Err("vantage vectors of different lengths".into());
-            }
         }
         let mut leaves: Vec<u32> = nodes
             .iter()
@@ -627,13 +568,40 @@ mod tests {
         assert!(route.iter().all(|&p| p < 8));
     }
 
+    /// Leaf 0 inside the ball of radius `mu` around `vp`, leaf 1 outside.
+    fn two_leaves(vp: Vec<f32>, mu: f32) -> PartitionTree {
+        let (left, right) = (0, 1);
+        let nodes = vec![
+            PNode::Leaf { partition: 0 },
+            PNode::Leaf { partition: 1 },
+            PNode::Inner {
+                vp,
+                mu,
+                left,
+                right,
+            },
+        ];
+        let dist = Distance::L2;
+        PartitionTree {
+            nodes,
+            root: 2,
+            dist,
+        }
+    }
+
+    fn one_leaf() -> PartitionTree {
+        let nodes = vec![PNode::Leaf { partition: 0 }];
+        let dist = Distance::L2;
+        PartitionTree {
+            nodes,
+            root: 0,
+            dist,
+        }
+    }
+
     #[test]
-    fn builder_assembles_manual_tree() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let l1 = b.leaf(1);
-        let root = b.inner(vec![0.0, 0.0], 1.0, l0, l1);
-        let tree = b.finish(root, Distance::L2);
+    fn two_leaf_tree_routes_by_ball() {
+        let tree = two_leaves(vec![0.0, 0.0], 1.0);
         assert_eq!(tree.n_partitions(), 2);
         // query inside the ball routes to partition 0
         let (route, _) = tree.route(
@@ -656,12 +624,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_near_boundary_routes_to_both() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let l1 = b.leaf(1);
-        let root = b.inner(vec![0.0], 1.0, l0, l1);
-        let tree = b.finish(root, Distance::L2);
+    fn near_boundary_routes_to_both() {
+        let tree = two_leaves(vec![0.0], 1.0);
         let (route, _) = tree.route(
             &[0.95],
             &RouteConfig {
@@ -671,14 +635,6 @@ mod tests {
         );
         assert_eq!(route.len(), 2, "boundary query must visit both children");
         assert_eq!(route[0], 0, "home partition first");
-    }
-
-    #[test]
-    #[should_panic]
-    fn builder_bad_child_panics() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let _ = b.inner(vec![0.0], 1.0, l0, 99);
     }
 
     #[test]
@@ -747,28 +703,21 @@ mod tests {
 
     #[test]
     fn malformed_skeleton_bytes_are_errors() {
-        let data = synth::sift_like(300, 4, 13);
-        let (tree, _) = PartitionTree::build_local(&data, 4, Distance::L2, 13);
-        let good = tree.to_bytes();
-        let err = |bytes: &[u8]| {
-            PartitionTree::from_bytes(bytes, Distance::L2).expect_err("malformed skeleton")
-        };
-        assert!(err(&good[..good.len() - 1]).contains("truncated"));
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(err(&trailing).contains("trailing"));
-        // the root's vantage length, claiming far more than the file holds
-        let mut huge = good.clone();
-        huge[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(err(&huge).contains("overruns"));
-        let mut tag = good.clone();
-        tag[..4].copy_from_slice(&7u32.to_le_bytes());
-        assert!(err(&tag).contains("node tag 7"));
         let words = |w: &[u32]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
-        // an inner node over two leaves that both claim partition 1
-        assert!(err(&words(&[1, 0, 0, 0, 1, 0, 1])).contains("not 0..n_partitions"));
-        let deep = words(&[1, 0, 0].repeat(1025));
-        assert!(err(&deep).contains("deeper than 1024"));
+        // inner [1, mu, len 1, vp], leaf [0, 0], leaf [0, 1]
+        let good = [1, 0, 1, 0, 0, 0, 0, 1];
+        assert!(PartitionTree::from_bytes(&words(&good), Distance::L2).is_ok());
+        for (bad, msg) in [
+            (words(&good[..7]), "truncated"),
+            (words(&[&good[..], &[0]].concat()), "trailing"),
+            (words(&[1, 0, u32::MAX, 0, 0, 0, 1]), "overruns"),
+            (words(&[7, 0, 1, 0, 0, 0, 0, 1]), "node tag 7"),
+            (words(&[1, 0, 1, 0, 0, 1, 0, 1]), "not 0..n_partitions"),
+            (words(&[1, 0, 0].repeat(1025)), "deeper than 1024"),
+        ] {
+            let err = PartitionTree::from_bytes(&bad, Distance::L2).expect_err(msg);
+            assert!(err.contains(msg), "{err}");
+        }
     }
 
     #[test]
@@ -812,9 +761,7 @@ mod tests {
 
     #[test]
     fn split_leaf_of_singleton_tree() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let mut tree = b.finish(l0, Distance::L2);
+        let mut tree = one_leaf();
         tree.split_leaf(0, vec![0.0, 0.0], 1.0, 1);
         assert_eq!(tree.n_partitions(), 2);
         let cfg = RouteConfig {
@@ -828,20 +775,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn split_leaf_unknown_partition_panics() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let mut tree = b.finish(l0, Distance::L2);
+        let mut tree = one_leaf();
         tree.split_leaf(5, vec![0.0], 1.0, 1);
     }
 
     #[test]
     #[should_panic]
     fn split_leaf_duplicate_new_pid_panics() {
-        let mut b = PartitionTreeBuilder::new();
-        let l0 = b.leaf(0);
-        let l1 = b.leaf(1);
-        let root = b.inner(vec![0.0], 1.0, l0, l1);
-        let mut tree = b.finish(root, Distance::L2);
+        let mut tree = two_leaves(vec![0.0], 1.0);
         tree.split_leaf(0, vec![0.0], 1.0, 1);
     }
 
