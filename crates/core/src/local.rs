@@ -76,10 +76,11 @@ impl LocalIndex {
     /// HNSW partition to its SQ8 traversal + exact re-rank pipeline
     /// ([`RERANK_FACTOR`] wide, falling back to exact when the partition
     /// has no trained quantizer); the descent beam is the index's
-    /// configured one. Tree and brute-force kinds are always exact and single-entry —
-    /// they are the ground-truth baselines, so quantizing them would
-    /// defeat their purpose — and report only `ndist` (a tree walk has no
-    /// beam, so `hops`, `heap_pushes` and `ef_churn` stay zero).
+    /// configured one. Tree and brute-force kinds are always exact and
+    /// single-entry — they are the ground-truth baselines, so quantizing
+    /// them would defeat their purpose — and report only `ndist` (a tree
+    /// walk has no beam, so `hops`, `heap_pushes` and `ef_churn` stay
+    /// zero).
     pub fn search_detailed_opts(
         &self,
         q: &[f32],

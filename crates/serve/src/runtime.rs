@@ -105,7 +105,6 @@ impl ServeRuntime {
             "cache codec dimensionality must match the index"
         );
         let cache = ResultCache::new(codec, cfg.cache_capacity);
-        let service_est_ns = SERVICE_ESTIMATE_NS;
         // an adaptive routing policy needs the controller and a metrics
         // registry to feed it (callers may still swap in their own
         // registry with `set_metrics`)
@@ -117,7 +116,7 @@ impl ServeRuntime {
             index,
             cfg,
             cache,
-            service_est_ns,
+            service_est_ns: SERVICE_ESTIMATE_NS,
             metrics,
             controller,
         }
