@@ -30,10 +30,15 @@
 //! timed-out probes in later rounds. Only three choices, fixed per batch in
 //! `Batch`, depend on the plan (DESIGN.md §6).
 //!
-//! Every batch is one epoch of a [`SearchSession`]: the worker ranks are
-//! spawned once per session and every epoch starts them from a fresh
-//! cluster's state, so a batch reports the same numbers whether it runs
-//! alone ([`crate::SearchRequest::run`]) or anywhere in a stream.
+//! Every batch is one epoch of a [`SearchSession`], and every epoch starts
+//! the ranks from a fresh cluster's state, so a batch reports the same
+//! numbers whether it runs alone ([`crate::SearchRequest::run`]) or
+//! anywhere in a stream. The master runs on the caller's thread, and each
+//! worker node is a [`Handler`] that the master's blocking receives run on
+//! the same thread: no OS thread is spawned, woken or joined per batch or
+//! per message. Real parallelism lives inside a node's flush, which splits
+//! its probes over `EngineConfig::threads` threads once it holds enough of
+//! them to pay for the spawn (`MIN_PROBES_PER_THREAD`).
 
 use std::collections::HashSet;
 
@@ -41,8 +46,8 @@ use bytes::{Bytes, BytesMut};
 use fastann_data::{Neighbor, TopK, VectorSet};
 use fastann_hnsw::{SearchScratch, SearchStats};
 use fastann_mpisim::{
-    wire, Cluster, FaultPlan, Rank, SchedPerturb, Session, SimConfig, SpanKind, Topology, Trace,
-    VThreadPool, Window,
+    wire, Cluster, Comm, FaultPlan, Handler, HandlerSession, Msg, Rank, SchedPerturb, SimConfig,
+    SpanKind, Topology, Trace, VThreadPool, Want, Window,
 };
 use fastann_obs::{buckets, Metrics, Stage};
 use rayon::prelude::*;
@@ -74,8 +79,7 @@ pub const TAG_FLUSH_ACK: u64 = 206;
 pub(crate) const MERGE_NS_PER_NEIGHBOR: f64 = 4.0;
 
 /// Everything the master and the workers share about one batch: the job
-/// of one session epoch. It owns its per-batch parts, so the session's
-/// worker ranks can hold it for the epoch.
+/// of one session epoch.
 pub(crate) struct Batch<'a> {
     index: &'a DistIndex,
     opts: SearchOptions,
@@ -116,8 +120,8 @@ impl Batch<'_> {
 }
 
 /// The simulated cluster of a [`SearchSession`]: rank 0 is the master,
-/// ranks `1..=n_nodes` the worker nodes.
-pub(crate) type EngineCluster<'c, 'a> = Session<'c, Batch<'a>, WorkerOut>;
+/// ranks `1..=n_nodes` the worker nodes, run as handlers on its thread.
+pub(crate) type EngineCluster<'a> = HandlerSession<Batch<'a>, Worker>;
 
 /// Opens the session behind [`SearchSession::open`]. `plan: None` and a
 /// vacuous plan are the same input, costs included.
@@ -125,7 +129,7 @@ pub(crate) fn open<'a, T>(
     index: &'a DistIndex,
     plan: Option<&'a FaultPlan>,
     sched_seed: u64,
-    body: impl FnOnce(&mut SearchSession<'_, 'a>) -> T,
+    body: impl FnOnce(&mut SearchSession<'a>) -> T,
 ) -> T {
     let plan = plan.filter(|p| !p.is_vacuous());
     let mut sim = SimConfig::new(index.config.n_nodes() + 1)
@@ -139,20 +143,12 @@ pub(crate) fn open<'a, T>(
         // tags that is
         sim = sim.fault(p.clone().protect(&tags::protected_values("engine")));
     }
-    // the master runs on this thread; the worker ranks see its rayon
-    // thread count too
-    let threads = rayon::current_num_threads();
-    Cluster::new(sim).session(
-        move |rank, b: &Batch| rayon::with_num_threads(threads, || worker(rank, b)),
-        |cluster| {
-            body(&mut SearchSession {
-                index,
-                plan,
-                sched_seed,
-                cluster,
-            })
-        },
-    )
+    body(&mut SearchSession {
+        index,
+        plan,
+        sched_seed,
+        cluster: Cluster::new(sim).handler_session(),
+    })
 }
 
 /// Single dispatch point behind [`crate::SearchRequest`]: runs one batch
@@ -163,7 +159,7 @@ pub(crate) fn open<'a, T>(
 /// adaptive controller's [`crate::ReplicaMap`] view); absent, every
 /// partition holds the policy's base replica count.
 pub(crate) fn dispatch(
-    session: &mut SearchSession<'_, '_>,
+    session: &mut SearchSession<'_>,
     queries: &VectorSet,
     opts: &SearchOptions,
     replicas: Option<&[usize]>,
@@ -515,11 +511,37 @@ struct PendingQuery {
     arrival: f64,
 }
 
-/// A worker node's state across the batch.
-struct Worker<'a> {
-    rank: &'a mut Rank,
-    b: &'a Batch<'a>,
+/// Where a worker node is in its program.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Waits for the master's RMA window key (one-sided batches).
+    Window,
+    /// Waits for the end of the start barrier.
+    Barrier,
+    /// Algorithm 4's loop: waits for the master's next message.
+    Serve,
+    /// The batch is over.
+    Done,
+}
+
+/// Fewest queued probes per real thread in a flush. Spawning and joining
+/// a flush's two threads costs 57–97 µs on a 2-vCPU x86 host, and one
+/// probe costs about 23 µs at 32-d and 53 µs at 256-d. Splitting `n`
+/// probes over two threads saves about `n / 2` probes of wall time, so
+/// the split pays from about 6 probes at 32-d and 3 at 256-d. At 4 per
+/// thread a flush splits from 8 probes; shorter ones run inline on the
+/// caller.
+const MIN_PROBES_PER_THREAD: usize = 4;
+
+/// A worker node — one MPI process of Algorithm 4 — as a message
+/// handler: its program from one receive to the next.
+pub(crate) struct Worker {
+    world: Comm,
+    phase: Phase,
+    /// The receive the node waits on.
+    want: Want,
     window: Option<Window<TopK>>,
+    serveable: Vec<bool>,
     pool: VThreadPool,
     queued: Vec<PendingQuery>,
     /// One `(arrival, completion)` pair per answered probe.
@@ -527,21 +549,23 @@ struct Worker<'a> {
     ndist: u64,
 }
 
-impl Worker<'_> {
+impl Worker {
     /// Answers every queued query. The searches fan out over
-    /// `index.config.threads` real threads (per-thread scratch); then the
-    /// virtual-time accounting and the posting replay in arrival order.
-    /// Searches read an immutable index, so results and per-query ndist
-    /// are schedule-independent, and every `pool.assign` and post happens
-    /// in arrival order with the same operands — so when this runs (on
+    /// `index.config.threads` real threads (per-thread scratch, at least
+    /// [`MIN_PROBES_PER_THREAD`] probes each); then the virtual-time
+    /// accounting and the posting replay in arrival order. Searches read
+    /// an immutable index, so results and per-query ndist are
+    /// schedule-independent, and every `pool.assign` and post happens in
+    /// arrival order with the same operands — so when this runs (on
     /// receipt or at a flush) and on how many threads never changes a
     /// virtual time.
-    fn serve(&mut self) {
-        let (index, opts) = (self.b.index, &self.b.opts);
+    fn serve(&mut self, rank: &mut Rank, b: &Batch) {
+        let (index, opts) = (b.index, &b.opts);
         let answers: Vec<(Vec<Neighbor>, SearchStats)> =
             rayon::with_num_threads(index.config.threads, || {
                 self.queued
                     .par_iter()
+                    .with_min_len(MIN_PROBES_PER_THREAD)
                     .map_init(SearchScratch::default, |scratch, item| {
                         index.partitions[item.part]
                             .index
@@ -555,14 +579,14 @@ impl Worker<'_> {
             let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
             let done_at = self.pool.assign(item.arrival, cost);
             self.served.push((item.arrival, done_at));
-            self.b.span(
-                self.rank.rank(),
+            b.span(
+                rank.rank(),
                 done_at - cost,
                 done_at,
                 SpanKind::Compute,
                 Stage::LocalSearch,
             );
-            if let Some(m) = &self.b.obs {
+            if let Some(m) = &b.obs {
                 record_local_search(m, item.part, &stats, cost);
             }
             // translate to global ids
@@ -572,33 +596,144 @@ impl Worker<'_> {
                 .collect();
             match &self.window {
                 Some(win) => {
-                    win.accumulate_at(
-                        self.rank,
-                        item.qid as usize,
-                        pairs.len() * 8 + 8,
-                        done_at,
-                        |t| {
-                            for &(id, d) in &pairs {
-                                t.push(Neighbor::new(id, d));
-                            }
-                        },
-                    );
-                    if let Some(m) = &self.b.obs {
+                    win.accumulate_at(rank, item.qid as usize, pairs.len() * 8 + 8, done_at, |t| {
+                        for &(id, d) in &pairs {
+                            t.push(Neighbor::new(id, d));
+                        }
+                    });
+                    if let Some(m) = &b.obs {
                         m.inc("fastann_rma_deposits_total", &[], 1);
                     }
                 }
                 None => {
                     let mut buf = BytesMut::new();
                     wire::put_u32(&mut buf, item.qid);
-                    if self.b.faults {
+                    if b.faults {
                         // the master de-duplicates by (query, partition)
                         wire::put_u32(&mut buf, item.part as u32);
                     }
                     wire::put_neighbors(&mut buf, &pairs);
-                    self.rank
-                        .send_bytes_at(0, TAG_RESULT, buf.freeze(), done_at);
+                    rank.send_bytes_at(0, TAG_RESULT, buf.freeze(), done_at);
                 }
             }
+        }
+    }
+
+    /// Algorithm 4's QUERY / FLUSH / END dispatch.
+    fn on_master_msg(&mut self, rank: &mut Rank, b: &Batch, msg: Msg) {
+        let node = rank.rank() - 1;
+        match msg.tag {
+            TAG_QUERY => {
+                if rank.is_crashed() {
+                    // fail-stop data plane: the query is swallowed; the
+                    // master's timeout + failover machinery recovers it
+                    return;
+                }
+                let mut payload = msg.payload;
+                let qid = wire::get_u32(&mut payload);
+                let part = wire::get_u32(&mut payload) as usize;
+                assert!(
+                    self.serveable[part],
+                    "node {node} asked to serve partition {part} it does not hold"
+                );
+                self.queued.push(PendingQuery {
+                    qid,
+                    part,
+                    q: wire::get_f32_vec(&mut payload),
+                    arrival: msg.arrival,
+                });
+                // a sequential node searches on receipt, so its virtual
+                // work overlaps the master's dispatch; a threaded one
+                // batches until the flush
+                if b.index.config.threads == 1 {
+                    self.serve(rank, b);
+                }
+            }
+            TAG_FLUSH => {
+                self.serve(rank, b);
+                if b.acked() {
+                    // every result and deposit is posted by the pool
+                    // makespan; under faults the ack is control plane,
+                    // answered even by a crashed rank, and cannot leave
+                    // before the node has read the flush
+                    let mut at = self.pool.makespan();
+                    if b.faults {
+                        at = at.max(rank.now());
+                    }
+                    rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
+                }
+                if !b.faults {
+                    // without faults round 0's flush is the shutdown
+                    self.phase = Phase::Done;
+                }
+            }
+            TAG_END => self.phase = Phase::Done,
+            t => panic!("worker node {node}: unexpected tag {t}"),
+        }
+    }
+}
+
+impl<'a> Handler<Batch<'a>> for Worker {
+    type Out = WorkerOut;
+
+    fn start(rank: &mut Rank, b: &Batch<'a>) -> Self {
+        let node = rank.rank() - 1;
+        let mut pool = VThreadPool::new(b.index.config.cores_per_node, 0.0);
+        pool.set_perturb(rank.sched_perturb());
+        let world = rank.world();
+        // the start barrier gives every rank the master's clock origin; a
+        // one-sided batch first joins the master's window, whose slots
+        // the collective transports
+        let (phase, want) = if b.one_sided {
+            (Phase::Window, Window::<TopK>::join(rank, &world, 0))
+        } else {
+            (Phase::Barrier, world.barrier_enter(rank))
+        };
+        Worker {
+            world,
+            phase,
+            want,
+            window: None,
+            serveable: serveable_partitions(b.index, node, &b.counts),
+            pool,
+            queued: Vec::new(),
+            served: Vec::new(),
+            ndist: 0,
+        }
+    }
+
+    fn waits_on(&self) -> Option<Want> {
+        (self.phase != Phase::Done).then_some(self.want)
+    }
+
+    fn on_msg(&mut self, rank: &mut Rank, b: &Batch<'a>, msg: Msg) {
+        match self.phase {
+            Phase::Window => {
+                self.window = Some(Window::joined(rank, &self.world, 0, &msg));
+                self.want = self.world.barrier_enter(rank);
+                self.phase = Phase::Barrier;
+            }
+            Phase::Barrier => {
+                self.phase = Phase::Serve;
+                self.want = Want {
+                    src: Some(0),
+                    tag: None,
+                };
+            }
+            Phase::Serve => self.on_master_msg(rank, b, msg),
+            Phase::Done => unreachable!("a finished node receives nothing"),
+        }
+    }
+
+    fn finish(self, rank: &mut Rank, b: &Batch<'a>) -> WorkerOut {
+        if let Some(m) = &b.obs {
+            record_worker_batch(m, &self.served);
+        }
+        let stats = rank.stats();
+        WorkerOut {
+            busy_ns: self.pool.busy(),
+            comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
+            ndist: self.ndist,
         }
     }
 }
@@ -682,93 +817,6 @@ fn serveable_partitions(index: &DistIndex, node: usize, counts: &[usize]) -> Vec
             (0..r).any(|i| (p + i) % p_cores / t_cores == node)
         })
         .collect()
-}
-
-fn worker<'a>(rank: &mut Rank, b: &'a Batch<'a>) -> WorkerOut {
-    let index = b.index;
-    let world = rank.world();
-    let node = rank.rank() - 1;
-    // NB: the window's slot count is decided by the master's create call —
-    // the collective transports the master's slots, so `n_slots` here is
-    // ignored by construction.
-    let window = b
-        .one_sided
-        .then(|| Window::create(rank, &world, 0, 1, |_| TopK::new(b.opts.k)));
-    world.barrier(rank);
-
-    let serveable = serveable_partitions(index, node, &b.counts);
-    let mut pool = VThreadPool::new(index.config.cores_per_node, 0.0);
-    pool.set_perturb(rank.sched_perturb());
-    let mut w = Worker {
-        rank,
-        b,
-        window,
-        pool,
-        queued: Vec::new(),
-        served: Vec::new(),
-        ndist: 0,
-    };
-
-    loop {
-        let msg = w.rank.recv(Some(0), None);
-        match msg.tag {
-            TAG_QUERY => {
-                if w.rank.is_crashed() {
-                    // fail-stop data plane: the query is swallowed; the
-                    // master's timeout + failover machinery recovers it
-                    continue;
-                }
-                let mut payload = msg.payload;
-                let qid = wire::get_u32(&mut payload);
-                let part = wire::get_u32(&mut payload) as usize;
-                assert!(
-                    serveable[part],
-                    "node {node} asked to serve partition {part} it does not hold"
-                );
-                w.queued.push(PendingQuery {
-                    qid,
-                    part,
-                    q: wire::get_f32_vec(&mut payload),
-                    arrival: msg.arrival,
-                });
-                // a sequential node searches on receipt, overlapping the
-                // master's dispatch; a threaded one batches until the flush
-                if index.config.threads == 1 {
-                    w.serve();
-                }
-            }
-            TAG_FLUSH => {
-                w.serve();
-                if b.acked() {
-                    // every result and deposit is posted by the pool
-                    // makespan; under faults the ack is control plane,
-                    // answered even by a crashed rank, and cannot leave
-                    // before the node has read the flush
-                    let mut at = w.pool.makespan();
-                    if b.faults {
-                        at = at.max(w.rank.now());
-                    }
-                    w.rank.send_bytes_at(0, TAG_FLUSH_ACK, Bytes::new(), at);
-                }
-                if !b.faults {
-                    // without faults round 0's flush is the shutdown
-                    break;
-                }
-            }
-            TAG_END => break,
-            t => panic!("worker node {node}: unexpected tag {t}"),
-        }
-    }
-
-    if let Some(m) = &b.obs {
-        record_worker_batch(m, &w.served);
-    }
-    let stats = w.rank.stats();
-    WorkerOut {
-        busy_ns: w.pool.busy(),
-        comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
-        ndist: w.ndist,
-    }
 }
 
 #[cfg(test)]

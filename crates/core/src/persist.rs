@@ -279,6 +279,21 @@ impl DistIndex {
                 r.len()
             )));
         }
+        // the router measures queries against the vantage vectors, and each
+        // probe against its partition's rows: one dimension for all
+        let mut dims = tree.dim().into_iter().chain(
+            partitions
+                .iter()
+                .filter(|p| !p.index.is_empty())
+                .map(|p| p.index.dim()),
+        );
+        if let Some(d) = dims.next() {
+            if let Some(e) = dims.find(|&e| e != d) {
+                return Err(PersistError::Format(format!(
+                    "vectors of dimension {d} and {e} in one index"
+                )));
+            }
+        }
 
         let mut config = EngineConfig::new(n_cores, cores_per_node);
         config.metric = metric;
@@ -421,6 +436,61 @@ mod tests {
             std::fs::write(&path, &bytes).expect("rewrite of corrupted bytes succeeds");
             let Err(PersistError::Format(m)) = DistIndex::load(&path) else {
                 panic!("corrupted file must fail as a format error")
+            };
+            assert!(m.contains(msg), "{m}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Drops the last component of the first `count` vantage vectors, in
+    /// preorder, of a serialized skeleton.
+    fn shorten_vantages(skel: &[u8], count: usize) -> Vec<u8> {
+        let word = |at: usize| u32::from_le_bytes(skel[at..at + 4].try_into().expect("4 bytes"));
+        let (mut out, mut at, mut left) = (Vec::new(), 0, count);
+        while at < skel.len() {
+            if word(at) == 0 {
+                // leaf: tag and partition id
+                out.extend_from_slice(&skel[at..at + 8]);
+                at += 8;
+                continue;
+            }
+            // inner: tag, mu, length, components
+            let len = word(at + 8) as usize;
+            let keep = if left > 0 { len - 1 } else { len };
+            left = left.saturating_sub(1);
+            out.extend_from_slice(&skel[at..at + 8]);
+            out.extend_from_slice(&(keep as u32).to_le_bytes());
+            out.extend_from_slice(&skel[at + 12..at + 12 + 4 * keep]);
+            at += 12 + 4 * len;
+        }
+        out
+    }
+
+    #[test]
+    fn vantage_dimension_mismatch_fails_at_load() {
+        let (_, index) = build_one(86);
+        let path = tmp("vantage_dim");
+        index.save(&path).expect("save to temp dir succeeds");
+        let clean = std::fs::read(&path).expect("saved file is readable");
+        // the skeleton's length (after header 28, metric and shape 17,
+        // hnsw record 34, route 12), then the skeleton
+        let at = 28 + 17 + 34 + 12;
+        let skel_len = u64::from_le_bytes(clean[at..at + 8].try_into().expect("8 bytes")) as usize;
+        let (skel, rest) = clean[at + 8..].split_at(skel_len);
+        for (count, msg) in [(1, "vantage lengths"), (usize::MAX, "dimension 11 and 12")] {
+            let edited = shorten_vantages(skel, count);
+            let mut bytes = clean[..at].to_vec();
+            bytes.extend_from_slice(&(edited.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&edited);
+            bytes.extend_from_slice(rest);
+            // whoever edits a file can rewrite its length and checksum too
+            let payload_len = (bytes.len() - 28) as u64;
+            bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
+            let sum = fnv1a64(&bytes[28..]);
+            bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite of edited bytes succeeds");
+            let Err(PersistError::Format(m)) = DistIndex::load(&path) else {
+                panic!("a vantage/partition dimension mismatch must fail as a format error")
             };
             assert!(m.contains(msg), "{m}");
         }

@@ -147,20 +147,20 @@ impl<'a> SearchRequest<'a> {
 /// over one index — the paper's long-lived master and workers
 /// (Algorithms 3–4).
 ///
-/// The worker ranks are spawned once per session. Every batch runs as one
-/// epoch that starts from exactly the state a freshly spawned cluster
-/// has, so [`SearchSession::run`] reports, bit for bit, what
+/// The worker nodes run as message handlers on the caller's thread. Every
+/// batch runs as one epoch that starts from exactly the state a fresh
+/// cluster has, so [`SearchSession::run`] reports, bit for bit, what
 /// [`SearchRequest::run`] reports for the same request. The fault plan and
 /// the schedule seed configure the cluster and are fixed for the session.
-pub struct SearchSession<'c, 'a> {
+pub struct SearchSession<'a> {
     pub(crate) index: &'a DistIndex,
     /// The session's non-vacuous fault plan.
     pub(crate) plan: Option<&'a FaultPlan>,
     pub(crate) sched_seed: u64,
-    pub(crate) cluster: EngineCluster<'c, 'a>,
+    pub(crate) cluster: EngineCluster<'a>,
 }
 
-impl<'a> SearchSession<'_, 'a> {
+impl<'a> SearchSession<'a> {
     /// Opens a session over `index` under `plan` (`None` and a vacuous
     /// plan are the same) and schedule seed `sched_seed`, hands it to
     /// `body`, and shuts the cluster down when `body` returns.
@@ -168,7 +168,7 @@ impl<'a> SearchSession<'_, 'a> {
         index: &'a DistIndex,
         plan: Option<&'a FaultPlan>,
         sched_seed: u64,
-        body: impl FnOnce(&mut SearchSession<'_, 'a>) -> T,
+        body: impl FnOnce(&mut SearchSession<'a>) -> T,
     ) -> T {
         engine::open(index, plan, sched_seed, body)
     }

@@ -1,16 +1,27 @@
-//! Cluster construction, sessions and rank-thread orchestration.
+//! Cluster construction, sessions and rank orchestration.
 //!
-//! A [`Session`] is one simulated cluster kept alive across many runs of
-//! a program, the way the paper's MPI job outlives the query batches it
-//! serves:
+//! A session is one simulated cluster kept alive across many runs of a
+//! program, the way the paper's MPI job outlives the query batches it
+//! serves. It comes in two forms:
 //!
-//! 1. [`Cluster::session`] builds the shared state (mailboxes, ledger,
-//!    window registry) from the [`SimConfig`], which stays fixed for the
-//!    session, and hands a [`Session`] to the caller's body.
-//! 2. The first [`Session::epoch`] publishes its job and then spawns one
+//! * a [`Session`] runs every rank as a blocking program: rank 0 on the
+//!   caller's thread, ranks `1..n` on threads of their own. This is the
+//!   form of the SPMD programs (the distributed build, the KD-tree
+//!   baseline, the multiple-owner engine) and of [`Cluster::run`];
+//! * a [`HandlerSession`] runs rank 0 as a blocking program on the
+//!   caller's thread and ranks `1..n` as message [`Handler`]s on the same
+//!   thread: whenever rank 0 would block on an empty mailbox it runs the
+//!   ready handlers itself. No thread is spawned, woken or joined.
+//!
+//! In both forms:
+//!
+//! 1. [`Cluster::session`] or [`Cluster::handler_session`] builds the
+//!    shared state (mailboxes, ledger, window registry) from the
+//!    [`SimConfig`], which stays fixed for the session.
+//! 2. A [`Session`]'s first epoch publishes its job and then spawns one
 //!    thread per rank `1..n`; they find the job waiting, so a one-epoch
 //!    session has no start rendezvous. Later epochs wake the same
-//!    threads. Rank 0 always runs on the caller's thread.
+//!    threads.
 //! 3. At the start of every epoch each rank is reset to what a fresh
 //!    cluster gives it: clock 0, zeroed [`crate::RankStats`] —
 //!    `msgs_sent` is the sequence number behind network jitter and fault
@@ -22,27 +33,46 @@
 //!    cleared. An epoch therefore reports exactly what
 //!    [`Cluster::run_checked`] — itself a one-epoch session — reports for
 //!    the same program.
-//! 5. When the body returns (or unwinds), the session closes and the rank
-//!    threads are joined.
+//! 5. When a [`Session`]'s body returns (or unwinds), the session closes
+//!    and the rank threads are joined.
 //!
 //! A panic on any rank poisons the session: every blocked receive and
 //! the epoch rendezvous give up at once, and the caller re-raises the
 //! panicking rank's own payload.
+//!
+//! Every rank makes the same [`Rank`] calls in either form, in the same
+//! per-rank order, so clocks, [`crate::RankStats`], the ledger, fault
+//! fates and message counts do not depend on the form. A handler runs when
+//! its awaited message is queued; among several ready handlers the one
+//! whose message arrives first in virtual time runs first, then the lower
+//! rank, and a rank's own mail is matched in delivery order. An active
+//! [`SchedPerturb`] instead picks among the ready handlers that share the
+//! earliest arrival time.
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::net::{NetModel, Topology};
-use crate::rank::{Mailbox, Rank};
+use crate::rank::{Mailbox, Msg, Pump, Rank, Want};
 use crate::vthreads::SchedPerturb;
+
+/// Locks `m`, ignoring poison: a panic under a simulator lock is a rank
+/// panic, and the session's own poisoning already reports it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv`, ignoring poison (see [`lock`]).
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Stack size per rank thread. Simulated programs keep their data in
 /// shared structures, so a modest stack suffices even for thousands of
@@ -52,7 +82,7 @@ const RANK_STACK_BYTES: usize = 1 << 20;
 /// Configuration of a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Number of simulated MPI ranks (each is an OS thread).
+    /// Number of simulated MPI ranks.
     pub n_ranks: usize,
     /// Rank → compute-node mapping (drives intra- vs inter-node costs).
     pub topology: Topology,
@@ -182,11 +212,14 @@ impl Conservation {
 /// A rank panic's payload, tagged with the rank that raised it.
 type RankPanic = (usize, Box<dyn Any + Send>);
 
-/// State shared by all rank threads of one session.
+/// State shared by all ranks of one session.
 pub(crate) struct Shared {
     pub(crate) cfg: SimConfig,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) ledger: Ledger,
+    /// A [`HandlerSession`]: every rank runs on the caller's thread, so no
+    /// thread ever waits on a mailbox.
+    pub(crate) handlers: bool,
     registry: Mutex<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
     next_key: AtomicU64,
     /// Set once a rank's program panics: blocked receives and the epoch
@@ -197,11 +230,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(cfg: SimConfig) -> Self {
+    fn new(cfg: SimConfig, handlers: bool) -> Self {
         Self {
             mailboxes: (0..cfg.n_ranks).map(|_| Mailbox::default()).collect(),
             cfg,
             ledger: Ledger::default(),
+            handlers,
             registry: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(1),
             poisoned: AtomicBool::new(false),
@@ -211,13 +245,12 @@ impl Shared {
 
     pub(crate) fn registry_put(&self, value: Box<dyn Any + Send + Sync>) -> u64 {
         let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        self.registry.lock().insert(key, Arc::from(value));
+        lock(&self.registry).insert(key, Arc::from(value));
         key
     }
 
     pub(crate) fn registry_get(&self, key: u64) -> Arc<dyn Any + Send + Sync> {
-        self.registry
-            .lock()
+        lock(&self.registry)
             .get(&key)
             .cloned()
             .unwrap_or_else(|| panic!("registry key {key} not found"))
@@ -232,15 +265,24 @@ impl Shared {
     /// Records `rank`'s panic (the first one wins) and wakes every
     /// blocked receive. Each mailbox lock is taken before its notify, so a
     /// receiver that saw the flag clear is already waiting when woken.
-    fn poison(&self, rank: usize, payload: Box<dyn Any + Send>) {
-        self.panic.lock().get_or_insert((rank, payload));
+    pub(crate) fn poison(&self, rank: usize, payload: Box<dyn Any + Send>) {
+        lock(&self.panic).get_or_insert((rank, payload));
         // pairs with the Acquire load in `is_poisoned`: a rank that sees
         // the flag also sees the recorded panic
         self.poisoned.store(true, Ordering::Release);
         for mb in &self.mailboxes {
-            drop(mb.queue.lock());
+            drop(lock(&mb.queue));
             mb.cv.notify_all();
         }
+    }
+
+    /// Re-raises the session's first panic.
+    fn raise(&self) -> ! {
+        let (rank, payload) = lock(&self.panic)
+            .take()
+            .expect("a poisoned session holds its panic");
+        eprintln!("simulated rank {rank} panicked");
+        panic::resume_unwind(payload)
     }
 
     /// Ends an epoch once every rank has returned: closes the ledger into
@@ -249,13 +291,13 @@ impl Shared {
     fn close_epoch(&self) -> Conservation {
         let mut leaked = Vec::new();
         for (dst, mb) in self.mailboxes.iter().enumerate() {
-            leaked.extend(mb.queue.lock().drain(..).map(|m| LeakedMsg {
+            leaked.extend(lock(&mb.queue).drain(..).map(|m| LeakedMsg {
                 src: m.src,
                 dst,
                 tag: m.tag,
             }));
         }
-        self.registry.lock().clear();
+        lock(&self.registry).clear();
         self.next_key.store(1, Ordering::Relaxed);
         let take = |n: &AtomicU64| n.swap(0, Ordering::Relaxed);
         let l = &self.ledger;
@@ -297,7 +339,7 @@ impl<J, W> Control<J, W> {
     /// sides.
     fn poison(&self, shared: &Shared, rank: usize, payload: Box<dyn Any + Send>) {
         shared.poison(rank, payload);
-        drop(self.state.lock());
+        drop(lock(&self.state));
         self.start.notify_all();
         self.done.notify_all();
     }
@@ -305,7 +347,7 @@ impl<J, W> Control<J, W> {
 
 /// One rank's loop: wait for an epoch, reset, run `program`, report.
 fn worker_loop<J, W>(
-    mut rank: Rank,
+    mut rank: Rank<'static>,
     ctl: &Control<J, W>,
     program: &(dyn Fn(&mut Rank, &J) -> W + Sync),
 ) {
@@ -313,9 +355,9 @@ fn worker_loop<J, W>(
     let mut seen = 0;
     loop {
         let job = {
-            let mut st = ctl.state.lock();
+            let mut st = lock(&ctl.state);
             while st.epoch == seen && !st.closed && !rank.shared.is_poisoned() {
-                ctl.start.wait(&mut st);
+                st = wait(&ctl.start, st);
             }
             if st.closed || rank.shared.is_poisoned() {
                 return;
@@ -327,7 +369,7 @@ fn worker_loop<J, W>(
         match panic::catch_unwind(AssertUnwindSafe(|| program(&mut rank, &job))) {
             Ok(out) => {
                 let last = {
-                    let mut st = ctl.state.lock();
+                    let mut st = lock(&ctl.state);
                     st.results[r - 1] = Some(out);
                     st.finished += 1;
                     st.finished == st.results.len()
@@ -361,7 +403,7 @@ pub struct Epoch<R, W> {
 pub struct Session<'s, J, W> {
     shared: Arc<Shared>,
     ctl: Arc<Control<J, W>>,
-    root: Rank,
+    root: Rank<'static>,
     /// Spawns ranks `1..n`; taken by the first epoch, whose job the ranks
     /// find already published.
     spawn: Option<Box<dyn FnOnce() + 's>>,
@@ -384,7 +426,7 @@ impl<J, W> Session<'_, J, W> {
     pub fn epoch<R>(&mut self, job: J, root: impl FnOnce(&mut Rank, &J) -> R) -> Epoch<R, W> {
         let job = Arc::new(job);
         {
-            let mut st = self.ctl.state.lock();
+            let mut st = lock(&self.ctl.state);
             st.epoch += 1;
             st.job = Some(Arc::clone(&job));
             st.finished = 0;
@@ -398,17 +440,17 @@ impl<J, W> Session<'_, J, W> {
             Ok(r) => r,
             Err(payload) => {
                 self.ctl.poison(&self.shared, 0, payload);
-                self.raise()
+                self.shared.raise()
             }
         };
         let workers = {
-            let mut st = self.ctl.state.lock();
+            let mut st = lock(&self.ctl.state);
             while st.finished < st.results.len() && !self.shared.is_poisoned() {
-                self.ctl.done.wait(&mut st);
+                st = wait(&self.ctl.done, st);
             }
             if self.shared.is_poisoned() {
                 drop(st);
-                self.raise();
+                self.shared.raise();
             }
             st.job = None;
             st.results
@@ -422,26 +464,186 @@ impl<J, W> Session<'_, J, W> {
             conservation: self.shared.close_epoch(),
         }
     }
-
-    /// Re-raises the session's first panic.
-    fn raise(&self) -> ! {
-        let (rank, payload) = self
-            .shared
-            .panic
-            .lock()
-            .take()
-            .expect("a poisoned session holds its panic");
-        eprintln!("simulated rank {rank} panicked");
-        panic::resume_unwind(payload)
-    }
 }
 
 impl<J, W> Drop for Session<'_, J, W> {
     /// Ends the session — also when the caller unwinds between epochs —
     /// so the ranks' threads exit and the scope can join them.
     fn drop(&mut self) {
-        self.ctl.state.lock().closed = true;
+        lock(&self.ctl.state).closed = true;
         self.ctl.start.notify_all();
+    }
+}
+
+/// A rank program in handler form, run by a [`HandlerSession`]: instead of
+/// blocking in [`Rank::recv`], it names the receive it waits on and is
+/// handed the matching message once one is queued.
+pub trait Handler<J>: Send + Sized {
+    /// What the rank reports at the end of an epoch.
+    type Out;
+
+    /// Runs the rank's program from the start of an epoch up to its first
+    /// receive.
+    fn start(rank: &mut Rank, job: &J) -> Self;
+
+    /// The receive the program waits on, or `None` once it has ended for
+    /// the epoch.
+    fn waits_on(&self) -> Option<Want>;
+
+    /// Runs the program from the receive of `msg` — the match of
+    /// [`Handler::waits_on`], already completed on `rank` — up to its next
+    /// receive.
+    fn on_msg(&mut self, rank: &mut Rank, job: &J, msg: Msg);
+
+    /// The rank's result, once its program has ended.
+    fn finish(self, rank: &mut Rank, job: &J) -> Self::Out;
+}
+
+/// A live simulated cluster whose ranks `1..n` are [`Handler`]s run on the
+/// caller's thread by rank 0's blocking receives. Opened by
+/// [`Cluster::handler_session`]; every [`HandlerSession::epoch`] starts
+/// from the state a freshly spawned cluster has.
+pub struct HandlerSession<J, H> {
+    shared: Arc<Shared>,
+    /// Ranks `1..n`, in rank order.
+    ranks: Vec<Rank<'static>>,
+    _handlers: PhantomData<fn(&J) -> H>,
+}
+
+impl<J: Sync, H: Handler<J>> HandlerSession<J, H> {
+    /// Runs one epoch: rank 0 runs `root` on the calling thread, and each
+    /// rank `1..n` runs a fresh `H` on `job` whenever `root` waits for
+    /// mail it does not have. After `root` returns, the ready handlers run
+    /// until none is left.
+    ///
+    /// Every rank starts the epoch as in [`Session::epoch`], and the
+    /// returned [`Conservation`] covers this epoch alone.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of any rank, with that rank's payload.
+    /// Panics when a handler still waits at the end of the epoch, or when
+    /// rank 0 waits and no handler is ready: the simulated program
+    /// deadlocked.
+    pub fn epoch<R>(&mut self, job: J, root: impl FnOnce(&mut Rank, &J) -> R) -> Epoch<R, H::Out> {
+        let mut ready = Ready::<J, H> {
+            job: &job,
+            ranks: &mut self.ranks,
+            handlers: Vec::new(),
+            arrivals: Vec::new(),
+            runs: 0,
+        };
+        ready.start();
+        let mut out = None;
+        if !self.shared.is_poisoned() {
+            let mut rank0 = Rank::with_pump(0, Arc::clone(&self.shared), &mut ready);
+            match panic::catch_unwind(AssertUnwindSafe(|| root(&mut rank0, &job))) {
+                Ok(r) => out = Some(r),
+                Err(payload) => self.shared.poison(0, payload),
+            }
+        }
+        while ready.run_ready() {}
+        if self.shared.is_poisoned() {
+            self.shared.raise();
+        }
+        let workers = ready.finish();
+        Epoch {
+            root: out.expect("an epoch that was not poisoned ran its root"),
+            workers,
+            conservation: self.shared.close_epoch(),
+        }
+    }
+}
+
+/// The handler ranks of one [`HandlerSession`] epoch.
+struct Ready<'e, J, H> {
+    job: &'e J,
+    ranks: &'e mut [Rank<'static>],
+    handlers: Vec<H>,
+    /// Per handler, the arrival time of its awaited message, if queued.
+    arrivals: Vec<Option<f64>>,
+    /// Handlers run so far: salts the perturbed pick.
+    runs: u64,
+}
+
+impl<J: Sync, H: Handler<J>> Ready<'_, J, H> {
+    /// Resets every rank and runs each program to its first receive, in
+    /// rank order.
+    fn start(&mut self) {
+        for rank in self.ranks.iter_mut() {
+            rank.reset();
+        }
+        for rank in self.ranks.iter_mut() {
+            match panic::catch_unwind(AssertUnwindSafe(|| H::start(rank, self.job))) {
+                Ok(h) => self.handlers.push(h),
+                Err(payload) => return rank.shared.poison(rank.rank, payload),
+            }
+        }
+    }
+
+    /// Collects every handler's result once all programs have ended.
+    fn finish(self) -> Vec<H::Out> {
+        let job = self.job;
+        self.handlers
+            .into_iter()
+            .zip(self.ranks.iter_mut())
+            .map(|(h, rank)| {
+                if let Some(w) = h.waits_on() {
+                    panic!(
+                        "rank {} still waits for src={:?} tag={:?} at the end of the epoch \
+                         — simulated program deadlock",
+                        rank.rank, w.src, w.tag
+                    );
+                }
+                h.finish(rank, job)
+            })
+            .collect()
+    }
+}
+
+impl<J: Sync, H: Handler<J>> Pump for Ready<'_, J, H> {
+    fn run_ready(&mut self) -> bool {
+        let Some(first) = self.ranks.first() else {
+            return false;
+        };
+        if first.shared.is_poisoned() {
+            return false;
+        }
+        let perturb = first.shared.cfg.sched;
+        self.arrivals.clear();
+        let (mut earliest, mut tied) = (f64::INFINITY, 0usize);
+        for (h, rank) in self.handlers.iter().zip(self.ranks.iter()) {
+            let at = h.waits_on().and_then(|w| rank.peek_arrival(w));
+            if let Some(t) = at {
+                if t < earliest {
+                    (earliest, tied) = (t, 0);
+                }
+                if t == earliest {
+                    tied += 1;
+                }
+            }
+            self.arrivals.push(at);
+        }
+        if tied == 0 {
+            return false;
+        }
+        let pick = perturb.pick(self.runs, tied);
+        self.runs += 1;
+        let i = self
+            .arrivals
+            .iter()
+            .enumerate()
+            .filter(|(_, &at)| at == Some(earliest))
+            .nth(pick)
+            .map(|(i, _)| i)
+            .expect("the pick is one of the tied handlers");
+        let (h, rank) = (&mut self.handlers[i], &mut self.ranks[i]);
+        let want = h.waits_on().expect("a ready handler waits");
+        let msg = rank.take(want).expect("a ready handler's mail is queued");
+        let job = self.job;
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| h.on_msg(rank, job, msg))) {
+            rank.shared.poison(rank.rank, payload);
+        }
+        true
     }
 }
 
@@ -500,6 +702,20 @@ impl Cluster {
         )
     }
 
+    /// Opens a session whose ranks `1..n` are [`Handler`]s of type `H`,
+    /// run on the caller's thread (see [`HandlerSession::epoch`]). The
+    /// [`SimConfig`] is fixed for the session.
+    pub fn handler_session<J: Sync, H: Handler<J>>(&self) -> HandlerSession<J, H> {
+        let shared = Arc::new(Shared::new(self.cfg.clone(), true));
+        HandlerSession {
+            ranks: (1..self.cfg.n_ranks)
+                .map(|r| Rank::new(r, Arc::clone(&shared)))
+                .collect(),
+            shared,
+            _handlers: PhantomData,
+        }
+    }
+
     /// Opens a session and hands it to `body`: ranks `1..n` are spawned
     /// once (at the first epoch) and run `worker` on every epoch's job
     /// until `body` returns; rank 0 runs on the calling thread, inside
@@ -522,7 +738,7 @@ impl Cluster {
         W: Send,
     {
         let n = self.cfg.n_ranks;
-        let shared = Arc::new(Shared::new(self.cfg.clone()));
+        let shared = Arc::new(Shared::new(self.cfg.clone(), false));
         let ctl = Arc::new(Control {
             state: Mutex::new(EpochState {
                 epoch: 0,
@@ -657,13 +873,47 @@ mod tests {
             }
         } else {
             let _ = rank.recv(Some(0), Some(GO));
-            for i in 0..12 {
-                rank.charge(1_000.0 * (1 + i % 3) as f64);
-                rank.send_bytes(0, DATA, Bytes::from(vec![0u8; 16 * (i + 1)]));
-            }
-            rank.send_bytes(0, END, Bytes::new());
+            stream(rank);
         }
         (rank.now(), rank.stats())
+    }
+
+    /// A worker's part of [`chatter`] after its GO.
+    fn stream(rank: &mut Rank) {
+        for i in 0..12 {
+            rank.charge(1_000.0 * (1 + i % 3) as f64);
+            rank.send_bytes(0, DATA, Bytes::from(vec![0u8; 16 * (i + 1)]));
+        }
+        rank.send_bytes(0, END, Bytes::new());
+    }
+
+    /// [`chatter`]'s worker as a handler.
+    struct Chatter {
+        waiting: bool,
+    }
+
+    impl Handler<bool> for Chatter {
+        type Out = (f64, RankStats);
+
+        fn start(_: &mut Rank, _: &bool) -> Self {
+            Chatter { waiting: true }
+        }
+
+        fn waits_on(&self) -> Option<Want> {
+            self.waiting.then_some(Want {
+                src: Some(0),
+                tag: Some(GO),
+            })
+        }
+
+        fn on_msg(&mut self, rank: &mut Rank, _: &bool, _: Msg) {
+            self.waiting = false;
+            stream(rank);
+        }
+
+        fn finish(self, rank: &mut Rank, _: &bool) -> (f64, RankStats) {
+            (rank.now(), rank.stats())
+        }
     }
 
     /// Every fault kind on the data tag, a crash, a one-shot stall,
@@ -725,6 +975,124 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn validator_handler_epochs_replay_the_threaded_cluster() {
+        let cfg = chaos_config();
+        let threaded = |leak| Cluster::new(cfg.clone()).run_checked(|rank| chatter(rank, leak));
+        let (clean, clean_cons) = threaded(false);
+        let (leaky, leaky_cons) = threaded(true);
+        let caller = std::thread::current().id();
+        let mut s = Cluster::new(cfg).handler_session::<bool, Chatter>();
+        for (k, leak) in [false, true, false, true].into_iter().enumerate() {
+            let e = s.epoch(leak, |rank, &leak| {
+                assert_eq!(std::thread::current().id(), caller);
+                chatter(rank, leak)
+            });
+            let (want, want_cons) = if leak {
+                (&leaky, &leaky_cons)
+            } else {
+                (&clean, &clean_cons)
+            };
+            let mut ranks = vec![e.root];
+            ranks.extend(e.workers);
+            assert_eq!(&ranks, want, "epoch {k}: clocks or RankStats moved");
+            assert_eq!(&e.conservation, want_cons, "epoch {k}: ledger moved");
+        }
+    }
+
+    #[test]
+    fn mail_left_in_a_handler_mailbox_is_leaked() {
+        let mut s = Cluster::new(SimConfig::new(3)).handler_session::<bool, Chatter>();
+        let e = s.epoch(true, |rank, &leak| chatter(rank, leak));
+        let lost = LeakedMsg {
+            src: 0,
+            dst: 1,
+            tag: LOST,
+        };
+        assert_eq!(e.conservation.leaked, vec![lost]);
+        let e = s.epoch(false, |rank, &leak| chatter(rank, leak));
+        e.conservation.assert_clean();
+    }
+
+    /// Panics on receipt of its first message at rank 1; ends at once on
+    /// every other rank.
+    struct Faulty;
+
+    impl Handler<()> for Faulty {
+        type Out = ();
+
+        fn start(_: &mut Rank, _: &()) -> Self {
+            Faulty
+        }
+
+        fn waits_on(&self) -> Option<Want> {
+            Some(Want {
+                src: Some(0),
+                tag: None,
+            })
+        }
+
+        fn on_msg(&mut self, rank: &mut Rank, _: &(), _: Msg) {
+            panic!("handler {} failed on purpose", rank.rank());
+        }
+
+        fn finish(self, _: &mut Rank, _: &()) {}
+    }
+
+    #[test]
+    fn handler_panic_reaches_the_caller_with_its_payload() {
+        let out = panic::catch_unwind(|| {
+            let mut s = Cluster::new(patient(3)).handler_session::<(), Faulty>();
+            s.epoch((), |rank, _| {
+                rank.send_bytes(2, GO, Bytes::new());
+                // rank 1 never sends: only its handler's panic ends this
+                let _ = rank.recv(Some(1), None);
+            });
+        });
+        let payload = out.expect_err("the handler's panic reaches the caller");
+        assert_eq!(panic_text(&*payload), "handler 2 failed on purpose");
+    }
+
+    /// Ends its program at the start of every epoch.
+    struct Idle;
+
+    impl Handler<()> for Idle {
+        type Out = ();
+
+        fn start(_: &mut Rank, _: &()) -> Self {
+            Idle
+        }
+
+        fn waits_on(&self) -> Option<Want> {
+            None
+        }
+
+        fn on_msg(&mut self, _: &mut Rank, _: &(), _: Msg) {
+            unreachable!("an idle handler waits on nothing")
+        }
+
+        fn finish(self, _: &mut Rank, _: &()) {}
+    }
+
+    #[test]
+    fn a_root_waiting_on_mail_no_handler_can_send_panics_at_once() {
+        let started = std::time::Instant::now();
+        let out = panic::catch_unwind(|| {
+            let mut s = Cluster::new(patient(3)).handler_session::<(), Idle>();
+            s.epoch((), |rank, _| {
+                let _ = rank.recv(Some(1), Some(DATA));
+            });
+        });
+        let payload = out.expect_err("the deadlock panics");
+        assert!(
+            panic_text(&*payload).contains("no handler rank is ready"),
+            "{}",
+            panic_text(&*payload)
+        );
+        // well inside the 600 s watchdog
+        assert!(started.elapsed() < Duration::from_secs(60));
     }
 
     #[test]

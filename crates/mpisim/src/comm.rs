@@ -13,6 +13,13 @@
 //! collectives have bit 63 set; user point-to-point tags must stay below
 //! `1 << 63`.
 //!
+//! **Handler-side forms.** A [`crate::Handler`] rank cannot block, so the
+//! collectives it takes part in come split at their receive:
+//! [`Comm::barrier_enter`], and [`Comm::bcast_enter`] with
+//! [`Comm::bcast_relay`]. Each half posts exactly the sends of the
+//! blocking form, in the same order, and the blocking forms are built
+//! from them.
+//!
 //! **Fault injection:** collective traffic is exempt from the cluster's
 //! [`crate::FaultPlan`] — the bit-63 flag doubles as the exemption marker
 //! in [`crate::FaultPlan::fate`]. Collectives are the simulator's
@@ -25,7 +32,7 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::rank::Rank;
+use crate::rank::{Msg, Rank, Want};
 use crate::wire;
 
 /// Reduction operator for the numeric collectives.
@@ -159,10 +166,9 @@ impl Comm {
     /// Barrier: gather-to-0 then broadcast. All members leave with clocks at
     /// least the latest member's arrival time.
     pub fn barrier(&self, rank: &mut Rank) {
-        let up = self.next_tag(OP_BARRIER_UP);
-        let down = self.next_tag(OP_BARRIER_DOWN);
-        let me = self.my_index(rank);
-        if me == 0 {
+        if self.my_index(rank) == 0 {
+            let up = self.next_tag(OP_BARRIER_UP);
+            let down = self.next_tag(OP_BARRIER_DOWN);
             for i in 1..self.size() {
                 let _ = rank.recv(Some(self.group[i]), Some(up));
             }
@@ -170,8 +176,21 @@ impl Comm {
                 rank.send_bytes(self.group[i], down, Bytes::new());
             }
         } else {
-            rank.send_bytes(self.group[0], up, Bytes::new());
-            let _ = rank.recv(Some(self.group[0]), Some(down));
+            let w = self.barrier_enter(rank);
+            let _ = rank.recv(w.src, w.tag);
+        }
+    }
+
+    /// Handler form of [`Comm::barrier`] for a member other than index 0:
+    /// posts its arrival and returns the receive that ends the barrier.
+    pub fn barrier_enter(&self, rank: &mut Rank) -> Want {
+        assert_ne!(self.my_index(rank), 0, "member 0 runs the blocking barrier");
+        let up = self.next_tag(OP_BARRIER_UP);
+        let down = self.next_tag(OP_BARRIER_DOWN);
+        rank.send_bytes(self.group[0], up, Bytes::new());
+        Want {
+            src: Some(self.group[0]),
+            tag: Some(down),
         }
     }
 
@@ -179,40 +198,60 @@ impl Comm {
     /// `Some(data)`; everyone returns the payload.
     pub fn bcast(&self, rank: &mut Rank, root: usize, data: Option<Bytes>) -> Bytes {
         assert!(root < self.size(), "bcast root out of range");
+        if self.my_index(rank) != root {
+            let w = self.bcast_enter(rank, root);
+            let msg = rank.recv(w.src, w.tag);
+            self.bcast_relay(rank, root, &msg);
+            return msg.payload;
+        }
+        let tag = self.next_tag(OP_BCAST);
+        let payload = data.expect("bcast root must supply data");
+        self.bcast_down(rank, root, 0, tag, &payload);
+        payload
+    }
+
+    /// Handler form of [`Comm::bcast`] for a member other than `root`:
+    /// returns the receive of the payload from this member's tree parent.
+    /// Hand the message to [`Comm::bcast_relay`].
+    pub fn bcast_enter(&self, rank: &Rank, root: usize) -> Want {
+        assert!(root < self.size(), "bcast root out of range");
         let tag = self.next_tag(OP_BCAST);
         let size = self.size();
-        let me = self.my_index(rank);
-        let rel = (me + size - root) % size;
-        let mut data = if rel == 0 {
-            Some(data.expect("bcast root must supply data"))
-        } else {
-            data // ignored on non-roots
-        };
-        let mut mask = 1usize;
-        if rel != 0 {
-            while mask < size {
-                if rel & mask != 0 {
-                    let src = self.group[(rel - mask + root) % size];
-                    data = Some(rank.recv(Some(src), Some(tag)).payload);
-                    break;
-                }
-                mask <<= 1;
-            }
-        } else {
-            while mask < size {
-                mask <<= 1;
-            }
+        let rel = (self.my_index(rank) + size - root) % size;
+        assert_ne!(rel, 0, "the bcast root runs the blocking bcast");
+        let parent = rel - (1 << rel.trailing_zeros());
+        Want {
+            src: Some(self.group[(parent + root) % size]),
+            tag: Some(tag),
         }
-        let payload = data.expect("bcast data present after receive phase");
-        let mut m = mask >> 1;
+    }
+
+    /// Second half of [`Comm::bcast_enter`]: forwards the received payload
+    /// down this member's subtree.
+    pub fn bcast_relay(&self, rank: &mut Rank, root: usize, msg: &Msg) {
+        let size = self.size();
+        let rel = (self.my_index(rank) + size - root) % size;
+        self.bcast_down(rank, root, rel, msg.tag, &msg.payload);
+    }
+
+    /// Sends `payload` to the binomial-tree children of relative index
+    /// `rel`, the largest subtree first.
+    fn bcast_down(&self, rank: &mut Rank, root: usize, rel: usize, tag: u64, payload: &Bytes) {
+        let size = self.size();
+        // a member's children sit below its lowest set bit; the root's
+        // span the whole tree
+        let mut m = if rel == 0 {
+            size.next_power_of_two()
+        } else {
+            1 << rel.trailing_zeros()
+        } >> 1;
         while m > 0 {
-            if rel & m == 0 && rel + m < size {
+            if rel + m < size {
                 let dst = self.group[(rel + m + root) % size];
                 rank.send_bytes(dst, tag, payload.clone());
             }
             m >>= 1;
         }
-        payload
     }
 
     /// Rooted gather: member `root` returns all contributions indexed by

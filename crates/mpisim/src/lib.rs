@@ -5,8 +5,8 @@
 //! in the repository's DESIGN.md — this repo reproduces cluster-scale
 //! behaviour on a single-core host).
 //!
-//! Each simulated MPI rank runs on an OS thread with its own **virtual
-//! clock** (nanoseconds, `f64`). Clocks advance two ways:
+//! Each simulated MPI rank has its own **virtual clock** (nanoseconds,
+//! `f64`). Clocks advance two ways:
 //!
 //! * **compute** — code charges modelled work explicitly, e.g.
 //!   [`Rank::charge_dists`] charges `n` distance evaluations priced by the
@@ -63,6 +63,15 @@
 //! // every epoch starts from clock 0
 //! assert_eq!(clocks, vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
 //! ```
+//!
+//! A rank runs in one of two forms. In a [`Session`] (and in
+//! [`Cluster::run`]) ranks `1..n` are blocking programs on OS threads of
+//! their own, the form of SPMD code. In a [`HandlerSession`]
+//! ([`Cluster::handler_session`]) they are [`Handler`]s: programs cut at
+//! their receives, which rank 0 runs on its own thread whenever it would
+//! block, earliest virtual arrival first. Both forms make the same
+//! [`Rank`] calls in the same per-rank order, so every clock, statistic
+//! and ledger entry is the same; a handler session spawns no thread.
 
 #![forbid(unsafe_code)]
 
@@ -79,12 +88,14 @@ mod vthreads;
 /// Little-endian wire encoding helpers shared by every protocol.
 pub mod wire;
 
-pub use cluster::{Cluster, Conservation, Epoch, LeakedMsg, Session, SimConfig};
+pub use cluster::{
+    Cluster, Conservation, Epoch, Handler, HandlerSession, LeakedMsg, Session, SimConfig,
+};
 pub use comm::{Comm, ReduceOp};
 pub use cost::CostModel;
 pub use fault::{Fate, FaultAction, FaultPlan};
 pub use net::{NetModel, Topology};
-pub use rank::{Msg, Rank, RankStats};
+pub use rank::{Msg, Rank, RankStats, Want};
 pub use rma::Window;
 pub use trace::{Span, SpanKind, Trace};
 pub use vclock::{EventQueue, VClock};

@@ -3,12 +3,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 
-use crate::cluster::Shared;
+use crate::cluster::{lock, Shared};
 use crate::comm::Comm;
 use crate::fault::Fate;
 use crate::vthreads::SchedPerturb;
@@ -26,6 +25,23 @@ pub struct Msg {
     pub sent_at: f64,
     /// Virtual time at which the message reaches the receiver (ns).
     pub arrival: f64,
+}
+
+/// A receive a rank waits on: the `src`/`tag` arguments of
+/// [`Rank::recv`] (`None` is the wildcard).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Want {
+    /// Sender to match, or any.
+    pub src: Option<usize>,
+    /// Tag to match, or any user tag.
+    pub tag: Option<u64>,
+}
+
+/// Runs the handler ranks of a [`crate::HandlerSession`] on behalf of a
+/// rank 0 that would otherwise block.
+pub(crate) trait Pump: Send {
+    /// Runs one ready handler; `false` when none is ready.
+    fn run_ready(&mut self) -> bool;
 }
 
 /// One rank's mailbox.
@@ -75,7 +91,11 @@ impl RankStats {
 }
 
 /// The execution context handed to each simulated rank.
-pub struct Rank {
+///
+/// The lifetime is that of rank 0's borrow of the handler ranks in a
+/// [`crate::HandlerSession`] epoch; code that takes `&mut Rank` never
+/// names it.
+pub struct Rank<'p> {
     pub(crate) rank: usize,
     pub(crate) shared: Arc<Shared>,
     pub(crate) clock: f64,
@@ -84,9 +104,12 @@ pub struct Rank {
     crash_at: Option<f64>,
     /// Pending one-shot stall `(at_ns, dur_ns)`; taken when it fires.
     stall: Option<(f64, f64)>,
+    /// Rank 0 of a handler session: what runs the handlers when a receive
+    /// finds no matching mail.
+    pump: Option<&'p mut dyn Pump>,
 }
 
-impl Rank {
+impl<'p> Rank<'p> {
     pub(crate) fn new(rank: usize, shared: Arc<Shared>) -> Self {
         let mut r = Self {
             rank,
@@ -95,11 +118,23 @@ impl Rank {
             stats: RankStats::default(),
             crash_at: None,
             stall: None,
+            pump: None,
         };
         r.reset();
         r
     }
 
+    /// Rank 0 of a handler-session epoch: its blocking receives run the
+    /// handler ranks through `pump`.
+    pub(crate) fn with_pump(rank: usize, shared: Arc<Shared>, pump: &'p mut dyn Pump) -> Self {
+        Self {
+            pump: Some(pump),
+            ..Self::new(rank, shared)
+        }
+    }
+}
+
+impl Rank<'_> {
     /// Returns this rank to the state [`Rank::new`] gives it: the start of
     /// a session epoch.
     pub(crate) fn reset(&mut self) {
@@ -281,7 +316,7 @@ impl Rank {
         ledger.delivered.fetch_add(copies as u64, Ordering::Relaxed);
         let mb = &self.shared.mailboxes[dst];
         {
-            let mut q = mb.queue.lock();
+            let mut q = lock(&mb.queue);
             for _ in 0..copies {
                 q.push_back(Msg {
                     src: self.rank,
@@ -292,7 +327,10 @@ impl Rank {
                 });
             }
         }
-        mb.cv.notify_all();
+        // no thread of a handler session ever waits on a mailbox
+        if !self.shared.handlers {
+            mb.cv.notify_all();
+        }
     }
 
     /// Blocking receive of the first message matching `src`/`tag`
@@ -300,10 +338,14 @@ impl Rank {
     /// arrival when it arrives "in the future"; the gap is recorded as
     /// communication wait.
     ///
+    /// On rank 0 of a [`crate::HandlerSession`] a receive that finds no
+    /// matching mail runs the ready handler ranks until the mail is there.
+    ///
     /// # Panics
     /// Panics after the cluster's watchdog timeout — a deadlocked simulated
     /// program fails loudly instead of hanging the host — and at once when
-    /// another rank of the session has panicked.
+    /// another rank of the session has panicked. In a handler session a
+    /// deadlock panics at once: no handler is ready to send the mail.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u64>) -> Msg {
         self.maybe_stall_realtime();
         let msg = self.wait_message(src, tag);
@@ -314,20 +356,38 @@ impl Rank {
     /// a message): returns the first matching queued message, if any.
     pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u64>) -> Option<Msg> {
         self.maybe_stall_realtime();
+        self.take(Want { src, tag })
+    }
+
+    /// Receives the first queued message `want` matches, if any: a
+    /// [`Rank::try_recv`] without the race detector's stall.
+    pub(crate) fn take(&mut self, want: Want) -> Option<Msg> {
         let salt = self.match_salt();
         let perturb = self.shared.cfg.sched;
         let msg = {
-            let mut q = self.shared.mailboxes[self.rank].queue.lock();
-            take_match(&mut q, src, tag, &perturb, salt)
+            let mut q = lock(&self.shared.mailboxes[self.rank].queue);
+            take_match(&mut q, want.src, want.tag, &perturb, salt)
         }?;
         Some(self.complete_recv(msg))
     }
 
+    /// Arrival time of the first queued message `want` matches, if any.
+    pub(crate) fn peek_arrival(&self, want: Want) -> Option<f64> {
+        let q = lock(&self.shared.mailboxes[self.rank].queue);
+        q.iter()
+            .find(|m| matches(m, want.src, want.tag))
+            .map(|m| m.arrival)
+    }
+
     /// Race-detector hook: an OS-level sleep biased by the perturbation
     /// seed. Changes which messages are physically enqueued when the
-    /// mailbox is next inspected; virtual clocks never see it.
+    /// mailbox is next inspected; virtual clocks never see it. A handler
+    /// session runs on one thread, so there is nothing to reshuffle.
     #[inline]
     fn maybe_stall_realtime(&self) {
+        if self.shared.handlers {
+            return;
+        }
         let perturb = self.shared.cfg.sched;
         if let Some(us) = perturb.stall_micros(self.match_salt() ^ (self.rank as u64) << 32) {
             std::thread::sleep(std::time::Duration::from_micros(us));
@@ -356,11 +416,11 @@ impl Rank {
         msg
     }
 
-    fn wait_message(&self, src: Option<usize>, tag: Option<u64>) -> Msg {
+    fn wait_message(&mut self, src: Option<usize>, tag: Option<u64>) -> Msg {
         let perturb = self.shared.cfg.sched;
         let salt = self.match_salt();
         let mb = &self.shared.mailboxes[self.rank];
-        let mut q = mb.queue.lock();
+        let mut q = lock(&mb.queue);
         loop {
             if let Some(m) = take_match(&mut q, src, tag, &perturb, salt) {
                 return m;
@@ -371,8 +431,35 @@ impl Rank {
                     self.rank, src, tag
                 );
             }
+            if let Some(pump) = self.pump.as_deref_mut() {
+                // handlers send to this mailbox: release it while they run
+                drop(q);
+                let ran = pump.run_ready();
+                q = lock(&mb.queue);
+                if ran || self.shared.is_poisoned() {
+                    continue;
+                }
+                panic!(
+                    "rank {} waits for src={:?} tag={:?} and no handler rank is ready \
+                     (queued: {} unmatched messages) — simulated program deadlock",
+                    self.rank,
+                    src,
+                    tag,
+                    q.len()
+                );
+            }
+            assert!(
+                !self.shared.handlers,
+                "handler rank {} cannot block in recv: name the receive in Handler::waits_on",
+                self.rank
+            );
             let timeout = self.shared.cfg.recv_timeout;
-            if mb.cv.wait_for(&mut q, timeout).timed_out() {
+            let (guard, wait) = mb
+                .cv
+                .wait_timeout(q, timeout)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            q = guard;
+            if wait.timed_out() {
                 panic!(
                     "rank {} timed out after {:?} waiting for src={:?} tag={:?} \
                      (queued: {} unmatched messages) — simulated program deadlock",
@@ -402,6 +489,11 @@ impl Rank {
 /// context and cannot be intercepted by `MPI_Recv(ANY_TAG)`.
 pub(crate) const COLL_FLAG: u64 = 1 << 63;
 
+/// `true` when a `recv(src, tag)` may match `m`.
+fn matches(m: &Msg, src: Option<usize>, tag: Option<u64>) -> bool {
+    src.is_none_or(|s| m.src == s) && tag.map_or(m.tag & COLL_FLAG == 0, |t| m.tag == t)
+}
+
 /// Removes and returns the queued message a `recv(src, tag)` matches.
 ///
 /// Baseline semantics: the first matching message in arrival order. Under
@@ -419,9 +511,7 @@ fn take_match(
     perturb: &SchedPerturb,
     salt: u64,
 ) -> Option<Msg> {
-    let matches = |m: &Msg| {
-        src.is_none_or(|s| m.src == s) && tag.map_or(m.tag & COLL_FLAG == 0, |t| m.tag == t)
-    };
+    let matches = |m: &Msg| matches(m, src, tag);
     if src.is_none() && perturb.is_active() {
         // candidate set: first matching message per distinct sender
         let mut heads: Vec<usize> = Vec::new();

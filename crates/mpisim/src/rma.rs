@@ -9,12 +9,11 @@
 //! clock is untouched. The target later synchronises to the latest slot
 //! arrival time before reading ([`Window::owner_sync`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::cluster::lock;
 use crate::comm::Comm;
-use crate::rank::Rank;
+use crate::rank::{Msg, Rank, Want};
 
 struct Slot<T> {
     value: T,
@@ -50,34 +49,49 @@ impl<T: Send + Sync + 'static> Window<T> {
         n_slots: usize,
         init: impl Fn(usize) -> T,
     ) -> Window<T> {
-        let me = comm.my_index(rank);
-        let owner_rank = comm.ranks()[owner_idx];
-        let key = if me == owner_idx {
-            let slots: Slots<T> = Arc::new(
-                (0..n_slots)
-                    .map(|i| {
-                        Mutex::new(Slot {
-                            value: init(i),
-                            last_arrival: 0.0,
-                        })
+        if comm.my_index(rank) != owner_idx {
+            let w = Self::join(rank, comm, owner_idx);
+            let msg = rank.recv(w.src, w.tag);
+            return Self::joined(rank, comm, owner_idx, &msg);
+        }
+        let slots: Slots<T> = Arc::new(
+            (0..n_slots)
+                .map(|i| {
+                    Mutex::new(Slot {
+                        value: init(i),
+                        last_arrival: 0.0,
                     })
-                    .collect(),
-            );
-            let key = rank.registry_put(Box::new(slots));
-            let mut b = bytes::BytesMut::with_capacity(8);
-            crate::wire::put_u64(&mut b, key);
-            comm.bcast(rank, owner_idx, Some(b.freeze()))
-        } else {
-            comm.bcast(rank, owner_idx, None)
-        };
-        let mut key = key;
-        let key = crate::wire::get_u64(&mut key);
-        let any = rank.registry_get(key);
+                })
+                .collect(),
+        );
+        let key = rank.registry_put(Box::new(Slots::clone(&slots)));
+        let mut b = bytes::BytesMut::with_capacity(8);
+        crate::wire::put_u64(&mut b, key);
+        comm.bcast(rank, owner_idx, Some(b.freeze()));
+        Window {
+            owner: rank.rank(),
+            slots,
+        }
+    }
+
+    /// Handler form of [`Window::create`] for a member other than the
+    /// owner: returns the receive of the owner's window key. Hand the
+    /// message to [`Window::joined`].
+    pub fn join(rank: &Rank, comm: &Comm, owner_idx: usize) -> Want {
+        comm.bcast_enter(rank, owner_idx)
+    }
+
+    /// Second half of [`Window::join`]: relays the key down the broadcast
+    /// tree and returns the handle.
+    pub fn joined(rank: &mut Rank, comm: &Comm, owner_idx: usize, msg: &Msg) -> Window<T> {
+        comm.bcast_relay(rank, owner_idx, msg);
+        let mut key = msg.payload.clone();
+        let any = rank.registry_get(crate::wire::get_u64(&mut key));
         let slots = any
             .downcast::<Slots<T>>()
             .unwrap_or_else(|_| panic!("window registry type mismatch"));
         Window {
-            owner: owner_rank,
+            owner: comm.ranks()[owner_idx],
             slots: Slots::clone(&slots),
         }
     }
@@ -121,7 +135,7 @@ impl<T: Send + Sync + 'static> Window<T> {
         rank.stats.rma_cpu_ns += rma_overhead;
         rank.stats.rma_ops += 1;
         let arrival = rank.clock + xfer;
-        let mut guard = self.slots[slot].lock();
+        let mut guard = lock(&self.slots[slot]);
         f(&mut guard.value);
         if arrival > guard.last_arrival {
             guard.last_arrival = arrival;
@@ -151,7 +165,7 @@ impl<T: Send + Sync + 'static> Window<T> {
         rank.stats.rma_cpu_ns += rma_overhead;
         rank.stats.rma_ops += 1;
         let arrival = at_time.max(0.0) + rma_overhead + xfer;
-        let mut guard = self.slots[slot].lock();
+        let mut guard = lock(&self.slots[slot]);
         f(&mut guard.value);
         if arrival > guard.last_arrival {
             guard.last_arrival = arrival;
@@ -161,7 +175,7 @@ impl<T: Send + Sync + 'static> Window<T> {
     /// Owner-side read of one slot (no synchronisation — pair with
     /// [`Window::owner_sync`] after remote writers are known to be done).
     pub fn read<R>(&self, slot: usize, f: impl FnOnce(&T) -> R) -> R {
-        let guard = self.slots[slot].lock();
+        let guard = lock(&self.slots[slot]);
         f(&guard.value)
     }
 
@@ -169,7 +183,7 @@ impl<T: Send + Sync + 'static> Window<T> {
     pub fn max_arrival(&self) -> f64 {
         self.slots
             .iter()
-            .map(|s| s.lock().last_arrival)
+            .map(|s| lock(s).last_arrival)
             .fold(0.0, f64::max)
     }
 

@@ -7,8 +7,9 @@
 //! serialisation bug in a protocol. Collection is explicit (the engine
 //! code records what it considers interesting) and cheap enough to leave on.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use crate::cluster::lock;
 
 /// What a span represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,7 +69,7 @@ impl Trace {
     /// Panics if `end < start`.
     pub fn record(&self, rank: usize, start: f64, end: f64, kind: SpanKind, label: &'static str) {
         assert!(end >= start, "span ends before it starts: {start}..{end}");
-        self.spans.lock().push(Span {
+        lock(&self.spans).push(Span {
             rank,
             start,
             end,
@@ -79,24 +80,24 @@ impl Trace {
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
-        self.spans.lock().len()
+        lock(&self.spans).len()
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.lock().is_empty()
+        lock(&self.spans).is_empty()
     }
 
     /// Copies out the spans, sorted by (rank, start).
     pub fn spans(&self) -> Vec<Span> {
-        let mut v = self.spans.lock().clone();
+        let mut v = lock(&self.spans).clone();
         v.sort_by(|a, b| a.rank.cmp(&b.rank).then(a.start.total_cmp(&b.start)));
         v
     }
 
     /// Latest span end (the trace's makespan), 0 when empty.
     pub fn end_ns(&self) -> f64 {
-        self.spans.lock().iter().map(|s| s.end).fold(0.0, f64::max)
+        lock(&self.spans).iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
     /// Total span time per rank and kind: `(compute, wait, comm)`.
@@ -111,8 +112,7 @@ impl Trace {
 
     /// Total span time of one kind on one rank.
     pub fn kind_total(&self, rank: usize, kind: SpanKind) -> f64 {
-        self.spans
-            .lock()
+        lock(&self.spans)
             .iter()
             .filter(|s| s.rank == rank && s.kind == kind)
             .map(|s| s.end - s.start)
@@ -127,7 +127,7 @@ impl Trace {
         assert!(width >= 10, "need at least 10 columns");
         let end = self.end_ns().max(1.0);
         let mut rows = vec![vec![' '; width]; n_ranks];
-        for s in self.spans.lock().iter() {
+        for s in lock(&self.spans).iter() {
             if s.rank >= n_ranks {
                 continue;
             }

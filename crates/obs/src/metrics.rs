@@ -1,9 +1,7 @@
 //! The order-invariant metrics registry.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::{MetricEntry, MetricsSnapshot, ValueSnapshot};
 use crate::stage::Stage;
@@ -99,12 +97,18 @@ impl Metrics {
         Self::default()
     }
 
+    /// Locks the series store. The mismatch panics raised under the lock
+    /// fire before their fold writes, so poison is ignored.
+    fn store(&self) -> MutexGuard<'_, BTreeMap<Key, Slot>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Adds `n` to the counter series `name{labels}`.
     ///
     /// # Panics
     /// Panics if the series was already registered as a different type.
     pub fn inc(&self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
-        let mut g = self.inner.lock();
+        let mut g = self.store();
         let slot = g.entry(key(name, labels)).or_insert(Slot::Counter(0));
         assert!(
             matches!(slot, Slot::Counter(_)),
@@ -125,7 +129,7 @@ impl Metrics {
     /// infinite gauge cannot round-trip through the JSON exporter).
     pub fn gauge_max(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
         assert!(v.is_finite(), "metric {name}: gauge value must be finite");
-        let mut g = self.inner.lock();
+        let mut g = self.store();
         let slot = g
             .entry(key(name, labels))
             .or_insert(Slot::Gauge(f64::NEG_INFINITY));
@@ -153,7 +157,7 @@ impl Metrics {
         bounds: &'static [f64],
     ) {
         assert!(!v.is_nan(), "metric {name}: observation must not be NaN");
-        let mut g = self.inner.lock();
+        let mut g = self.store();
         let slot = g
             .entry(key(name, labels))
             .or_insert_with(|| Slot::Histogram(Hist::new(bounds)));
@@ -194,8 +198,8 @@ impl Metrics {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return;
         }
-        let theirs = other.inner.lock();
-        let mut ours = self.inner.lock();
+        let theirs = other.store();
+        let mut ours = self.store();
         for ((name, labels), slot) in theirs.iter() {
             let entry = ours.entry((name, labels.clone()));
             match slot {
@@ -247,7 +251,7 @@ impl Metrics {
         name: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Option<(u64, f64)> {
-        match self.inner.lock().get(&key(name, labels)) {
+        match self.store().get(&key(name, labels)) {
             Some(Slot::Histogram(h)) => Some((h.count, h.sum_fp as f64 / SUM_SCALE)),
             _ => None,
         }
@@ -258,7 +262,7 @@ impl Metrics {
     /// number of threads — snapshot identically (`==` compares exact
     /// bits).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock();
+        let g = self.store();
         let entries = g
             .iter()
             .map(|((name, labels), slot)| MetricEntry {

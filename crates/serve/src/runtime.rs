@@ -7,8 +7,8 @@
 //! batches are serialized on one simulated cluster — a batch triggered
 //! while the previous one is still running dispatches when the engine
 //! frees up — so queueing delay is real and admission control has
-//! something to protect. The cluster is one [`SearchSession`] per run:
-//! its rank threads are spawned once, and every batch is an epoch of it.
+//! something to protect. The cluster is one [`SearchSession`] per run,
+//! and every batch is an epoch of it, run on the runtime's own thread.
 //! Every quantity is virtual (`f64` ns), every container is iterated in a
 //! deterministic order, and the engine itself honours the PR-3
 //! thread-determinism contract, so a run replays bit-identically from the
@@ -396,7 +396,7 @@ impl<'a> Sim<'a> {
         debug_assert!(self.forming.is_empty(), "timer must have flushed the tail");
     }
 
-    fn drain(&mut self, engine: &mut SearchSession<'_, '_>, mut driver: Option<DriverRef<'_, '_>>) {
+    fn drain(&mut self, engine: &mut SearchSession<'_>, mut driver: Option<DriverRef<'_, '_>>) {
         while let Some((at, ev)) = self.events.pop() {
             self.clock.advance_to(at);
             let first_new = self.outcomes.len();
@@ -433,7 +433,7 @@ impl<'a> Sim<'a> {
         self.metrics
     }
 
-    fn on_arrival(&mut self, engine: &mut SearchSession<'_, '_>, req: Request) {
+    fn on_arrival(&mut self, engine: &mut SearchSession<'_>, req: Request) {
         let now = self.clock.now();
         self.requests += 1;
 
@@ -592,7 +592,7 @@ impl<'a> Sim<'a> {
 
     /// Dispatches the forming batch through the engine, as the next epoch
     /// of the run's cluster.
-    fn flush(&mut self, engine: &mut SearchSession<'_, '_>) {
+    fn flush(&mut self, engine: &mut SearchSession<'_>) {
         let batch = std::mem::take(&mut self.forming);
         let homes = std::mem::take(&mut self.forming_homes);
         self.forming_batch_id += 1;

@@ -313,9 +313,9 @@ impl PartitionTree {
     ///
     /// # Errors
     /// A description of the first defect: truncation, an unknown node
-    /// tag, a vantage length longer than the bytes left, nesting deeper
-    /// than 1024 levels, leaf ids that are not `0..n_partitions`, or
-    /// trailing bytes.
+    /// tag, a vantage length longer than the bytes left, vantage vectors
+    /// of different lengths, nesting deeper than 1024 levels, leaf ids
+    /// that are not `0..n_partitions`, or trailing bytes.
     pub fn from_bytes(bytes: &[u8], dist: Distance) -> Result<PartitionTree, String> {
         fn u32_of(rd: &mut &[u8]) -> Result<u32, String> {
             let (head, rest) = rd.split_first_chunk::<4>().ok_or("truncated skeleton")?;
@@ -359,7 +359,14 @@ impl PartitionTree {
         if !rd.is_empty() {
             return Err(format!("{} trailing bytes in skeleton", rd.len()));
         }
-        let mut leaves: Vec<u32> = nodes
+        let tree = PartitionTree { nodes, root, dist };
+        if let Some(d) = tree.dim() {
+            if let Some(e) = tree.vantage_lens().find(|&e| e != d) {
+                return Err(format!("vantage lengths {d} and {e} differ"));
+            }
+        }
+        let mut leaves: Vec<u32> = tree
+            .nodes
             .iter()
             .filter_map(|n| match n {
                 PNode::Leaf { partition } => Some(*partition),
@@ -370,7 +377,20 @@ impl PartitionTree {
         if leaves.iter().enumerate().any(|(i, &p)| p as usize != i) {
             return Err("leaf partition ids are not 0..n_partitions".into());
         }
-        Ok(PartitionTree { nodes, root, dist })
+        Ok(tree)
+    }
+
+    /// Length of the vantage vectors: the dimension of the vectors the
+    /// tree routes. `None` for a tree of one leaf.
+    pub fn dim(&self) -> Option<usize> {
+        self.vantage_lens().next()
+    }
+
+    fn vantage_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nodes.iter().filter_map(|n| match n {
+            PNode::Inner { vp, .. } => Some(vp.len()),
+            PNode::Leaf { .. } => None,
+        })
     }
 
     /// Serialized size estimate in bytes (vantage vectors dominate); used
@@ -713,6 +733,10 @@ mod tests {
             (words(&[1, 0, u32::MAX, 0, 0, 0, 1]), "overruns"),
             (words(&[7, 0, 1, 0, 0, 0, 0, 1]), "node tag 7"),
             (words(&[1, 0, 1, 0, 0, 1, 0, 1]), "not 0..n_partitions"),
+            (
+                words(&[1, 0, 1, 0, 1, 0, 2, 0, 0, 0, 0, 0, 1, 0, 2]),
+                "vantage lengths",
+            ),
             (words(&[1, 0, 0].repeat(1025)), "deeper than 1024"),
         ] {
             let err = PartitionTree::from_bytes(&bad, Distance::L2).expect_err(msg);
