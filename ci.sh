@@ -26,13 +26,15 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 # Debug builds do not vectorize the distance kernels' chunk loops, so
 # only a release build checks that the code that ships keeps the frozen
 # float-add order (kernel_golden) and the graph and engine goldens.
-cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core
+# mpisim and kdtree run the simulator's rank spawn, poison and join path
+# on the same optimized build.
+cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree
 
 echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
 # SearchScratch carries the beam's heaps from one probe to the next
 # within a rayon split; a state leak between probes would show only where
 # the splits differ, and only on the optimized build that ships.
-FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core
+FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json

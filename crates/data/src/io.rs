@@ -132,11 +132,20 @@ pub fn read_fvecs(path: impl AsRef<Path>, limit: Option<usize>) -> Result<Vector
     read_fvecs_from(&mut r, limit)
 }
 
-/// Reads `.fvecs` data from any reader.
+/// Reads `.fvecs` data from any reader. A NaN or infinite component is a
+/// format error naming its record: no distance to such a vector orders.
 pub fn read_fvecs_from(r: &mut impl Read, limit: Option<usize>) -> Result<VectorSet, VecsError> {
-    read_vector_set(r, limit, 4, "fvecs", |c| {
+    let vs = read_vector_set(r, limit, 4, "fvecs", |c| {
         f32::from_le_bytes([c[0], c[1], c[2], c[3]])
-    })
+    })?;
+    for (i, row) in vs.iter().enumerate() {
+        if let Some(x) = row.iter().find(|x| !x.is_finite()) {
+            return Err(VecsError::Format(format!(
+                "record {i} has a non-finite component {x}"
+            )));
+        }
+    }
+    Ok(vs)
 }
 
 /// Reads a `.bvecs` file (`u8` components, e.g. ANN_SIFT1B base vectors),
@@ -295,6 +304,20 @@ mod tests {
         buf.extend_from_slice(&2.0f32.to_le_bytes());
         let err = read_fvecs_from(&mut Cursor::new(buf), None).unwrap_err();
         assert!(matches!(err, VecsError::Format(_)));
+    }
+
+    #[test]
+    fn non_finite_components_are_format_errors() {
+        for (bad, shown) in [(f32::NAN, "NaN"), (f32::NEG_INFINITY, "-inf")] {
+            let vs = VectorSet::from_flat(2, vec![1.0, 2.0, 3.0, 4.0, 5.0, bad]);
+            let mut buf = Vec::new();
+            write_fvecs_to(&mut buf, &vs).expect("write to Vec never fails");
+            let err = read_fvecs_from(&mut Cursor::new(buf), None).unwrap_err();
+            let VecsError::Format(msg) = err else {
+                panic!("expected a format error, got {err}");
+            };
+            assert_eq!(msg, format!("record 2 has a non-finite component {shown}"));
+        }
     }
 
     #[test]

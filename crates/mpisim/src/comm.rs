@@ -54,14 +54,6 @@ impl ReduceOp {
             ReduceOp::Min => a.min(b),
         }
     }
-
-    fn fold_u64(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
 }
 
 use crate::rank::COLL_FLAG;
@@ -96,21 +88,6 @@ impl Comm {
         Self {
             id: 0,
             group: Arc::new((0..size).collect()),
-            seq: Cell::new(0),
-        }
-    }
-
-    /// A communicator over an explicit list of global ranks (must be the
-    /// same list, in the same order, on every member).
-    pub fn from_ranks(ranks: Vec<usize>) -> Self {
-        assert!(!ranks.is_empty(), "empty communicator");
-        let mut id = 0x636f_6d6d; // "comm"
-        for &r in &ranks {
-            id = mix(id, r as u64);
-        }
-        Self {
-            id,
-            group: Arc::new(ranks),
             seq: Cell::new(0),
         }
     }
@@ -325,28 +302,6 @@ impl Comm {
         wire::get_f64(&mut out)
     }
 
-    /// All-reduce of one `u64` per member.
-    pub fn allreduce_u64(&self, rank: &mut Rank, v: u64, op: ReduceOp) -> u64 {
-        let mut buf = BytesMut::with_capacity(8);
-        wire::put_u64(&mut buf, v);
-        let parts = self.gather(rank, 0, buf.freeze());
-        let packed = parts.map(|ps| {
-            let mut acc: Option<u64> = None;
-            for mut p in ps {
-                let x = wire::get_u64(&mut p);
-                acc = Some(match acc {
-                    None => x,
-                    Some(a) => op.fold_u64(a, x),
-                });
-            }
-            let mut b = BytesMut::with_capacity(8);
-            wire::put_u64(&mut b, acc.expect("non-empty communicator"));
-            b.freeze()
-        });
-        let mut out = self.bcast(rank, 0, packed);
-        wire::get_u64(&mut out)
-    }
-
     /// Personalised all-to-all (`MPI_Alltoallv`): `data[j]` is delivered to
     /// member `j`; returns what every member sent to the caller. This is
     /// the primitive the paper's distributed VP-tree construction uses to
@@ -451,13 +406,13 @@ mod tests {
             let comm = rank.world();
             let s = comm.allreduce_f64(rank, rank.rank() as f64, ReduceOp::Sum);
             let mx = comm.allreduce_f64(rank, rank.rank() as f64, ReduceOp::Max);
-            let mn = comm.allreduce_u64(rank, rank.rank() as u64 + 5, ReduceOp::Min);
+            let mn = comm.allreduce_f64(rank, rank.rank() as f64 + 5.0, ReduceOp::Min);
             (s, mx, mn)
         });
         for (s, mx, mn) in out {
             assert_eq!(s, 6.0);
             assert_eq!(mx, 3.0);
-            assert_eq!(mn, 5);
+            assert_eq!(mn, 5.0);
         }
     }
 
@@ -510,10 +465,10 @@ mod tests {
             // NB: both halves call subset once; the two calls above are the
             // same program point per SPMD member.
 
-            half.allreduce_u64(rank, rank.rank() as u64, ReduceOp::Sum)
+            half.allreduce_f64(rank, rank.rank() as f64, ReduceOp::Sum)
         });
-        assert_eq!(out[0], 1 + 2 + 3);
-        assert_eq!(out[7], 4 + 5 + 6 + 7);
+        assert_eq!(out[0], (1 + 2 + 3) as f64);
+        assert_eq!(out[7], (4 + 5 + 6 + 7) as f64);
     }
 
     #[test]

@@ -35,43 +35,23 @@
 //! assert!(results.iter().all(|&s| s == 6.0));
 //! ```
 //!
-//! A **session** ([`Cluster::session`]) keeps one cluster alive for many
-//! runs of a program, the way a long-lived MPI job serves a stream of
-//! work. Ranks `1..n` are spawned once and rank 0 runs on the caller's
-//! thread. Every [`Session::epoch`] starts each rank from exactly what a
-//! fresh cluster gives it: clock 0, zeroed [`RankStats`] (the message
-//! sequence numbers behind network jitter, fault fates and perturbed
-//! matching restart), and the fault plan's crash point and one-shot stall
-//! re-armed. Every epoch ends with its own [`Conservation`] ledger, its
-//! leftover mail reported as leaked and drained, and its RMA windows
-//! released. [`Cluster::run`] is a session of one epoch.
-//!
-//! ```
-//! use fastann_mpisim::{Cluster, SimConfig};
-//!
-//! let clocks = Cluster::new(SimConfig::new(3)).session(
-//!     |rank, &ns: &f64| {
-//!         rank.charge(ns);
-//!         rank.now()
-//!     },
-//!     |mut s| {
-//!         (1..=3)
-//!             .map(|i| s.epoch(f64::from(i), |rank, _| rank.now()).workers)
-//!             .collect::<Vec<_>>()
-//!     },
-//! );
-//! // every epoch starts from clock 0
-//! assert_eq!(clocks, vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
-//! ```
-//!
-//! A rank runs in one of two forms. In a [`Session`] (and in
-//! [`Cluster::run`]) ranks `1..n` are blocking programs on OS threads of
-//! their own, the form of SPMD code. In a [`HandlerSession`]
-//! ([`Cluster::handler_session`]) they are [`Handler`]s: programs cut at
-//! their receives, which rank 0 runs on its own thread whenever it would
-//! block, earliest virtual arrival first. Both forms make the same
-//! [`Rank`] calls in the same per-rank order, so every clock, statistic
-//! and ledger entry is the same; a handler session spawns no thread.
+//! [`Cluster::run`] is one SPMD launch, the form of the paper's VP-tree
+//! build and `Alltoallv` shuffle: every rank is a blocking program, rank 0
+//! on the caller's thread and ranks `1..n` on OS threads of their own, and
+//! the run ends when all of them have returned. A [`HandlerSession`]
+//! ([`Cluster::handler_session`]) is the long-lived form, the way the
+//! paper's query engine is one MPI job serving a stream of batches: ranks
+//! `1..n` are [`Handler`]s — programs cut at their receives, which rank 0
+//! runs on its own thread whenever it would block, earliest virtual arrival
+//! first — and no thread is spawned. Every [`HandlerSession::epoch`] starts
+//! each rank from exactly what a fresh cluster gives it: clock 0, zeroed
+//! [`RankStats`] (the message sequence numbers behind network jitter, fault
+//! fates and perturbed matching restart), and the fault plan's crash point
+//! and one-shot stall re-armed. Every epoch ends with its own
+//! [`Conservation`] ledger, its leftover mail reported as leaked and
+//! drained, and its RMA windows released. Both forms make the same
+//! [`Rank`] calls in the same per-rank order, so every clock, statistic and
+//! ledger entry is the same.
 
 #![forbid(unsafe_code)]
 
@@ -88,9 +68,7 @@ mod vthreads;
 /// Little-endian wire encoding helpers shared by every protocol.
 pub mod wire;
 
-pub use cluster::{
-    Cluster, Conservation, Epoch, Handler, HandlerSession, LeakedMsg, Session, SimConfig,
-};
+pub use cluster::{Cluster, Conservation, Epoch, Handler, HandlerSession, LeakedMsg, SimConfig};
 pub use comm::{Comm, ReduceOp};
 pub use cost::CostModel;
 pub use fault::{Fate, FaultAction, FaultPlan};

@@ -126,43 +126,6 @@ impl NetModel {
     pub fn aries() -> Self {
         Self::default()
     }
-
-    /// InfiniBand EDR-class fabric: lower latency, similar bandwidth.
-    pub fn infiniband() -> Self {
-        Self {
-            alpha_inter_ns: 900.0,
-            beta_inter_ns_per_byte: 0.08, // ~12.5 GB/s
-            ..Self::default()
-        }
-    }
-
-    /// Commodity 10 GbE with a kernel network stack: order-of-magnitude
-    /// higher latency, ~1.2 GB/s effective. Useful for studying how the
-    /// paper's design degrades off HPC fabrics.
-    pub fn ethernet_10g() -> Self {
-        Self {
-            alpha_inter_ns: 25_000.0,
-            beta_inter_ns_per_byte: 0.8,
-            send_overhead_ns: 2_000.0,
-            recv_overhead_ns: 3_000.0,
-            rma_overhead_ns: 5_000.0,
-            ..Self::default()
-        }
-    }
-
-    /// A zero-cost network for algorithm-only unit tests.
-    pub fn ideal() -> Self {
-        Self {
-            alpha_intra_ns: 0.0,
-            alpha_inter_ns: 0.0,
-            beta_intra_ns_per_byte: 0.0,
-            beta_inter_ns_per_byte: 0.0,
-            send_overhead_ns: 0.0,
-            recv_overhead_ns: 0.0,
-            rma_overhead_ns: 0.0,
-            jitter_frac: 0.0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,13 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_is_free() {
-        let t = Topology::default();
-        let net = NetModel::ideal();
-        assert_eq!(net.xfer_ns(&t, 0, 5, 1 << 20), 0.0);
-    }
-
-    #[test]
     fn jitter_is_deterministic_and_bounded() {
         let t = Topology::one_rank_per_node();
         let net = NetModel {
@@ -231,14 +187,5 @@ mod tests {
         // zero jitter passes through exactly
         let plain = NetModel::default();
         assert_eq!(plain.xfer_jittered_ns(&t, 0, 1, 512, 7), base);
-    }
-
-    #[test]
-    fn presets_order_by_quality() {
-        let t = Topology::one_rank_per_node();
-        let msg = |n: &NetModel| n.xfer_ns(&t, 0, 1, 4096);
-        assert!(msg(&NetModel::infiniband()) < msg(&NetModel::aries()));
-        assert!(msg(&NetModel::aries()) < msg(&NetModel::ethernet_10g()));
-        assert!(NetModel::ethernet_10g().recv_overhead_ns > NetModel::aries().recv_overhead_ns);
     }
 }

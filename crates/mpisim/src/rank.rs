@@ -4,6 +4,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use bytes::Bytes;
 
@@ -136,7 +137,7 @@ impl<'p> Rank<'p> {
 
 impl Rank<'_> {
     /// Returns this rank to the state [`Rank::new`] gives it: the start of
-    /// a session epoch.
+    /// a handler-session epoch.
     pub(crate) fn reset(&mut self) {
         let fault = &self.shared.cfg.fault;
         self.crash_at = fault.crashed_at(self.rank);
@@ -342,9 +343,9 @@ impl Rank<'_> {
     /// matching mail runs the ready handler ranks until the mail is there.
     ///
     /// # Panics
-    /// Panics after the cluster's watchdog timeout — a deadlocked simulated
-    /// program fails loudly instead of hanging the host — and at once when
-    /// another rank of the session has panicked. In a handler session a
+    /// Panics after a 120 s watchdog — a deadlocked simulated program fails
+    /// loudly instead of hanging the host — and at once when another rank
+    /// of the cluster has panicked. In a handler session a
     /// deadlock panics at once: no handler is ready to send the mail.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u64>) -> Msg {
         self.maybe_stall_realtime();
@@ -453,10 +454,9 @@ impl Rank<'_> {
                 "handler rank {} cannot block in recv: name the receive in Handler::waits_on",
                 self.rank
             );
-            let timeout = self.shared.cfg.recv_timeout;
             let (guard, wait) = mb
                 .cv
-                .wait_timeout(q, timeout)
+                .wait_timeout(q, RECV_TIMEOUT)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             q = guard;
             if wait.timed_out() {
@@ -464,7 +464,7 @@ impl Rank<'_> {
                     "rank {} timed out after {:?} waiting for src={:?} tag={:?} \
                      (queued: {} unmatched messages) — simulated program deadlock",
                     self.rank,
-                    timeout,
+                    RECV_TIMEOUT,
                     src,
                     tag,
                     q.len()
@@ -483,6 +483,10 @@ impl Rank<'_> {
         self.shared.registry_get(key)
     }
 }
+
+/// Watchdog: a blocking receive that waits longer than this (real time)
+/// panics, turning simulated deadlocks into test failures.
+const RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Bit 63 marks collective-internal traffic. A wildcard-tag receive never
 /// matches it — mirroring MPI, where collectives use a separate matching

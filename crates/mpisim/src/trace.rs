@@ -100,25 +100,6 @@ impl Trace {
         lock(&self.spans).iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
-    /// Total span time per rank and kind: `(compute, wait, comm)`.
-    /// Recovery spans are excluded — use [`Trace::kind_total`] for them.
-    pub fn totals(&self, rank: usize) -> (f64, f64, f64) {
-        (
-            self.kind_total(rank, SpanKind::Compute),
-            self.kind_total(rank, SpanKind::Wait),
-            self.kind_total(rank, SpanKind::Comm),
-        )
-    }
-
-    /// Total span time of one kind on one rank.
-    pub fn kind_total(&self, rank: usize, kind: SpanKind) -> f64 {
-        lock(&self.spans)
-            .iter()
-            .filter(|s| s.rank == rank && s.kind == kind)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
     /// Renders an ASCII Gantt chart: one row per rank, `width` columns over
     /// `[0, end_ns]`. `#` compute, `~` comm CPU, `.` waiting, `!` fault
     /// recovery, space idle. Later-recorded spans overwrite earlier ones in
@@ -167,19 +148,6 @@ mod tests {
         assert_eq!(spans[1].rank, 1);
         assert_eq!(spans[1].start, 0.0);
         assert_eq!(t.end_ns(), 20.0);
-    }
-
-    #[test]
-    fn totals_by_kind() {
-        let t = Trace::new();
-        t.record(0, 0.0, 10.0, SpanKind::Compute, "x");
-        t.record(0, 10.0, 14.0, SpanKind::Wait, "y");
-        t.record(0, 14.0, 15.0, SpanKind::Comm, "z");
-        t.record(1, 0.0, 2.0, SpanKind::Compute, "w");
-        let (c, w, m) = t.totals(0);
-        assert_eq!((c, w, m), (10.0, 4.0, 1.0));
-        assert_eq!(t.totals(1), (2.0, 0.0, 0.0));
-        assert_eq!(t.totals(9), (0.0, 0.0, 0.0));
     }
 
     #[test]

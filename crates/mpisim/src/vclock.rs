@@ -114,11 +114,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Reverse(ev)| (ev.at, ev.payload))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_at(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(ev)| ev.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -140,7 +135,6 @@ mod tests {
         q.push(30.0, "c");
         q.push(10.0, "a");
         q.push(20.0, "b");
-        assert_eq!(q.peek_at(), Some(10.0));
         assert_eq!(q.pop(), Some((10.0, "a")));
         assert_eq!(q.pop(), Some((20.0, "b")));
         assert_eq!(q.pop(), Some((30.0, "c")));

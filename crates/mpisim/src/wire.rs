@@ -84,20 +84,6 @@ pub fn get_f32_vec(buf: &mut impl Buf) -> Vec<f32> {
     (0..n).map(|_| buf.get_f32_le()).collect()
 }
 
-/// Appends a length-prefixed `u32` slice.
-pub fn put_u32_slice(buf: &mut BytesMut, v: &[u32]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        buf.put_u32_le(x);
-    }
-}
-
-/// Reads a length-prefixed `u32` vector.
-pub fn get_u32_vec(buf: &mut impl Buf) -> Vec<u32> {
-    let n = get_u32(buf) as usize;
-    (0..n).map(|_| buf.get_u32_le()).collect()
-}
-
 /// Appends `(id, dist)` pairs — the wire form of a neighbour list.
 pub fn put_neighbors(buf: &mut BytesMut, pairs: &[(u32, f32)]) {
     put_u32(buf, pairs.len() as u32);
@@ -138,11 +124,9 @@ mod tests {
     fn slices_round_trip() {
         let mut b = BytesMut::new();
         put_f32_slice(&mut b, &[1.0, 2.0, 3.0]);
-        put_u32_slice(&mut b, &[9, 8]);
         put_bytes(&mut b, b"abc");
         let mut r = b.freeze();
         assert_eq!(get_f32_vec(&mut r), vec![1.0, 2.0, 3.0]);
-        assert_eq!(get_u32_vec(&mut r), vec![9, 8]);
         assert_eq!(&get_bytes(&mut r)[..], b"abc");
     }
 

@@ -42,15 +42,6 @@ proptest! {
     }
 
     #[test]
-    fn u32_slices_round_trip(v in proptest::collection::vec(0u32..u32::MAX, 0..64)) {
-        let mut buf = BytesMut::new();
-        wire::put_u32_slice(&mut buf, &v);
-        let mut r = buf.freeze();
-        prop_assert_eq!(wire::get_u32_vec(&mut r), v);
-        prop_assert!(!r.has_remaining());
-    }
-
-    #[test]
     fn f32_slices_round_trip(bits in proptest::collection::vec(0u32..u32::MAX, 0..64)) {
         let v: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         let mut buf = BytesMut::new();
@@ -103,17 +94,15 @@ fn empty_payloads_round_trip() {
     let mut buf = BytesMut::new();
     wire::put_bytes(&mut buf, &[]);
     wire::put_f32_slice(&mut buf, &[]);
-    wire::put_u32_slice(&mut buf, &[]);
     wire::put_neighbors(&mut buf, &[]);
     assert_eq!(
         buf.len(),
-        16,
+        12,
         "an empty payload is exactly its 4-byte header"
     );
     let mut r = buf.freeze();
     assert!(wire::get_bytes(&mut r).is_empty());
     assert!(wire::get_f32_vec(&mut r).is_empty());
-    assert!(wire::get_u32_vec(&mut r).is_empty());
     assert!(wire::get_neighbors(&mut r).is_empty());
     assert!(!r.has_remaining());
 }
