@@ -51,24 +51,35 @@ done
 echo "==> schedule-perturbation race smoke (K=8)"
 cargo run -q -p fastann-check -- race --k 8
 
-echo "==> BENCH_*.json perf smoke + quantized recall-delta gate"
+echo "==> BENCH_*.json perf smoke + quantized recall-delta gate (bit-identity)"
 # --gate fails the run if quantized recall@10 trails the exact path by
 # more than 0.01 on the same graph; both invocations also assert that
-# quantized search answers bit-identically at 1 and at N threads.
+# exact and quantized search answer bit-identically at 1 and at N
+# threads. perf reads no clock, so the two records must match byte for
+# byte.
 cargo build -q --release -p fastann-bench
-./target/release/perf --smoke --threads 1 --gate --out target
-./target/release/perf --smoke --threads 4 --gate --out target
-test -s target/BENCH_SYN_SMOKE.json
+rm -rf target/perf_a target/perf_b
+mkdir -p target/perf_a target/perf_b
+FASTANN_THREADS=1 ./target/release/perf --smoke --threads 1 --gate --out target/perf_a
+FASTANN_THREADS=4 ./target/release/perf --smoke --threads 4 --gate --out target/perf_b
+cmp target/perf_a/BENCH_SYN_SMOKE.json target/perf_b/BENCH_SYN_SMOKE.json
+test -s target/perf_a/BENCH_SYN_SMOKE.json
 
-echo "==> MDC_32K clustered recall gate (exact-recall floor, bit-identity)"
+echo "==> MDC_32K clustered recall gate (exact-recall floor, bit-identity, golden)"
 # The clustered workload where single-seed greedy descent used to collapse
 # exact recall@10 to ~0.44 (ROADMAP item 1, DESIGN.md §13). --gate enforces
 # the workload's absolute exact-recall floor (0.90) on top of the recall
 # delta, and the perf harness asserts the clustered search results are
-# bit-identical at 1 and at N threads on both legs.
-FASTANN_THREADS=1 ./target/release/perf --only MDC_32K --threads 1 --gate --out target
-FASTANN_THREADS=4 ./target/release/perf --only MDC_32K --threads 4 --gate --out target
-test -s target/BENCH_MDC_32K.json
+# bit-identical at 1 and at N threads on both legs. The cmp pins the
+# record across FASTANN_THREADS, and the diff pins the committed file.
+# Regenerate after an intentional change with:
+#   ./target/release/perf --only MDC_32K --threads 1 --out .
+rm -rf target/mdc_a target/mdc_b
+mkdir -p target/mdc_a target/mdc_b
+FASTANN_THREADS=1 ./target/release/perf --only MDC_32K --threads 1 --gate --out target/mdc_a
+FASTANN_THREADS=4 ./target/release/perf --only MDC_32K --threads 4 --gate --out target/mdc_b
+cmp target/mdc_a/BENCH_MDC_32K.json target/mdc_b/BENCH_MDC_32K.json
+diff -u BENCH_MDC_32K.json target/mdc_a/BENCH_MDC_32K.json
 
 echo "==> churn leg (live mutation: 90/5/5 read/insert/delete, recall gates)"
 # Deletes 20% of the corpus through MutationRequest while serving reads,

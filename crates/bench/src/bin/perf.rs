@@ -1,14 +1,16 @@
-//! `perf` — emits a `BENCH_<dataset>.json` wall-clock trajectory per
-//! dataset: HNSW build throughput, batched-search QPS and recall, each at
-//! 1 thread and at `--threads N`, plus the measured speedups.
+//! `perf` — the recall and determinism gates of one local HNSW per
+//! dataset: emits a `BENCH_<dataset>.json` record of exact and quantized
+//! recall on one [`Hnsw::build`] graph.
 //!
 //! ```text
 //! perf [--smoke] [--threads N] [--out DIR] [--gate] [--only NAME] [--churn]
 //!   --smoke     tiny synthetic dataset only (the CI smoke invocation)
-//!   --threads   pool width for the parallel legs (default: host cores)
+//!   --threads   pool width for the N-thread search legs (default: host
+//!               cores)
 //!   --out       directory for the BENCH_*.json files (default: .)
 //!   --gate      fail unless quantized recall@k stays within 0.01 of the
-//!               exact path on the same graph (the CI recall-delta gate)
+//!               exact path on the same graph and exact recall@k meets
+//!               the workload's floor (the CI recall gates)
 //!   --only      substring filter on dataset names (skip the others)
 //!   --churn     run the live-mutation leg instead: a 90/5/5
 //!               read/insert/delete stream against the distributed engine
@@ -21,30 +23,18 @@
 //!               post-compaction
 //! ```
 //!
-//! Each record also carries a `quantized` section: the SQ8-traversal +
-//! exact-re-rank pipeline timed against the exact path on the same graph,
-//! with its recall and the recall delta. Quantized search at 1 and at N
-//! threads is asserted bit-identical unconditionally, like the exact pool.
+//! Each record carries the exact path's recall@k and a `quantized`
+//! section: the SQ8-traversal + exact-re-rank pipeline's recall on the
+//! same graph and its delta to the exact path. Exact and quantized search
+//! at 1 and at N threads are asserted bit-identical unconditionally.
 //!
-//! Because the quantized traversal typically *over*-delivers recall at the
-//! exact path's `ef` (the re-rank stage repairs quantization error and the
-//! pool is wider than k), the fixed-`ef` QPS comparison understates it. The
-//! `quantized.matched` block is the standard equal-recall comparison: sweep
-//! the quantized `ef` down a fixed ladder and report the cheapest setting
-//! whose recall still lands within the gate tolerance of the exact path's
-//! recall — both systems delivering the same quality, each at its own
-//! operating point.
-//!
-//! Numbers are honest wall-clock measurements on *this* host: the emitted
-//! `host_cores` field records how many cores were actually available, and
-//! on a single-core machine the speedup legs will sit near 1.0 no matter
-//! how wide the pool is. The parallel legs still exercise the full
-//! threaded code paths (batch-parallel construction, pooled search), and
-//! the JSON asserts their results match the sequential legs bit-for-bit.
+//! Nothing here reads a clock: every field is deterministic, so a record
+//! is byte-identical at any thread count and CI `cmp`s it. Host time
+//! (build seconds, search QPS, the SQ8 speedup) is measured under
+//! repeated samples by `fastann-hostbench`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use fastann_bench::{datasets, Scale};
 use fastann_core::{
@@ -60,10 +50,6 @@ const EF: usize = 64;
 /// The CI gate: quantized recall@K may trail exact recall@K on the same
 /// graph by at most this much.
 const MAX_RECALL_DELTA: f64 = 0.01;
-/// The `ef` ladder swept for the equal-recall operating point, smallest
-/// first. `EF` itself is the last rung so the sweep always has the fixed
-/// comparison's setting as a fallback.
-const EF_LADDER: [usize; 7] = [10, 12, 16, 24, 32, 48, EF];
 
 struct Args {
     smoke: bool,
@@ -107,34 +93,18 @@ fn parse_args() -> Args {
     args
 }
 
-/// One dataset's measured trajectory.
+/// One dataset's recall record. Every field is deterministic, so the
+/// JSON is byte-identical at any `--threads` / `FASTANN_THREADS` setting.
 struct Record {
     dataset: String,
     points: usize,
     dim: usize,
     n_queries: usize,
-    threads: usize,
-    host_cores: usize,
-    build_seq_s: f64,
-    build_par_s: f64,
-    build_speedup: f64,
-    build_points_per_s: f64,
-    qps_1t: f64,
-    qps_nt: f64,
-    search_speedup: f64,
     recall: f64,
-    recall_seq: f64,
     pool_is_deterministic: bool,
-    q_qps_1t: f64,
-    q_qps_nt: f64,
-    q_speedup_vs_exact: f64,
     q_recall: f64,
     q_recall_delta: f64,
     q_is_deterministic: bool,
-    q_matched_ef: usize,
-    q_matched_qps_1t: f64,
-    q_matched_recall: f64,
-    q_matched_speedup: f64,
 }
 
 impl Record {
@@ -146,44 +116,15 @@ impl Record {
         let _ = writeln!(s, "  \"points\": {},", self.points);
         let _ = writeln!(s, "  \"dim\": {},", self.dim);
         let _ = writeln!(s, "  \"queries\": {},", self.n_queries);
-        let _ = writeln!(s, "  \"threads\": {},", self.threads);
-        let _ = writeln!(s, "  \"host_cores\": {},", self.host_cores);
-        let _ = writeln!(s, "  \"build\": {{");
-        let _ = writeln!(s, "    \"seq_s\": {:.6},", self.build_seq_s);
-        let _ = writeln!(s, "    \"par_s\": {:.6},", self.build_par_s);
-        let _ = writeln!(s, "    \"speedup\": {:.3},", self.build_speedup);
-        let _ = writeln!(s, "    \"points_per_s\": {:.1}", self.build_points_per_s);
-        let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"search\": {{");
         let _ = writeln!(s, "    \"k\": {K},");
         let _ = writeln!(s, "    \"ef\": {EF},");
-        let _ = writeln!(s, "    \"qps_1t\": {:.1},", self.qps_1t);
-        let _ = writeln!(s, "    \"qps_nt\": {:.1},", self.qps_nt);
-        let _ = writeln!(s, "    \"speedup\": {:.3},", self.search_speedup);
-        let _ = writeln!(s, "    \"recall_at_k\": {:.4},", self.recall);
-        let _ = writeln!(s, "    \"recall_at_k_seq_build\": {:.4}", self.recall_seq);
+        let _ = writeln!(s, "    \"recall_at_k\": {:.4}", self.recall);
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"quantized\": {{");
         let _ = writeln!(s, "    \"rerank_factor\": {RERANK_FACTOR},");
-        let _ = writeln!(s, "    \"qps_1t\": {:.1},", self.q_qps_1t);
-        let _ = writeln!(s, "    \"qps_nt\": {:.1},", self.q_qps_nt);
-        let _ = writeln!(
-            s,
-            "    \"speedup_vs_exact\": {:.3},",
-            self.q_speedup_vs_exact
-        );
         let _ = writeln!(s, "    \"recall_at_k\": {:.4},", self.q_recall);
-        let _ = writeln!(s, "    \"recall_delta\": {:.4},", self.q_recall_delta);
-        let _ = writeln!(s, "    \"matched\": {{");
-        let _ = writeln!(s, "      \"ef\": {},", self.q_matched_ef);
-        let _ = writeln!(s, "      \"qps_1t\": {:.1},", self.q_matched_qps_1t);
-        let _ = writeln!(s, "      \"recall_at_k\": {:.4},", self.q_matched_recall);
-        let _ = writeln!(
-            s,
-            "      \"speedup_vs_exact\": {:.3}",
-            self.q_matched_speedup
-        );
-        let _ = writeln!(s, "    }}");
+        let _ = writeln!(s, "    \"recall_delta\": {:.4}", self.q_recall_delta);
         let _ = writeln!(s, "  }},");
         let _ = writeln!(
             s,
@@ -197,123 +138,46 @@ impl Record {
 
 fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) -> Record {
     let hnsw_cfg = HnswConfig::with_m(16).ef_construction(100).seed(7);
+    let index = Hnsw::build(data.clone(), Distance::L2, hnsw_cfg);
 
-    // -- build: sequential reference, then the batch-parallel path --
-    let t0 = Instant::now();
-    let seq = Hnsw::build(data.clone(), Distance::L2, hnsw_cfg);
-    let build_seq_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let par = rayon::with_num_threads(threads, || {
-        Hnsw::build_parallel(data.clone(), Distance::L2, hnsw_cfg)
-    });
-    let build_par_s = t0.elapsed().as_secs_f64();
-
-    // -- batched search via the pool, 1 thread vs N threads --
+    // -- batched search via the pool, exact or SQ8 traversal + exact
+    // re-rank, at 1 thread and at N threads --
     let qvecs: Vec<Vec<f32>> = queries.iter().map(<[f32]>::to_vec).collect();
-    let search_all = |threads: usize| {
-        let t0 = Instant::now();
-        let out = rayon::with_num_threads(threads, || {
+    let search_all = |threads: usize, params: SearchParams| {
+        rayon::with_num_threads(threads, || {
             use rayon::prelude::*;
             qvecs
                 .par_iter()
                 .map_init(
-                    || SearchScratch::with_capacity(par.len()),
-                    |scratch, q| par.search(q, &SearchParams::new(K, EF), scratch).0,
+                    || SearchScratch::with_capacity(index.len()),
+                    |scratch, q| index.search(q, &params, scratch).0,
                 )
                 .collect::<Vec<_>>()
-        });
-        (out, t0.elapsed().as_secs_f64())
+        })
     };
-    let _warmup = search_all(1); // untimed: page in graph + vectors
-    let (res_1t, wall_1t) = search_all(1);
-    let (res_nt, wall_nt) = search_all(threads);
+    let exact = SearchParams::new(K, EF);
+    let quantized = exact.quantized(RERANK_FACTOR);
+    let res_1t = search_all(1, exact);
+    let res_nt = search_all(threads, exact);
+    let qres_1t = search_all(1, quantized);
+    let qres_nt = search_all(threads, quantized);
 
-    // -- the same graph again, SQ8 traversal + exact re-rank --
-    let search_all_q = |threads: usize, ef: usize| {
-        let t0 = Instant::now();
-        let out = rayon::with_num_threads(threads, || {
-            use rayon::prelude::*;
-            qvecs
-                .par_iter()
-                .map_init(
-                    || SearchScratch::with_capacity(par.len()),
-                    |scratch, q| {
-                        par.search(
-                            q,
-                            &SearchParams::new(K, ef).quantized(RERANK_FACTOR),
-                            scratch,
-                        )
-                        .0
-                    },
-                )
-                .collect::<Vec<_>>()
-        });
-        (out, t0.elapsed().as_secs_f64())
-    };
-    let _warmup = search_all_q(1, EF); // untimed: page in codes + norms
-    let (qres_1t, qwall_1t) = search_all_q(1, EF);
-    let (qres_nt, qwall_nt) = search_all_q(threads, EF);
-
-    // -- recall against brute force, for both graphs: the batch-parallel
-    // build produces a *different* (equally valid) graph than the
-    // sequential build, so quality parity is the meaningful comparison --
     let gt = ground_truth::brute_force(data, queries, K, Distance::L2);
     let recall = ground_truth::recall_at_k(&res_nt, &gt, K).mean;
     let q_recall = ground_truth::recall_at_k(&qres_nt, &gt, K).mean;
-    let mut scratch = SearchScratch::with_capacity(seq.len());
-    let seq_res: Vec<_> = qvecs
-        .iter()
-        .map(|q| seq.search(q, &SearchParams::new(K, EF), &mut scratch).0)
-        .collect();
-    let recall_seq = ground_truth::recall_at_k(&seq_res, &gt, K).mean;
-
-    // -- equal-recall operating point: walk the ef ladder from the
-    // cheapest rung up and stop at the first whose quantized recall lands
-    // within the gate tolerance of the exact path's recall at EF --
-    let mut matched = None;
-    for ef in EF_LADDER {
-        let (r, wall) = search_all_q(1, ef);
-        let rec = ground_truth::recall_at_k(&r, &gt, K).mean;
-        let qps = qvecs.len() as f64 / wall.max(1e-9);
-        if rec >= recall - MAX_RECALL_DELTA || ef == EF {
-            matched = Some((ef, qps, rec));
-            break;
-        }
-    }
-    let (q_matched_ef, q_matched_qps_1t, q_matched_recall) =
-        matched.expect("EF_LADDER ends with EF, so the sweep always lands");
-
-    // determinism spot-check: the pool is order-preserving, so the same
-    // graph searched at 1 and at N threads must answer bit-identically
-    let matches = res_1t == res_nt;
 
     Record {
         dataset: name.to_string(),
         points: data.len(),
         dim: data.dim(),
         n_queries: queries.len(),
-        threads,
-        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
-        build_seq_s,
-        build_par_s,
-        build_speedup: build_seq_s / build_par_s.max(1e-9),
-        build_points_per_s: data.len() as f64 / build_par_s.max(1e-9),
-        qps_1t: qvecs.len() as f64 / wall_1t.max(1e-9),
-        qps_nt: qvecs.len() as f64 / wall_nt.max(1e-9),
-        search_speedup: wall_1t / wall_nt.max(1e-9),
         recall,
-        recall_seq,
-        pool_is_deterministic: matches,
-        q_qps_1t: qvecs.len() as f64 / qwall_1t.max(1e-9),
-        q_qps_nt: qvecs.len() as f64 / qwall_nt.max(1e-9),
-        q_speedup_vs_exact: wall_1t / qwall_1t.max(1e-9),
+        // the pool is order-preserving, so the same graph searched at 1
+        // and at N threads must answer bit-identically
+        pool_is_deterministic: res_1t == res_nt,
         q_recall,
         q_recall_delta: recall - q_recall,
         q_is_deterministic: qres_1t == qres_nt,
-        q_matched_ef,
-        q_matched_qps_1t,
-        q_matched_recall,
-        q_matched_speedup: q_matched_qps_1t * wall_1t / qvecs.len() as f64,
     }
 }
 
@@ -644,23 +508,9 @@ fn main() {
         let path = format!("{}/BENCH_{}.json", args.out, w.name);
         std::fs::write(&path, rec.to_json()).expect("write BENCH json");
         println!(
-            "{path}: build {:.2}x ({:.0} pts/s), search {:.2}x ({:.0} qps), recall@{K} {:.3}, \
-             quantized {:.2}x vs exact ({:.0} qps, recall {:.3}), \
-             matched-recall {:.2}x at ef={} ({:.0} qps, recall {:.3}) \
-             [host has {} core(s)]",
-            rec.build_speedup,
-            rec.build_points_per_s,
-            rec.search_speedup,
-            rec.qps_nt,
-            rec.recall,
-            rec.q_speedup_vs_exact,
-            rec.q_qps_nt,
-            rec.q_recall,
-            rec.q_matched_speedup,
-            rec.q_matched_ef,
-            rec.q_matched_qps_1t,
-            rec.q_matched_recall,
-            rec.host_cores
+            "{path}: recall@{K} {:.3}, quantized {:.3} (delta {:.4}), \
+             bit-identical at 1 and {} threads",
+            rec.recall, rec.q_recall, rec.q_recall_delta, args.threads
         );
     }
 }

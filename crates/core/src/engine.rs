@@ -556,9 +556,8 @@ impl Worker {
     /// accounting and the posting replay in arrival order. Searches read
     /// an immutable index, so results and per-query ndist are
     /// schedule-independent, and every `pool.assign` and post happens in
-    /// arrival order with the same operands — so when this runs (on
-    /// receipt or at a flush) and on how many threads never changes a
-    /// virtual time.
+    /// arrival order with the same operands — so how many threads run
+    /// it never changes a virtual time.
     fn serve(&mut self, rank: &mut Rank, b: &Batch) {
         let (index, opts) = (b.index, &b.opts);
         let answers: Vec<(Vec<Neighbor>, SearchStats)> =
@@ -642,12 +641,6 @@ impl Worker {
                     q: wire::get_f32_vec(&mut payload),
                     arrival: msg.arrival,
                 });
-                // a sequential node searches on receipt, so its virtual
-                // work overlaps the master's dispatch; a threaded one
-                // batches until the flush
-                if b.index.config.threads == 1 {
-                    self.serve(rank, b);
-                }
             }
             TAG_FLUSH => {
                 self.serve(rank, b);

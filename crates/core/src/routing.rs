@@ -159,11 +159,6 @@ impl ReplicaMap {
         &self.counts
     }
 
-    /// Largest replica count in the map (1 for an empty map).
-    pub fn max_count(&self) -> usize {
-        self.counts.iter().copied().max().unwrap_or(1)
-    }
-
     /// Grows the map to `n_partitions` entries (new partitions — dynamic
     /// splits — start at `base`); never shrinks, never bumps the
     /// generation for pure growth.
@@ -224,7 +219,6 @@ mod tests {
         assert!(m.set_count(2, 3));
         assert_eq!(m.generation(), 1);
         assert_eq!(m.count(2), 3);
-        assert_eq!(m.max_count(), 3);
         assert!(!m.set_count(2, 3), "no-op set must not bump");
         assert_eq!(m.generation(), 1);
         assert!(m.set_count(2, 1));

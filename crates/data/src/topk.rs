@@ -162,13 +162,6 @@ impl TopK {
         }
     }
 
-    /// Merges a sorted-or-not slice of neighbours.
-    pub fn merge_slice(&mut self, other: &[Neighbor]) {
-        for &n in other {
-            self.push(n);
-        }
-    }
-
     /// Consumes the collector, returning neighbours sorted by ascending
     /// distance (ties by id).
     pub fn into_sorted(self) -> Vec<Neighbor> {
@@ -274,11 +267,13 @@ mod tests {
     #[test]
     fn merge_slice_and_to_sorted() {
         let mut t = TopK::new(2);
-        t.merge_slice(&[
+        for n in [
             Neighbor::new(0, 3.0),
             Neighbor::new(1, 1.0),
             Neighbor::new(2, 2.0),
-        ]);
+        ] {
+            t.push(n);
+        }
         assert_eq!(
             t.to_sorted().iter().map(|n| n.id).collect::<Vec<_>>(),
             vec![1, 2]
@@ -333,12 +328,13 @@ mod tests {
         // the engine merges per-partition results; an empty partition (or a
         // degraded probe that never answered) contributes an empty collector
         let mut full = TopK::new(3);
-        full.merge_slice(&[Neighbor::new(0, 1.0), Neighbor::new(1, 2.0)]);
+        for n in [Neighbor::new(0, 1.0), Neighbor::new(1, 2.0)] {
+            full.push(n);
+        }
         let before = full.to_sorted();
 
         let empty = TopK::new(3);
         full.merge(&empty);
-        full.merge_slice(&[]);
         assert_eq!(full.to_sorted(), before, "merging nothing changes nothing");
 
         let mut target = TopK::new(3);
@@ -368,9 +364,11 @@ mod tests {
             Neighbor::new(6, 1.0),
         ];
         let mut a = TopK::new(4);
-        a.merge_slice(&a_items);
         let mut b = TopK::new(4);
-        b.merge_slice(&b_items);
+        for (&x, &y) in a_items.iter().zip(&b_items) {
+            a.push(x);
+            b.push(y);
+        }
 
         let mut ab = TopK::new(4);
         ab.merge(&a);
@@ -472,16 +470,22 @@ mod proptests {
             let mut rotated = cands.clone();
             rotated.rotate_left(rot % cands.len());
             let mut direct = TopK::new(k);
-            direct.merge_slice(&rotated);
+            for &n in &rotated {
+                direct.push(n);
+            }
             prop_assert_eq!(&direct.into_sorted(), &want);
 
             // … and any 2-way sharding, merged in either order, agree
             let cut = cut % (cands.len() + 1);
             let (left, right) = cands.split_at(cut);
             let mut a = TopK::new(k);
-            a.merge_slice(left);
+            for &n in left {
+                a.push(n);
+            }
             let mut b = TopK::new(k);
-            b.merge_slice(right);
+            for &n in right {
+                b.push(n);
+            }
             let mut ab = TopK::new(k);
             ab.merge(&a);
             ab.merge(&b);

@@ -110,12 +110,6 @@ impl VectorSet {
         self.data.extend_from_slice(v);
     }
 
-    /// Appends every vector of `other` (same dimension required).
-    pub fn extend_from(&mut self, other: &VectorSet) {
-        assert_eq!(self.dim, other.dim, "dimension mismatch in extend_from");
-        self.data.extend_from_slice(&other.data);
-    }
-
     /// Iterates over the rows in index order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
         self.data.chunks_exact(self.dim)
@@ -125,11 +119,6 @@ impl VectorSet {
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Consumes the set, returning the flat buffer.
-    pub fn into_flat(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns a new set containing the rows selected by `ids`, in order.
@@ -325,15 +314,6 @@ mod tests {
         assert_eq!(lo, vec![0.0, 1.0]);
         assert_eq!(hi, vec![4.0, 5.0]);
         assert!(VectorSet::new(2).bounds().is_none());
-    }
-
-    #[test]
-    fn extend_from_appends() {
-        let mut a = sample();
-        let b = sample();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 6);
-        assert_eq!(a.get(5), &[4.0, 5.0]);
     }
 
     #[test]

@@ -11,10 +11,8 @@
 //! they stay per-node vectors: `upper[u][l - 1]` holds node `u`'s links
 //! at layer `l`, and a level-0 node carries one empty, unallocated list.
 //!
-//! Nothing here is shared mutably across threads: the batch-parallel
-//! build plans insertions concurrently against a `&Graph` and applies
-//! their links sequentially through `&mut Graph`, so plain vectors
-//! suffice.
+//! Nothing here is shared mutably across threads: a graph is built by
+//! one thread and only read concurrently, so plain vectors suffice.
 
 /// The whole graph's adjacency, for nodes `0..n`.
 #[derive(Debug)]

@@ -4,7 +4,6 @@ use std::cmp::Reverse;
 
 use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::{Distance, Neighbor, VectorSet};
-use rayon::prelude::*;
 
 use crate::config::HnswConfig;
 use crate::graph::Graph;
@@ -105,9 +104,8 @@ enum QueryDist<'a> {
 
 /// The outcome of the read-only planning half of one insertion: the
 /// neighbour lists selected for each layer (top-down), plus the distance
-/// evaluations the planning spent. Produced by [`Hnsw::plan_insert`]
-/// (concurrently within a build batch), consumed in order by
-/// [`Hnsw::apply_insert`].
+/// evaluations the planning spent. Produced by [`Hnsw::plan_insert`],
+/// consumed by [`Hnsw::apply_insert`].
 struct InsertPlan {
     id: u32,
     /// `(layer, selected neighbours)` from the node's top layer down to 0.
@@ -163,11 +161,6 @@ const MAX_LEVEL: u8 = 30;
 /// per-query overhead stays at most sixteen extra distance evaluations.
 pub(crate) const ENTRY_SET_CAP: usize = 16;
 
-/// Nodes per batch in [`Hnsw::build_parallel`]. Fixed (not derived from
-/// the thread count) so the constructed graph is identical for every
-/// thread count, including 1.
-const PARALLEL_BATCH: usize = 64;
-
 /// Deterministic per-node level assignment: `floor(-ln(U) * mult)` with `U`
 /// derived from a splitmix64 hash of `(seed, id)`, so levels do not depend
 /// on insertion order or thread interleaving.
@@ -183,67 +176,20 @@ fn assign_level(seed: u64, id: u32, mult: f64) -> u8 {
 }
 
 impl Hnsw {
-    /// Builds the index over `data` sequentially: every node is planned
+    /// Builds the index over `data`: the highest-level node seeds the
+    /// graph and every other node is inserted in turn, each planned
     /// against the graph all earlier nodes left (deterministic given the
     /// config seed).
     pub fn build(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
-        Self::build_batched(data, dist, config, 1)
-    }
-
-    /// Builds the index with batch-parallel construction — the analogue of
-    /// the multi-threaded OpenMP construction in the paper.
-    ///
-    /// Insertion proceeds in fixed batches of 64 nodes
-    /// whose plans run on the rayon pool against the frozen graph. Batch
-    /// members do not see each other as candidates, which perturbs link
-    /// structure slightly versus [`Hnsw::build`] (search quality is
-    /// equivalent; see the parity tests). The graph is identical for every
-    /// thread count.
-    ///
-    /// Thread count follows `rayon::current_num_threads()`; wrap the call
-    /// in `rayon::with_num_threads(t, ..)` to pin it.
-    pub fn build_parallel(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
-        Self::build_batched(data, dist, config, PARALLEL_BATCH)
-    }
-
-    /// The one construction driver. The highest-level node seeds the
-    /// graph; the rest are inserted in batches of `batch`: the read-only
-    /// half of each insertion (greedy descent, `ef_construction` beam
-    /// searches, neighbour selection — [`Hnsw::plan_insert`]) runs for the
-    /// whole batch on the rayon pool, then the link mutations are applied
-    /// sequentially in batch order ([`Hnsw::apply_insert`]). No thread
-    /// ever mutates the graph concurrently, so the result is deterministic
-    /// and upholds every [`Hnsw::validate`] invariant. A one-node batch
-    /// skips the pool and plans on the driver's own scratch — the classic
-    /// sequential insertion, without allocating a visited set per node.
-    fn build_batched(data: VectorSet, dist: Distance, config: HnswConfig, batch: usize) -> Self {
         let mut index = Self::empty_for(data, dist, config);
         let mut scratch = SearchScratch::with_capacity(index.len());
-        let order = index.insertion_order();
-        if let Some((&first, rest)) = order.split_first() {
-            index.insert(first, &mut scratch);
-            for ids in rest.chunks(batch) {
-                if let [id] = *ids {
-                    index.insert(id, &mut scratch);
-                    continue;
-                }
-                let plans: Vec<InsertPlan> = ids
-                    .par_iter()
-                    .map_init(
-                        || SearchScratch::with_capacity(index.len()),
-                        |scratch, &id| index.plan_insert(id, scratch),
-                    )
-                    .collect();
-                for plan in plans {
-                    index.apply_insert(plan, &mut scratch);
-                }
-            }
+        for id in index.insertion_order() {
+            index.insert(id, &mut scratch);
         }
         // Insertion can orphan a node: a later neighbour's overflow prune
         // may drop every reverse edge of an already-settled node (observed
         // on clustered data, where redundant same-cluster nodes lose all
-        // their edges to better-placed peers), and batch peers that all
-        // court the same pre-batch neighbours make that likelier.
+        // their edges to better-placed peers).
         index.repair_layer0(&mut scratch);
         index.refresh_entry_set();
         #[cfg(debug_assertions)]
@@ -251,9 +197,8 @@ impl Hnsw {
             panic!("build produced an invalid graph: {e}");
         }
         // Quantizer training is pure per-dimension arithmetic over the
-        // already-stored vectors: no distance evaluations, no dependence
-        // on thread count, so `build_ndist` and bit-identity across
-        // thread counts are unaffected.
+        // already-stored vectors: no distance evaluations, so
+        // `build_ndist` is unaffected.
         index.train_quantizer();
         index
     }
@@ -1166,10 +1111,9 @@ impl Hnsw {
     ///   may be reachable (pre-repair waypoints) or isolated (post-repair)
     ///   but must never be the only path to a live node.
     ///
-    /// Every construction path — [`Hnsw::build`], [`Hnsw::build_parallel`],
-    /// and [`Hnsw::add`] — must satisfy all of these (the builds check
-    /// automatically in debug profiles). Batched construction upholds them
-    /// by confining graph mutation to the sequential apply phase.
+    /// Every construction path — [`Hnsw::build`] and [`Hnsw::add`] — must
+    /// satisfy all of these ([`Hnsw::build`] checks automatically in debug
+    /// profiles).
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
         let (ep, top) = match (n, self.entry) {
@@ -1719,98 +1663,6 @@ mod tests {
         assert!((l0 - 0.9375).abs() < 0.01, "layer-0 fraction {l0}");
         let l1 = levels.iter().filter(|&&l| l == 1).count() as f64 / n as f64;
         assert!((l1 - 0.0586).abs() < 0.01, "layer-1 fraction {l1}");
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_quality() {
-        let data = synth::sift_like(1500, 16, 12);
-        let queries = synth::queries_near(&data, 30, 0.02, 13);
-        let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
-        let cfg = HnswConfig::with_m(8).seed(12);
-        let seq = Hnsw::build(data.clone(), Distance::L2, cfg);
-        let par = Hnsw::build_parallel(data.clone(), Distance::L2, cfg);
-        let rec = |idx: &Hnsw| {
-            let approx: Vec<_> = (0..queries.len())
-                .map(|i| exact(idx, queries.get(i), 10, 96).0)
-                .collect();
-            ground_truth::recall_at_k(&approx, &gt, 10).mean
-        };
-        let rs = rec(&seq);
-        let rp = rec(&par);
-        assert!(
-            rp > rs - 0.1,
-            "parallel recall {rp} far below sequential {rs}"
-        );
-    }
-
-    #[test]
-    fn parallel_build_is_validator_clean_and_thread_count_independent() {
-        // The batch-parallel build mutates the graph only in its sequential
-        // apply phase, so the result must (a) pass the full validator even
-        // in release builds and (b) be identical for every thread count.
-        let data = synth::sift_like(900, 12, 40);
-        let cfg = HnswConfig::with_m(8).seed(40);
-        let one =
-            rayon::with_num_threads(1, || Hnsw::build_parallel(data.clone(), Distance::L2, cfg));
-        let four =
-            rayon::with_num_threads(4, || Hnsw::build_parallel(data.clone(), Distance::L2, cfg));
-        one.validate().expect("threads=1 parallel build is valid");
-        four.validate().expect("threads=4 parallel build is valid");
-        assert_eq!(one.edge_count(), four.edge_count());
-        assert_eq!(one.entry_snapshot(), four.entry_snapshot());
-        assert_eq!(one.build_ndist(), four.build_ndist());
-        for id in 0..one.len() as u32 {
-            for layer in 0..=one.level(id) as usize {
-                assert_eq!(
-                    one.links_of(id, layer),
-                    four.links_of(id, layer),
-                    "node {id} layer {layer} differs across thread counts"
-                );
-            }
-        }
-        for i in (0..900).step_by(97) {
-            assert_eq!(
-                exact(&one, data.get(i), 5, 48).0,
-                exact(&four, data.get(i), 5, 48).0
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_build_recall_parity_with_sequential() {
-        let data = synth::sift_like(1200, 16, 41);
-        let queries = synth::queries_near(&data, 40, 0.02, 42);
-        let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
-        let cfg = HnswConfig::with_m(8).seed(41);
-        let seq = Hnsw::build(data.clone(), Distance::L2, cfg);
-        let par = Hnsw::build_parallel(data.clone(), Distance::L2, cfg);
-        par.validate().expect("parallel build is valid");
-        let rec = |idx: &Hnsw| {
-            let approx: Vec<_> = (0..queries.len())
-                .map(|i| exact(idx, queries.get(i), 10, 96).0)
-                .collect();
-            ground_truth::recall_at_k(&approx, &gt, 10).mean
-        };
-        let (rs, rp) = (rec(&seq), rec(&par));
-        assert!(rp > 0.85, "parallel recall too low: {rp}");
-        assert!(
-            rp > rs - 0.05,
-            "parallel recall {rp} far below sequential {rs}"
-        );
-    }
-
-    #[test]
-    fn parallel_build_empty_and_tiny_inputs() {
-        let empty = Hnsw::build_parallel(VectorSet::new(4), Distance::L2, HnswConfig::default());
-        assert!(empty.is_empty());
-        empty.validate().expect("empty parallel build is valid");
-        let mut data = VectorSet::new(2);
-        data.push(&[0.5, 0.5]);
-        let single = Hnsw::build_parallel(data, Distance::L2, HnswConfig::default());
-        assert_eq!(single.len(), 1);
-        single.validate().expect("1-point parallel build is valid");
-        let (r, _) = exact(&single, &[0.5, 0.5], 1, 8);
-        assert_eq!(r[0].id, 0);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!   Algorithm 4, always back-filling pruned candidates up to `M`
 //!   (`keepPrunedConnections`; `extendCandidates` is not implemented),
 //! * `ef`-bounded best-first layer search with an epoch-based visited set,
-//! * one insertion core — a read-only plan applied sequentially — driving
-//!   both the sequential build (batches of one) and the multi-threaded
-//!   bulk build (rayon-planned batches), the analogue of the
-//!   OpenMP-parallel construction used in the paper,
+//! * one build, [`Hnsw::build`]: a seeded, sequential loop of insertions,
+//!   each a read-only plan applied at once. The paper's parallelism lives
+//!   one level up, where the engine builds one graph per partition
+//!   concurrently,
 //! * one search entry point, [`Hnsw::search`], whose [`SearchParams`]
 //!   select exact or SQ8 quantized-first traversal,
 //! * distance-evaluation accounting ([`SearchStats`]) — the quantity the

@@ -1,8 +1,7 @@
 //! Bit-identity goldens for HNSW construction, mutation and search.
 //!
-//! Each corpus is built sequentially and batch-parallel (at one and at
-//! four threads), grown by 100 `add`s, tombstoned at every 7th id and
-//! repaired. Every state is fingerprinted with FNV-1a over the serialized
+//! Each corpus is built with `Hnsw::build`, grown by 100 `add`s,
+//! tombstoned at every 7th id and repaired. Every state is fingerprinted with FNV-1a over the serialized
 //! blob plus `build_ndist`, and 50 queries are fingerprinted over their
 //! result ids, distance bits and every `SearchStats` field, exact and SQ8,
 //! at `entry_beam` 0 (the index default) and 1 (single-seed greedy
@@ -110,7 +109,6 @@ fn sweep_hash(index: &Hnsw, queries: &VectorSet) -> u64 {
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     build: u64,
-    build_parallel: u64,
     search: u64,
     search_tombstoned: u64,
     mutated: u64,
@@ -128,18 +126,6 @@ struct Sweep {
 
 fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Sweep) {
     let cfg = HnswConfig::with_m(8).ef_construction(64).seed(seed);
-    let par = |threads| {
-        rayon::with_num_threads(threads, || {
-            Hnsw::build_parallel(data.clone(), Distance::L2, cfg)
-        })
-    };
-    let build_parallel = graph_hash(&par(1));
-    assert_eq!(
-        graph_hash(&par(4)),
-        build_parallel,
-        "parallel build depends on the thread count"
-    );
-
     let adds = synth::queries_near(&data, 100, 0.02, seed ^ 0xadd);
     let mut index = Hnsw::build(data, Distance::L2, cfg);
     let build = graph_hash(&index);
@@ -160,7 +146,6 @@ fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Swe
     index.validate().expect("repaired graph is valid");
     let golden = Golden {
         build,
-        build_parallel,
         search,
         search_tombstoned,
         mutated: graph_hash(&index),
@@ -183,7 +168,6 @@ fn sift_like_golden() {
         got,
         Golden {
             build: 0x07c9_53ae_f2cb_9bd9,
-            build_parallel: 0x27cd_5316_fe96_8ee6,
             search: 0x33c5_6bfa_59dc_f06c,
             search_tombstoned: 0x29bc_1081_05fc_525d,
             mutated: 0xb8bb_f789_8156_485b,
@@ -209,7 +193,6 @@ fn deep_like_golden() {
         got,
         Golden {
             build: 0x7976_dd10_f1fd_9415,
-            build_parallel: 0x1465_fe3d_e6da_4f5d,
             search: 0x6375_62f5_e22f_94cd,
             search_tombstoned: 0xd97b_0ed2_6444_a9f5,
             mutated: 0xa9bf_979f_42f8_adc2,
@@ -243,7 +226,6 @@ fn mdcgen_golden() {
         got,
         Golden {
             build: 0x4b5d_305b_dfa6_7371,
-            build_parallel: 0x09cb_c6e1_abba_7eba,
             search: 0xbb0e_979d_7ee0_8aaf,
             search_tombstoned: 0x4584_6869_1de8_c57d,
             mutated: 0xdd56_d9e2_6fbb_70d5,

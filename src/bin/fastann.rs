@@ -18,7 +18,7 @@
 use std::process::ExitCode;
 
 use fastann::core::{DistIndex, EngineConfig, RoutingPolicy, SearchOptions, SearchRequest};
-use fastann::data::{dataset_stats, ground_truth, io, Distance, Neighbor};
+use fastann::data::{dataset_stats, ground_truth, io, Distance, Neighbor, VectorSet};
 use fastann::hnsw::HnswConfig;
 
 struct Args {
@@ -143,6 +143,7 @@ fn cmd_search(args: &Args) -> Result<(), String> {
 
     let index = DistIndex::load(idx_path).map_err(|e| e.to_string())?;
     let queries = io::read_fvecs(q_path, None).map_err(|e| e.to_string())?;
+    check_query_dim(&queries, index.dim(), "index")?;
     let opts = SearchOptions::new(k)
         .with_ef(ef)
         .with_routing(RoutingPolicy::Static(replication))
@@ -166,6 +167,19 @@ fn cmd_search(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects a query file whose dimension differs from the `what` vectors'
+/// `dim`, before the search or scan would panic on it.
+fn check_query_dim(queries: &VectorSet, dim: usize, what: &str) -> Result<(), String> {
+    if queries.dim() == dim {
+        Ok(())
+    } else {
+        Err(format!(
+            "query dimension {} does not match {what} dimension {dim}",
+            queries.dim()
+        ))
+    }
+}
+
 fn cmd_gt(args: &Args) -> Result<(), String> {
     let base = args.pos(0, "base .fvecs file")?;
     let q_path = args.pos(1, "query .fvecs file")?;
@@ -173,6 +187,7 @@ fn cmd_gt(args: &Args) -> Result<(), String> {
     let k = args.usize_flag("k", 10)?;
     let data = io::read_fvecs(base, None).map_err(|e| e.to_string())?;
     let queries = io::read_fvecs(q_path, None).map_err(|e| e.to_string())?;
+    check_query_dim(&queries, data.dim(), "base")?;
     let gt = ground_truth::brute_force(&data, &queries, k, Distance::L2);
     let lists: Vec<Vec<u32>> = gt
         .iter()

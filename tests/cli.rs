@@ -105,3 +105,46 @@ fn cli_usage_on_no_args() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+#[test]
+fn cli_rejects_query_dimension_mismatch() {
+    let dir = std::env::temp_dir().join(format!("fastann_cli_dim_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let base = dir.join("base.fvecs");
+    let queries = dir.join("q8.fvecs");
+    let idx = dir.join("x.idx");
+    let out_path = dir.join("out.ivecs");
+    write_fvecs(&base, &fastann::data::synth::sift_like(500, 16, 503));
+    write_fvecs(&queries, &fastann::data::synth::sift_like(5, 8, 504));
+
+    let built = fastann()
+        .args(["build", base.to_str().unwrap(), idx.to_str().unwrap()])
+        .args(["--cores", "4", "--per-node", "2"])
+        .output()
+        .expect("spawn");
+    assert!(built.status.success(), "build failed");
+
+    // search against the 16-d index and exact k-NN against the 16-d base
+    // both refuse the 8-d queries with a message and exit 1, not a panic
+    for (cmd, first, against) in [("search", &idx, "index"), ("gt", &base, "base")] {
+        let out = fastann()
+            .args([
+                cmd,
+                first.to_str().unwrap(),
+                queries.to_str().unwrap(),
+                out_path.to_str().unwrap(),
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{cmd} exit status");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "fastann: query dimension 8 does not match {against} dimension 16"
+            )),
+            "{cmd} stderr: {stderr}"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
