@@ -166,6 +166,11 @@ pub(crate) const ENTRY_SET_CAP: usize = 16;
 /// on insertion order or thread interleaving.
 fn assign_level(seed: u64, id: u32, mult: f64) -> u8 {
     let mut x = seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    if x == 0 {
+        // the finalizer maps 0 to 0, the smallest `U`: node 0 of a seed-0
+        // build would take level 17 at M = 8
+        x = 0x6a09_e667_f3bc_c908;
+    }
     // splitmix64 finalizer
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -1403,6 +1408,16 @@ mod tests {
     ) -> (Vec<Neighbor>, SearchStats) {
         let params = SearchParams::new(k, ef).quantized(rerank_factor);
         idx.search(q, &params, &mut SearchScratch::default())
+    }
+
+    #[test]
+    fn seed_zero_build_keeps_a_low_top_level() {
+        // node 0 of a seed-0 build hashes to 0; it must not take the
+        // highest level the hash can give
+        let data = synth::sift_like(2000, 8, 3);
+        let idx = Hnsw::build(data, Distance::L2, HnswConfig::default());
+        let top = idx.top_level().expect("a non-empty index has an entry");
+        assert!(top <= 6, "top level {top}");
     }
 
     #[test]
