@@ -93,7 +93,9 @@ pub fn syn_1m(scale: Scale) -> Workload {
         name: "SYN_1M",
         data: ds.points,
         queries,
-        min_exact_recall: 0.0,
+        // the committed full-scale record reads 0.625: the floor catches
+        // a collapse, not a point of drift
+        min_exact_recall: 0.60,
     }
 }
 
