@@ -39,12 +39,12 @@ pub struct EngineConfig {
     pub cost: CostModel,
     /// RNG seed for construction.
     pub seed: u64,
-    /// Real OS threads each simulated node may use for local work — the
-    /// wall-clock analogue of the paper's OpenMP threads (the *virtual*
-    /// `cores_per_node` clock model is unaffected). `1` (the default) keeps
-    /// every code path sequential; larger values parallelise per-partition
-    /// index construction and batched worker-side search on the vendored
-    /// rayon pool. All reported results and virtual-time numbers are
+    /// Real OS threads for local work — the wall-clock analogue of the
+    /// paper's OpenMP threads (the *virtual* `cores_per_node` clock model
+    /// is unaffected). `1` (the default) keeps every code path
+    /// sequential; larger values parallelise per-partition index
+    /// construction and, on each search session's probe pool, the probes
+    /// of every batch. All reported results and virtual-time numbers are
     /// bit-identical across `threads` settings; only wall-clock speed
     /// changes.
     pub threads: usize,

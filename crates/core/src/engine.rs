@@ -36,11 +36,24 @@
 //! anywhere in a stream. The master runs on the caller's thread, and each
 //! worker node is a [`Handler`] that the master's blocking receives run on
 //! the same thread: no OS thread is spawned, woken or joined per batch or
-//! per message. Real parallelism lives inside a node's flush, which splits
-//! its probes over `EngineConfig::threads` threads once it holds enough of
-//! them to pay for the spawn (`MIN_PROBES_PER_THREAD`).
+//! per message.
+//!
+//! Real parallelism lives in the session's probe pool, the host analogue
+//! of the paper's one OpenMP team per process for the whole job. Before
+//! its epoch, [`dispatch`] routes the batch once and searches every
+//! `(query, partition)` probe in one call of the pool: the caller and
+//! `EngineConfig::threads − 1` helper threads, which start at the
+//! session's first batch of [`SPAWN_PROBES_PER_THREAD`] probes per thread
+//! and wait between batches. The epoch then replays that work
+//! in virtual time: the master dispatches the stored routes and charges
+//! their routing cost, and each node's flush replays its probes' stored
+//! answers in arrival order. A search reads only the immutable index and
+//! its own `(query, partition)`, so its answer and work counts do not
+//! depend on where, when or how often it runs — and a retry under faults
+//! re-dispatches a probe that is already answered.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use fastann_data::{Neighbor, TopK, VectorSet};
@@ -50,7 +63,6 @@ use fastann_mpisim::{
     SpanKind, Topology, Trace, VThreadPool, Want, Window,
 };
 use fastann_obs::{buckets, Metrics, Stage};
-use rayon::prelude::*;
 
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
@@ -83,6 +95,9 @@ pub(crate) const MERGE_NS_PER_NEIGHBOR: f64 = 4.0;
 pub(crate) struct Batch<'a> {
     index: &'a DistIndex,
     opts: SearchOptions,
+    routes: Arc<Routes>,
+    /// One answer per probe of `routes`.
+    answers: Vec<Answer>,
     /// Per-partition replica counts ([`effective_replicas`]).
     counts: Vec<usize>,
     trace: Option<Trace>,
@@ -123,13 +138,99 @@ impl Batch<'_> {
 /// ranks `1..=n_nodes` the worker nodes, run as handlers on its thread.
 pub(crate) type EngineCluster<'a> = HandlerSession<Batch<'a>, Worker>;
 
+/// One probe's answer: the partition-local neighbours and the search's
+/// work counts.
+type Answer = (Vec<Neighbor>, SearchStats);
+
+/// The probe pool of a [`SearchSession`].
+pub(crate) type ProbePool<'p> = rayon::Pool<'p, Routes, SearchScratch, Answer>;
+
+/// Probes per thread of the first batch that starts a session's helper
+/// threads. Starting and joining a helper costs about 30–50 µs on a
+/// 2-vCPU x86 host, one to two 32-d probes, and a batch of `n` probes over
+/// `t` threads saves about `n (1 − 1/t)` probes of wall time: a one-shot
+/// batch pays for its helpers from about 4 probes per thread. Once
+/// started, the helpers serve every later batch of two or more probes.
+const SPAWN_PROBES_PER_THREAD: usize = 4;
+
+/// A batch's routes, computed once before its epoch: what the probe pool
+/// searches and the epoch replays. It owns a copy of the queries, because
+/// the pool's helpers outlive the batch's borrows.
+pub(crate) struct Routes {
+    queries: VectorSet,
+    opts: SearchOptions,
+    /// `(query, partition)` per probe, partition-major: the probes into
+    /// one partition search back to back, while its graph is in cache.
+    probes: Vec<(u32, u32)>,
+    /// Indices into `probes`, by query, in route order.
+    by_query: Vec<usize>,
+    /// Query `q`'s probes are `by_query[first[q]..first[q + 1]]`.
+    first: Vec<usize>,
+    /// Router distance evaluations per query.
+    route_ndist: Vec<u64>,
+}
+
+impl Routes {
+    fn new(index: &DistIndex, queries: &VectorSet, opts: &SearchOptions) -> Routes {
+        let mut routed = Vec::new();
+        let mut first = Vec::with_capacity(queries.len() + 1);
+        let mut route_ndist = Vec::with_capacity(queries.len());
+        for qi in 0..queries.len() {
+            let (parts, ndist) = index.router.route(queries.get(qi), &index.config.route);
+            first.push(routed.len());
+            routed.extend(parts.into_iter().map(|d| (qi as u32, d)));
+            route_ndist.push(ndist);
+        }
+        first.push(routed.len());
+        // stable: by query within each partition
+        let mut order: Vec<usize> = (0..routed.len()).collect();
+        order.sort_by_key(|&r| routed[r].1);
+        let mut by_query = vec![0; routed.len()];
+        for (p, &r) in order.iter().enumerate() {
+            by_query[r] = p;
+        }
+        Routes {
+            queries: queries.clone(),
+            opts: *opts,
+            probes: order.into_iter().map(|r| routed[r]).collect(),
+            by_query,
+            first,
+            route_ndist,
+        }
+    }
+
+    /// Query `qi`'s probes, in route order.
+    fn of(&self, qi: usize) -> &[usize] {
+        &self.by_query[self.first[qi]..self.first[qi + 1]]
+    }
+
+    /// The index of probe `(qid, part)` in `probes`.
+    fn find(&self, qid: u32, part: u32) -> usize {
+        let at = self
+            .of(qid as usize)
+            .iter()
+            .find(|&&p| self.probes[p].1 == part);
+        *at.expect("a dispatched probe was routed")
+    }
+
+    /// Runs probe `i`'s local search.
+    fn search(&self, index: &DistIndex, scratch: &mut SearchScratch, i: usize) -> Answer {
+        let (qid, part) = self.probes[i];
+        index.partitions[part as usize].index.search_detailed_opts(
+            self.queries.get(qid as usize),
+            &self.opts,
+            scratch,
+        )
+    }
+}
+
 /// Opens the session behind [`SearchSession::open`]. `plan: None` and a
 /// vacuous plan are the same input, costs included.
 pub(crate) fn open<'a, T>(
     index: &'a DistIndex,
     plan: Option<&'a FaultPlan>,
     sched_seed: u64,
-    body: impl FnOnce(&mut SearchSession<'a>) -> T,
+    body: impl FnOnce(&mut SearchSession<'_>) -> T,
 ) -> T {
     let plan = plan.filter(|p| !p.is_vacuous());
     let mut sim = SimConfig::new(index.config.n_nodes() + 1)
@@ -143,17 +244,28 @@ pub(crate) fn open<'a, T>(
         // tags that is
         sim = sim.fault(p.clone().protect(&tags::protected_values("engine")));
     }
-    body(&mut SearchSession {
-        index,
-        plan,
-        sched_seed,
-        cluster: Cluster::new(sim).handler_session(),
-    })
+    let threads = index.config.threads;
+    rayon::Pool::scope(
+        threads,
+        SPAWN_PROBES_PER_THREAD * threads,
+        SearchScratch::default,
+        |scratch, routes: &Routes, i| routes.search(index, scratch, i),
+        |pool| {
+            body(&mut SearchSession {
+                index,
+                plan,
+                sched_seed,
+                cluster: Cluster::new(sim).handler_session(),
+                pool,
+            })
+        },
+    )
 }
 
-/// Single dispatch point behind [`crate::SearchRequest`]: runs one batch
-/// as one epoch of `session` (which has checked that the batch is its
-/// own: same index, fault plan and schedule seed).
+/// Single dispatch point behind [`crate::SearchRequest`]: routes the
+/// batch, searches its probes in one call of the session's pool, and
+/// replays them as one epoch of `session` (which has checked that the
+/// batch is its own: same index, fault plan and schedule seed).
 ///
 /// `replicas` is an optional per-partition replica-count snapshot (the
 /// adaptive controller's [`crate::ReplicaMap`] view); absent, every
@@ -171,18 +283,20 @@ pub(crate) fn dispatch(
     assert!(!queries.is_empty(), "empty query batch");
     assert_eq!(queries.dim(), index.dim(), "query dimension mismatch");
     let faults = session.plan.is_some();
+    let routes = Arc::new(Routes::new(index, queries, opts));
+    let answers = session.pool.map(Arc::clone(&routes), routes.probes.len());
     let batch = Batch {
         index,
         opts: *opts,
+        routes,
+        answers,
         counts,
         trace: trace.cloned(),
         obs: obs.cloned(),
         faults,
         one_sided: opts.one_sided && !faults,
     };
-    let epoch = session
-        .cluster
-        .epoch(batch, |rank, b| master(rank, b, queries));
+    let epoch = session.cluster.epoch(batch, master);
     // Even under injected faults the protocol must account for every
     // message: fault-plan drops are ledgered, so anything left over in a
     // mailbox at the end of the batch is a protocol bug.
@@ -265,8 +379,8 @@ fn flush_all(rank: &mut Rank, n_nodes: usize) {
     }
 }
 
-fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
-    let (index, opts) = (b.index, &b.opts);
+fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
+    let (index, opts, queries) = (b.index, &b.opts, &b.routes.queries);
     let world = rank.world();
     let p_cores = index.config.n_cores;
     let t_cores = index.config.cores_per_node;
@@ -297,20 +411,21 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
 
     for qi in 0..nq {
         let q = queries.get(qi);
-        let (parts, ndist) = index.router.route(q, &index.config.route);
-        let c = ndist as f64 * route_cost_per_dist;
+        let probes = b.routes.of(qi);
+        let c = b.routes.route_ndist[qi] as f64 * route_cost_per_dist;
         rank.charge(c);
         route_ns += c;
-        fanout_total += parts.len() as u64;
+        fanout_total += probes.len() as u64;
         if let Some(m) = &b.obs {
             m.observe(
                 "fastann_router_fanout",
                 &[],
-                parts.len() as f64,
+                probes.len() as f64,
                 buckets::COUNT,
             );
         }
-        for d in parts {
+        for &p in probes {
+            let d = b.routes.probes[p].1;
             // workgroup W_d = {d, d+1, …, d+r-1 mod P}; the slot within it
             // follows the routing policy
             let (core, slot) = dispatcher.next(d, qi as u64);
@@ -503,11 +618,10 @@ fn master(rank: &mut Rank, b: &Batch, queries: &VectorSet) -> QueryReport {
     }
 }
 
-/// One decoded data-plane query a worker has accepted but not yet answered.
+/// One data-plane query a worker has accepted but not yet answered.
 struct PendingQuery {
-    qid: u32,
-    part: usize,
-    q: Vec<f32>,
+    /// Its probe in the batch's [`Routes`].
+    probe: usize,
     arrival: f64,
 }
 
@@ -523,15 +637,6 @@ enum Phase {
     /// The batch is over.
     Done,
 }
-
-/// Fewest queued probes per real thread in a flush. Spawning and joining
-/// a flush's two threads costs 57–97 µs on a 2-vCPU x86 host, and one
-/// probe costs about 23 µs at 32-d and 53 µs at 256-d. Splitting `n`
-/// probes over two threads saves about `n / 2` probes of wall time, so
-/// the split pays from about 6 probes at 32-d and 3 at 256-d. At 4 per
-/// thread a flush splits from 8 probes; shorter ones run inline on the
-/// caller.
-const MIN_PROBES_PER_THREAD: usize = 4;
 
 /// A worker node — one MPI process of Algorithm 4 — as a message
 /// handler: its program from one receive to the next.
@@ -550,31 +655,17 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// Answers every queued query. The searches fan out over
-    /// `index.config.threads` real threads (per-thread scratch, at least
-    /// [`MIN_PROBES_PER_THREAD`] probes each); then the virtual-time
-    /// accounting and the posting replay in arrival order. Searches read
-    /// an immutable index, so results and per-query ndist are
-    /// schedule-independent, and every `pool.assign` and post happens in
-    /// arrival order with the same operands — so how many threads run
-    /// it never changes a virtual time.
+    /// Answers every queued query from the batch's stored answers: the
+    /// virtual-time accounting and the posting run in arrival order, with
+    /// each probe's measured ndist. Which thread searched a probe, and
+    /// when, never reaches a virtual time.
     fn serve(&mut self, rank: &mut Rank, b: &Batch) {
-        let (index, opts) = (b.index, &b.opts);
-        let answers: Vec<(Vec<Neighbor>, SearchStats)> =
-            rayon::with_num_threads(index.config.threads, || {
-                self.queued
-                    .par_iter()
-                    .with_min_len(MIN_PROBES_PER_THREAD)
-                    .map_init(SearchScratch::default, |scratch, item| {
-                        index.partitions[item.part]
-                            .index
-                            .search_detailed_opts(&item.q, opts, scratch)
-                    })
-                    .collect()
-            });
-        for (item, (local, stats)) in self.queued.drain(..).zip(answers) {
+        let index = b.index;
+        for item in self.queued.drain(..) {
+            let (qid, part) = b.routes.probes[item.probe];
+            let (local, stats) = &b.answers[item.probe];
             self.ndist += stats.ndist;
-            let partition = &index.partitions[item.part];
+            let partition = &index.partitions[part as usize];
             let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
             let done_at = self.pool.assign(item.arrival, cost);
             self.served.push((item.arrival, done_at));
@@ -586,7 +677,7 @@ impl Worker {
                 Stage::LocalSearch,
             );
             if let Some(m) = &b.obs {
-                record_local_search(m, item.part, &stats, cost);
+                record_local_search(m, part as usize, stats, cost);
             }
             // translate to global ids
             let pairs: Vec<(u32, f32)> = local
@@ -595,7 +686,7 @@ impl Worker {
                 .collect();
             match &self.window {
                 Some(win) => {
-                    win.accumulate_at(rank, item.qid as usize, pairs.len() * 8 + 8, done_at, |t| {
+                    win.accumulate_at(rank, qid as usize, pairs.len() * 8 + 8, done_at, |t| {
                         for &(id, d) in &pairs {
                             t.push(Neighbor::new(id, d));
                         }
@@ -606,10 +697,10 @@ impl Worker {
                 }
                 None => {
                     let mut buf = BytesMut::new();
-                    wire::put_u32(&mut buf, item.qid);
+                    wire::put_u32(&mut buf, qid);
                     if b.faults {
                         // the master de-duplicates by (query, partition)
-                        wire::put_u32(&mut buf, item.part as u32);
+                        wire::put_u32(&mut buf, part);
                     }
                     wire::put_neighbors(&mut buf, &pairs);
                     rank.send_bytes_at(0, TAG_RESULT, buf.freeze(), done_at);
@@ -628,17 +719,17 @@ impl Worker {
                     // master's timeout + failover machinery recovers it
                     return;
                 }
+                // the query vector that follows was searched before the
+                // epoch: its probe's answer is stored in the batch
                 let mut payload = msg.payload;
                 let qid = wire::get_u32(&mut payload);
-                let part = wire::get_u32(&mut payload) as usize;
+                let part = wire::get_u32(&mut payload);
                 assert!(
-                    self.serveable[part],
+                    self.serveable[part as usize],
                     "node {node} asked to serve partition {part} it does not hold"
                 );
                 self.queued.push(PendingQuery {
-                    qid,
-                    part,
-                    q: wire::get_f32_vec(&mut payload),
+                    probe: b.routes.find(qid, part),
                     arrival: msg.arrival,
                 });
             }

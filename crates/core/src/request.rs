@@ -23,9 +23,10 @@
 //! ```
 //!
 //! A stream of batches runs on one simulated cluster: a [`SearchSession`]
-//! spawns the worker ranks once and runs every batch as an epoch that
+//! sets the worker nodes up once and runs every batch as an epoch that
 //! starts from a fresh cluster's state, so each batch reports exactly what
-//! [`SearchRequest::run`] reports for it.
+//! [`SearchRequest::run`] reports for it. The session's probe pool starts
+//! its helper threads once, too.
 //!
 //! ```
 //! use fastann_core::{DistIndex, EngineConfig, SearchOptions, SearchRequest, SearchSession};
@@ -47,7 +48,7 @@ use fastann_obs::Metrics;
 
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
-use crate::engine::{self, EngineCluster};
+use crate::engine::{self, EngineCluster, ProbePool};
 use crate::routing::ReplicaMap;
 use crate::stats::QueryReport;
 
@@ -152,23 +153,31 @@ impl<'a> SearchRequest<'a> {
 /// cluster has, so [`SearchSession::run`] reports, bit for bit, what
 /// [`SearchRequest::run`] reports for the same request. The fault plan and
 /// the schedule seed configure the cluster and are fixed for the session.
+///
+/// A session holds one probe pool for its whole life: the caller's thread
+/// and `threads − 1` helper threads ([`crate::EngineConfig::threads`]),
+/// started at the first batch with enough probes to pay for them and
+/// joined when the session closes. Each batch's probes run in one call of
+/// the pool.
 pub struct SearchSession<'a> {
     pub(crate) index: &'a DistIndex,
     /// The session's non-vacuous fault plan.
     pub(crate) plan: Option<&'a FaultPlan>,
     pub(crate) sched_seed: u64,
     pub(crate) cluster: EngineCluster<'a>,
+    pub(crate) pool: ProbePool<'a>,
 }
 
 impl<'a> SearchSession<'a> {
     /// Opens a session over `index` under `plan` (`None` and a vacuous
     /// plan are the same) and schedule seed `sched_seed`, hands it to
-    /// `body`, and shuts the cluster down when `body` returns.
+    /// `body`, and shuts the cluster and its pool down when `body` returns
+    /// or unwinds. The session borrows for no longer than `body` runs.
     pub fn open<T>(
         index: &'a DistIndex,
         plan: Option<&'a FaultPlan>,
         sched_seed: u64,
-        body: impl FnOnce(&mut SearchSession<'a>) -> T,
+        body: impl FnOnce(&mut SearchSession<'_>) -> T,
     ) -> T {
         engine::open(index, plan, sched_seed, body)
     }

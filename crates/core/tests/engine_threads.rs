@@ -1,7 +1,8 @@
-//! The engine's worker nodes run as handlers on the caller's thread: a
-//! session starts no OS thread per batch, and a flush too short to pay
-//! for a spawn searches inline. This file holds one test so that no other
-//! test's threads land in its count.
+//! The engine's worker nodes run as handlers on the caller's thread, and a
+//! session's probes run on its one probe pool: a one-shot batch too small
+//! to pay for a spawn starts no thread, and a session starts at most
+//! `threads − 1` threads over its whole life. This file holds one test so
+//! that no other test's threads land in its count.
 
 use fastann_core::{DistIndex, EngineConfig, SearchRequest, SearchSession};
 use fastann_data::{synth, VectorSet};
@@ -27,30 +28,39 @@ fn threads_started<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 #[test]
-fn sessions_start_threads_only_for_flushes_that_pay_for_them() {
+fn sessions_start_their_pool_once_and_only_when_a_batch_pays_for_it() {
     let data = synth::sift_like(3000, 16, 5);
-    // 4 nodes of 2 cores, each node searching on 2 real threads
+    let threads = 3;
+    // 4 nodes of 2 cores, on a probe pool of 3 real threads
     let cfg = EngineConfig::new(8, 2)
         .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(5))
         .with_seed(5)
-        .with_threads(2);
+        .with_threads(threads);
     let index = DistIndex::build(&data, cfg);
-    let pair = synth::queries_near(&data, 2, 0.02, 6);
+
+    // one query probes at most 4 partitions, below the 4 probes per
+    // thread a spawn needs: the batch runs on the caller alone
+    let one = synth::queries_near(&data, 1, 0.02, 6);
+    let (report, started) = threads_started(|| SearchRequest::new(&index, &one).run());
+    let probes: u64 = report.per_core_queries.iter().sum();
+    assert!(probes < 4 * threads as u64, "{probes} probes");
+    assert_eq!(started, 0, "a short one-shot batch started threads");
+
+    // a stream of batches large enough to split starts the helpers once
     let many = synth::queries_near(&data, 400, 0.02, 7);
     let run = |queries: &VectorSet| {
         SearchSession::open(&index, None, 0, |s| {
-            (0..4)
+            (0..6)
                 .map(|_| s.run(SearchRequest::new(&index, queries)))
                 .collect::<Vec<_>>()
         })
     };
-    // two queries probe at most 4 partitions per node: every flush runs
-    // inline, and no epoch starts a thread
-    let (reports, started) = threads_started(|| run(&pair));
-    assert_eq!(started, 0, "short batches started threads");
-    assert!(reports.iter().all(|r| r.results.len() == 2));
-    assert!(reports.windows(2).all(|w| w[0].results == w[1].results));
-    // 400 queries give every node enough probes to split its flush
-    let (_, started) = threads_started(|| run(&many));
-    assert!(started > 0, "long flushes ran on one thread");
+    let (reports, started) = threads_started(|| run(&many));
+    assert_eq!(
+        started,
+        threads as u64 - 1,
+        "a session starts its helpers once"
+    );
+    assert!(reports.windows(2).all(|w| w[0] == w[1]));
+    assert_eq!(reports[0], SearchRequest::new(&index, &many).run());
 }
