@@ -27,14 +27,15 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 # only a release build checks that the code that ships keeps the frozen
 # float-add order (kernel_golden) and the graph and engine goldens.
 # mpisim and kdtree run the simulator's rank spawn, poison and join path
-# on the same optimized build.
-cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree
+# on the same optimized build, and vptree runs the splitter the build
+# ships.
+cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree
 
 echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
 # SearchScratch carries the beam's heaps from one probe to the next
 # within a rayon split; a state leak between probes would show only where
 # the splits differ, and only on the optimized build that ships.
-FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree
+FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json

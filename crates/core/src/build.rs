@@ -7,8 +7,9 @@
 //! with `Alltoallv` so the left half of the ranks holds the in-ball points,
 //! and recurses until every *node* owns its share; a node-local phase then
 //! continues the same splitting down to one partition per *core* (the
-//! hybrid MPI-OpenMP structure of the paper). Finally each partition is
-//! indexed with HNSW, one virtual core per partition.
+//! hybrid MPI-OpenMP structure of the paper) with
+//! [`fastann_vptree::split_local`]. Finally each partition is indexed
+//! with HNSW, one virtual core per partition.
 
 use std::sync::Arc;
 
@@ -16,7 +17,10 @@ use bytes::{Bytes, BytesMut};
 use fastann_data::select::{median, weighted_median};
 use fastann_data::VectorSet;
 use fastann_mpisim::{wire, Cluster, Rank, ReduceOp, SimConfig, Topology, VThreadPool};
-use fastann_vptree::{select_vantage, PartitionTree};
+use fastann_vptree::{
+    choose_vantage, select_vantage, split_local, write_inner, PartitionTree, RouteConfig,
+    N_SCORE_SAMPLE,
+};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,12 +34,6 @@ use crate::stats::BuildStats;
 
 const TAG_SUBTREE: u64 = 101;
 
-/// Vantage-point candidates sampled per rank (paper Algorithm 1 samples
-/// 100 elements; we cap by the local row count).
-const N_CANDIDATES: usize = 16;
-/// Local rows sampled to score each candidate.
-const N_SCORE_SAMPLE: usize = 256;
-
 /// One data partition: the rows' global ids and the local index over them.
 pub struct Partition {
     /// Partition id (== owning core index).
@@ -47,6 +45,26 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// Indexes `rows`, the rows of `global_ids` in order, as partition
+    /// `id` with the configured kind. Every path that builds a partition
+    /// (the VP and flat-pivot builds, compaction and both halves of a
+    /// split) seeds partition `id` the same way, so rebuilding the same
+    /// rows reproduces the same index.
+    pub(crate) fn build(
+        cfg: &EngineConfig,
+        id: u32,
+        global_ids: Vec<u32>,
+        rows: VectorSet,
+    ) -> Partition {
+        let seed = cfg.seed ^ (u64::from(id) << 8);
+        let index = LocalIndex::build(cfg.local_index, rows, cfg.metric, cfg.hnsw, seed);
+        Partition {
+            id,
+            global_ids,
+            index,
+        }
+    }
+
     /// Resident bytes (vectors + graph), for replication memory accounting.
     pub fn approx_bytes(&self) -> usize {
         self.index.approx_bytes() + self.global_ids.len() * 4
@@ -103,7 +121,7 @@ impl DistIndex {
         // Assemble host-side index from per-node outputs.
         let mut partitions: Vec<Option<Partition>> = Vec::with_capacity(config.n_cores);
         partitions.resize_with(config.n_cores, || None);
-        let mut skeleton: Option<Bytes> = None;
+        let mut skeleton: Option<Vec<u8>> = None;
         let mut vptree_ns = 0f64;
         let mut total_ns = 0f64;
         let mut hnsw_ndist = 0u64;
@@ -163,7 +181,6 @@ impl DistIndex {
     /// (Built host-side: the flat scheme's construction is a trivial
     /// scatter and is not part of any timed comparison.)
     pub fn build_flat_pivot(data: &VectorSet, config: EngineConfig) -> DistIndex {
-        use rand::seq::SliceRandom;
         assert!(
             data.len() >= config.n_cores * 2,
             "need at least {} points for {} partitions",
@@ -174,49 +191,36 @@ impl DistIndex {
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xf1a7);
         let all: Vec<u32> = (0..data.len() as u32).collect();
         let pivot_ids: Vec<u32> = all.choose_multiple(&mut rng, p).copied().collect();
-        let mut pivots = VectorSet::with_capacity(data.dim(), p);
-        for &id in &pivot_ids {
-            pivots.push(data.get(id as usize));
-        }
-        // closest-pivot assignment
+        let router = Router::FlatPivot {
+            pivots: data.gather(&pivot_ids),
+            metric: config.metric,
+        };
+        // each row joins the partition its home route names: the closest
+        // pivot, the lowest index on a tie
+        let home = RouteConfig {
+            margin_frac: 0.0,
+            max_partitions: 1,
+        };
         let mut members: Vec<Vec<u32>> = vec![Vec::new(); p];
         for (i, row) in data.iter().enumerate() {
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for (j, pv) in pivots.iter().enumerate() {
-                let d = config.metric.eval(row, pv);
-                if d < best_d {
-                    best_d = d;
-                    best = j;
-                }
-            }
-            members[best].push(i as u32);
+            members[router.route(row, &home).0[0] as usize].push(i as u32);
         }
-        let mut partitions = Vec::with_capacity(p);
-        for (pid, gids) in members.into_iter().enumerate() {
-            let rows = data.gather(&gids);
-            let index = LocalIndex::build(
-                config.local_index,
-                rows,
-                config.metric,
-                config.hnsw,
-                config.seed ^ ((pid as u64) << 8),
-            );
-            partitions.push(Partition {
-                id: pid as u32,
-                global_ids: gids,
-                index,
-            });
-        }
+        let partitions: Vec<Partition> = members
+            .into_iter()
+            .enumerate()
+            .map(|(pid, gids)| {
+                let rows = data.gather(&gids);
+                Partition::build(&config, pid as u32, gids, rows)
+            })
+            .collect();
         let build_stats = BuildStats {
             partition_sizes: partitions.iter().map(|q| q.global_ids.len()).collect(),
             ..BuildStats::default()
         };
-        let metric = config.metric;
         DistIndex {
             config,
             partitions: Arc::new(partitions),
-            router: Arc::new(Router::FlatPivot { pivots, metric }),
+            router: Arc::new(router),
             build_stats,
             mutation_epoch: 0,
             mutation_log: crate::mutation::MutationLog::default(),
@@ -239,7 +243,7 @@ impl DistIndex {
     /// cheap (one skeleton descent), deterministic, and independent of
     /// the wider fan-out the dispatched search may use.
     pub fn home_partition(&self, q: &[f32]) -> u32 {
-        let cfg = fastann_vptree::RouteConfig {
+        let cfg = RouteConfig {
             margin_frac: 0.0,
             max_partitions: 1,
         };
@@ -279,30 +283,11 @@ impl DistIndex {
 
 struct NodeBuildOut {
     partitions: Vec<Partition>,
-    skeleton: Option<Bytes>,
+    skeleton: Option<Vec<u8>>,
     vptree_end_ns: f64,
     hnsw_end_ns: f64,
     hnsw_ndist: u64,
     shuffle_bytes: u64,
-}
-
-/// Encoded VP subtree: leaf = [0, pid]; inner = [1, mu, vp…, left…, right…],
-/// the layout [`PartitionTree::from_bytes`] reads.
-fn encode_leaf(pid: u32) -> BytesMut {
-    let mut b = BytesMut::new();
-    wire::put_u32(&mut b, 0);
-    wire::put_u32(&mut b, pid);
-    b
-}
-
-fn encode_inner(mu: f32, vp: &[f32], left: &[u8], right: &[u8]) -> BytesMut {
-    let mut b = BytesMut::new();
-    wire::put_u32(&mut b, 1);
-    wire::put_f32(&mut b, mu);
-    wire::put_f32_slice(&mut b, vp);
-    b.extend_from_slice(left);
-    b.extend_from_slice(right);
-    b
 }
 
 fn encode_rows(ids: &[u32], rows: &VectorSet, take: &[usize]) -> Bytes {
@@ -367,17 +352,9 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
                 None
             } else {
                 let all: Vec<u32> = (0..rows.len() as u32).collect();
-                let cands: Vec<u32> = all
-                    .choose_multiple(&mut rng, N_CANDIDATES.min(rows.len()))
-                    .copied()
-                    .collect();
-                let sample: Vec<u32> = all
-                    .choose_multiple(&mut rng, N_SCORE_SAMPLE.min(rows.len()))
-                    .copied()
-                    .collect();
-                let (best, ndist) = select_vantage(&rows, &cands, &rows, &sample, cfg.metric);
+                let (best, ndist) = choose_vantage(&rows, &all, cfg.metric, &mut rng);
                 rank.charge_dists(ndist, dim);
-                Some(rows.get(cands[best] as usize).to_vec())
+                Some(rows.get(best as usize).to_vec())
             };
             // gather candidates to the group master
             let mut b = BytesMut::new();
@@ -476,11 +453,18 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
 
     // --- node-local phase: split into one partition per core ---
     let first_pid = (node_idx * t_cores) as u32;
-    let (local_subtree, local_parts) =
-        split_local(rank, cfg, &mut rng, ids, rows, t_cores, first_pid);
+    let all: Vec<u32> = (0..rows.len() as u32).collect();
+    let (mut subtree, local_parts) = split_local(
+        &rows,
+        all,
+        t_cores,
+        first_pid,
+        cfg.metric,
+        &mut rng,
+        &mut |n| rank.charge_dists(n, dim),
+    );
 
     // --- skeleton assembly, bottom-up along the recorded path ---
-    let mut subtree = local_subtree;
     let me = world.my_index(rank);
     let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(path.len() + 1);
     {
@@ -502,20 +486,20 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
         let (ref vp, mu, half) = path[level];
         let mid = lo + half;
         if me == mid {
-            rank.send_bytes(world.ranks()[lo], TAG_SUBTREE, subtree.clone().freeze());
+            rank.send_bytes(world.ranks()[lo], TAG_SUBTREE, Bytes::from(subtree.clone()));
         }
         if me == lo {
             let right = rank
                 .recv(Some(world.ranks()[mid]), Some(TAG_SUBTREE))
                 .payload;
-            subtree = encode_inner(mu, vp, &subtree, &right);
+            let mut joined = Vec::new();
+            write_inner(&mut joined, mu, vp);
+            joined.extend_from_slice(&subtree);
+            joined.extend_from_slice(&right);
+            subtree = joined;
         }
     }
-    let skeleton = if me == 0 {
-        Some(subtree.freeze())
-    } else {
-        None
-    };
+    let skeleton = (me == 0).then_some(subtree);
     let shuffle_bytes = rank.stats().bytes_sent - bytes_before;
 
     world.barrier(rank);
@@ -527,33 +511,21 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
     // *sequential* construction and the pool preserves partition order, so
     // the graphs, distance counts and (sequentially replayed) virtual-time
     // charges are bit-identical to the `threads = 1` path.
-    let built: Vec<(u32, Vec<u32>, LocalIndex)> = rayon::with_num_threads(cfg.threads, || {
+    let partitions: Vec<Partition> = rayon::with_num_threads(cfg.threads, || {
         local_parts
             .into_par_iter()
-            .map(|(pid, gids, prows)| {
-                let index = LocalIndex::build(
-                    cfg.local_index,
-                    prows,
-                    cfg.metric,
-                    cfg.hnsw,
-                    cfg.seed ^ ((pid as u64) << 8),
-                );
-                (pid, gids, index)
+            .map(|(pid, pos)| {
+                let gids = pos.iter().map(|&p| ids[p as usize]).collect();
+                Partition::build(cfg, pid, gids, rows.gather(&pos))
             })
             .collect()
     });
     let mut pool = VThreadPool::new(t_cores, vptree_end_ns);
-    let mut partitions = Vec::with_capacity(built.len());
     let mut hnsw_ndist = 0u64;
-    for (pid, gids, index) in built {
-        let nd = index.build_ndist();
+    for p in &partitions {
+        let nd = p.index.build_ndist();
         hnsw_ndist += nd;
         pool.assign(vptree_end_ns, cfg.cost.dists_ns(nd, dim));
-        partitions.push(Partition {
-            id: pid,
-            global_ids: gids,
-            index,
-        });
     }
     let hnsw_end_local = pool.makespan().max(vptree_end_ns);
     let hnsw_end_ns = world.allreduce_f64(rank, hnsw_end_local, ReduceOp::Max);
@@ -566,97 +538,6 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
         hnsw_ndist,
         shuffle_bytes,
     }
-}
-
-/// Node-local recursive VP splitting into `parts` leaves (a power of two).
-/// Returns the serialized subtree and the partitions
-/// `(pid, global ids, rows)` in leaf order.
-fn split_local(
-    rank: &mut Rank,
-    cfg: &EngineConfig,
-    rng: &mut SmallRng,
-    ids: Vec<u32>,
-    rows: VectorSet,
-    parts: usize,
-    first_pid: u32,
-) -> (BytesMut, Vec<(u32, Vec<u32>, VectorSet)>) {
-    if parts == 1 {
-        return (encode_leaf(first_pid), vec![(first_pid, ids, rows)]);
-    }
-    let dim = rows.dim();
-    assert!(
-        rows.len() >= 2,
-        "cannot split {} rows into {} local partitions",
-        rows.len(),
-        parts
-    );
-    // vantage selection on local rows
-    let all: Vec<u32> = (0..rows.len() as u32).collect();
-    let cands: Vec<u32> = all
-        .choose_multiple(rng, N_CANDIDATES.min(rows.len()))
-        .copied()
-        .collect();
-    let sample: Vec<u32> = all
-        .choose_multiple(rng, N_SCORE_SAMPLE.min(rows.len()))
-        .copied()
-        .collect();
-    let (best, ndist) = select_vantage(&rows, &cands, &rows, &sample, cfg.metric);
-    rank.charge_dists(ndist, dim);
-    let vp = rows.get(cands[best] as usize).to_vec();
-
-    rank.charge_dists(rows.len() as u64, dim);
-    let dists: Vec<f32> = rows.iter().map(|r| cfg.metric.eval(&vp, r)).collect();
-    let mu = median(&mut dists.clone());
-
-    let mut li = Vec::new();
-    let mut lr = VectorSet::new(dim);
-    let mut ri = Vec::new();
-    let mut rr = VectorSet::new(dim);
-    for (i, &d) in dists.iter().enumerate() {
-        if d <= mu {
-            li.push(ids[i]);
-            lr.push(rows.get(i));
-        } else {
-            ri.push(ids[i]);
-            rr.push(rows.get(i));
-        }
-    }
-    // tie guard: both sides must be splittable further
-    while ri.len() < parts / 2 && !li.is_empty() {
-        let id = li.pop().expect("non-empty");
-        let row = lr.get(lr.len() - 1).to_vec();
-        let mut nlr = VectorSet::new(dim);
-        for i in 0..lr.len() - 1 {
-            nlr.push(lr.get(i));
-        }
-        lr = nlr;
-        ri.push(id);
-        rr.push(&row);
-    }
-    while li.len() < parts / 2 && !ri.is_empty() {
-        let id = ri.pop().expect("non-empty");
-        let row = rr.get(rr.len() - 1).to_vec();
-        let mut nrr = VectorSet::new(dim);
-        for i in 0..rr.len() - 1 {
-            nrr.push(rr.get(i));
-        }
-        rr = nrr;
-        li.push(id);
-        lr.push(&row);
-    }
-
-    let (lsub, mut lparts) = split_local(rank, cfg, rng, li, lr, parts / 2, first_pid);
-    let (rsub, rparts) = split_local(
-        rank,
-        cfg,
-        rng,
-        ri,
-        rr,
-        parts / 2,
-        first_pid + (parts / 2) as u32,
-    );
-    lparts.extend(rparts);
-    (encode_inner(mu, &vp, &lsub, &rsub), lparts)
 }
 
 #[cfg(test)]

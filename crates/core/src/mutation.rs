@@ -38,20 +38,12 @@
 //! A split index snapshots every partition and keeps mutating after a
 //! reload exactly as the original would.
 
-use fastann_data::select::median;
 use fastann_data::VectorSet;
 use fastann_obs::Metrics;
-use fastann_vptree::RouteConfig;
+use fastann_vptree::{median_split, RouteConfig, N_CANDIDATES, N_SCORE_SAMPLE};
 
 use crate::build::{DistIndex, Partition};
-use crate::local::{LocalIndex, LocalIndexKind};
 use crate::router::Router;
-
-/// Vantage-point candidates scored when splitting a partition (mirrors the
-/// build-time `N_CANDIDATES`).
-const SPLIT_CANDIDATES: usize = 16;
-/// Rows sampled to score each split vantage candidate.
-const SPLIT_SCORE_SAMPLE: usize = 256;
 
 /// One requested change to the index.
 #[derive(Clone, Debug, PartialEq)]
@@ -251,7 +243,7 @@ pub struct MutationRequest<'a> {
 
 impl<'a> MutationRequest<'a> {
     /// A mutation batch against `index`. The index must hold HNSW
-    /// partitions ([`LocalIndexKind::Hnsw`]); the exact tree and
+    /// partitions ([`crate::LocalIndexKind::Hnsw`]); the exact tree and
     /// brute-force kinds are frozen baselines.
     pub fn new(index: &'a mut DistIndex) -> Self {
         Self {
@@ -519,10 +511,7 @@ fn compact(
     ndist_total: &mut u64,
 ) -> Vec<CompactionEvent> {
     let dim = index.dim();
-    let metric = index.config.metric;
-    let hnsw_cfg = index.config.hnsw;
-    let seed = index.config.seed;
-    let cost = index.config.cost;
+    let cfg = &index.config;
     let parts = writable(&mut index.partitions);
     let mut events = Vec::new();
     for p in parts.iter_mut() {
@@ -531,21 +520,13 @@ fn compact(
         }
         let dropped = p.index.len() - p.index.live_len();
         let (rows, gids) = live_rows(p, dim);
-        // Same per-partition seed derivation as the original build, so a
+        // Partition::build seeds as the original build did, so a
         // compaction is exactly the "fresh rebuild of the surviving set"
         // the equivalence contract compares against.
-        let rebuilt = LocalIndex::build(
-            LocalIndexKind::Hnsw,
-            rows,
-            metric,
-            hnsw_cfg,
-            seed ^ ((p.id as u64) << 8),
-        );
-        let ndist = rebuilt.build_ndist();
+        *p = Partition::build(cfg, p.id, gids, rows);
+        let ndist = p.index.build_ndist();
         *ndist_total += ndist;
-        *maintenance_ns += cost.dists_ns(ndist, dim);
-        p.index = rebuilt;
-        p.global_ids = gids;
+        *maintenance_ns += cfg.cost.dists_ns(ndist, dim);
         events.push(CompactionEvent {
             part: p.id,
             dropped,
@@ -564,8 +545,8 @@ fn split_vantage(rows: &VectorSet, metric: fastann_data::Distance) -> (Vec<f32>,
         let take = count.min(n);
         (0..take).map(|i| (i * n / take) as u32).collect()
     };
-    let candidates = stride_pick(SPLIT_CANDIDATES);
-    let sample = stride_pick(SPLIT_SCORE_SAMPLE);
+    let candidates = stride_pick(N_CANDIDATES);
+    let sample = stride_pick(N_SCORE_SAMPLE);
     let (best, ndist) = fastann_vptree::select_vantage(rows, &candidates, rows, &sample, metric);
     (rows.get(candidates[best] as usize).to_vec(), ndist)
 }
@@ -585,8 +566,6 @@ fn split(
         return Vec::new();
     }
     let dim = index.dim();
-    let hnsw_cfg = index.config.hnsw;
-    let seed = index.config.seed;
     let cost = index.config.cost;
     let mut events = Vec::new();
     // Snapshot the partition count: a freshly created half is at most half
@@ -598,48 +577,26 @@ fn split(
         }
         let (rows, gids) = live_rows(&index.partitions[slot], dim);
         let (vp, vant_ndist) = split_vantage(&rows, metric);
-        let dists: Vec<f32> = rows.iter().map(|r| metric.eval(&vp, r)).collect();
-        *ndist_total += vant_ndist + dists.len() as u64;
-        *maintenance_ns += cost.dists_ns(vant_ndist + dists.len() as u64, dim);
-        let mu = median(&mut dists.clone());
-        let mut inside = VectorSet::with_capacity(dim, rows.len());
-        let mut inside_gids = Vec::new();
-        let mut outside = VectorSet::with_capacity(dim, rows.len());
-        let mut outside_gids = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            // `d <= mu` is the router's near-side test — assignment must
-            // agree with it or future upserts land on the wrong half
-            if dists[i] <= mu {
-                inside.push(r);
-                inside_gids.push(gids[i]);
-            } else {
-                outside.push(r);
-                outside_gids.push(gids[i]);
-            }
-        }
+        let all: Vec<u32> = (0..rows.len() as u32).collect();
+        // `d <= mu` is the router's near-side test: assignment must agree
+        // with it or future upserts land on the wrong half
+        let (mu, inside, outside) = median_split(&rows, &all, &vp, metric);
+        *ndist_total += vant_ndist + all.len() as u64;
+        *maintenance_ns += cost.dists_ns(vant_ndist + all.len() as u64, dim);
         if inside.is_empty() || outside.is_empty() {
             continue; // degenerate radius (duplicate-heavy data): unsplittable
         }
         let old_pid = index.partitions[slot].id;
         let new_pid = index.partitions.len() as u32;
-        let left = LocalIndex::build(
-            LocalIndexKind::Hnsw,
-            inside,
-            metric,
-            hnsw_cfg,
-            seed ^ ((old_pid as u64) << 8),
-        );
-        let right = LocalIndex::build(
-            LocalIndexKind::Hnsw,
-            outside,
-            metric,
-            hnsw_cfg,
-            seed ^ ((new_pid as u64) << 8),
-        );
-        let build_ndist = left.build_ndist() + right.build_ndist();
+        let half = |pid: u32, pos: &[u32]| {
+            let ids = pos.iter().map(|&p| gids[p as usize]).collect();
+            Partition::build(&index.config, pid, ids, rows.gather(pos))
+        };
+        let (left, right) = (half(old_pid, &inside), half(new_pid, &outside));
+        let build_ndist = left.index.build_ndist() + right.index.build_ndist();
         *ndist_total += build_ndist;
         *maintenance_ns += cost.dists_ns(build_ndist, dim);
-        let moved = outside_gids.len();
+        let moved = outside.len();
         // split() only runs for VP-tree routers (checked by the caller), so
         // the non-VpTree arm is simply never entered
         if let Router::VpTree(tree) = std::sync::Arc::get_mut(&mut index.router)
@@ -648,16 +605,8 @@ fn split(
             tree.split_leaf(old_pid, vp, mu, new_pid);
         }
         let parts = writable(&mut index.partitions);
-        parts[slot] = Partition {
-            id: old_pid,
-            global_ids: inside_gids,
-            index: left,
-        };
-        parts.push(Partition {
-            id: new_pid,
-            global_ids: outside_gids,
-            index: right,
-        });
+        parts[slot] = left;
+        parts.push(right);
         events.push(SplitEvent {
             part: old_pid,
             new_part: new_pid,

@@ -305,10 +305,15 @@ mod tests {
 
     #[test]
     fn nprobe_larger_than_partition_count_clamps() {
+        use rand::SeedableRng;
         let data = synth::sift_like(256, 6, 5);
-        let (tree, parts) = fastann_vptree::PartitionTree::build_local(&data, 4, Distance::L2, 5);
+        let all = (0..256).collect();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let (skel, parts) =
+            fastann_vptree::split_local(&data, all, 4, 0, Distance::L2, &mut rng, &mut |_| {});
         assert_eq!(parts.len(), 4);
-        let r = Router::VpTree(tree);
+        let tree = PartitionTree::from_bytes(&skel, Distance::L2);
+        let r = Router::VpTree(tree.expect("a whole skeleton"));
         // margin wide enough to admit every sibling, nprobe far above P
         let (route, _) = r.route(
             data.get(17),

@@ -102,17 +102,6 @@ enum QueryDist<'a> {
     Quant { sq: &'a Sq8, prep: Sq8Query },
 }
 
-/// The outcome of the read-only planning half of one insertion: the
-/// neighbour lists selected for each layer (top-down), plus the distance
-/// evaluations the planning spent. Produced by [`Hnsw::plan_insert`],
-/// consumed by [`Hnsw::apply_insert`].
-struct InsertPlan {
-    id: u32,
-    /// `(layer, selected neighbours)` from the node's top layer down to 0.
-    layers: Vec<(usize, Vec<u32>)>,
-    ndist: u64,
-}
-
 /// A Hierarchical Navigable Small World approximate k-NN index over an owned
 /// [`VectorSet`].
 pub struct Hnsw {
@@ -767,29 +756,23 @@ impl Hnsw {
         }
     }
 
-    /// Inserts node `id` (its vector is already in `self.data`): a plan
-    /// against the current graph, applied at once.
+    /// Inserts node `id` (its vector is already in `self.data`): greedy
+    /// descent plus per-layer beam search and neighbour selection against
+    /// the current graph, then the links, then promotion to entry point
+    /// when the node tops the graph. Every layer's neighbours are selected
+    /// before any link is written; that selects exactly what interleaved
+    /// linking would, because linking at one layer only touches that
+    /// layer's lists. Construction always runs exact: link structure must
+    /// not inherit quantization error. Into an empty graph the node simply
+    /// becomes the entry point.
     fn insert(&mut self, id: u32, scratch: &mut SearchScratch) {
-        let plan = self.plan_insert(id, scratch);
-        self.apply_insert(plan, scratch);
-    }
-
-    /// The read-only half of inserting `id`: greedy descent plus per-layer
-    /// beam search and neighbour selection against the current graph. The
-    /// links are written later by [`Hnsw::apply_insert`]; planning every
-    /// layer first selects exactly what interleaved linking would, because
-    /// linking at one layer only touches that layer's lists. Construction
-    /// always runs exact: link structure must not inherit quantization
-    /// error. An empty graph yields an empty plan (the node becomes the
-    /// entry point).
-    fn plan_insert(&self, id: u32, scratch: &mut SearchScratch) -> InsertPlan {
         let level = self.levels[id as usize];
-        let q = self.data.get(id as usize);
-        let qd = QueryDist::Exact(q);
         scratch.begin(self.len());
 
+        // `(layer, selected neighbours)` from the node's top layer down to 0
         let mut layers = Vec::new();
         if let Some((ep, top)) = self.entry {
+            let qd = QueryDist::Exact(self.data.get(id as usize));
             let ep_dist = self.d(&qd, ep, scratch);
             // Beam descent through layers above the node's level.
             // Construction descends from the single current entry (seeding
@@ -813,30 +796,16 @@ impl Hnsw {
                 layers.push((lc, selected));
             }
         }
-        InsertPlan {
-            id,
-            layers,
-            ndist: scratch.ndist(),
-        }
-    }
-
-    /// The mutating half of inserting `id`: wires up the links a
-    /// [`Hnsw::plan_insert`] selected and promotes the node to entry point
-    /// when it tops the graph.
-    fn apply_insert(&mut self, plan: InsertPlan, scratch: &mut SearchScratch) {
-        let InsertPlan { id, layers, ndist } = plan;
-        scratch.begin(self.len());
         for (lc, selected) in layers {
             self.graph.set_neighbors(id, lc, selected.clone());
             for &s in &selected {
                 self.link_back(s, id, lc, scratch);
             }
         }
-        let level = self.levels[id as usize];
         if self.entry.is_none_or(|(_, top)| level > top) {
             self.entry = Some((id, level));
         }
-        self.build_ndist += ndist + scratch.ndist();
+        self.build_ndist += scratch.ndist();
     }
 
     /// Adds edge `from -> to` at `layer`, shrinking `from`'s neighbourhood

@@ -3,8 +3,12 @@
 //! The distributed engine builds a VP tree whose leaves are whole data
 //! partitions (one per processing core). The *skeleton* — vantage vectors
 //! and µ radii of the inner nodes, partition ids at the leaves — is all the
-//! master process keeps; it is assembled either by the distributed
-//! construction (fastann-core) or locally by [`PartitionTree::build_local`].
+//! master process keeps. It travels as bytes in one preorder layout, which
+//! only `write_leaf` and [`write_inner`] write: the splitter
+//! ([`crate::split_local`]) emits its subtrees in it, the distributed
+//! construction (fastann-core) joins the nodes' subtrees with it, and
+//! [`PartitionTree::to_bytes`] and [`PartitionTree::from_bytes`] store and
+//! read it.
 //!
 //! Routing a query returns the partitions whose subspace could contain its
 //! nearest neighbours: the search descends into the child containing the
@@ -13,13 +17,7 @@
 //! that trade recall against work, mirroring how the paper localises each
 //! query to a subset of partitions.
 
-use fastann_data::select::median;
-use fastann_data::{Distance, VectorSet};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-use crate::vantage::select_vantage;
+use fastann_data::Distance;
 
 /// Deepest skeleton [`PartitionTree::from_bytes`] accepts. A build over
 /// `P` cores is `log2(P)` deep and each split deepens one leaf by one, so
@@ -70,51 +68,6 @@ pub struct PartitionTree {
 }
 
 impl PartitionTree {
-    /// Builds the skeleton locally over `data`, splitting by median distance
-    /// until `n_partitions` leaves exist, and returns the per-partition row
-    /// ids alongside. This is the sequential reference implementation of
-    /// the paper's construction (Algorithm 2 without the message passing);
-    /// the distributed builder in `fastann-core` produces the same shape.
-    ///
-    /// `n_partitions` must be a power of two (the construction halves
-    /// process groups, paper Section IV-A).
-    pub fn build_local(
-        data: &VectorSet,
-        n_partitions: usize,
-        dist: Distance,
-        seed: u64,
-    ) -> (PartitionTree, Vec<Vec<u32>>) {
-        assert!(n_partitions >= 1, "need at least one partition");
-        assert!(
-            n_partitions.is_power_of_two(),
-            "partition count must be a power of two"
-        );
-        assert!(
-            data.len() >= n_partitions,
-            "cannot split {} points into {} partitions",
-            data.len(),
-            n_partitions
-        );
-        assert!(dist.is_metric(), "partitioning requires a true metric");
-        let mut nodes = Vec::new();
-        let mut parts: Vec<Vec<u32>> = Vec::with_capacity(n_partitions);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let all: Vec<u32> = (0..data.len() as u32).collect();
-        let root = split_rec(
-            data,
-            dist,
-            all,
-            n_partitions,
-            &mut nodes,
-            &mut parts,
-            &mut rng,
-        );
-        let tree = PartitionTree { nodes, root, dist };
-        tree.validate()
-            .expect("local skeleton construction produced an invalid tree");
-        (tree, parts)
-    }
-
     /// Number of leaf partitions.
     pub fn n_partitions(&self) -> usize {
         self.nodes
@@ -281,22 +234,14 @@ impl PartitionTree {
     pub fn to_bytes(&self) -> Vec<u8> {
         fn rec(nodes: &[PNode], n: u32, out: &mut Vec<u8>) {
             match &nodes[n as usize] {
-                PNode::Leaf { partition } => {
-                    out.extend_from_slice(&0u32.to_le_bytes());
-                    out.extend_from_slice(&partition.to_le_bytes());
-                }
+                PNode::Leaf { partition } => write_leaf(out, *partition),
                 PNode::Inner {
                     vp,
                     mu,
                     left,
                     right,
                 } => {
-                    out.extend_from_slice(&1u32.to_le_bytes());
-                    out.extend_from_slice(&mu.to_le_bytes());
-                    out.extend_from_slice(&(vp.len() as u32).to_le_bytes());
-                    for &x in vp {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
+                    write_inner(out, *mu, vp);
                     rec(nodes, *left, out);
                     rec(nodes, *right, out);
                 }
@@ -406,66 +351,39 @@ impl PartitionTree {
     }
 }
 
-/// Recursive median split of `ids` into `parts_left` partitions.
-fn split_rec(
-    data: &VectorSet,
-    dist: Distance,
-    ids: Vec<u32>,
-    parts_left: usize,
-    nodes: &mut Vec<PNode>,
-    parts: &mut Vec<Vec<u32>>,
-    rng: &mut SmallRng,
-) -> u32 {
-    if parts_left == 1 {
-        let pid = parts.len() as u32;
-        parts.push(ids);
-        nodes.push(PNode::Leaf { partition: pid });
-        return (nodes.len() - 1) as u32;
-    }
-    // vantage selection over a sample (paper: candidates of 100)
-    let n_cand = 16.min(ids.len());
-    let n_samp = 64.min(ids.len());
-    let candidates: Vec<u32> = ids.choose_multiple(rng, n_cand).copied().collect();
-    let sample: Vec<u32> = ids.choose_multiple(rng, n_samp).copied().collect();
-    let (best, _) = select_vantage(data, &candidates, data, &sample, dist);
-    let vp = data.get(candidates[best] as usize).to_vec();
+/// Appends a skeleton leaf naming partition `pid`: `[0, pid]`, little
+/// endian.
+pub(crate) fn write_leaf(out: &mut Vec<u8>, pid: u32) {
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&pid.to_le_bytes());
+}
 
-    let dists: Vec<f32> = ids
-        .iter()
-        .map(|&i| dist.eval(&vp, data.get(i as usize)))
-        .collect();
-    let mu = median(&mut dists.clone());
-    let mut left_ids = Vec::with_capacity(ids.len() / 2 + 1);
-    let mut right_ids = Vec::with_capacity(ids.len() / 2 + 1);
-    for (i, &id) in ids.iter().enumerate() {
-        if dists[i] <= mu {
-            left_ids.push(id);
-        } else {
-            right_ids.push(id);
-        }
+/// Appends the head of a skeleton inner node: `[1, µ, len, vp…]`, little
+/// endian. Its left subtree, then its right subtree, must follow.
+pub fn write_inner(out: &mut Vec<u8>, mu: f32, vp: &[f32]) {
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&mu.to_le_bytes());
+    out.extend_from_slice(&(vp.len() as u32).to_le_bytes());
+    for &x in vp {
+        out.extend_from_slice(&x.to_le_bytes());
     }
-    // Ties on mu can empty one side of a tiny split; rebalance minimally so
-    // both subtrees receive points.
-    while right_ids.len() < parts_left / 2 && !left_ids.is_empty() {
-        right_ids.push(left_ids.pop().expect("non-empty"));
-    }
-    while left_ids.len() < parts_left / 2 && !right_ids.is_empty() {
-        left_ids.push(right_ids.pop().expect("non-empty"));
-    }
+}
 
-    let node_idx = nodes.len();
-    nodes.push(PNode::Leaf {
-        partition: u32::MAX,
-    }); // placeholder
-    let left = split_rec(data, dist, left_ids, parts_left / 2, nodes, parts, rng);
-    let right = split_rec(data, dist, right_ids, parts_left / 2, nodes, parts, rng);
-    nodes[node_idx] = PNode::Inner {
-        vp,
-        mu,
-        left,
-        right,
-    };
-    node_idx as u32
+/// A whole skeleton over `data` from [`crate::split_local`], with each
+/// partition's row ids.
+#[cfg(test)]
+fn build(
+    data: &fastann_data::VectorSet,
+    parts: usize,
+    seed: u64,
+) -> (PartitionTree, Vec<Vec<u32>>) {
+    use rand::SeedableRng;
+    let pos = (0..data.len() as u32).collect();
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let (skel, leaves) =
+        crate::split_local(data, pos, parts, 0, Distance::L2, &mut rng, &mut |_| {});
+    let tree = PartitionTree::from_bytes(&skel, Distance::L2).expect("a whole skeleton");
+    (tree, leaves.into_iter().map(|(_, ids)| ids).collect())
 }
 
 #[cfg(test)]
@@ -474,9 +392,9 @@ mod tests {
     use fastann_data::synth;
 
     #[test]
-    fn build_local_partitions_cover_dataset() {
+    fn split_partitions_cover_dataset() {
         let data = synth::sift_like(1000, 8, 1);
-        let (tree, parts) = PartitionTree::build_local(&data, 8, Distance::L2, 1);
+        let (tree, parts) = build(&data, 8, 1);
         assert_eq!(tree.n_partitions(), 8);
         assert_eq!(parts.len(), 8);
         let mut all: Vec<u32> = parts.iter().flatten().copied().collect();
@@ -491,7 +409,7 @@ mod tests {
     #[test]
     fn partitions_are_roughly_balanced() {
         let data = synth::sift_like(2048, 8, 2);
-        let (_, parts) = PartitionTree::build_local(&data, 16, Distance::L2, 2);
+        let (_, parts) = build(&data, 16, 2);
         let min = parts
             .iter()
             .map(Vec::len)
@@ -509,7 +427,7 @@ mod tests {
     #[test]
     fn route_returns_home_partition_first() {
         let data = synth::sift_like(500, 8, 3);
-        let (tree, parts) = PartitionTree::build_local(&data, 8, Distance::L2, 3);
+        let (tree, parts) = build(&data, 8, 3);
         // a data point's home partition must be the first routed partition
         for (pid, part) in parts.iter().enumerate() {
             let Some(&id) = part.first() else {
@@ -531,7 +449,7 @@ mod tests {
     #[test]
     fn wider_margin_routes_to_more_partitions() {
         let data = synth::sift_like(1000, 8, 4);
-        let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 4);
+        let (tree, _) = build(&data, 16, 4);
         let q = data.get(0);
         let narrow = tree
             .route(
@@ -558,7 +476,7 @@ mod tests {
     #[test]
     fn max_partitions_caps_route() {
         let data = synth::sift_like(1000, 8, 5);
-        let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 5);
+        let (tree, _) = build(&data, 16, 5);
         let (route, _) = tree.route(
             data.get(3),
             &RouteConfig {
@@ -573,7 +491,7 @@ mod tests {
     #[test]
     fn route_is_deduplicated_and_valid() {
         let data = synth::sift_like(600, 8, 6);
-        let (tree, _) = PartitionTree::build_local(&data, 8, Distance::L2, 6);
+        let (tree, _) = build(&data, 8, 6);
         let (route, _) = tree.route(
             data.get(0),
             &RouteConfig {
@@ -658,16 +576,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn non_power_of_two_rejected() {
-        let data = synth::sift_like(100, 4, 7);
-        let _ = PartitionTree::build_local(&data, 3, Distance::L2, 7);
-    }
-
-    #[test]
     fn depth_matches_partition_count() {
         let data = synth::sift_like(512, 8, 8);
-        let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 8);
+        let (tree, _) = build(&data, 16, 8);
         assert_eq!(tree.depth(), 4, "16 partitions -> depth log2(16)");
     }
 
@@ -677,7 +588,7 @@ mod tests {
         // must be the two with the smallest boundary slack among all
         // in-margin leaves (best-first, not DFS truncation).
         let data = synth::sift_like(800, 8, 10);
-        let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 10);
+        let (tree, _) = build(&data, 16, 10);
         let q = data.get(11);
         let all = tree
             .route(
@@ -708,7 +619,7 @@ mod tests {
     #[test]
     fn skeleton_round_trips_through_bytes() {
         let data = synth::sift_like(600, 8, 11);
-        let (tree, _) = PartitionTree::build_local(&data, 16, Distance::L2, 11);
+        let (tree, _) = build(&data, 16, 11);
         let back = PartitionTree::from_bytes(&tree.to_bytes(), Distance::L2).expect("round trip");
         assert_eq!(back.n_partitions(), 16);
         let cfg = RouteConfig {
@@ -747,7 +658,7 @@ mod tests {
     #[test]
     fn split_leaf_routes_both_halves() {
         let data = synth::sift_like(800, 8, 12);
-        let (mut tree, parts) = PartitionTree::build_local(&data, 8, Distance::L2, 12);
+        let (mut tree, parts) = build(&data, 8, 12);
         // split partition 3 around one of its own rows
         let rows = &parts[3];
         let vp = data.get(rows[0] as usize).to_vec();
@@ -813,7 +724,7 @@ mod tests {
     #[test]
     fn approx_bytes_reasonable() {
         let data = synth::sift_like(256, 8, 9);
-        let (tree, _) = PartitionTree::build_local(&data, 8, Distance::L2, 9);
+        let (tree, _) = build(&data, 8, 9);
         // 7 inner nodes, dim 8 -> at least 7*(16+32) bytes
         assert!(tree.approx_bytes() >= 7 * 48);
     }
@@ -834,7 +745,7 @@ mod proptests {
             cap in 1usize..16,
         ) {
             let data = synth::sift_like(300, 6, seed);
-            let (tree, _) = PartitionTree::build_local(&data, 8, Distance::L2, seed);
+            let (tree, _) = build(&data, 8, seed);
             for qi in (0..300).step_by(61) {
                 let q = data.get(qi);
                 let home = tree.route(q, &RouteConfig { margin_frac: 0.0, max_partitions: 1 }).0[0];
@@ -853,7 +764,7 @@ mod proptests {
             seed in 0u64..500,
         ) {
             let data = synth::sift_like(400, 6, seed);
-            let (tree, _) = PartitionTree::build_local(&data, 8, Distance::L2, seed);
+            let (tree, _) = build(&data, 8, seed);
             let q = data.get(1);
             let narrow = tree.route(q, &RouteConfig { margin_frac: 0.1, max_partitions: 64 }).0;
             let wide = tree.route(q, &RouteConfig { margin_frac: 0.4, max_partitions: 64 }).0;
