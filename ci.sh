@@ -28,14 +28,15 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 # float-add order (kernel_golden) and the graph and engine goldens.
 # mpisim and kdtree run the simulator's rank spawn, poison and join path
 # on the same optimized build, and vptree runs the splitter the build
-# ships.
-cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree
+# ships. rayon runs the pool's atomics and condvar hand-offs on the
+# codegen that ships.
+cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
 
 echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
 # SearchScratch carries the beam's heaps from one probe to the next
 # within a rayon split; a state leak between probes would show only where
 # the splits differ, and only on the optimized build that ships.
-FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree
+FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json

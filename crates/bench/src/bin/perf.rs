@@ -142,17 +142,13 @@ fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) ->
 
     // -- batched search via the pool, exact or SQ8 traversal + exact
     // re-rank, at 1 thread and at N threads --
-    let qvecs: Vec<Vec<f32>> = queries.iter().map(<[f32]>::to_vec).collect();
     let search_all = |threads: usize, params: SearchParams| {
         rayon::with_num_threads(threads, || {
-            use rayon::prelude::*;
-            qvecs
-                .par_iter()
-                .map_init(
-                    || SearchScratch::with_capacity(index.len()),
-                    |scratch, q| index.search(q, &params, scratch).0,
-                )
-                .collect::<Vec<_>>()
+            rayon::par_map(
+                queries.len(),
+                || SearchScratch::with_capacity(index.len()),
+                |scratch, qi| index.search(queries.get(qi), &params, scratch).0,
+            )
         })
     };
     let exact = SearchParams::new(K, EF);

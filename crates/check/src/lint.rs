@@ -19,7 +19,7 @@
 //! | `det-map-iter`    | no order-exposing `HashMap`/`HashSet` traversal in contract crates without a `det:sort`/`det:fold` annotation |
 //! | `det-wall-clock`  | no `Instant::now`/`SystemTime::now` outside `crates/bench` — reported time is virtual |
 //! | `det-thread-id`   | no `thread::current()`/`available_parallelism` in contract crates — thread identity must not feed reported values |
-//! | `det-float-accum` | no accumulation inside `par_iter`-family statements — use the chunked map/collect + sequential fold idiom |
+//! | `det-float-accum` | no accumulation inside `rayon::par_map` or `par_iter`-family statements — map in item order, then fold sequentially |
 //!
 //! Test modules (`#[cfg(test)] mod …`), `tests/` and `benches/`
 //! directories, and `vendor/` stand-ins are out of scope. Justified
@@ -64,8 +64,8 @@ pub const RULE_DET_MAP_ITER: &str = "det-map-iter";
 pub const RULE_DET_WALL_CLOCK: &str = "det-wall-clock";
 /// Rule identifier: thread-identity leak in a contract crate.
 pub const RULE_DET_THREAD_ID: &str = "det-thread-id";
-/// Rule identifier: accumulation inside a `par_iter`-family statement,
-/// bypassing the chunked order-preserving reduction idiom.
+/// Rule identifier: accumulation inside a `rayon::par_map` or
+/// `par_iter`-family statement, bypassing the order-preserving map.
 pub const RULE_DET_FLOAT_ACCUM: &str = "det-float-accum";
 
 /// One lint finding, anchored to a file and line.
@@ -460,7 +460,7 @@ mod tests {
         // the simulator's rank scheduler is the legitimate spawner
         assert!(lint_str("crates/mpisim/src/x.rs", src).is_empty());
         // pool-mediated parallelism does not trip the rule
-        let good = "fn f() {\n    rayon::with_num_threads(4, || xs.par_iter().for_each(g));\n}\n";
+        let good = "fn f() {\n    rayon::with_num_threads(4, || rayon::par_map(n, || (), g));\n}\n";
         assert!(lint_str("crates/core/src/x.rs", good).is_empty());
     }
 
@@ -676,6 +676,31 @@ fn f(xs: &[f32]) -> f32 {
         let v = lint_str("crates/core/src/x.rs", sum);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, RULE_DET_FLOAT_ACCUM);
+    }
+
+    #[test]
+    fn det_float_accum_covers_the_vendored_par_map() {
+        let src = "\
+fn f(xs: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    rayon::par_map(xs.len(), || (), |(), i| {
+        acc += xs[i];
+    });
+    acc
+}
+";
+        let v = lint_str("crates/core/src/x.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, RULE_DET_FLOAT_ACCUM);
+        assert_eq!(v[0].line, 4, "{v:?}");
+        // results in item order, then a sequential fold, is clean
+        let good = "\
+fn f(xs: &[f32]) -> f32 {
+    let parts: Vec<f32> = rayon::par_map(xs.len(), || (), |(), i| xs[i] * 2.0);
+    parts.iter().fold(0.0, |a, b| a + b)
+}
+";
+        assert!(lint_str("crates/core/src/x.rs", good).is_empty());
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! * `det-thread-id` — `thread::current()` / `available_parallelism`.
 //!   Thread identity must never feed a reported value; diagnostic uses
 //!   are allowlisted per line.
-//! * `det-float-accum` — accumulation inside a `par_iter`-family
-//!   statement (`+=` on a captured value, or a par-side `sum` / `fold` /
-//!   `reduce` / `product`). Float addition does not commute; the
-//!   sanctioned idiom is the PR 3 chunked order-preserving reduction:
-//!   `par_iter().map(…).collect()` then a sequential fold.
+//! * `det-float-accum` — accumulation inside a parallel statement
+//!   (`rayon::par_map` or a `par_iter`-family head; `+=` on a captured
+//!   value, or a par-side `sum` / `fold` / `reduce` / `product`). Float
+//!   addition does not commute; the sanctioned idiom is the
+//!   order-preserving map: `rayon::par_map(n, init, work)` returns the
+//!   results in item order, then a sequential fold.
 //!
 //! Scope detection is token-level type tracking, not inference: a name
 //! counts as a hash collection when its declaration (`let`, field, or
@@ -65,9 +66,11 @@ const ITER_METHODS: [&str; 10] = [
     "retain",
 ];
 
-/// Heads of the `par_iter` family; a statement containing one is a
-/// parallel-reduction site.
-const PAR_HEADS: [&str; 5] = [
+/// Heads of the parallel family: the vendored pool's one-shot
+/// `par_map` and upstream rayon's `par_iter` heads. A statement
+/// containing one is a parallel-reduction site.
+const PAR_HEADS: [&str; 6] = [
+    "par_map",
     "par_iter",
     "into_par_iter",
     "par_iter_mut",

@@ -5,6 +5,13 @@ fn total(xs: &[f32]) -> f32 {
     parts.iter().fold(0.0, |a, b| a + b)
 }
 
+fn total_by_par_map(xs: &[f32]) -> f32 {
+    // the same idiom on the vendored pool: results in item order, then a
+    // sequential fold
+    let parts: Vec<f32> = rayon::par_map(xs.len(), || (), |(), i| xs[i] * xs[i]);
+    parts.iter().fold(0.0, |a, b| a + b)
+}
+
 fn seq_sum(xs: &[f32]) -> f32 {
     xs.iter().sum()
 }

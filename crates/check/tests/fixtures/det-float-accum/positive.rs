@@ -9,3 +9,11 @@ fn accumulate(xs: &[f32]) -> f32 {
     });
     acc
 }
+
+fn accumulate_in_par_map(xs: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    rayon::par_map(xs.len(), || (), |(), i| {
+        acc += xs[i];
+    });
+    acc
+}

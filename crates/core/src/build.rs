@@ -25,8 +25,6 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use rayon::prelude::*;
-
 use crate::config::EngineConfig;
 use crate::local::LocalIndex;
 use crate::router::Router;
@@ -506,19 +504,22 @@ fn build_node(rank: &mut Rank, data: &VectorSet, cfg: &EngineConfig) -> NodeBuil
     let vptree_end_ns = world.allreduce_f64(rank, rank.now(), ReduceOp::Max);
 
     // --- local index per partition: T virtual cores build T partitions ---
-    // With `cfg.threads > 1` the per-partition builds run concurrently on
-    // the real thread pool. Each build is an independently seeded
-    // *sequential* construction and the pool preserves partition order, so
+    // With `cfg.threads > 1` the per-partition builds run concurrently in
+    // one `rayon::par_map` call: the caller and `cfg.threads - 1` helpers
+    // claim partitions in turn. Each build is an independently seeded
+    // *sequential* construction and the map preserves partition order, so
     // the graphs, distance counts and (sequentially replayed) virtual-time
     // charges are bit-identical to the `threads = 1` path.
     let partitions: Vec<Partition> = rayon::with_num_threads(cfg.threads, || {
-        local_parts
-            .into_par_iter()
-            .map(|(pid, pos)| {
+        rayon::par_map(
+            local_parts.len(),
+            || (),
+            |(), i| {
+                let (pid, pos) = &local_parts[i];
                 let gids = pos.iter().map(|&p| ids[p as usize]).collect();
-                Partition::build(cfg, pid, gids, rows.gather(&pos))
-            })
-            .collect()
+                Partition::build(cfg, *pid, gids, rows.gather(pos))
+            },
+        )
     });
     let mut pool = VThreadPool::new(t_cores, vptree_end_ns);
     let mut hnsw_ndist = 0u64;

@@ -5,8 +5,6 @@
 //! exact neighbours with a rayon-parallel brute-force scan — the host-side
 //! equivalent of the ground-truth files shipped with the TEXMEX corpora.
 
-use rayon::prelude::*;
-
 use crate::metric::Distance;
 use crate::topk::{Neighbor, TopK};
 use crate::vector::VectorSet;
@@ -24,10 +22,11 @@ pub fn brute_force(
 ) -> Vec<Vec<Neighbor>> {
     assert!(!data.is_empty(), "brute force over empty dataset");
     assert_eq!(data.dim(), queries.dim(), "dimension mismatch");
-    (0..queries.len())
-        .into_par_iter()
-        .map(|qi| brute_force_one(data, queries.get(qi), k, dist))
-        .collect()
+    rayon::par_map(
+        queries.len(),
+        || (),
+        |(), qi| brute_force_one(data, queries.get(qi), k, dist),
+    )
 }
 
 /// Exact k-NN of a single query.
