@@ -90,13 +90,17 @@ echo "==> churn leg (live mutation: 90/5/5 read/insert/delete, recall gates)"
 # compaction; the leg itself asserts no deleted id is ever served. The
 # emitted JSON holds only virtual/deterministic fields plus an FNV
 # fingerprint of every outcome and neighbor, so the cmp below is a
-# full-trajectory bit-identity check across FASTANN_THREADS settings.
+# full-trajectory bit-identity check across FASTANN_THREADS settings,
+# and the diff pins the committed record. Regenerate after an intentional
+# change with:
+#   ./target/release/perf --churn --threads 1 --out crates/bench/golden
 rm -rf target/churn_a target/churn_b
 mkdir -p target/churn_a target/churn_b
 FASTANN_THREADS=1 ./target/release/perf --churn --threads 1 --gate --out target/churn_a
 FASTANN_THREADS=4 ./target/release/perf --churn --threads 4 --gate --out target/churn_b
 cmp target/churn_a/BENCH_churn_SMOKE.json target/churn_b/BENCH_churn_SMOKE.json
 test -s target/churn_a/BENCH_churn_SMOKE.json
+diff -u crates/bench/golden/BENCH_churn_SMOKE.json target/churn_a/BENCH_churn_SMOKE.json
 
 echo "==> serve + obs smoke (seed-stable report, golden metrics)"
 # The load generator asserts nonzero throughput and request conservation

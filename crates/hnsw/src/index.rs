@@ -1905,6 +1905,64 @@ mod tests {
         assert_eq!(ra, rb, "descent outcome must not depend on link order");
     }
 
+    /// A layer-0-only 1-D index over `xs` with the given layer-0 links,
+    /// entry point 0 and entry set `entry_set`.
+    fn line_graph(xs: &[f32], links: Vec<Vec<u32>>, entry_set: Vec<u32>) -> Hnsw {
+        let mut data = VectorSet::new(1);
+        for &x in xs {
+            data.push(&[x]);
+        }
+        Hnsw::from_parts(
+            HnswConfig::with_m(4),
+            Distance::L2,
+            data,
+            vec![0; xs.len()],
+            links.into_iter().map(|l| vec![l]).collect(),
+            Some((0, 0)),
+            entry_set,
+            None,
+        )
+    }
+
+    #[test]
+    fn beam_expands_a_spilled_candidate_that_ties_the_worst() {
+        // Algorithm 2 stops only when the nearest unexpanded candidate is
+        // strictly farther than the worst kept one. A candidate that fell
+        // out of a full beam at exactly the worst distance must still be
+        // expanded: here it is the only way to reach node 4 (or node 2).
+        let q = [0.0];
+        // Evicted while unexpanded: ef = 2 holds nodes 1 and 2 (both at
+        // distance 2), node 3 pushes node 2 out, and node 2 ties node 1.
+        let evicted = line_graph(
+            &[5.0, -2.0, 2.0, 1.0, 0.5, -6.0],
+            vec![
+                vec![1, 2, 3],
+                vec![0, 5],
+                vec![0, 4],
+                vec![0],
+                vec![2],
+                vec![1],
+            ],
+            Vec::new(),
+        );
+        let (hits, stats) =
+            evicted.search(&q, &SearchParams::new(1, 2), &mut SearchScratch::default());
+        assert_eq!(hits, vec![Neighbor::new(4, 0.5)]);
+        assert_eq!((stats.ndist, stats.heap_pushes, stats.ef_churn), (6, 5, 3));
+        // Rejected as a seed: the entry (node 0) and the entry-set member
+        // (node 1) tie at distance 2, so an ef = 1 beam keeps node 0 and
+        // turns node 1 away, yet node 1 leads to node 2.
+        let rejected = line_graph(
+            &[-2.0, 2.0, 0.5, -3.0],
+            vec![vec![3], vec![2], vec![1], vec![0]],
+            vec![1],
+        );
+        let (hits, stats) =
+            rejected.search(&q, &SearchParams::new(1, 1), &mut SearchScratch::default());
+        assert_eq!(hits, vec![Neighbor::new(2, 0.5)]);
+        assert_eq!((stats.ndist, stats.heap_pushes, stats.ef_churn), (4, 3, 1));
+    }
+
     #[test]
     fn duplicate_points_return_lowest_ids_deterministically() {
         // Nine identical vectors (within the m_max0 = 8 cap, so overflow

@@ -12,6 +12,10 @@
 //! runs on the seeds before any expansion. The constants pin today's
 //! graphs and answers: a refactor of the build or search core must leave
 //! every one of them unchanged.
+//!
+//! The lattice corpus has small-integer coordinates, so squared distances
+//! tie exactly and often: it pins the beam's `(dist, id)` tie-breaks and
+//! the strict `dist` comparisons of its admission and stopping rules.
 
 use fastann_data::synth::{self, mdcgen};
 use fastann_data::{Distance, VectorSet};
@@ -238,6 +242,45 @@ fn mdcgen_golden() {
             live: 0x3e92_39de_2e45_73aa,
             tombstoned: 0x0741_f03b_beb3_d985,
             repaired: 0x06ea_fc4b_ae00_41c9,
+        }
+    );
+}
+
+/// `n` points with coordinates in `0..=3`, drawn from a SplitMix64 stream.
+fn lattice(n: usize, dim: usize, seed: u64) -> VectorSet {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let flat = (0..n * dim).map(|_| (next() % 4) as f32).collect();
+    VectorSet::from_flat(dim, flat)
+}
+
+#[test]
+fn lattice_golden() {
+    let data = lattice(1500, 12, 41);
+    let queries = lattice(50, 12, 42);
+    let (got, sweep) = fingerprints(data, &queries, 41);
+    assert_eq!(
+        got,
+        Golden {
+            build: 0x3456_9bb8_bc68_f6a5,
+            search: 0xa248_8d40_2e2b_4f14,
+            search_tombstoned: 0xf952_d987_203e_3abd,
+            mutated: 0xedd9_d99b_9fa0_cbd4,
+            search_repaired: 0xab9d_170a_1b1e_a28d,
+        }
+    );
+    assert_eq!(
+        sweep,
+        Sweep {
+            live: 0x818d_3d2b_c47d_fd87,
+            tombstoned: 0x910c_03b1_c63d_c4b5,
+            repaired: 0x5739_ed31_a639_c309,
         }
     );
 }
