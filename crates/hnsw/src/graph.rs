@@ -94,6 +94,22 @@ impl Graph {
         }
     }
 
+    /// Appends `v` to node `u`'s neighbour list at `layer`, in place.
+    ///
+    /// # Panics
+    /// Panics if a layer-0 list is already `m_max0` links long.
+    #[inline]
+    pub fn push_neighbor(&mut self, u: u32, layer: usize, v: u32) {
+        if layer == 0 {
+            let degree = self.degree[u as usize] as usize;
+            assert!(degree < self.m_max0, "layer-0 list of node {u} is full");
+            self.base[u as usize * self.m_max0 + degree] = v;
+            self.degree[u as usize] += 1;
+        } else {
+            self.upper[u as usize][layer - 1].push(v);
+        }
+    }
+
     /// Removes `v` from node `u`'s neighbour list at `layer` (no-op when
     /// absent), keeping the order of the rest. Used by symmetric pruning:
     /// dropping `u -> v` must drop `v -> u` too, or the graph drifts away
@@ -200,6 +216,26 @@ mod tests {
         g.set_neighbors(0, 1, vec![3, 4]);
         g.remove_neighbor(0, 1, 3);
         assert_eq!(g.neighbors(0, 1), &[4]);
+    }
+
+    #[test]
+    fn push_neighbor_appends_in_place() {
+        let mut g = Graph::for_levels(&[1, 0], 2, 4);
+        g.set_neighbors(0, 0, vec![7]);
+        g.push_neighbor(0, 0, 8);
+        g.push_neighbor(1, 0, 3);
+        g.push_neighbor(0, 1, 5);
+        assert_eq!(g.neighbors(0, 0), &[7, 8]);
+        assert_eq!(g.neighbors(1, 0), &[3]);
+        assert_eq!(g.neighbors(0, 1), &[5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is full")]
+    fn push_neighbor_into_a_full_layer0_list_panics() {
+        let mut g = Graph::for_levels(&[0], 2, 2);
+        g.set_neighbors(0, 0, vec![1, 2]);
+        g.push_neighbor(0, 0, 3);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The HNSW index: construction and search.
 
-use std::cmp::Reverse;
-
 use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::{Distance, Neighbor, VectorSet};
 
@@ -23,14 +21,16 @@ pub struct SearchStats {
     /// Candidates re-ranked at full precision after a quantized
     /// traversal; zero on the exact path.
     pub rerank: u64,
-    /// Graph nodes expanded (popped from the candidate heap).
+    /// Upper layers the descent stepped through on its way to layer 0.
     pub hops: u64,
-    /// Candidates pushed onto the beams (entry seeds included; descent
-    /// layers contribute when the entry beam is wider than one).
+    /// Candidates admitted to the beams (entry seeds included; descent
+    /// layers contribute when the entry beam is wider than one). The name
+    /// dates from the beam's two-heap form and stays because the
+    /// `fastann_hnsw_heap_pushes` metric carries it.
     pub heap_pushes: u64,
-    /// Beam churn: pushes that landed while a beam was already full, each
-    /// evicting the then-worst candidate. High churn relative to `ef`
-    /// means the layer-0 beam kept improving late — a signal that a
+    /// Beam churn: admissions that landed while a beam was already full,
+    /// each evicting the then-worst candidate. High churn relative to
+    /// `ef` means the layer-0 beam kept improving late — a signal that a
     /// larger `ef` would still buy recall.
     pub ef_churn: u64,
     /// Diverse entry-set members injected into this query's descent beyond
@@ -745,15 +745,19 @@ impl Hnsw {
     }
 
     /// Deterministically widens a beam bound to compensate for tombstoned
-    /// beam slots: `ef · n / live`, rounded up (integer arithmetic, so the
-    /// widening is bit-identical everywhere). Identity on an all-live
-    /// index; callers guard `live == 0` before searching.
+    /// beam slots: `ef · n / live`, rounded up (saturating integer
+    /// arithmetic, so the widening is bit-identical everywhere), then
+    /// clamped to `n`: a beam of `n` already holds every node, so the
+    /// clamp changes no answer. Callers guard `live == 0` before
+    /// searching.
     fn inflate_ef(&self, ef: usize) -> usize {
-        if self.live == self.len() || self.live == 0 {
+        let n = self.len();
+        let ef = if self.live == n || self.live == 0 {
             ef
         } else {
-            (ef * self.len()).div_ceil(self.live)
-        }
+            ef.saturating_mul(n).div_ceil(self.live)
+        };
+        ef.min(n)
     }
 
     /// Inserts node `id` (its vector is already in `self.data`): greedy
@@ -818,31 +822,32 @@ impl Hnsw {
     /// ([`Hnsw::validate`]) was written to catch.
     fn link_back(&mut self, from: u32, to: u32, layer: usize, scratch: &mut SearchScratch) {
         let max = self.config.max_links(layer);
-        let mut links = self.graph.neighbors(from, layer).to_vec();
+        let links = self.graph.neighbors(from, layer);
         if links.contains(&to) {
             return;
         }
-        links.push(to);
-        if links.len() > max {
-            let fv = self.data.get(from as usize);
-            let mut cands: Vec<Neighbor> = links
-                .iter()
-                .map(|&l| {
-                    scratch.ndist += 1;
-                    Neighbor::new(l, self.dist.eval(fv, self.data.get(l as usize)))
-                })
-                .collect();
-            cands.sort_unstable();
-            let selected =
-                select_neighbors_heuristic(&self.data, &cands, max, self.dist, &mut scratch.ndist);
-            for &l in &links {
-                if !selected.contains(&l) {
-                    self.graph.remove_neighbor(l, layer, from);
-                }
-            }
-            links = selected;
+        if links.len() < max {
+            self.graph.push_neighbor(from, layer, to);
+            return;
         }
-        self.graph.set_neighbors(from, layer, links);
+        let fv = self.data.get(from as usize);
+        let mut cands: Vec<Neighbor> = links
+            .iter()
+            .chain([&to])
+            .map(|&l| {
+                scratch.ndist += 1;
+                Neighbor::new(l, self.dist.eval(fv, self.data.get(l as usize)))
+            })
+            .collect();
+        cands.sort_unstable();
+        let selected =
+            select_neighbors_heuristic(&self.data, &cands, max, self.dist, &mut scratch.ndist);
+        for c in &cands {
+            if !selected.contains(&c.id) {
+                self.graph.remove_neighbor(c.id, layer, from);
+            }
+        }
+        self.graph.set_neighbors(from, layer, selected);
     }
 
     /// One greedy walk on `layer`: repeatedly move to the closest neighbour
@@ -945,12 +950,13 @@ impl Hnsw {
     /// seeded from `eps`, which it overwrites with up to `ef` nearest
     /// candidates sorted ascending.
     ///
-    /// The result set is a plain bounded max-heap on `(dist, id)`: a
-    /// candidate enters while fewer than `ef` are held, and afterwards
-    /// only by replacing a strictly worse worst. The visited epoch admits
-    /// each id once, so unlike `TopK::push` no duplicate check is needed.
-    /// Both heaps live in `scratch`, so neither allocates once the
-    /// scratch has served the largest `ef` it will see.
+    /// The beam ([`crate::scratch::Beam`]) is one sorted pool on
+    /// `(dist, id)`: a candidate enters while fewer than `ef` are held,
+    /// and afterwards only by replacing a strictly worse worst. The
+    /// visited epoch admits each id once, so unlike `TopK::push` no
+    /// duplicate check is needed. The beam lives in `scratch`, so it does
+    /// not allocate once the scratch has served the largest `ef` it will
+    /// see.
     fn search_layer(
         &self,
         q: &QueryDist<'_>,
@@ -960,48 +966,30 @@ impl Hnsw {
         scratch: &mut SearchScratch,
     ) {
         scratch.new_epoch(self.len());
-        let mut candidates = std::mem::take(&mut scratch.candidates);
-        let mut results = std::mem::take(&mut scratch.results);
-        candidates.clear();
-        results.clear();
+        let mut beam = std::mem::take(&mut scratch.beam);
+        beam.reset(ef);
         for &ep in eps.iter() {
             if scratch.mark(ep.id) {
-                candidates.push(Reverse(ep));
-                if results.len() < ef {
-                    results.push(ep);
-                } else if let Some(mut worst) = results.peek_mut().filter(|w| ep < **w) {
-                    *worst = ep;
-                }
+                beam.seed(ep);
                 scratch.heap_pushes += 1;
             }
         }
-        while let Some(Reverse(c)) = candidates.pop() {
-            if results.len() == ef && results.peek().is_some_and(|w| c.dist > w.dist) {
-                break;
-            }
+        beam.seeded();
+        while let Some(c) = beam.pop() {
             for &nb in self.graph.neighbors(c.id, layer) {
                 if !scratch.mark(nb) {
                     continue;
                 }
                 let d = self.d(q, nb, scratch);
-                let n = Neighbor::new(nb, d);
-                if results.len() < ef {
-                    results.push(n);
-                } else if let Some(mut worst) = results.peek_mut().filter(|w| d < w.dist) {
-                    *worst = n;
-                    scratch.ef_churn += 1;
-                } else {
-                    continue;
+                let full = beam.is_full();
+                if beam.admit(Neighbor::new(nb, d)) {
+                    scratch.heap_pushes += 1;
+                    scratch.ef_churn += u64::from(full);
                 }
-                candidates.push(Reverse(n));
-                scratch.heap_pushes += 1;
             }
         }
-        eps.clear();
-        eps.extend(results.drain());
-        eps.sort_unstable();
-        scratch.candidates = candidates;
-        scratch.results = results;
+        beam.drain_into(eps);
+        scratch.beam = beam;
     }
 
     /// Appends one vector to the index and links it into the graph —
@@ -2150,6 +2138,23 @@ mod tests {
             if idx.is_live(i as u32) {
                 assert_eq!(r[0].id, i as u32, "live point {i} must still find itself");
             }
+        }
+    }
+
+    #[test]
+    fn unbounded_ef_on_a_tombstoned_index_answers_like_ef_len() {
+        // widening `ef` for tombstones must not overflow: any `ef` at or
+        // above the index size already lets the beam hold every node
+        let (data, mut idx) = small_index(300, 8, 5);
+        for id in (0..300).step_by(3) {
+            idx.remove(id);
+        }
+        let mut scratch = SearchScratch::default();
+        for qi in [1, 50, 200] {
+            let q = data.get(qi);
+            let unbounded = idx.search(q, &SearchParams::new(10, usize::MAX), &mut scratch);
+            let at_len = idx.search(q, &SearchParams::new(10, idx.len()), &mut scratch);
+            assert_eq!(unbounded, at_len);
         }
     }
 

@@ -1,37 +1,154 @@
 //! Reusable per-thread search scratch space.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! Besides the visited set and the counters, a scratch carries the
+//! layer search's [`Beam`]: one sorted, `ef`-bounded pool that plays both
+//! of HNSW Algorithm 2's sets. Its entries are the result set `W`; the
+//! unexpanded ones, together with a short spill list, are the candidate
+//! set `C`. Every search on one thread — probes, descent beams and
+//! construction searches alike — reuses the same buffers.
 
 use fastann_data::Neighbor;
 
 /// Everything one search needs besides the index: the epoch-based visited
-/// set, the beam's two heaps and the per-search counters.
+/// set, the layer search's beam and the per-search counters.
 ///
 /// Reusing one `SearchScratch` across searches makes a layer's setup
 /// allocation-free. `mark` compares against the current epoch, so
-/// forgetting every visited mark is a single counter bump. The candidate
-/// min-heap and the result max-heap are cleared at the start of each
-/// layer search and keep their capacity from one layer, probe or
-/// construction search to the next.
+/// forgetting every visited mark is a single counter bump. The beam is
+/// reset at the start of each layer search and keeps its capacity from
+/// one layer, probe or construction search to the next.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     visited: Vec<u32>,
     epoch: u32,
-    /// The beam's frontier: unexpanded candidates, nearest on top.
-    pub(crate) candidates: BinaryHeap<Reverse<Neighbor>>,
-    /// The beam's result set: the best `ef` found so far, worst on top.
-    pub(crate) results: BinaryHeap<Neighbor>,
+    /// The layer search's result and candidate sets.
+    pub(crate) beam: Beam,
     /// Distance evaluations performed by the search currently using this
     /// scratch. Read via [`SearchScratch::ndist`].
     pub(crate) ndist: u64,
     /// Subset of `ndist` evaluated in the quantized (SQ8 asymmetric)
     /// domain; `ndist - ndist_quant` is the exact-evaluation count.
     pub(crate) ndist_quant: u64,
-    /// Beam pushes performed by the current search (layer 0).
+    /// Candidates admitted to the beam by the current search (seeds
+    /// included).
     pub(crate) heap_pushes: u64,
-    /// Beam-full evictions performed by the current search (layer 0).
+    /// Admissions to a full beam by the current search, each evicting the
+    /// then-worst entry.
     pub(crate) ef_churn: u64,
+}
+
+/// The beam of one `ef`-bounded best-first layer search (HNSW
+/// Algorithm 2), bit-identical to the textbook pair of heaps.
+///
+/// `pool` holds the best `ef` entries found so far in `(dist, id)` order,
+/// each flagged once expanded: it is the result set `W`. The candidate
+/// set `C` is every unexpanded pool entry plus `spill`: seeds a full pool
+/// turned away and unexpanded entries pushed off its end. A spilled
+/// entry was never better than the pool's worst at the time, and the
+/// worst only improves, so every spilled entry sorts after every pool
+/// entry. `C`'s nearest member is therefore the pool's first unexpanded
+/// entry while one is left, and the least spilled entry after that.
+/// Algorithm 2 stops once `C`'s nearest is strictly farther than `W`'s
+/// worst, so a spilled entry is expanded only when it ties the worst
+/// distance.
+#[derive(Debug, Default)]
+pub(crate) struct Beam {
+    ef: usize,
+    /// Up to `ef` entries ascending by `(dist, id)`, with expanded flags.
+    pool: Vec<(Neighbor, bool)>,
+    /// Every pool entry before `next` is expanded.
+    next: usize,
+    /// Unexpanded candidates outside the pool, nearest last.
+    spill: Vec<Neighbor>,
+}
+
+impl Beam {
+    /// Empties the beam for a search of width `ef`.
+    pub(crate) fn reset(&mut self, ef: usize) {
+        self.ef = ef;
+        self.pool.clear();
+        self.next = 0;
+        self.spill.clear();
+    }
+
+    /// `true` when the pool holds `ef` entries.
+    #[inline]
+    pub(crate) fn is_full(&self) -> bool {
+        self.pool.len() >= self.ef
+    }
+
+    /// The worst pool entry.
+    #[inline]
+    fn worst(&self) -> Option<Neighbor> {
+        self.pool.last().map(|e| e.0)
+    }
+
+    /// Adds a seed. It enters the pool while there is room or when it
+    /// sorts before the worst entry; otherwise it waits in the spill list.
+    /// Call [`Beam::seeded`] after the last seed.
+    pub(crate) fn seed(&mut self, n: Neighbor) {
+        if !self.is_full() || self.worst().is_some_and(|w| n < w) {
+            self.insert(n);
+        } else {
+            self.spill.push(n);
+        }
+    }
+
+    /// Ends seeding: orders the spill list nearest last. Every later spill
+    /// sorts before all earlier ones, so the order holds from here on.
+    pub(crate) fn seeded(&mut self) {
+        self.spill.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// Offers a neighbour found by an expansion. It enters while there is
+    /// room or when its distance is strictly below the worst entry's.
+    /// Returns whether it entered.
+    #[inline]
+    pub(crate) fn admit(&mut self, n: Neighbor) -> bool {
+        if self.is_full() && !self.worst().is_some_and(|w| n.dist < w.dist) {
+            return false;
+        }
+        self.insert(n);
+        true
+    }
+
+    /// Inserts `n` in order, first evicting the worst entry when full.
+    #[inline]
+    fn insert(&mut self, n: Neighbor) {
+        if self.is_full() {
+            if let Some((old, false)) = self.pool.pop() {
+                self.spill.push(old);
+            }
+        }
+        let at = self.pool.partition_point(|e| e.0 < n);
+        self.pool.insert(at, (n, false));
+        self.next = self.next.min(at);
+    }
+
+    /// The next candidate to expand, marked expanded, or `None` once the
+    /// nearest candidate is strictly farther than the worst entry or no
+    /// candidate is left.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<Neighbor> {
+        while let Some(e) = self.pool.get_mut(self.next) {
+            self.next += 1;
+            if !e.1 {
+                e.1 = true;
+                return Some(e.0);
+            }
+        }
+        let c = self.spill.pop()?;
+        if self.worst().is_some_and(|w| c.dist > w.dist) {
+            return None;
+        }
+        Some(c)
+    }
+
+    /// Replaces `out` with the pool's entries, ascending.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<Neighbor>) {
+        out.clear();
+        out.extend(self.pool.drain(..).map(|e| e.0));
+    }
 }
 
 impl SearchScratch {
@@ -121,6 +238,58 @@ mod tests {
         s.begin(2);
         assert_eq!(s.epoch, 1);
         assert!(s.mark(0));
+    }
+
+    fn n(id: u32, dist: f32) -> Neighbor {
+        Neighbor::new(id, dist)
+    }
+
+    #[test]
+    fn beam_expands_nearest_unexpanded_first() {
+        let mut b = Beam::default();
+        b.reset(3);
+        b.seed(n(0, 5.0));
+        b.seeded();
+        assert_eq!(b.pop(), Some(n(0, 5.0)));
+        assert!(b.admit(n(1, 3.0)));
+        assert!(b.admit(n(2, 4.0)));
+        assert_eq!(b.pop(), Some(n(1, 3.0)));
+        // a nearer entry lands before the cursor and is expanded next
+        assert!(b.admit(n(3, 1.0)));
+        assert_eq!(b.pop(), Some(n(3, 1.0)));
+        assert_eq!(b.pop(), Some(n(2, 4.0)));
+        assert_eq!(b.pop(), None);
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        assert_eq!(out, vec![n(3, 1.0), n(1, 3.0), n(2, 4.0)]);
+    }
+
+    #[test]
+    fn full_beam_admits_only_strictly_nearer() {
+        let mut b = Beam::default();
+        b.reset(2);
+        b.seed(n(0, 1.0));
+        b.seed(n(1, 2.0));
+        b.seeded();
+        assert!(b.is_full());
+        assert!(!b.admit(n(2, 2.0)), "a tie with the worst stays out");
+        assert!(b.admit(n(3, 1.5)));
+        let mut out = Vec::new();
+        b.drain_into(&mut out);
+        assert_eq!(out, vec![n(0, 1.0), n(3, 1.5)]);
+    }
+
+    #[test]
+    fn spilled_candidates_expand_only_on_a_tie_with_the_worst() {
+        let mut b = Beam::default();
+        b.reset(1);
+        b.seed(n(5, 2.0));
+        b.seed(n(4, 1.0)); // evicts the unexpanded seed 5
+        b.seed(n(6, 1.0)); // ties the worst but sorts after it: spilled
+        b.seeded();
+        assert_eq!(b.pop(), Some(n(4, 1.0)));
+        assert_eq!(b.pop(), Some(n(6, 1.0)), "a tie is still expanded");
+        assert_eq!(b.pop(), None, "seed 5 is strictly worse: stop");
     }
 
     #[test]
