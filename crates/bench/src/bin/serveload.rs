@@ -195,7 +195,8 @@ fn run(w: &Workload, seed: u64, out_dir: &str, metrics: bool) {
             &data,
             EngineConfig::new(8, 2)
                 .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(s))
-                .with_seed(s),
+                .with_seed(s)
+                .with_threads(rayon::current_num_threads()),
         )
     };
 
@@ -401,7 +402,8 @@ fn run_zipf(seed: u64, out_dir: &str, metrics: bool, gate: bool) {
                     margin_frac: 0.05,
                     max_partitions: 2,
                 })
-                .with_seed(seed),
+                .with_seed(seed)
+                .with_threads(rayon::current_num_threads()),
         )
     };
     let reqs = zipf_requests(&data, &build(), seed);

@@ -482,11 +482,12 @@ mod tests {
 
     #[test]
     fn flags_non_symbolic_send_tags() {
-        let bad = "fn f(r: &mut Rank) {\n    r.send_bytes(0, 42, payload);\n}\n";
+        let bad = "fn f(r: &mut Rank) {\n    r.send_bytes(0, 42, payload);\n    r.send_sized(0, 43, payload, 8, None);\n}\n";
         let v = lint_str("crates/core/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RULE_TAG);
-        let good = "fn f(r: &mut Rank) {\n    r.send_bytes(0, TAG_GOOD, payload);\n    r.send_bytes(0, rtag, payload);\n}\n";
+        assert_eq!(v.len(), 2);
+        assert!(v.iter().all(|v| v.rule == RULE_TAG));
+        assert_eq!(v[1].line, 3, "send_sized is a send entry point");
+        let good = "fn f(r: &mut Rank) {\n    r.send_bytes(0, TAG_GOOD, payload);\n    r.send_bytes(0, rtag, payload);\n    r.send_sized(0, TAG_GOOD, payload, 8, Some(t));\n}\n";
         assert!(lint_str("crates/core/src/x.rs", good).is_empty());
     }
 

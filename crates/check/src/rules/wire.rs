@@ -60,10 +60,12 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                 }
             }
         }
-        // sent tags must be symbolic: second argument of
-        // .send_bytes( / .send_bytes_at( mentions TAG_ or *tag*
+        // sent tags must be symbolic: second argument of every send
+        // entry point mentions TAG_ or *tag*
         if ctx.is_punct(ci, ".")
-            && (ctx.is_ident(ci + 1, "send_bytes") || ctx.is_ident(ci + 1, "send_bytes_at"))
+            && ["send_bytes", "send_bytes_at", "send_sized"]
+                .iter()
+                .any(|m| ctx.is_ident(ci + 1, m))
             && ctx.is_punct(ci + 2, "(")
         {
             let close = ctx.match_delim(ci + 2);

@@ -3,3 +3,7 @@ const TAG_ROGUE: u64 = 99;
 fn send(world: &World, peer: usize, payload: &[u8]) {
     world.send_bytes(peer, 3, payload);
 }
+
+fn send_sized(world: &World, peer: usize, payload: &[u8]) {
+    world.send_sized(peer, 4, payload, 64, None);
+}

@@ -27,7 +27,7 @@ use rand::SeedableRng;
 
 use crate::config::EngineConfig;
 use crate::local::LocalIndex;
-use crate::router::Router;
+use crate::router::{workgroup_core, workgroup_size, Router};
 use crate::stats::BuildStats;
 
 const TAG_SUBTREE: u64 = 101;
@@ -253,29 +253,37 @@ impl DistIndex {
     /// (paper Section IV-C2's memory cost): a node holds every partition
     /// whose workgroup includes one of its cores.
     pub fn node_memory_bytes(&self, replication: usize) -> Vec<usize> {
-        self.node_memory_bytes_for(&vec![replication; self.config.n_cores])
+        self.node_memory_bytes_for(&vec![replication; self.n_partitions()])
     }
 
     /// Bytes resident on each node under *per-partition* replica counts —
     /// the memory bound the serve-layer adaptive replication controller
-    /// checks before raising a hot partition. `counts[part]` replicas of
-    /// partition `part` live on cores `part..part+counts[part]-1 (mod P)`.
+    /// checks before raising a hot partition.
     pub fn node_memory_bytes_for(&self, counts: &[usize]) -> Vec<usize> {
-        let t = self.config.cores_per_node;
-        let p = self.config.n_cores;
-        let mut per_node = vec![0usize; self.config.n_nodes()];
-        for (part, &r) in counts.iter().enumerate().take(self.partitions.len()) {
-            // partition `part` lives on cores part..part+r-1 (mod P)
-            let mut nodes_hit = std::collections::HashSet::new();
-            for j in 0..r.min(p) {
-                nodes_hit.insert(((part + j) % p) / t);
-            }
-            // det:fold — each node occurs once; += into disjoint slots commutes
-            for n in nodes_hit {
-                per_node[n] += self.partitions[part].approx_bytes();
-            }
-        }
-        per_node
+        let bytes: Vec<usize> = self.partitions.iter().map(|p| p.approx_bytes()).collect();
+        (0..self.config.n_nodes())
+            .map(|node| {
+                let held = self.partitions_on(node, counts);
+                bytes
+                    .iter()
+                    .zip(held)
+                    .filter(|&(_, h)| h)
+                    .map(|(b, _)| b)
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Which partitions `node` holds under per-partition replica `counts`:
+    /// those whose workgroup ([`workgroup_core`]) includes one of its cores.
+    pub(crate) fn partitions_on(&self, node: usize, counts: &[usize]) -> Vec<bool> {
+        let (p, t) = (self.config.n_cores, self.config.cores_per_node);
+        (0..self.n_partitions())
+            .map(|part| {
+                (0..workgroup_size(p, counts, part))
+                    .any(|slot| workgroup_core(p, counts, part, slot) / t == node)
+            })
+            .collect()
     }
 }
 

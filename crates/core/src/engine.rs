@@ -51,15 +51,17 @@
 //! its own `(query, partition)`, so its answer and work counts do not
 //! depend on where, when or how often it runs — and a retry under faults
 //! re-dispatches a probe that is already answered.
+//! So a data-plane message names its probe, an index into the batch's
+//! routes, and declares to [`Rank::send_sized`] the length Algorithms 3–4
+//! would send; the master merges a result from the stored answer.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use fastann_data::{Neighbor, TopK, VectorSet};
 use fastann_hnsw::{SearchScratch, SearchStats};
 use fastann_mpisim::{
-    wire, Cluster, Comm, FaultPlan, Handler, HandlerSession, Msg, Rank, SchedPerturb, SimConfig,
+    Cluster, Comm, FaultPlan, Handler, HandlerSession, Msg, Rank, SchedPerturb, SimConfig,
     SpanKind, Topology, Trace, VThreadPool, Want, Window,
 };
 use fastann_obs::{buckets, Metrics, Stage};
@@ -71,10 +73,13 @@ use crate::router::ReplicaDispatcher;
 use crate::stats::QueryReport;
 use crate::tags;
 
-/// Master → worker: one `(query, partition)` work item. Public so fault
-/// plans (chaos tests) can target the engine's data-plane traffic by tag.
+/// Master → worker: one `(query, partition)` work item. The payload names
+/// the probe; the length priced is its ids and query vector. Public so
+/// fault plans (chaos tests) can target the engine's data-plane traffic by
+/// tag.
 pub const TAG_QUERY: u64 = 201;
-/// Worker → master: one answered probe (two-sided result path).
+/// Worker → master: one answered probe (two-sided result path). The
+/// payload names the probe; the length priced is `Batch::result_len`.
 pub const TAG_RESULT: u64 = 202;
 /// Master → worker: batch over, shut down. Sent only under faults (without
 /// them the round-0 [`TAG_FLUSH`] is the shutdown). Protected.
@@ -113,6 +118,22 @@ pub(crate) struct Batch<'a> {
 }
 
 impl Batch<'_> {
+    /// Probe `p`'s answer, translated to global ids.
+    fn global_answer(&self, p: usize) -> impl Iterator<Item = Neighbor> + '_ {
+        let ids = &self.index.partitions[self.routes.probes[p].1 as usize].global_ids;
+        self.answers[p]
+            .0
+            .iter()
+            .map(move |n| Neighbor::new(ids[n.id as usize], n.dist))
+    }
+
+    /// Priced bytes of probe `p`'s result or one-sided deposit: query id
+    /// and the length-prefixed `(global id, distance)` list, plus the
+    /// partition id under faults.
+    fn result_len(&self, p: usize) -> usize {
+        8 + 8 * self.answers[p].0.len() + if self.faults { 4 } else { 0 }
+    }
+
     /// `true` when a node's drain ends at its [`TAG_FLUSH_ACK`]; a
     /// fault-free two-sided node is drained at its owed result count
     /// instead.
@@ -202,15 +223,6 @@ impl Routes {
     /// Query `qi`'s probes, in route order.
     fn of(&self, qi: usize) -> &[usize] {
         &self.by_query[self.first[qi]..self.first[qi + 1]]
-    }
-
-    /// The index of probe `(qid, part)` in `probes`.
-    fn find(&self, qid: u32, part: u32) -> usize {
-        let at = self
-            .of(qid as usize)
-            .iter()
-            .find(|&&p| self.probes[p].1 == part);
-        *at.expect("a dispatched probe was routed")
     }
 
     /// Runs probe `i`'s local search.
@@ -350,20 +362,21 @@ pub(crate) struct WorkerOut {
     ndist: u64,
 }
 
-/// Encodes a work item: query id, target partition, query vector.
-fn encode_query(qid: u32, partition: u32, q: &[f32]) -> Bytes {
-    let mut b = BytesMut::with_capacity(12 + q.len() * 4);
-    wire::put_u32(&mut b, qid);
-    wire::put_u32(&mut b, partition);
-    wire::put_f32_slice(&mut b, q);
-    b.freeze()
+/// The payload of a data-plane message: its probe's index in the batch's
+/// [`Routes`].
+fn probe_payload(p: usize) -> Bytes {
+    Bytes::from(p.to_le_bytes().to_vec())
 }
 
-/// One dispatched `(query, partition)` probe awaiting its answer (tracked
-/// only under faults).
+/// The probe a [`TAG_QUERY`] or [`TAG_RESULT`] message names.
+fn probe_of(msg: &Msg) -> usize {
+    usize::from_le_bytes(msg.payload[..].try_into().expect("one probe index"))
+}
+
+/// One dispatched probe awaiting its answer (tracked only under faults).
 struct Probe {
-    qid: u32,
-    part: u32,
+    /// Its index in the batch's [`Routes`].
+    probe: usize,
     /// Workgroup slot of the first dispatch (failovers derive from it).
     slot: usize,
     /// Retries so far; attempt `a` targets workgroup slot `(slot + a) % r`.
@@ -380,13 +393,16 @@ fn flush_all(rank: &mut Rank, n_nodes: usize) {
 }
 
 fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
-    let (index, opts, queries) = (b.index, &b.opts, &b.routes.queries);
+    let (index, opts) = (b.index, &b.opts);
     let world = rank.world();
     let p_cores = index.config.n_cores;
     let t_cores = index.config.cores_per_node;
     let n_nodes = index.config.n_nodes();
-    let nq = queries.len();
+    let nq = b.routes.queries.len();
     let k = opts.k;
+    // priced bytes of a TAG_QUERY: query and partition ids, and the
+    // length-prefixed query vector
+    let query_len = 12 + 4 * index.dim();
 
     // One-sided path: expose a window of per-query result slots. The
     // barrier gives every rank the same clock origin on both paths.
@@ -410,7 +426,6 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
     let mut outstanding: Vec<Probe> = Vec::new();
 
     for qi in 0..nq {
-        let q = queries.get(qi);
         let probes = b.routes.of(qi);
         let c = b.routes.route_ndist[qi] as f64 * route_cost_per_dist;
         rank.charge(c);
@@ -432,12 +447,11 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
             per_core_queries[core] += 1;
             per_partition_probes[d as usize] += 1;
             let node = core / t_cores;
-            rank.send_bytes(1 + node, TAG_QUERY, encode_query(qi as u32, d, q));
+            rank.send_sized(1 + node, TAG_QUERY, probe_payload(p), query_len, None);
             owed[node] += 1;
             if b.faults {
                 outstanding.push(Probe {
-                    qid: qi as u32,
-                    part: d,
+                    probe: p,
                     slot,
                     attempt: 0,
                     deadline: rank.now() + opts.timeout_ns,
@@ -458,10 +472,10 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
     }
     b.span(0, start_ns, rank.now(), SpanKind::Compute, Stage::Route);
 
-    // Answers already merged under faults, keyed (query, partition) — a
-    // second answer for the same probe (duplicate fault, retry racing its
-    // original) is discarded instead of double-merged.
-    let mut fulfilled: HashSet<(u32, u32)> = HashSet::new();
+    // Probes whose answer is merged — under faults a second answer for the
+    // same probe (duplicate fault, retry racing its original) is discarded
+    // instead of double-merged.
+    let mut merged = vec![false; b.answers.len()];
     let mut result_bytes = 0u64;
     let mut merge_ops = 0u64;
     let mut retries = 0u64;
@@ -484,18 +498,14 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
                     TAG_FLUSH_ACK => break,
                     TAG_RESULT => {
                         left = left.saturating_sub(1);
-                        let mut payload = msg.payload;
-                        result_bytes += payload.len() as u64;
-                        let qid = wire::get_u32(&mut payload);
-                        // under faults the partition id follows the query id
-                        let fresh =
-                            !b.faults || fulfilled.insert((qid, wire::get_u32(&mut payload)));
-                        let pairs = wire::get_neighbors(&mut payload);
-                        if fresh {
+                        let p = probe_of(&msg);
+                        result_bytes += b.result_len(p) as u64;
+                        if !std::mem::replace(&mut merged[p], true) {
                             merge_ops += 1;
-                            rank.charge(pairs.len() as f64 * MERGE_NS_PER_NEIGHBOR);
-                            for (id, d) in pairs {
-                                tops[qid as usize].push(Neighbor::new(id, d));
+                            rank.charge(b.answers[p].0.len() as f64 * MERGE_NS_PER_NEIGHBOR);
+                            let top = &mut tops[b.routes.probes[p].0 as usize];
+                            for n in b.global_answer(p) {
+                                top.push(n);
                             }
                         }
                     }
@@ -516,7 +526,7 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
         }
         b.span(0, drain_start, rank.now(), SpanKind::Wait, Stage::Collect);
 
-        outstanding.retain(|p| !fulfilled.contains(&(p.qid, p.part)));
+        outstanding.retain(|p| !merged[p.probe]);
         if outstanding.is_empty() || round == opts.max_retries {
             break;
         }
@@ -533,21 +543,19 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
             b.span(0, t0, rank.now(), SpanKind::Recovery, Stage::Timeout);
         }
         for p in outstanding.iter_mut() {
-            let prev_core = dispatcher.failover(p.part, p.slot, p.attempt);
+            let part = b.routes.probes[p.probe].1;
+            let prev_core = dispatcher.failover(part, p.slot, p.attempt);
             p.attempt += 1;
-            let core = dispatcher.failover(p.part, p.slot, p.attempt);
+            let core = dispatcher.failover(part, p.slot, p.attempt);
             retries += 1;
             if core != prev_core {
                 failovers += 1;
             }
             per_core_queries[core] += 1;
-            per_partition_probes[p.part as usize] += 1;
+            per_partition_probes[part as usize] += 1;
             let t0 = rank.now();
-            rank.send_bytes(
-                1 + core / t_cores,
-                TAG_QUERY,
-                encode_query(p.qid, p.part, queries.get(p.qid as usize)),
-            );
+            let payload = probe_payload(p.probe);
+            rank.send_sized(1 + core / t_cores, TAG_QUERY, payload, query_len, None);
             p.deadline = rank.now() + opts.timeout_ns;
             let stage = if core != prev_core {
                 Stage::Failover
@@ -568,7 +576,7 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
     // Degraded accounting: whatever survived the retry budget unanswered.
     let mut missing_partitions = vec![0u32; nq];
     for p in &outstanding {
-        missing_partitions[p.qid as usize] += 1;
+        missing_partitions[b.routes.probes[p.probe].0 as usize] += 1;
     }
     let degraded: Vec<bool> = missing_partitions.iter().map(|&m| m > 0).collect();
 
@@ -662,10 +670,10 @@ impl Worker {
     fn serve(&mut self, rank: &mut Rank, b: &Batch) {
         let index = b.index;
         for item in self.queued.drain(..) {
-            let (qid, part) = b.routes.probes[item.probe];
-            let (local, stats) = &b.answers[item.probe];
+            let p = item.probe;
+            let (qid, part) = b.routes.probes[p];
+            let stats = &b.answers[p].1;
             self.ndist += stats.ndist;
-            let partition = &index.partitions[part as usize];
             let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
             let done_at = self.pool.assign(item.arrival, cost);
             self.served.push((item.arrival, done_at));
@@ -679,32 +687,19 @@ impl Worker {
             if let Some(m) = &b.obs {
                 record_local_search(m, part as usize, stats, cost);
             }
-            // translate to global ids
-            let pairs: Vec<(u32, f32)> = local
-                .iter()
-                .map(|n| (partition.global_ids[n.id as usize], n.dist))
-                .collect();
+            let len = b.result_len(p);
             match &self.window {
                 Some(win) => {
-                    win.accumulate_at(rank, qid as usize, pairs.len() * 8 + 8, done_at, |t| {
-                        for &(id, d) in &pairs {
-                            t.push(Neighbor::new(id, d));
+                    win.accumulate_at(rank, qid as usize, len, done_at, |t| {
+                        for n in b.global_answer(p) {
+                            t.push(n);
                         }
                     });
                     if let Some(m) = &b.obs {
                         m.inc("fastann_rma_deposits_total", &[], 1);
                     }
                 }
-                None => {
-                    let mut buf = BytesMut::new();
-                    wire::put_u32(&mut buf, qid);
-                    if b.faults {
-                        // the master de-duplicates by (query, partition)
-                        wire::put_u32(&mut buf, part);
-                    }
-                    wire::put_neighbors(&mut buf, &pairs);
-                    rank.send_bytes_at(0, TAG_RESULT, buf.freeze(), done_at);
-                }
+                None => rank.send_sized(0, TAG_RESULT, probe_payload(p), len, Some(done_at)),
             }
         }
     }
@@ -719,17 +714,16 @@ impl Worker {
                     // master's timeout + failover machinery recovers it
                     return;
                 }
-                // the query vector that follows was searched before the
-                // epoch: its probe's answer is stored in the batch
-                let mut payload = msg.payload;
-                let qid = wire::get_u32(&mut payload);
-                let part = wire::get_u32(&mut payload);
+                // the probe was searched before the epoch: its answer is
+                // stored in the batch
+                let probe = probe_of(&msg);
+                let part = b.routes.probes[probe].1;
                 assert!(
                     self.serveable[part as usize],
                     "node {node} asked to serve partition {part} it does not hold"
                 );
                 self.queued.push(PendingQuery {
-                    probe: b.routes.find(qid, part),
+                    probe,
                     arrival: msg.arrival,
                 });
             }
@@ -778,7 +772,9 @@ impl<'a> Handler<Batch<'a>> for Worker {
             phase,
             want,
             window: None,
-            serveable: serveable_partitions(b.index, node, &b.counts),
+            // master and workers share `counts`, so the mask covers every
+            // dispatch target
+            serveable: b.index.partitions_on(node, &b.counts),
             pool,
             queued: Vec::new(),
             served: Vec::new(),
@@ -885,22 +881,6 @@ fn record_worker_batch(m: &Metrics, served: &[(f64, f64)]) {
         depth_max = depth_max.max(depth);
     }
     m.gauge_max("fastann_worker_queue_depth", &[], depth_max as f64);
-}
-
-/// Per-partition serveability mask for `node`: partition `p` is replicated
-/// on cores `(p + i) mod P` for `i < counts[p]`, and split-created
-/// partitions (id ≥ P) wrap onto the existing cores the same way the
-/// dispatcher does. `counts` comes from [`effective_replicas`] — identical
-/// on master and workers, so the mask always covers the dispatch targets.
-fn serveable_partitions(index: &DistIndex, node: usize, counts: &[usize]) -> Vec<bool> {
-    let p_cores = index.config.n_cores;
-    let t_cores = index.config.cores_per_node;
-    (0..index.n_partitions())
-        .map(|p| {
-            let r = counts.get(p).copied().unwrap_or(1).min(p_cores);
-            (0..r).any(|i| (p + i) % p_cores / t_cores == node)
-        })
-        .collect()
 }
 
 #[cfg(test)]

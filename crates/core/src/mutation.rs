@@ -794,6 +794,18 @@ mod tests {
     }
 
     #[test]
+    fn split_partitions_count_toward_node_memory() {
+        // partitions a split creates carry ids past the core count; they
+        // live on a node like any other, at one replica
+        let (_, mut index) = small_index(1200, 9, 1);
+        MutationRequest::new(&mut index).split_above(200).run();
+        assert!(index.n_partitions() > index.config.n_cores);
+        let resident: usize = index.node_memory_bytes(1).iter().sum();
+        let stored: usize = index.partitions.iter().map(|p| p.approx_bytes()).sum();
+        assert_eq!(resident, stored);
+    }
+
+    #[test]
     fn flat_pivot_router_never_splits() {
         let data = synth::sift_like(600, 12, 11);
         let mut index = DistIndex::build_flat_pivot(&data, engine_cfg(11, 1));

@@ -20,6 +20,7 @@ use fastann_mpisim::{
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
 use crate::engine::MERGE_NS_PER_NEIGHBOR;
+use crate::router::workgroup_core;
 use crate::stats::QueryReport;
 
 const TAG_QUERY: u64 = 301;
@@ -185,9 +186,9 @@ fn node_main(
         route_ns += c;
         fanout += parts.len() as u64;
         for d in parts {
-            // No replication in this strategy; split-created partitions
-            // (id ≥ core count) wrap onto existing cores.
-            let core = d as usize % p_cores;
+            // no replication in this strategy: every workgroup is the
+            // partition's one home core
+            let core = workgroup_core(p_cores, &[], d as usize, 0);
             per_core_queries[core] += 1;
             per_partition_probes[d as usize] += 1;
             let target = core / t_cores;

@@ -67,6 +67,18 @@ impl Router {
     }
 }
 
+/// Algorithm 5's workgroup rule, the one placement of every partition:
+/// the core at `slot` (taken mod `r`) of `{part, …, part+r−1 mod P}`.
+pub(crate) fn workgroup_core(p_cores: usize, counts: &[usize], part: usize, slot: usize) -> usize {
+    (part + slot % workgroup_size(p_cores, counts, part)) % p_cores
+}
+
+/// The replica count `r` of partition `part`: `counts[part]`, at most
+/// `p_cores`, and 1 past the table (a partition a split created).
+pub(crate) fn workgroup_size(p_cores: usize, counts: &[usize], part: usize) -> usize {
+    counts.get(part).copied().unwrap_or(1).min(p_cores)
+}
+
 /// Algorithm-5 replica dispatch, generalised to per-partition replica
 /// counts: partition `d` with `r_d` replicas has workgroup cores
 /// `{d, d+1, …, d+r_d−1 mod P}`.
@@ -85,8 +97,9 @@ impl Router {
 /// owner — which recovers lost messages but not a dead core.
 pub struct ReplicaDispatcher {
     p_cores: usize,
-    /// Per-partition replica counts (indexed by partition id; split-created
-    /// partitions beyond the initial table are grown on demand at 1).
+    /// Per-partition replica counts (indexed by partition id; a
+    /// split-created partition past the table has 1, see
+    /// [`workgroup_core`]).
     counts: Vec<usize>,
     adaptive: bool,
     next_slot: Vec<usize>,
@@ -118,24 +131,20 @@ impl ReplicaDispatcher {
 
     /// Replica count of `part`'s workgroup.
     pub fn replicas(&self, part: u32) -> usize {
-        self.counts.get(part as usize).copied().unwrap_or(1)
+        workgroup_size(self.p_cores, &self.counts, part as usize)
     }
 
     /// The core at workgroup `slot` (taken mod `r_part`) of `part`'s
     /// workgroup.
     pub fn member(&self, part: u32, slot: usize) -> usize {
-        (part as usize + slot % self.replicas(part)) % self.p_cores
+        workgroup_core(self.p_cores, &self.counts, part as usize, slot)
     }
 
-    /// Grows the per-partition tables on demand: partitions created by a
-    /// dynamic split carry ids ≥ the initial table size (their workgroup
-    /// wraps onto existing cores via `member`, at 1 replica).
+    /// Grows the round-robin table on demand: partitions created by a
+    /// dynamic split carry ids ≥ the initial table size.
     fn ensure_part(&mut self, part: u32) {
         if part as usize >= self.next_slot.len() {
             self.next_slot.resize(part as usize + 1, 0);
-        }
-        if part as usize >= self.counts.len() {
-            self.counts.resize(part as usize + 1, 1);
         }
     }
 

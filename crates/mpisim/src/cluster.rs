@@ -159,7 +159,8 @@ pub struct LeakedMsg {
 /// triple.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Conservation {
-    /// Logical sends posted (`send_bytes` / `send_bytes_at` calls).
+    /// Logical sends posted ([`crate::Rank::send_sized`] calls, which
+    /// `send_bytes` and `send_bytes_at` make).
     pub sent: u64,
     /// Message copies enqueued into mailboxes (`sent + duplicated −
     /// dropped`).

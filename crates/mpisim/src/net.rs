@@ -120,12 +120,6 @@ impl NetModel {
         let u = (x >> 11) as f64 / (1u64 << 53) as f64;
         base * (1.0 + self.jitter_frac * u)
     }
-
-    /// Cray Aries-class interconnect (the paper's testbed): ~1.3 µs
-    /// inter-node latency, ~10 GB/s per rank. Same as [`NetModel::default`].
-    pub fn aries() -> Self {
-        Self::default()
-    }
 }
 
 #[cfg(test)]

@@ -237,20 +237,8 @@ impl Rank<'_> {
     /// payload): the sender pays only the posting overhead; the message
     /// arrives at `now + α + bytes·β`.
     pub fn send_bytes(&mut self, dst: usize, tag: u64, payload: Bytes) {
-        assert!(dst < self.size(), "send to unknown rank {dst}");
-        let cfg = &self.shared.cfg;
-        let bytes = payload.len();
-        self.clock += cfg.net.send_overhead_ns;
-        self.stats.send_cpu_ns += cfg.net.send_overhead_ns;
-        let seq = self.stats.msgs_sent;
-        let arrival = self.clock
-            + cfg
-                .net
-                .xfer_jittered_ns(&cfg.topology, self.rank, dst, bytes, seq);
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        let sent_at = self.clock;
-        self.deliver(dst, tag, payload, sent_at, arrival, seq);
+        let len = payload.len();
+        self.send_sized(dst, tag, payload, len, None);
     }
 
     /// Posts a send on behalf of a *virtual worker thread* that finishes at
@@ -260,41 +248,54 @@ impl Rank<'_> {
     /// rank's clock is not advanced; the posting overhead is attributed to
     /// the virtual thread (added to the departure time).
     pub fn send_bytes_at(&mut self, dst: usize, tag: u64, payload: Bytes, not_before: f64) {
-        assert!(dst < self.size(), "send to unknown rank {dst}");
-        let cfg = &self.shared.cfg;
-        let bytes = payload.len();
-        let depart = not_before.max(0.0) + cfg.net.send_overhead_ns;
-        let seq = self.stats.msgs_sent;
-        let arrival = depart
-            + cfg
-                .net
-                .xfer_jittered_ns(&cfg.topology, self.rank, dst, bytes, seq);
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        self.stats.send_cpu_ns += cfg.net.send_overhead_ns;
-        self.deliver(dst, tag, payload, depart, arrival, seq);
+        let len = payload.len();
+        self.send_sized(dst, tag, payload, len, Some(not_before));
     }
 
-    /// Enqueues a posted message, applying the cluster's fault plan: a
-    /// vacuous plan takes the plain path; otherwise the message may be
-    /// suppressed (crashed sender), dropped, delayed, or duplicated — all
-    /// decided by a deterministic hash, never by wall-clock state.
-    fn deliver(
+    /// The one send path: posts `payload` priced as a message of `len`
+    /// bytes. The declared length, not `payload.len()`, sets the α–β
+    /// transfer, its jitter and `bytes_sent`, so a program can send an
+    /// index into state both sides hold and still pay for the bytes a real
+    /// cluster would move. `not_before: None` posts from this rank's clock,
+    /// as [`Rank::send_bytes`]; `Some(t)` as [`Rank::send_bytes_at`].
+    ///
+    /// The cluster's fault plan then applies: a vacuous plan takes the
+    /// plain path; otherwise the message may be suppressed (crashed
+    /// sender), dropped, delayed, or duplicated — all decided by a
+    /// deterministic hash, never by wall-clock state.
+    pub fn send_sized(
         &mut self,
         dst: usize,
         tag: u64,
         payload: Bytes,
-        sent_at: f64,
-        arrival: f64,
-        seq: u64,
+        len: usize,
+        not_before: Option<f64>,
     ) {
-        let fault = &self.shared.cfg.fault;
+        assert!(dst < self.size(), "send to unknown rank {dst}");
+        let overhead = self.shared.cfg.net.send_overhead_ns;
+        self.stats.send_cpu_ns += overhead;
+        let depart = match not_before {
+            None => {
+                self.clock += overhead;
+                self.clock
+            }
+            Some(t) => t.max(0.0) + overhead,
+        };
+        let seq = self.stats.msgs_sent;
+        let cfg = &self.shared.cfg;
+        let mut arrival = depart
+            + cfg
+                .net
+                .xfer_jittered_ns(&cfg.topology, self.rank, dst, len, seq);
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += len as u64;
+
+        let fault = &cfg.fault;
         let ledger = &self.shared.ledger;
         ledger.sent.fetch_add(1, Ordering::Relaxed);
-        let mut arrival = arrival;
         let mut copies = 1usize;
         if !fault.is_vacuous() {
-            if fault.send_suppressed(self.rank, sent_at, tag) {
+            if fault.send_suppressed(self.rank, depart, tag) {
                 self.stats.msgs_dropped += 1;
                 ledger.dropped.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -323,7 +324,7 @@ impl Rank<'_> {
                     src: self.rank,
                     tag,
                     payload: payload.clone(),
-                    sent_at,
+                    sent_at: depart,
                     arrival,
                 });
             }
@@ -684,6 +685,64 @@ mod tests {
                 assert_eq!(m.tag, 7);
             }
         });
+    }
+
+    #[test]
+    fn a_declared_length_prices_like_a_payload_of_that_length() {
+        // a jittered network under a plan that delays and duplicates the
+        // data tag: jitter and fates hash the length and the sequence
+        // number, so every arrival, count and ledger entry must agree
+        use crate::fault::FaultPlan;
+        use crate::net::NetModel;
+        const DATA: u64 = 3;
+        const END: u64 = 4;
+        let net = NetModel {
+            jitter_frac: 0.5,
+            ..NetModel::default()
+        };
+        let plan = FaultPlan::new(11)
+            .delay_msgs(None, None, Some(DATA), 0.5, 700.0)
+            .duplicate_msgs(None, None, Some(DATA), 0.5);
+        let run = |declared: bool| {
+            let cfg = SimConfig::new(2).net(net).fault(plan.clone());
+            Cluster::new(cfg).run_checked(|rank| {
+                let mut arrivals = Vec::new();
+                if rank.rank() == 0 {
+                    for i in 0..16 {
+                        let len = 12 + 40 * i;
+                        let at = (i % 2 == 1).then_some(900.0 * i as f64);
+                        if declared {
+                            rank.send_sized(1, DATA, Bytes::from_static(b"id"), len, at);
+                        } else {
+                            let payload = Bytes::from(vec![0u8; len]);
+                            match at {
+                                None => rank.send_bytes(1, DATA, payload),
+                                Some(t) => rank.send_bytes_at(1, DATA, payload, t),
+                            }
+                        }
+                    }
+                    rank.send_bytes(1, END, Bytes::new());
+                } else {
+                    // a sender's mail is queued in its program order
+                    let _ = rank.recv(Some(0), Some(END));
+                    while let Some(m) = rank.try_recv(Some(0), Some(DATA)) {
+                        arrivals.push((m.sent_at, m.arrival));
+                    }
+                }
+                (rank.now(), rank.stats(), arrivals)
+            })
+        };
+        let (sized, sized_ledger) = run(true);
+        let (payload, payload_ledger) = run(false);
+        assert_eq!(sized, payload);
+        assert_eq!(sized_ledger, payload_ledger);
+        assert!(sized_ledger.is_clean());
+        assert_eq!(sized[0].1.bytes_sent, (0..16).map(|i| 12 + 40 * i).sum());
+        assert!(
+            sized[0].1.msgs_duplicated > 0,
+            "the plan duplicated nothing"
+        );
+        assert!(sized[1].2.len() > 16, "duplicates were received");
     }
 
     #[test]
