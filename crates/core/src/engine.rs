@@ -51,9 +51,11 @@
 //! its own `(query, partition)`, so its answer and work counts do not
 //! depend on where, when or how often it runs — and a retry under faults
 //! re-dispatches a probe that is already answered.
-//! So a data-plane message names its probe, an index into the batch's
-//! routes, and declares to [`Rank::send_sized`] the length Algorithms 3–4
-//! would send; the master merges a result from the stored answer.
+//!
+//! Master and workers share the batch, so a data-plane message names its
+//! probe, an index into the batch's routes, and declares to
+//! [`Rank::send_sized`] the length Algorithms 3–4 would send; the master
+//! merges a result from the stored answer.
 
 use std::sync::Arc;
 
@@ -79,7 +81,8 @@ use crate::tags;
 /// tag.
 pub const TAG_QUERY: u64 = 201;
 /// Worker → master: one answered probe (two-sided result path). The
-/// payload names the probe; the length priced is `Batch::result_len`.
+/// payload names the probe; the length priced is its query id and
+/// neighbour list, plus the partition id under faults.
 pub const TAG_RESULT: u64 = 202;
 /// Master → worker: batch over, shut down. Sent only under faults (without
 /// them the round-0 [`TAG_FLUSH`] is the shutdown). Protected.

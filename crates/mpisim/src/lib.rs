@@ -16,7 +16,8 @@
 //!   model ([`NetModel`]): a message sent at sender-time `t` with `b` bytes
 //!   arrives at `t + α(src,dst) + b·β`; a receive completes at
 //!   `max(receiver clock, arrival)`, and the gap is recorded as
-//!   communication wait time.
+//!   communication wait time. `b` is the length the send declares
+//!   ([`Rank::send_sized`]), which need not be the payload's.
 //!
 //! On top of the point-to-point layer sit MPI-style **collectives**
 //! (barrier, broadcast, gather, all-gather, reductions, `Alltoallv`) over
