@@ -58,7 +58,9 @@ echo "==> BENCH_*.json perf smoke + quantized recall-delta gate (bit-identity)"
 # more than 0.01 on the same graph; both invocations also assert that
 # exact and quantized search answer bit-identically at 1 and at N
 # threads. perf reads no clock, so the two records must match byte for
-# byte.
+# byte, and the diff pins the committed record. Regenerate after an
+# intentional change with:
+#   ./target/release/perf --smoke --threads 1 --out crates/bench/golden
 cargo build -q --release -p fastann-bench
 rm -rf target/perf_a target/perf_b
 mkdir -p target/perf_a target/perf_b
@@ -66,6 +68,7 @@ FASTANN_THREADS=1 ./target/release/perf --smoke --threads 1 --gate --out target/
 FASTANN_THREADS=4 ./target/release/perf --smoke --threads 4 --gate --out target/perf_b
 cmp target/perf_a/BENCH_SYN_SMOKE.json target/perf_b/BENCH_SYN_SMOKE.json
 test -s target/perf_a/BENCH_SYN_SMOKE.json
+diff -u crates/bench/golden/BENCH_SYN_SMOKE.json target/perf_a/BENCH_SYN_SMOKE.json
 
 echo "==> MDC_32K clustered recall gate (exact-recall floor, bit-identity, golden)"
 # The clustered workload where single-seed greedy descent used to collapse
@@ -108,7 +111,8 @@ echo "==> serve + obs smoke (seed-stable report, golden metrics)"
 # with the same seed — at different thread counts — must emit
 # byte-identical reports (embedded FNV fingerprints and the obs
 # MetricsSnapshot included), and the Prometheus rendering must match the
-# committed golden exactly. Regenerate the golden with:
+# committed golden exactly; the report is pinned the same way.
+# Regenerate both goldens with:
 #   ./target/release/serveload --smoke --metrics --out crates/bench/golden
 rm -rf target/serve_a target/serve_b
 mkdir -p target/serve_a target/serve_b
@@ -116,6 +120,7 @@ mkdir -p target/serve_a target/serve_b
 FASTANN_THREADS=4 ./target/release/serveload --smoke --metrics --out target/serve_b
 cmp target/serve_a/BENCH_serve_SMOKE.json target/serve_b/BENCH_serve_SMOKE.json
 cmp target/serve_a/METRICS_serve_SMOKE.prom target/serve_b/METRICS_serve_SMOKE.prom
+diff -u crates/bench/golden/BENCH_serve_SMOKE.json target/serve_a/BENCH_serve_SMOKE.json
 diff -u crates/bench/golden/METRICS_serve_SMOKE.prom target/serve_a/METRICS_serve_SMOKE.prom
 
 echo "==> zipf skewed serveload (adaptive replication gate, bit-identity)"
