@@ -51,16 +51,57 @@ pub struct SearchScratch {
 /// Algorithm 2 stops once `C`'s nearest is strictly farther than `W`'s
 /// worst, so a spilled entry is expanded only when it ties the worst
 /// distance.
+///
+/// Entries are packed [`key`]s, so keeping the pool sorted is integer
+/// compares and word moves. The admission and stop tests still compare
+/// the decoded distances as floats, which is what the heaps did: float
+/// `<` calls −0.0 and +0.0 equal and is false against NaN, where the key
+/// order is total.
 #[derive(Debug, Default)]
 pub(crate) struct Beam {
     ef: usize,
-    /// Up to `ef` entries ascending by `(dist, id)`, with expanded flags.
-    pool: Vec<(Neighbor, bool)>,
+    /// Up to `ef` keys, ascending.
+    pool: Vec<u64>,
     /// Every pool entry before `next` is expanded.
     next: usize,
-    /// Unexpanded candidates outside the pool, nearest last.
-    spill: Vec<Neighbor>,
+    /// Keys of unexpanded candidates outside the pool, nearest last.
+    spill: Vec<u64>,
 }
+
+/// Packs `n`, unexpanded, into one `u64` whose integer order is
+/// [`Neighbor`]'s order (`f32::total_cmp` on the distance, then the id).
+/// The high half is the distance's bits mapped so that unsigned order is
+/// `total_cmp` order: a negative float has every bit flipped, any other
+/// float only its sign bit. The low half is `id << 1 | expanded`, so ids
+/// must fit in 31 bits; the flag orders nothing, because one search
+/// holds an id at most once.
+///
+/// # Panics
+/// Panics if `n.id` is `2³¹` or more.
+#[inline]
+fn key(n: Neighbor) -> u64 {
+    assert!(n.id < ID_LIMIT, "beam ids must fit in 31 bits");
+    let b = n.dist.to_bits();
+    let ord = b ^ (((b as i32 >> 31) as u32) | SIGN);
+    u64::from(ord) << 32 | u64::from(n.id) << 1
+}
+
+/// The neighbour packed in `k`, bit for bit.
+#[inline]
+fn unkey(k: u64) -> Neighbor {
+    let ord = (k >> 32) as u32;
+    let b = ord ^ (!(ord as i32 >> 31) as u32 | SIGN);
+    Neighbor::new((k as u32) >> 1, f32::from_bits(b))
+}
+
+/// The expanded flag of a key.
+const EXPANDED: u64 = 1;
+
+/// An `f32`'s sign bit.
+const SIGN: u32 = 1 << 31;
+
+/// Ids a beam can hold: the key keeps 31 bits of id.
+const ID_LIMIT: u32 = 1 << 31;
 
 impl Beam {
     /// Empties the beam for a search of width `ef`.
@@ -77,20 +118,21 @@ impl Beam {
         self.pool.len() >= self.ef
     }
 
-    /// The worst pool entry.
+    /// The worst pool entry's distance.
     #[inline]
-    fn worst(&self) -> Option<Neighbor> {
-        self.pool.last().map(|e| e.0)
+    fn worst_dist(&self) -> Option<f32> {
+        self.pool.last().map(|&k| unkey(k).dist)
     }
 
     /// Adds a seed. It enters the pool while there is room or when it
     /// sorts before the worst entry; otherwise it waits in the spill list.
     /// Call [`Beam::seeded`] after the last seed.
     pub(crate) fn seed(&mut self, n: Neighbor) {
-        if !self.is_full() || self.worst().is_some_and(|w| n < w) {
-            self.insert(n);
+        let k = key(n);
+        if !self.is_full() || self.pool.last().is_some_and(|&w| k < w) {
+            self.insert(k);
         } else {
-            self.spill.push(n);
+            self.spill.push(k);
         }
     }
 
@@ -105,23 +147,32 @@ impl Beam {
     /// Returns whether it entered.
     #[inline]
     pub(crate) fn admit(&mut self, n: Neighbor) -> bool {
-        if self.is_full() && !self.worst().is_some_and(|w| n.dist < w.dist) {
+        if self.is_full() && !self.worst_dist().is_some_and(|w| n.dist < w) {
             return false;
         }
-        self.insert(n);
+        self.insert(key(n));
         true
     }
 
-    /// Inserts `n` in order, first evicting the worst entry when full.
+    /// Inserts key `k` in order, first evicting the worst entry when full:
+    /// shifts the larger keys up one slot from the end.
     #[inline]
-    fn insert(&mut self, n: Neighbor) {
+    fn insert(&mut self, k: u64) {
         if self.is_full() {
-            if let Some((old, false)) = self.pool.pop() {
-                self.spill.push(old);
+            if let Some(old) = self.pool.pop() {
+                if old & EXPANDED == 0 {
+                    self.spill.push(old);
+                }
             }
         }
-        let at = self.pool.partition_point(|e| e.0 < n);
-        self.pool.insert(at, (n, false));
+        self.pool.push(k);
+        let pool = &mut self.pool[..];
+        let mut at = pool.len() - 1;
+        while at > 0 && pool[at - 1] > k {
+            pool[at] = pool[at - 1];
+            at -= 1;
+        }
+        pool[at] = k;
         self.next = self.next.min(at);
     }
 
@@ -130,15 +181,15 @@ impl Beam {
     /// candidate is left.
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<Neighbor> {
-        while let Some(e) = self.pool.get_mut(self.next) {
+        while let Some(k) = self.pool.get_mut(self.next) {
             self.next += 1;
-            if !e.1 {
-                e.1 = true;
-                return Some(e.0);
+            if *k & EXPANDED == 0 {
+                *k |= EXPANDED;
+                return Some(unkey(*k));
             }
         }
-        let c = self.spill.pop()?;
-        if self.worst().is_some_and(|w| c.dist > w.dist) {
+        let c = unkey(self.spill.pop()?);
+        if self.worst_dist().is_some_and(|w| c.dist > w) {
             return None;
         }
         Some(c)
@@ -147,7 +198,7 @@ impl Beam {
     /// Replaces `out` with the pool's entries, ascending.
     pub(crate) fn drain_into(&mut self, out: &mut Vec<Neighbor>) {
         out.clear();
-        out.extend(self.pool.drain(..).map(|e| e.0));
+        out.extend(self.pool.drain(..).map(unkey));
     }
 }
 
@@ -290,6 +341,67 @@ mod tests {
         assert_eq!(b.pop(), Some(n(4, 1.0)));
         assert_eq!(b.pop(), Some(n(6, 1.0)), "a tie is still expanded");
         assert_eq!(b.pop(), None, "seed 5 is strictly worse: stop");
+    }
+
+    #[test]
+    fn key_order_is_neighbor_order() {
+        let dists = [
+            f32::NEG_INFINITY,
+            -1.5,
+            -f32::from_bits(1), // the negative subnormal nearest zero
+            -0.0,
+            0.0,
+            f32::from_bits(1), // the least positive subnormal
+            f32::MIN_POSITIVE,
+            2.0,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut all = Vec::new();
+        for (i, &d) in dists.iter().enumerate() {
+            // equal distances under two ids, the lower id second
+            all.push(n(2 * i as u32 + 7, d));
+            all.push(n(i as u32, d));
+        }
+        all.push(n(ID_LIMIT - 1, 2.0));
+        for &a in &all {
+            let back = unkey(key(a));
+            assert_eq!((back.id, back.dist.to_bits()), (a.id, a.dist.to_bits()));
+            for &b in &all {
+                assert_eq!(key(a).cmp(&key(b)), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_beam_keeps_float_ties_between_signed_zeros() {
+        let mut b = Beam::default();
+        b.reset(1);
+        b.seed(n(3, 0.0));
+        b.seeded();
+        // -0.0 sorts before +0.0 in key order, but float `<` calls them
+        // equal, so the admission is refused as the heaps refused it
+        assert!(!b.admit(n(4, -0.0)));
+        assert!(!b.admit(n(5, f32::NAN)));
+        assert_eq!(b.pop(), Some(n(3, 0.0)));
+        assert_eq!(b.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "31 bits")]
+    fn beam_refuses_an_id_beyond_31_bits() {
+        let mut b = Beam::default();
+        b.reset(2);
+        b.seed(n(ID_LIMIT, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "31 bits")]
+    fn beam_refuses_an_admission_beyond_31_bits() {
+        let mut b = Beam::default();
+        b.reset(2);
+        b.admit(n(u32::MAX, 1.0));
     }
 
     #[test]
