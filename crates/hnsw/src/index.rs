@@ -975,11 +975,10 @@ impl Hnsw {
             }
         }
         beam.seeded();
+        let mut fresh = std::mem::take(&mut scratch.fresh);
         while let Some(c) = beam.pop() {
-            for &nb in self.graph.neighbors(c.id, layer) {
-                if !scratch.mark(nb) {
-                    continue;
-                }
+            let n = scratch.mark_fresh(self.graph.neighbors(c.id, layer), &mut fresh);
+            for &nb in &fresh[..n] {
                 let d = self.d(q, nb, scratch);
                 let full = beam.is_full();
                 if beam.admit(Neighbor::new(nb, d)) {
@@ -990,6 +989,7 @@ impl Hnsw {
         }
         beam.drain_into(eps);
         scratch.beam = beam;
+        scratch.fresh = fresh;
     }
 
     /// Appends one vector to the index and links it into the graph —

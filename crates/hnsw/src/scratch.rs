@@ -21,6 +21,9 @@ use fastann_data::Neighbor;
 pub struct SearchScratch {
     visited: Vec<u32>,
     epoch: u32,
+    /// The layer search's buffer for the not-yet-visited neighbours of
+    /// the node it expands.
+    pub(crate) fresh: Vec<u32>,
     /// The layer search's result and candidate sets.
     pub(crate) beam: Beam,
     /// Distance evaluations performed by the search currently using this
@@ -237,15 +240,29 @@ impl SearchScratch {
     }
 
     /// Marks `id` visited; returns `true` if it was not visited before.
+    /// The store is unconditional, so the caller can count fresh ids
+    /// without a branch.
     #[inline]
     pub(crate) fn mark(&mut self, id: u32) -> bool {
         let slot = &mut self.visited[id as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
+        let fresh = *slot != self.epoch;
+        *slot = self.epoch;
+        fresh
+    }
+
+    /// Marks every id of `links` visited and writes the ones not visited
+    /// before to the front of `out`, in list order. Returns how many.
+    #[inline]
+    pub(crate) fn mark_fresh(&mut self, links: &[u32], out: &mut Vec<u32>) -> usize {
+        if out.len() < links.len() {
+            out.resize(links.len(), 0);
         }
+        let mut n = 0;
+        for &id in links {
+            out[n] = id;
+            n += usize::from(self.mark(id));
+        }
+        n
     }
 
     /// Distance evaluations in the search that last used this scratch.
