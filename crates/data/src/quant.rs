@@ -52,7 +52,10 @@ pub struct Sq8 {
 /// — out-of-training-range components stay at full precision instead of
 /// clamping to the grid edge, so asymmetric distances remain faithful at
 /// the extremes.
-#[derive(Clone, Debug)]
+///
+/// One value serves query after query: [`Sq8::prepare_query`] overwrites
+/// it in place and keeps its buffer.
+#[derive(Clone, Debug, Default)]
 pub struct Sq8Query {
     w: Vec<f32>,
     qnorm: f32,
@@ -189,23 +192,24 @@ impl Sq8 {
             .collect()
     }
 
-    /// Prepares `q` for repeated [`Sq8::asym_l2`] evaluations: one pass
-    /// over the query amortized across every candidate it will be compared
-    /// to. No clamping and no division happens here — the query stays at
-    /// full precision even outside the trained range.
+    /// Prepares `q` into `out` for repeated [`Sq8::asym_l2`] evaluations:
+    /// one pass over the query amortized across every candidate it will be
+    /// compared to. `out`'s previous contents are replaced and its buffer
+    /// reused. No clamping and no division happens here — the query stays
+    /// at full precision even outside the trained range.
     ///
     /// # Panics
     /// Panics if `q.len() != self.dim()`.
-    pub fn prepare_query(&self, q: &[f32]) -> Sq8Query {
+    pub fn prepare_query(&self, q: &[f32], out: &mut Sq8Query) {
         assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        let w = q
-            .iter()
-            .zip(&self.lo)
-            .zip(&self.step)
-            .map(|((&x, &lo), &s)| (x - lo) * s)
-            .collect();
-        let qnorm = kernels::squared_l2(q, &self.lo);
-        Sq8Query { w, qnorm }
+        out.w.clear();
+        out.w.extend(
+            q.iter()
+                .zip(&self.lo)
+                .zip(&self.step)
+                .map(|((&x, &lo), &s)| (x - lo) * s),
+        );
+        out.qnorm = kernels::squared_l2(q, &self.lo);
     }
 
     /// Asymmetric squared-L2 distance between a prepared full-precision
@@ -388,7 +392,8 @@ mod tests {
         let sq = Sq8::encode(&data);
         for qi in 0..queries.len() {
             let q = queries.get(qi);
-            let prep = sq.prepare_query(q);
+            let mut prep = Sq8Query::default();
+            sq.prepare_query(q, &mut prep);
             for i in (0..400).step_by(53) {
                 let want = crate::kernels::squared_l2(q, &sq.decode(i));
                 let got = sq.asym_l2(&prep, i);
@@ -412,7 +417,8 @@ mod tests {
         data.push(&[0.0, 10.0]);
         let sq = Sq8::encode(&data);
         let q = [1000.0f32, 0.0];
-        let prep = sq.prepare_query(&q);
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(&q, &mut prep);
         let d: Vec<f32> = (0..3).map(|i| sq.asym_l2(&prep, i)).collect();
         assert!(d[1] < d[0] && d[1] < d[2], "{d:?}");
         let want = crate::kernels::squared_l2(&q, &sq.decode(1));
@@ -431,7 +437,9 @@ mod tests {
         );
         assert_eq!(rebuilt.len(), sq.len());
         let q = data.get(3);
-        let (p1, p2) = (sq.prepare_query(q), rebuilt.prepare_query(q));
+        let (mut p1, mut p2) = (Sq8Query::default(), Sq8Query::default());
+        sq.prepare_query(q, &mut p1);
+        rebuilt.prepare_query(q, &mut p2);
         for i in 0..50 {
             assert_eq!(
                 sq.asym_l2(&p1, i).to_bits(),
@@ -458,10 +466,11 @@ mod tests {
         let sq = Sq8::encode(&data);
         let dec = sq.decode(2);
         assert!(dec.iter().all(|v| v.is_finite()));
-        let prep = sq.prepare_query(&[7.0, 7.0, 7.0]);
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(&[7.0, 7.0, 7.0], &mut prep);
         let d = sq.asym_l2(&prep, 0);
         assert!(d.is_finite() && d >= 0.0);
-        let far = sq.prepare_query(&[8.0, 6.0, 7.0]);
-        assert!(sq.asym_l2(&far, 0).is_finite());
+        sq.prepare_query(&[8.0, 6.0, 7.0], &mut prep);
+        assert!(sq.asym_l2(&prep, 0).is_finite());
     }
 }

@@ -15,7 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use fastann_data::kernels;
-use fastann_data::quant::Sq8;
+use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::synth;
 
 const DIMS: [usize; 6] = [16, 32, 128, 256, 512, 960];
@@ -50,7 +50,8 @@ fn kernel_ns_per_call() {
     for dim in DIMS {
         let data = synth::sift_like(ROWS, dim, 7);
         let sq = Sq8::encode(&data);
-        let prep = sq.prepare_query(data.get(0));
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(data.get(0), &mut prep);
         let w = data.get(0).to_vec();
         let codes = |i: usize| &sq.codes()[i * dim..(i + 1) * dim];
         let pair = |i: usize| (data.get(i % ROWS), data.get((i * 7 + 1) % ROWS));

@@ -4,7 +4,7 @@
 //! on the vendored deterministic proptest, so failures reproduce exactly.
 
 use fastann_data::kernels;
-use fastann_data::quant::Sq8;
+use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::VectorSet;
 use proptest::prelude::*;
 
@@ -62,7 +62,8 @@ proptest! {
         let data = set_from_pool(dim, &pool);
         let sq = Sq8::encode(&data);
         let q: Vec<f32> = (0..dim).map(|d| qpool[d % qpool.len()]).collect();
-        let prep = sq.prepare_query(&q);
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(&q, &mut prep);
         // worst-case decode displacement: ||x - decode(x)|| <= E with
         // E^2 = sum_d (step_d/2)^2 (each dim off by at most half a step)
         let e: f32 = sq
@@ -108,12 +109,13 @@ proptest! {
             prop_assert!((x - value).abs() <= sq.step()[d] * 0.51 + value.abs() * 1e-6);
         }
         // on-grid query and an off-grid query both stay finite
-        let prep = sq.prepare_query(&row);
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(&row, &mut prep);
         let d0 = sq.asym_l2(&prep, 0);
         prop_assert!(d0.is_finite() && d0 >= 0.0);
         let off: Vec<f32> = row.iter().map(|v| v + 1.0).collect();
-        let far = sq.prepare_query(&off);
-        prop_assert!(sq.asym_l2(&far, 0).is_finite());
+        sq.prepare_query(&off, &mut prep);
+        prop_assert!(sq.asym_l2(&prep, 0).is_finite());
     }
 
     #[test]
@@ -125,7 +127,8 @@ proptest! {
         let row: Vec<f32> = (0..dim).map(|d| pool[d % pool.len()]).collect();
         data.push(&row);
         let sq = Sq8::encode(&data);
-        let prep = sq.prepare_query(&row);
+        let mut prep = Sq8Query::default();
+        sq.prepare_query(&row, &mut prep);
         let d = sq.asym_l2(&prep, 0);
         prop_assert!(d.is_finite() && d >= 0.0);
         // the only point is its own nearest neighbour at ~zero distance

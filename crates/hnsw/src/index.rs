@@ -99,7 +99,7 @@ enum QueryDist<'a> {
     /// Full-precision traversal with the index metric.
     Exact(&'a [f32]),
     /// SQ8 asymmetric traversal (squared-L2 domain) against `sq`'s grid.
-    Quant { sq: &'a Sq8, prep: Sq8Query },
+    Quant { sq: &'a Sq8, prep: &'a Sq8Query },
 }
 
 /// A Hierarchical Navigable Small World approximate k-NN index over an owned
@@ -910,18 +910,20 @@ impl Hnsw {
     /// basin the entry set covers, which is what rescues recall on
     /// multi-modal data (DESIGN.md §13).
     ///
-    /// Returns `(layer-0 seeds, descent hops, entry seeds consumed)`;
-    /// empty seeds only for an empty index.
+    /// Overwrites `eps` with the layer-0 seeds and returns `(descent hops,
+    /// entry seeds consumed)`; the seeds are empty only for an empty index.
     fn descend(
         &self,
         q: &QueryDist<'_>,
         beam: usize,
+        eps: &mut Vec<Neighbor>,
         scratch: &mut SearchScratch,
-    ) -> (Vec<Neighbor>, u64, u64) {
+    ) -> (u64, u64) {
+        eps.clear();
         let Some((ep, top)) = self.entry else {
-            return (Vec::new(), 0, 0);
+            return (0, 0);
         };
-        let mut eps = vec![Neighbor::new(ep, self.d(q, ep, scratch))];
+        eps.push(Neighbor::new(ep, self.d(q, ep, scratch)));
         let mut seeded = 0u64; // bitmask over entry_set indices
         let mut entry_seeds = 0u64;
         let mut hops = 0u64;
@@ -938,12 +940,12 @@ impl Hnsw {
             }
         };
         for lc in (1..=(top as usize)).rev() {
-            fold_in(lc, &mut eps, scratch);
-            self.layer_step(q, &mut eps, beam, lc, scratch);
+            fold_in(lc, eps, scratch);
+            self.layer_step(q, eps, beam, lc, scratch);
             hops += 1;
         }
-        fold_in(0, &mut eps, scratch);
-        (eps, hops, entry_seeds)
+        fold_in(0, eps, scratch);
+        (hops, entry_seeds)
     }
 
     /// `ef`-bounded best-first search on one layer (HNSW Algorithm 2),
@@ -1270,23 +1272,24 @@ impl Hnsw {
         );
         assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
         scratch.begin(self.len());
-        if self.live == 0 {
+        if self.live == 0 || self.entry.is_none() {
             return (Vec::new(), SearchStats::default());
         }
+        // The prepared query and the beam's seeds live in the scratch, so
+        // a probe allocates only its answer.
+        let mut prep = std::mem::take(&mut scratch.query);
+        let mut w = std::mem::take(&mut scratch.seeds);
         let rerank = params.quantized.zip(self.quant.as_ref());
         let qd = match rerank {
-            Some((_, sq)) => QueryDist::Quant {
-                sq,
-                prep: sq.prepare_query(q),
-            },
+            Some((_, sq)) => {
+                sq.prepare_query(q, &mut prep);
+                QueryDist::Quant { sq, prep: &prep }
+            }
             None => QueryDist::Exact(q),
         };
         let beam = self.resolve_beam(params.entry_beam);
         let ef = self.inflate_ef(params.ef.max(k));
-        let (mut w, hops, entry_seeds) = self.descend(&qd, beam, scratch);
-        if w.is_empty() {
-            return (Vec::new(), SearchStats::default());
-        }
+        let (hops, entry_seeds) = self.descend(&qd, beam, &mut w, scratch);
         self.search_layer(&qd, &mut w, ef, 0, scratch);
         if self.live < self.len() {
             w.retain(|n| !self.tombstones[n.id as usize]);
@@ -1294,14 +1297,21 @@ impl Hnsw {
         let (out, pool) = match rerank {
             Some((factor, _)) => {
                 let pool = factor.saturating_mul(k).min(w.len());
-                let out = rerank_exact(self.dist, &self.data, q, &w, pool, k, &mut scratch.ndist);
+                let out = rerank_exact(
+                    self.dist,
+                    &self.data,
+                    q,
+                    &w[..pool],
+                    k,
+                    &mut scratch.rerank,
+                    &mut scratch.ndist,
+                );
                 (out, pool as u64)
             }
-            None => {
-                w.truncate(k);
-                (w, 0)
-            }
+            None => (w[..k.min(w.len())].to_vec(), 0),
         };
+        scratch.query = prep;
+        scratch.seeds = w;
         (
             out,
             SearchStats {

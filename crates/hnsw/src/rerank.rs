@@ -10,13 +10,17 @@
 //! file carries the allowlist entry for the exact stage.
 
 use fastann_data::kernels;
-use fastann_data::{Distance, Neighbor, TopK, VectorSet};
+use fastann_data::{Distance, Neighbor, VectorSet};
 
-/// Re-ranks the first `pool` candidates of a quantized traversal with the
-/// exact metric and returns the best `k`, sorted ascending. Every exact
-/// evaluation is charged to `ndist` (the same virtual-clock quantity the
-/// traversal charges), so quantized and exact searches stay comparable in
-/// the engine's cost model.
+/// Re-ranks `candidates` with the exact metric and returns the best `k`,
+/// sorted ascending. Every exact evaluation is charged to `ndist` (the
+/// same virtual-clock quantity the traversal charges), so quantized and
+/// exact searches stay comparable in the engine's cost model.
+///
+/// The scores are written to `scores`, a buffer the caller keeps from one
+/// search to the next, and sorted there; only the answer is allocated.
+/// Candidates come from one beam, so their ids are distinct and the sort
+/// keeps exactly the `k` a [`fastann_data::TopK`] would.
 ///
 /// For [`Distance::L2`] the comparison runs in the squared domain and the
 /// square root is applied only to the `k` survivors — monotonicity makes
@@ -28,35 +32,30 @@ pub(crate) fn rerank_exact(
     data: &VectorSet,
     q: &[f32],
     candidates: &[Neighbor],
-    pool: usize,
     k: usize,
+    scores: &mut Vec<Neighbor>,
     ndist: &mut u64,
 ) -> Vec<Neighbor> {
-    let pool = pool.min(candidates.len());
-    let mut top = TopK::new(k);
-    match dist {
-        Distance::L2 | Distance::SquaredL2 => {
-            for c in &candidates[..pool] {
-                *ndist += 1;
-                let d = kernels::squared_l2(q, data.get(c.id as usize));
-                top.push(Neighbor::new(c.id, d));
-            }
-            let mut out = top.into_sorted();
-            if dist == Distance::L2 {
-                for n in &mut out {
-                    n.dist = n.dist.sqrt();
-                }
-            }
-            out
-        }
-        _ => {
-            for c in &candidates[..pool] {
-                *ndist += 1;
-                let d = dist.eval(q, data.get(c.id as usize));
-                top.push(Neighbor::new(c.id, d));
-            }
-            top.into_sorted()
-        }
+    let squared = matches!(dist, Distance::L2 | Distance::SquaredL2);
+    scores.clear();
+    scores.extend(candidates.iter().map(|c| {
+        *ndist += 1;
+        let v = data.get(c.id as usize);
+        let d = if squared {
+            kernels::squared_l2(q, v)
+        } else {
+            dist.eval(q, v)
+        };
+        Neighbor::new(c.id, d)
+    }));
+    scores.sort_unstable();
+    let best = &scores[..k.min(scores.len())];
+    if dist == Distance::L2 {
+        best.iter()
+            .map(|n| Neighbor::new(n.id, n.dist.sqrt()))
+            .collect()
+    } else {
+        best.to_vec()
     }
 }
 
@@ -75,7 +74,15 @@ mod tests {
             .map(|i| Neighbor::new(i, (40 - i) as f32))
             .collect();
         let mut ndist = 0;
-        let out = rerank_exact(Distance::L2, &data, &q, &cands, 40, 5, &mut ndist);
+        let out = rerank_exact(
+            Distance::L2,
+            &data,
+            &q,
+            &cands,
+            5,
+            &mut Vec::new(),
+            &mut ndist,
+        );
         assert_eq!(ndist, 40);
         assert_eq!(out.len(), 5);
         assert_eq!(out[0].id, 0, "self should re-rank to the front");
@@ -93,7 +100,15 @@ mod tests {
         let q = data.get(1).to_vec();
         let cands = [Neighbor::new(1, 0.5), Neighbor::new(2, 0.7)];
         let mut ndist = 0;
-        let out = rerank_exact(Distance::SquaredL2, &data, &q, &cands, 30, 5, &mut ndist);
+        let out = rerank_exact(
+            Distance::SquaredL2,
+            &data,
+            &q,
+            &cands,
+            5,
+            &mut Vec::new(),
+            &mut ndist,
+        );
         assert_eq!(out.len(), 2);
         assert_eq!(ndist, 2);
         assert_eq!(out[0].id, 1);
@@ -106,7 +121,15 @@ mod tests {
         let q = data.get(0).to_vec();
         let cands: Vec<Neighbor> = (0..20u32).map(|i| Neighbor::new(i, 0.0)).collect();
         let mut ndist = 0;
-        let out = rerank_exact(Distance::L1, &data, &q, &cands, 20, 3, &mut ndist);
+        let out = rerank_exact(
+            Distance::L1,
+            &data,
+            &q,
+            &cands,
+            3,
+            &mut Vec::new(),
+            &mut ndist,
+        );
         let want = Distance::L1.eval(&q, data.get(out[2].id as usize));
         assert_eq!(out[2].dist.to_bits(), want.to_bits());
     }

@@ -7,6 +7,7 @@
 //! set `C`. Every search on one thread — probes, descent beams and
 //! construction searches alike — reuses the same buffers.
 
+use fastann_data::quant::Sq8Query;
 use fastann_data::Neighbor;
 
 /// Everything one search needs besides the index: the epoch-based visited
@@ -24,6 +25,12 @@ pub struct SearchScratch {
     /// The layer search's buffer for the not-yet-visited neighbours of
     /// the node it expands.
     pub(crate) fresh: Vec<u32>,
+    /// The query of an SQ8 search, prepared for the asymmetric distance.
+    pub(crate) query: Sq8Query,
+    /// A search's descent seeds, then its layer-0 beam's survivors.
+    pub(crate) seeds: Vec<Neighbor>,
+    /// The exact scores of a quantized search's re-rank pool.
+    pub(crate) rerank: Vec<Neighbor>,
     /// The layer search's result and candidate sets.
     pub(crate) beam: Beam,
     /// Distance evaluations performed by the search currently using this
