@@ -128,6 +128,24 @@ impl Sq8 {
         }
     }
 
+    /// Appends `v` as a new row: encodes it onto the trained grid (clamped
+    /// like [`Sq8::encode_query`]) and caches that row's norm alone, with
+    /// the same arithmetic [`Sq8::from_parts`] runs over every row.
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.dim()`.
+    pub fn push(&mut self, v: &[f32]) {
+        let row = self.encode_query(v);
+        self.norms.push(kernels::sq8_norm(&self.step, &row));
+        self.codes.extend_from_slice(&row);
+        self.n += 1;
+    }
+
+    /// The cached per-row squared grid norms (derived from the codes).
+    pub fn norms(&self) -> &[f32] {
+        &self.norms
+    }
+
     /// Per-dimension grid origin (serialization accessor).
     pub fn lo(&self) -> &[f32] {
         &self.lo
@@ -447,6 +465,28 @@ mod tests {
                 "row {i} not bit-identical after round trip"
             );
         }
+    }
+
+    #[test]
+    fn push_appends_what_from_parts_would_build() {
+        let data = synth::sift_like(60, 16, 22);
+        let mut sq = Sq8::encode(&data.gather(&(0..40).collect::<Vec<_>>()));
+        for i in 40..60 {
+            sq.push(data.get(i));
+        }
+        let rebuilt = Sq8::from_parts(
+            sq.dim(),
+            sq.lo().to_vec(),
+            sq.step().to_vec(),
+            sq.codes().to_vec(),
+        );
+        assert_eq!(sq.len(), 60);
+        assert_eq!(
+            &sq.codes()[40 * 16..41 * 16],
+            &sq.encode_query(data.get(40))[..]
+        );
+        let bits = |s: &Sq8| s.norms().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sq), bits(&rebuilt));
     }
 
     #[test]

@@ -1024,24 +1024,15 @@ impl Hnsw {
             self.refresh_entry_set();
         }
         // Incremental quantizer refresh: when the trained grid already
-        // covers the new point, append its code to the codebook (same lo /
-        // step, norms recomputed by `from_parts`) and quantized search stays
-        // on. A point outside the training box would clamp — silently wrong
-        // ranks — so the grid is dropped instead and searches fall back to
-        // exact until the caller retrains.
-        self.quant = match self.quant.take() {
-            Some(sq) if Self::in_grid(&sq, v) => {
-                let mut codes = sq.codes().to_vec();
-                codes.extend_from_slice(&sq.encode_query(v));
-                Some(Sq8::from_parts(
-                    sq.dim(),
-                    sq.lo().to_vec(),
-                    sq.step().to_vec(),
-                    codes,
-                ))
-            }
-            _ => None,
-        };
+        // covers the new point, append its code and norm to the codebook
+        // and quantized search stays on. A point outside the training box
+        // would clamp — silently wrong ranks — so the grid is dropped
+        // instead and searches fall back to exact until the caller
+        // retrains.
+        match &mut self.quant {
+            Some(sq) if Self::in_grid(sq, v) => sq.push(v),
+            _ => self.quant = None,
+        }
         self.mutation_epoch += 1;
         id
     }
@@ -2225,6 +2216,24 @@ mod tests {
             .quantizer()
             .expect("in-grid add keeps quantized search on");
         assert_eq!(sq.len(), idx.len(), "codebook grew with the index");
+        // the appended rows equal a rebuild from the same codes, bit for bit
+        let grown = [data.get(7).to_vec(), data.get(200).to_vec()];
+        for g in &grown {
+            idx.add(g);
+        }
+        let sq = idx.quantizer().expect("in-grid adds keep it");
+        let rebuilt = Sq8::from_parts(
+            sq.dim(),
+            sq.lo().to_vec(),
+            sq.step().to_vec(),
+            sq.codes().to_vec(),
+        );
+        assert_eq!(sq.len(), 303);
+        let tail: Vec<u8> = grown.iter().flat_map(|g| sq.encode_query(g)).collect();
+        assert_eq!(&sq.codes()[301 * 8..], &tail[..]);
+        assert_eq!(sq.codes(), rebuilt.codes());
+        let bits = |s: &Sq8| s.norms().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(sq), bits(&rebuilt));
         let (hits, stats) = quantized(&idx, &v, 2, 32, 4);
         assert!(stats.ndist_quant > 0, "traversal stays quantized");
         assert!(
