@@ -1,5 +1,8 @@
 //! Fixture corpus: one positive (must fire) and one negative (must stay
 //! silent) source file per rule, driven through [`lint::lint_source`].
+//! A positive fixture marks every line its rule must flag with a trailing
+//! `//~ fires`, and the rule must flag those lines and no others, so a
+//! finding that lands elsewhere in the file does not count.
 //!
 //! The negatives double as blind-spot regressions for the token engine:
 //! needles inside string literals and comments, `#[cfg(test)]` modules,
@@ -62,23 +65,46 @@ const CASES: [(&str, &str, &str); 12] = [
     ),
 ];
 
-fn lint_fixture(dir: &str, which: &str, rel: &str) -> Vec<lint::Violation> {
+/// The fixture's source text.
+fn read_fixture(dir: &str, which: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(dir)
         .join(format!("{which}.rs"));
-    let content = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"))
+}
+
+fn lint_fixture(dir: &str, which: &str, rel: &str) -> Vec<lint::Violation> {
     let tags = vec![("TAG_GOOD".to_string(), 7u64)];
-    lint::lint_source(rel, &content, &tags)
+    lint::lint_source(rel, &read_fixture(dir, which), &tags)
+}
+
+/// The 1-based lines a positive fixture declares must fire: each ends in
+/// a `//~ fires` marker.
+fn declared_lines(content: &str) -> Vec<usize> {
+    content
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.trim_end().ends_with("//~ fires"))
+        .map(|(i, _)| i + 1)
+        .collect()
 }
 
 #[test]
 fn every_rule_fires_on_its_positive_fixture() {
     for (rule, dir, rel) in CASES {
+        let want = declared_lines(&read_fixture(dir, "positive"));
+        assert!(!want.is_empty(), "{dir}/positive.rs declares no line");
         let found = lint_fixture(dir, "positive", rel);
-        assert!(
-            found.iter().any(|v| v.rule == rule),
-            "{dir}/positive.rs: expected at least one [{rule}] finding, got: {found:?}"
+        let mut got: Vec<usize> = found
+            .iter()
+            .filter(|v| v.rule == rule)
+            .map(|v| v.line)
+            .collect();
+        got.sort_unstable();
+        assert_eq!(
+            got, want,
+            "{dir}/positive.rs: [{rule}] finding lines differ from the declared ones; findings: {found:?}"
         );
     }
 }

@@ -1,7 +1,7 @@
-pub struct Plan {
+pub struct Plan { //~ fires
     pub shards: usize,
 }
 
-pub fn execute(p: &Plan) -> usize {
+pub fn execute(p: &Plan) -> usize { //~ fires
     p.shards
 }

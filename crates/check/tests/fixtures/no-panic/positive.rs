@@ -1,12 +1,12 @@
 fn guard(x: u32) {
     if x > 3 {
-        panic!("x out of range: {x}");
+        panic!("x out of range: {x}"); //~ fires
     }
 }
 
 fn exhaustive(y: u32) -> u32 {
     match y {
         0 => 1,
-        _ => unreachable!(),
+        _ => unreachable!(), //~ fires
     }
 }

@@ -1,3 +1,3 @@
 fn lookup(v: Option<u32>) -> u32 {
-    v.unwrap()
+    v.unwrap() //~ fires
 }

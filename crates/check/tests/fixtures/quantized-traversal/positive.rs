@@ -1,7 +1,7 @@
 fn greedy_step(q: &QueryDist, metric: &Metric, cand: &[u32]) -> f32 {
     let mut best = f32::INFINITY;
     for &c in cand {
-        let d = metric.eval(q, c);
+        let d = metric.eval(q, c); //~ fires
         if d < best {
             best = d;
         }
@@ -10,5 +10,5 @@ fn greedy_step(q: &QueryDist, metric: &Metric, cand: &[u32]) -> f32 {
 }
 
 fn helper(a: &[f32], b: &[f32]) -> f32 {
-    squared_l2(a, b)
+    squared_l2(a, b) //~ fires
 }
