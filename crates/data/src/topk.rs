@@ -4,8 +4,8 @@
 //! smallest-distance [`Neighbor`]s seen so far and exposes the current worst
 //! (k-th) distance for search pruning. The tree and brute-force searches
 //! funnel candidates through it, and it is the unit the distributed engine
-//! merges across partitions. The HNSW layer beam keeps its own bounded
-//! heap with the same order (see [`TopK::push`]).
+//! merges across partitions. The HNSW layer beam keeps its own sorted
+//! pool in the same order (see [`TopK::push`]).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -101,11 +101,11 @@ impl TopK {
     /// worse candidate) that a distinct candidate arriving late can no
     /// longer claim.
     ///
-    /// The distributed merge relies on the check, and the exact re-rank
-    /// of quantized survivors goes through the same checked push. The HNSW
-    /// layer beam does not use `TopK`: its visited set admits each id
-    /// once, so it keeps a plain bounded heap with the same
-    /// replace-the-worst rule and no scan.
+    /// The distributed merge relies on the check. The HNSW layer beam and
+    /// the exact re-rank of quantized survivors do not use `TopK`: the
+    /// visited set admits each id once, so the beam keeps its own sorted
+    /// pool with the same replace-the-worst rule and no scan, and the
+    /// re-rank sorts its distinct-id pool and keeps the first `k`.
     #[inline]
     pub fn push(&mut self, n: Neighbor) -> bool {
         if self.heap.len() < self.k {
