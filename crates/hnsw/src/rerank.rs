@@ -64,6 +64,19 @@ mod tests {
     use super::*;
     use fastann_data::synth;
 
+    /// Re-ranks on a fresh score buffer; returns the answer and `ndist`.
+    fn rerank(
+        dist: Distance,
+        data: &VectorSet,
+        q: &[f32],
+        cands: &[Neighbor],
+        k: usize,
+    ) -> (Vec<Neighbor>, u64) {
+        let mut ndist = 0;
+        let out = rerank_exact(dist, data, q, cands, k, &mut Vec::new(), &mut ndist);
+        (out, ndist)
+    }
+
     #[test]
     fn reranked_order_matches_exact_distances() {
         let data = synth::deep_like(100, 16, 3);
@@ -73,16 +86,7 @@ mod tests {
         let cands: Vec<Neighbor> = (0..40u32)
             .map(|i| Neighbor::new(i, (40 - i) as f32))
             .collect();
-        let mut ndist = 0;
-        let out = rerank_exact(
-            Distance::L2,
-            &data,
-            &q,
-            &cands,
-            5,
-            &mut Vec::new(),
-            &mut ndist,
-        );
+        let (out, ndist) = rerank(Distance::L2, &data, &q, &cands, 5);
         assert_eq!(ndist, 40);
         assert_eq!(out.len(), 5);
         assert_eq!(out[0].id, 0, "self should re-rank to the front");
@@ -99,16 +103,7 @@ mod tests {
         let data = synth::sift_like(10, 8, 4);
         let q = data.get(1).to_vec();
         let cands = [Neighbor::new(1, 0.5), Neighbor::new(2, 0.7)];
-        let mut ndist = 0;
-        let out = rerank_exact(
-            Distance::SquaredL2,
-            &data,
-            &q,
-            &cands,
-            5,
-            &mut Vec::new(),
-            &mut ndist,
-        );
+        let (out, ndist) = rerank(Distance::SquaredL2, &data, &q, &cands, 5);
         assert_eq!(out.len(), 2);
         assert_eq!(ndist, 2);
         assert_eq!(out[0].id, 1);
@@ -120,16 +115,8 @@ mod tests {
         let data = synth::sift_like(20, 8, 5);
         let q = data.get(0).to_vec();
         let cands: Vec<Neighbor> = (0..20u32).map(|i| Neighbor::new(i, 0.0)).collect();
-        let mut ndist = 0;
-        let out = rerank_exact(
-            Distance::L1,
-            &data,
-            &q,
-            &cands,
-            3,
-            &mut Vec::new(),
-            &mut ndist,
-        );
+        let (out, ndist) = rerank(Distance::L1, &data, &q, &cands, 3);
+        assert_eq!(ndist, 20);
         let want = Distance::L1.eval(&q, data.get(out[2].id as usize));
         assert_eq!(out[2].dist.to_bits(), want.to_bits());
     }

@@ -5,7 +5,16 @@
 //! of HNSW Algorithm 2's sets. Its entries are the result set `W`; the
 //! unexpanded ones, together with a short spill list, are the candidate
 //! set `C`. Every search on one thread — probes, descent beams and
-//! construction searches alike — reuses the same buffers.
+//! construction searches alike — reuses the same buffers, so a probe on
+//! warm scratch allocates only its answer.
+//!
+//! The beam stores each entry as one `u64` [`key`]: the distance's
+//! `total_cmp` order bits in the high half and `id << 1 | expanded` in
+//! the low half, so integer order is [`Neighbor`]'s order and keeping
+//! the pool sorted is word compares and moves. Its admission and stop
+//! tests stay float comparisons on the decoded distance, as in the
+//! textbook heaps: −0.0 and +0.0 tie there, and NaN never passes, while
+//! the key order is total and would decide both differently.
 
 use fastann_data::quant::Sq8Query;
 use fastann_data::Neighbor;
