@@ -309,6 +309,17 @@ mod tests {
     }
 
     #[test]
+    fn mark_fresh_keeps_the_unvisited_in_list_order() {
+        let mut s = SearchScratch::with_capacity(8);
+        s.begin(8);
+        assert!(s.mark(3));
+        let mut out = vec![9; 2];
+        let n = s.mark_fresh(&[5, 3, 1, 5, 7], &mut out);
+        assert_eq!(&out[..n], &[5, 1, 7], "3 was visited, 5 repeats");
+        assert_eq!(s.mark_fresh(&[1, 7], &mut out), 0);
+    }
+
+    #[test]
     fn grows_on_demand() {
         let mut s = SearchScratch::with_capacity(1);
         s.begin(10);
