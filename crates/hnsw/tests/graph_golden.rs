@@ -1,12 +1,12 @@
 //! Bit-identity goldens for HNSW construction, mutation and search.
 //!
 //! Each corpus is built with `Hnsw::build`, grown by 100 `add`s,
-//! tombstoned at every 7th id and repaired. Every state is fingerprinted with FNV-1a over the serialized
-//! blob plus `build_ndist`, and 50 queries are fingerprinted over their
-//! result ids, distance bits and every `SearchStats` field, exact and SQ8,
-//! at `entry_beam` 0 (the index default) and 1 (single-seed greedy
-//! descent). A second sweep fingerprints the live, tombstoned and repaired
-//! states over k ∈ {1, 10} and `ef` ∈ {k, 48, 200}: `ef = 1` and
+//! tombstoned at every 7th id and repaired. Every state is fingerprinted
+//! with FNV-1a over the serialized blob plus `build_ndist`, and 50 queries
+//! are fingerprinted over their result ids, distance bits and every
+//! `SearchStats` field, exact and SQ8 (one multi-entry beam descent; there
+//! is no other). A second sweep fingerprints the live, tombstoned and
+//! repaired states over k ∈ {1, 10} and `ef` ∈ {k, 48, 200}: `ef = 1` and
 //! `ef = 10` sit below the number of layer-0 seeds (the descent beam plus
 //! the unconsumed entry-set members), so the beam's replace-the-worst rule
 //! runs on the seeds before any expansion. The constants pin today's
@@ -77,20 +77,10 @@ fn hash_searches(index: &Hnsw, queries: &VectorSet, params: &[SearchParams]) -> 
     h.0
 }
 
-/// `k`, exact and SQ8, at `entry_beam` 0 and 1.
+/// `k`, exact and SQ8.
 fn params_at(k: usize, ef: usize) -> Vec<SearchParams> {
-    let mut out = Vec::new();
-    for quantized in [None, Some(3)] {
-        for entry_beam in [0, 1] {
-            out.push(SearchParams {
-                k,
-                ef,
-                entry_beam,
-                quantized,
-            });
-        }
-    }
-    out
+    let exact = SearchParams::new(k, ef);
+    vec![exact, exact.quantized(3)]
 }
 
 /// Every query at k = 10, ef = 48.
@@ -172,18 +162,18 @@ fn sift_like_golden() {
         got,
         Golden {
             build: 0x07c9_53ae_f2cb_9bd9,
-            search: 0x33c5_6bfa_59dc_f06c,
-            search_tombstoned: 0x29bc_1081_05fc_525d,
+            search: 0xd5ea_f91b_8189_4c11,
+            search_tombstoned: 0xfef5_1fbe_0bca_021d,
             mutated: 0xb8bb_f789_8156_485b,
-            search_repaired: 0x7570_0f4c_bed7_ff45,
+            search_repaired: 0xb92f_d81f_562d_3909,
         }
     );
     assert_eq!(
         sweep,
         Sweep {
-            live: 0xd386_eed0_f182_ae85,
-            tombstoned: 0xb8a7_e327_8285_2ae5,
-            repaired: 0x4a35_7048_464e_0511,
+            live: 0x9bb3_d388_bec7_8d45,
+            tombstoned: 0x757c_50ee_869b_b881,
+            repaired: 0xbcbb_040e_3fa8_89a9,
         }
     );
 }
@@ -197,18 +187,18 @@ fn deep_like_golden() {
         got,
         Golden {
             build: 0x7976_dd10_f1fd_9415,
-            search: 0x6375_62f5_e22f_94cd,
-            search_tombstoned: 0xd97b_0ed2_6444_a9f5,
+            search: 0xc6fa_9b3d_08c3_90e4,
+            search_tombstoned: 0x41b8_e52a_d11f_78f9,
             mutated: 0xa9bf_979f_42f8_adc2,
-            search_repaired: 0xeb4b_7346_4e01_fe1d,
+            search_repaired: 0xb64b_a699_0ca6_8779,
         }
     );
     assert_eq!(
         sweep,
         Sweep {
-            live: 0xb39c_8ae5_17b2_f7e1,
-            tombstoned: 0x6d4f_f9cb_2f04_3925,
-            repaired: 0xb776_a5ad_7731_2c5d,
+            live: 0x9df0_c0f9_e334_266b,
+            tombstoned: 0x875a_683d_6049_a215,
+            repaired: 0x52bc_1a83_29f8_5a25,
         }
     );
 }
@@ -230,18 +220,18 @@ fn mdcgen_golden() {
         got,
         Golden {
             build: 0x4b5d_305b_dfa6_7371,
-            search: 0xbb0e_979d_7ee0_8aaf,
-            search_tombstoned: 0x4584_6869_1de8_c57d,
+            search: 0x31e6_a5db_42c2_45d6,
+            search_tombstoned: 0x039e_e77e_211f_42c1,
             mutated: 0xdd56_d9e2_6fbb_70d5,
-            search_repaired: 0xfe59_c951_e7e1_8e25,
+            search_repaired: 0x5c9c_7d49_a980_68d1,
         }
     );
     assert_eq!(
         sweep,
         Sweep {
-            live: 0x3e92_39de_2e45_73aa,
-            tombstoned: 0x0741_f03b_beb3_d985,
-            repaired: 0x06ea_fc4b_ae00_41c9,
+            live: 0xe6ae_623a_b18c_d903,
+            tombstoned: 0xed9c_8fd3_7c90_0c49,
+            repaired: 0x6519_3a39_3dd5_8715,
         }
     );
 }
@@ -269,18 +259,18 @@ fn lattice_golden() {
         got,
         Golden {
             build: 0x3456_9bb8_bc68_f6a5,
-            search: 0xa248_8d40_2e2b_4f14,
-            search_tombstoned: 0xf952_d987_203e_3abd,
+            search: 0xa361_01ea_5fab_216d,
+            search_tombstoned: 0x4802_18db_9e50_3a25,
             mutated: 0xedd9_d99b_9fa0_cbd4,
-            search_repaired: 0xab9d_170a_1b1e_a28d,
+            search_repaired: 0x1e18_17be_b407_292d,
         }
     );
     assert_eq!(
         sweep,
         Sweep {
-            live: 0x818d_3d2b_c47d_fd87,
-            tombstoned: 0x910c_03b1_c63d_c4b5,
-            repaired: 0x5739_ed31_a639_c309,
+            live: 0x384d_eded_53af_3d60,
+            tombstoned: 0xb0b2_18fe_59f6_9bc9,
+            repaired: 0xefdc_d1f1_f55e_b5f1,
         }
     );
 }
