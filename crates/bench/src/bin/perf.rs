@@ -152,7 +152,7 @@ fn measure(name: &str, data: &VectorSet, queries: &VectorSet, threads: usize) ->
         })
     };
     let exact = SearchParams::new(K, EF);
-    let quantized = exact.quantized(RERANK_FACTOR);
+    let quantized = exact.quantized(true);
     let res_1t = search_all(1, exact);
     let res_nt = search_all(threads, exact);
     let qres_1t = search_all(1, quantized);

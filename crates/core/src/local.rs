@@ -15,7 +15,7 @@
 //! accounting stays uniform.
 
 use fastann_data::{ground_truth, Distance, Neighbor, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, SearchStats, RERANK_FACTOR};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, SearchStats};
 use fastann_vptree::{VpTree, VpTreeConfig};
 
 /// Which index structure serves a partition.
@@ -74,9 +74,8 @@ impl LocalIndex {
     /// and the per-search accounting the engine charges to virtual time.
     /// `opts.k`/`opts.ef` bound the answer, and `opts.quantized` routes an
     /// HNSW partition to its SQ8 traversal + exact re-rank pipeline
-    /// ([`RERANK_FACTOR`] wide, falling back to exact when the partition
-    /// has no trained quantizer); the descent beam is the index's
-    /// configured one. Tree and brute-force kinds are always exact and
+    /// ([`fastann_hnsw::RERANK_FACTOR`] wide, falling back to exact when
+    /// the partition has no trained quantizer). Tree and brute-force kinds are always exact and
     /// single-entry — they are the ground-truth baselines, so quantizing
     /// them would defeat their purpose — and report only `ndist` (a tree
     /// walk has no beam, so `hops`, `heap_pushes` and `ef_churn` stay
@@ -90,10 +89,7 @@ impl LocalIndex {
         let k = opts.k;
         match self {
             LocalIndex::Hnsw(h) => {
-                let params = SearchParams {
-                    quantized: opts.quantized.then_some(RERANK_FACTOR),
-                    ..SearchParams::new(k, opts.ef)
-                };
+                let params = SearchParams::new(k, opts.ef).quantized(opts.quantized);
                 h.search(q, &params, scratch)
             }
             LocalIndex::VpTree(t) => {

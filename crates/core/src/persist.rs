@@ -568,10 +568,7 @@ mod tests {
     fn split_index_survives_save_load_and_further_mutation() {
         use crate::mutation::{Mutation, MutationRequest};
         let data = synth::sift_like(2_000, 12, 90);
-        let hnsw = HnswConfig::with_m(8)
-            .ef_construction(40)
-            .seed(90)
-            .entry_beam(1);
+        let hnsw = HnswConfig::with_m(8).ef_construction(40).seed(90);
         let cfg = EngineConfig::new(4, 2).with_hnsw(hnsw).with_seed(90);
         let mut index = DistIndex::build(&data, cfg);
         MutationRequest::new(&mut index).split_above(300).run();

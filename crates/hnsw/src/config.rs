@@ -15,12 +15,12 @@ pub struct HnswConfig {
     pub ef_construction: usize,
     /// RNG seed for level assignment.
     pub seed: u64,
-    /// Width of the multi-entry beam carried across the upper layers
-    /// during descent, at construction and search alike. `1` degenerates
-    /// to the classic single-seed greedy walk — which strands queries in
-    /// the wrong basin on multi-modal (clustered) data; see DESIGN.md §13.
-    pub entry_beam: usize,
 }
+
+/// Width of the multi-entry beam carried across the upper layers during
+/// descent, at construction and search alike (DESIGN.md §13). The config
+/// record keeps a slot pinned to this value.
+pub(crate) const ENTRY_BEAM: usize = 4;
 
 impl HnswConfig {
     /// Config with a given `M` and the paper-recommended derived values.
@@ -30,7 +30,6 @@ impl HnswConfig {
             m,
             ef_construction: 200,
             seed: 0,
-            entry_beam: 4,
         }
     }
 
@@ -57,13 +56,6 @@ impl HnswConfig {
     pub fn ef_construction(mut self, ef: usize) -> Self {
         assert!(ef >= 1, "efConstruction must be at least 1");
         self.ef_construction = ef;
-        self
-    }
-
-    /// Sets the upper-layer descent beam width (builder style).
-    pub fn entry_beam(mut self, beam: usize) -> Self {
-        assert!(beam >= 1, "entry beam must be at least 1");
-        self.entry_beam = beam;
         self
     }
 
@@ -109,24 +101,9 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let c = HnswConfig::with_m(4)
-            .seed(9)
-            .ef_construction(50)
-            .entry_beam(2);
+        let c = HnswConfig::with_m(4).seed(9).ef_construction(50);
         assert_eq!(c.seed, 9);
         assert_eq!(c.ef_construction, 50);
-        assert_eq!(c.entry_beam, 2);
-    }
-
-    #[test]
-    fn entry_beam_defaults_to_four() {
-        assert_eq!(HnswConfig::default().entry_beam, 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_entry_beam_rejected() {
-        let _ = HnswConfig::with_m(4).entry_beam(0);
     }
 
     #[test]

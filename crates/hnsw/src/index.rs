@@ -3,7 +3,7 @@
 use fastann_data::quant::{Sq8, Sq8Query};
 use fastann_data::{Distance, Neighbor, VectorSet};
 
-use crate::config::HnswConfig;
+use crate::config::{HnswConfig, ENTRY_BEAM};
 use crate::graph::Graph;
 use crate::rerank::rerank_exact;
 use crate::scratch::SearchScratch;
@@ -23,10 +23,9 @@ pub struct SearchStats {
     pub rerank: u64,
     /// Upper layers the descent stepped through on its way to layer 0.
     pub hops: u64,
-    /// Candidates admitted to the beams (entry seeds included; descent
-    /// layers contribute when the entry beam is wider than one). The name
-    /// dates from the beam's two-heap form and stays because the
-    /// `fastann_hnsw_heap_pushes` metric carries it.
+    /// Candidates admitted to the beams (entry seeds and descent layers
+    /// included). The name dates from the beam's two-heap form and stays
+    /// because the `fastann_hnsw_heap_pushes` metric carries it.
     pub heap_pushes: u64,
     /// Beam churn: admissions that landed while a beam was already full,
     /// each evicting the then-worst candidate. High churn relative to
@@ -47,51 +46,38 @@ pub struct SearchParams {
     pub k: usize,
     /// Layer-0 beam width, clamped up to `k`.
     pub ef: usize,
-    /// Descent beam width: `0` inherits [`HnswConfig::entry_beam`], `1`
-    /// is the classic single-seed greedy descent (still seeded at layer 0
-    /// from the full diverse entry set).
-    pub entry_beam: usize,
-    /// `Some(rerank_factor)` traverses in the SQ8 domain and re-ranks the
-    /// first `rerank_factor * k` beam survivors exactly; `None` traverses
+    /// `true` traverses in the SQ8 domain and re-ranks the first
+    /// [`RERANK_FACTOR`]` * k` beam survivors exactly; `false` traverses
     /// with the exact metric.
-    pub quantized: Option<usize>,
+    pub quantized: bool,
 }
 
 impl SearchParams {
-    /// Exact search for `k` neighbours with layer-0 beam width `ef`,
-    /// descending with the index's configured entry beam.
+    /// Exact search for `k` neighbours with layer-0 beam width `ef`.
     pub fn new(k: usize, ef: usize) -> Self {
         Self {
             k,
             ef,
-            entry_beam: 0,
-            quantized: None,
+            quantized: false,
         }
     }
 
-    /// Sets the descent beam width (builder style); `0` inherits the index
-    /// configuration.
-    pub fn entry_beam(mut self, beam: usize) -> Self {
-        self.entry_beam = beam;
-        self
-    }
-
-    /// Switches to quantized-first search with a `rerank_factor * k`
-    /// exact re-rank pool (builder style).
-    pub fn quantized(mut self, rerank_factor: usize) -> Self {
-        self.quantized = Some(rerank_factor);
+    /// Selects quantized-first (`true`) or exact (`false`) search
+    /// (builder style).
+    pub fn quantized(mut self, on: bool) -> Self {
+        self.quantized = on;
         self
     }
 }
 
-/// Re-rank pool multiplier of the engine's quantized-first searches: the
-/// first `RERANK_FACTOR * k` quantized beam survivors are re-scored with
-/// the exact metric. `3` recovers exact-level recall on the synthetic
+/// Re-rank pool multiplier of quantized-first search: the first
+/// `RERANK_FACTOR * k` quantized beam survivors are re-scored with the
+/// exact metric. `3` recovers exact-level recall on the synthetic
 /// workloads at a small exact-eval cost.
 pub const RERANK_FACTOR: usize = 3;
 
 /// A query lowered into one of the two distance domains a traversal can
-/// run in. Traversal code ([`Hnsw::greedy_step`], [`Hnsw::search_layer`])
+/// run in. Traversal code ([`Hnsw::descend`], [`Hnsw::search_layer`])
 /// only ever sees this enum — the `quantized-traversal` lint forbids it
 /// from touching `squared_l2` / `Distance::eval` directly, so the choice
 /// of domain is confined to [`Hnsw::d`] and [`Hnsw::search`].
@@ -760,7 +746,7 @@ impl Hnsw {
         ef.min(n)
     }
 
-    /// Inserts node `id` (its vector is already in `self.data`): greedy
+    /// Inserts node `id` (its vector is already in `self.data`): beam
     /// descent plus per-layer beam search and neighbour selection against
     /// the current graph, then the links, then promotion to entry point
     /// when the node tops the graph. Every layer's neighbours are selected
@@ -781,12 +767,12 @@ impl Hnsw {
             // Beam descent through layers above the node's level.
             // Construction descends from the single current entry (seeding
             // not-yet-inserted entry-set nodes would link them
-            // prematurely), but still carries `entry_beam` candidates
+            // prematurely), but still carries `ENTRY_BEAM` candidates
             // across layers so clustered inserts do not get stranded in
             // one basin.
             let mut eps = vec![Neighbor::new(ep, ep_dist)];
             for lc in ((level as usize + 1)..=(top as usize)).rev() {
-                self.layer_step(&qd, &mut eps, self.config.entry_beam.max(1), lc, scratch);
+                self.search_layer(&qd, &mut eps, ENTRY_BEAM, lc, scratch);
             }
             for lc in (0..=(level.min(top) as usize)).rev() {
                 self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
@@ -850,72 +836,20 @@ impl Hnsw {
         self.graph.set_neighbors(from, layer, selected);
     }
 
-    /// One greedy walk on `layer`: repeatedly move to the closest neighbour
-    /// until no neighbour improves.
-    ///
-    /// Ties on equal distance move to the smaller id, so the outcome is a
-    /// canonical `(distance, id)` minimum — independent of neighbour-list
-    /// order — and the walk still terminates (each move strictly decreases
-    /// the lexicographic `(distance, id)` pair). Without the id tie-break,
-    /// duplicate-distance points leave the walk wherever the link order
-    /// happens to put it first.
-    fn greedy_step(
-        &self,
-        q: &QueryDist<'_>,
-        mut ep: u32,
-        mut ep_dist: f32,
-        layer: usize,
-        scratch: &mut SearchScratch,
-    ) -> (u32, f32) {
-        loop {
-            let from = ep;
-            for &nb in self.graph.neighbors(from, layer) {
-                let d = self.d(q, nb, scratch);
-                if d < ep_dist || (d == ep_dist && nb < ep) {
-                    ep = nb;
-                    ep_dist = d;
-                }
-            }
-            if ep == from {
-                return (ep, ep_dist);
-            }
-        }
-    }
-
-    /// Moves the beam `eps` through one upper layer: width-`beam`
-    /// best-first search, or the cheaper greedy walk when the beam is a
-    /// single candidate wide.
-    fn layer_step(
-        &self,
-        q: &QueryDist<'_>,
-        eps: &mut Vec<Neighbor>,
-        beam: usize,
-        layer: usize,
-        scratch: &mut SearchScratch,
-    ) {
-        if beam == 1 && eps.len() == 1 {
-            let (id, d) = self.greedy_step(q, eps[0].id, eps[0].dist, layer, scratch);
-            eps[0] = Neighbor::new(id, d);
-        } else {
-            self.search_layer(q, eps, beam, layer, scratch);
-        }
-    }
-
     /// Multi-entry beam descent — the upper-layer half of a search. Starts
     /// from the entry point, folds each diverse entry-set member into the
     /// beam at the topmost layer it participates in, and carries the best
-    /// `beam` candidates across layers. Every entry-set member participates
-    /// at layer 0, so any member the descent never consumed is injected
-    /// into the returned seed list — the layer-0 beam starts from every
-    /// basin the entry set covers, which is what rescues recall on
-    /// multi-modal data (DESIGN.md §13).
+    /// `ENTRY_BEAM` candidates across layers. Every entry-set member
+    /// participates at layer 0, so any member the descent never consumed
+    /// is injected into the returned seed list — the layer-0 beam starts
+    /// from every basin the entry set covers, which is what rescues recall
+    /// on multi-modal data (DESIGN.md §13).
     ///
     /// Overwrites `eps` with the layer-0 seeds and returns `(descent hops,
     /// entry seeds consumed)`; the seeds are empty only for an empty index.
     fn descend(
         &self,
         q: &QueryDist<'_>,
-        beam: usize,
         eps: &mut Vec<Neighbor>,
         scratch: &mut SearchScratch,
     ) -> (u64, u64) {
@@ -941,7 +875,7 @@ impl Hnsw {
         };
         for lc in (1..=(top as usize)).rev() {
             fold_in(lc, eps, scratch);
-            self.layer_step(q, eps, beam, lc, scratch);
+            self.search_layer(q, eps, ENTRY_BEAM, lc, scratch);
             hops += 1;
         }
         fold_in(0, eps, scratch);
@@ -1233,22 +1167,21 @@ impl Hnsw {
     /// beam (widened while tombstones occupy beam
     /// slots), and the best `k` live survivors.
     ///
-    /// With `params.quantized = Some(rerank_factor)` this is the
-    /// quantized-first pipeline (the AQR-HNSW recipe): the traversal runs
-    /// with the SQ8 asymmetric distance in the squared-L2 domain over one
-    /// byte per dimension, and the first `rerank_factor * k` beam survivors
-    /// are re-ranked with the exact metric. An index with no trained
-    /// quantizer (empty, non-L2 metric, or a stale grid after
-    /// [`Hnsw::add`]) answers quantized requests on the exact path, so
-    /// callers always get correct results.
+    /// With `params.quantized` set this is the quantized-first pipeline
+    /// (the AQR-HNSW recipe): the traversal runs with the SQ8 asymmetric
+    /// distance in the squared-L2 domain over one byte per dimension, and
+    /// the first [`RERANK_FACTOR`]` * k` beam survivors are re-ranked with
+    /// the exact metric. An index with no trained quantizer (empty, non-L2
+    /// metric, or a stale grid after [`Hnsw::add`]) answers quantized
+    /// requests on the exact path, so callers always get correct results.
     ///
     /// Determinism: exact and quantized distances are bit-identical across
     /// thread counts (same chunked kernels, same reduction order), and the
     /// result depends only on the index, the query and `params`.
     ///
     /// # Panics
-    /// Panics if `k == 0`, a quantized `rerank_factor` is zero, or the
-    /// query dimension does not match the index.
+    /// Panics if `k == 0` or the query dimension does not match the
+    /// index.
     pub fn search(
         &self,
         q: &[f32],
@@ -1257,10 +1190,6 @@ impl Hnsw {
     ) -> (Vec<Neighbor>, SearchStats) {
         let k = params.k;
         assert!(k > 0, "k must be positive");
-        assert!(
-            params.quantized != Some(0),
-            "rerank_factor must be positive"
-        );
         assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
         scratch.begin(self.len());
         if self.live == 0 || self.entry.is_none() {
@@ -1270,36 +1199,34 @@ impl Hnsw {
         // a probe allocates only its answer.
         let mut prep = std::mem::take(&mut scratch.query);
         let mut w = std::mem::take(&mut scratch.seeds);
-        let rerank = params.quantized.zip(self.quant.as_ref());
-        let qd = match rerank {
-            Some((_, sq)) => {
+        let quant = self.quant.as_ref().filter(|_| params.quantized);
+        let qd = match quant {
+            Some(sq) => {
                 sq.prepare_query(q, &mut prep);
                 QueryDist::Quant { sq, prep: &prep }
             }
             None => QueryDist::Exact(q),
         };
-        let beam = self.resolve_beam(params.entry_beam);
         let ef = self.inflate_ef(params.ef.max(k));
-        let (hops, entry_seeds) = self.descend(&qd, beam, &mut w, scratch);
+        let (hops, entry_seeds) = self.descend(&qd, &mut w, scratch);
         self.search_layer(&qd, &mut w, ef, 0, scratch);
         if self.live < self.len() {
             w.retain(|n| !self.tombstones[n.id as usize]);
         }
-        let (out, pool) = match rerank {
-            Some((factor, _)) => {
-                let pool = factor.saturating_mul(k).min(w.len());
-                let out = rerank_exact(
-                    self.dist,
-                    &self.data,
-                    q,
-                    &w[..pool],
-                    k,
-                    &mut scratch.rerank,
-                    &mut scratch.ndist,
-                );
-                (out, pool as u64)
-            }
-            None => (w[..k.min(w.len())].to_vec(), 0),
+        let (out, pool) = if quant.is_some() {
+            let pool = RERANK_FACTOR.saturating_mul(k).min(w.len());
+            let out = rerank_exact(
+                self.dist,
+                &self.data,
+                q,
+                &w[..pool],
+                k,
+                &mut scratch.rerank,
+                &mut scratch.ndist,
+            );
+            (out, pool as u64)
+        } else {
+            (w[..k.min(w.len())].to_vec(), 0)
         };
         scratch.query = prep;
         scratch.seeds = w;
@@ -1315,17 +1242,6 @@ impl Hnsw {
                 entry_seeds,
             },
         )
-    }
-
-    /// `0` means "inherit the build-time config"; anything else is an
-    /// explicit per-query override.
-    #[inline]
-    fn resolve_beam(&self, entry_beam: usize) -> usize {
-        if entry_beam == 0 {
-            self.config.entry_beam.max(1)
-        } else {
-            entry_beam
-        }
     }
 }
 
@@ -1357,14 +1273,8 @@ mod tests {
     }
 
     /// Quantized-first search on fresh scratch.
-    fn quantized(
-        idx: &Hnsw,
-        q: &[f32],
-        k: usize,
-        ef: usize,
-        rerank_factor: usize,
-    ) -> (Vec<Neighbor>, SearchStats) {
-        let params = SearchParams::new(k, ef).quantized(rerank_factor);
+    fn quantized(idx: &Hnsw, q: &[f32], k: usize, ef: usize) -> (Vec<Neighbor>, SearchStats) {
+        let params = SearchParams::new(k, ef).quantized(true);
         idx.search(q, &params, &mut SearchScratch::default())
     }
 
@@ -1384,7 +1294,7 @@ mod tests {
         let (r, s) = exact(&idx, &[0.0; 4], 3, 10);
         assert!(r.is_empty());
         assert_eq!(s.ndist, 0);
-        let (rq, sq) = quantized(&idx, &[0.0; 4], 3, 10, 3);
+        let (rq, sq) = quantized(&idx, &[0.0; 4], 3, 10);
         assert!(rq.is_empty());
         assert_eq!(sq.ndist, 0);
     }
@@ -1393,13 +1303,13 @@ mod tests {
     fn quantized_search_finds_self_with_exact_distance() {
         let (data, idx) = small_index(400, 16, 51);
         let q = data.get(11);
-        let (hits, stats) = quantized(&idx, q, 5, 64, 3);
+        let (hits, stats) = quantized(&idx, q, 5, 64);
         assert_eq!(hits[0].id, 11);
         // the re-rank stage scores survivors with the exact metric, so the
         // self-distance is exactly zero despite the quantized traversal
         assert_eq!(hits[0].dist, 0.0);
         assert!(stats.ndist_quant > 0, "traversal should run quantized");
-        assert_eq!(stats.rerank, 15, "pool = rerank_factor * k");
+        assert_eq!(stats.rerank, 15, "pool = RERANK_FACTOR * k");
         assert!(
             stats.ndist > stats.ndist_quant,
             "re-rank adds exact evaluations on top"
@@ -1428,7 +1338,7 @@ mod tests {
             .map(|i| {
                 idx.search(
                     queries.get(i),
-                    &SearchParams::new(10, 64).quantized(3),
+                    &SearchParams::new(10, 64).quantized(true),
                     &mut scratch,
                 )
                 .0
@@ -1443,33 +1353,11 @@ mod tests {
     }
 
     #[test]
-    fn higher_rerank_factor_never_hurts_recall() {
-        // the same traversal re-ranks a superset pool, so no true
-        // neighbour the smaller pool found can drop out
-        let data = synth::deep_like(3_000, 24, 41);
-        let queries = synth::queries_near(&data, 30, 0.02, 42);
-        let cfg = HnswConfig::with_m(8).ef_construction(60).seed(41);
-        let idx = Hnsw::build(data.clone(), Distance::L2, cfg);
-        let gt = ground_truth::brute_force(&data, &queries, 10, Distance::L2);
-        let recall = |factor: usize| {
-            let hits: Vec<_> = (0..queries.len())
-                .map(|i| quantized(&idx, queries.get(i), 10, 40, factor).0)
-                .collect();
-            ground_truth::recall_at_k(&hits, &gt, 10).mean
-        };
-        let (rec1, rec5) = (recall(1), recall(5));
-        assert!(
-            rec5 >= rec1 - 1e-9,
-            "a larger re-rank pool lost recall: factor 1 -> {rec1}, factor 5 -> {rec5}"
-        );
-    }
-
-    #[test]
     fn quantized_search_spends_fewer_exact_evaluations() {
         let (data, idx) = small_index(1500, 32, 61);
         let q = data.get(7);
         let (_, se) = exact(&idx, q, 10, 64);
-        let (_, sq) = quantized(&idx, q, 10, 64, 3);
+        let (_, sq) = quantized(&idx, q, 10, 64);
         let exact_evals = sq.ndist - sq.ndist_quant;
         assert_eq!(
             exact_evals, sq.rerank,
@@ -1489,8 +1377,8 @@ mod tests {
         let mut s2 = SearchScratch::with_capacity(idx.len());
         for i in (0..800).step_by(97) {
             let q = data.get(i);
-            let (a, sa) = idx.search(q, &SearchParams::new(5, 48).quantized(3), &mut s1);
-            let (b, sb) = idx.search(q, &SearchParams::new(5, 48).quantized(3), &mut s2);
+            let (a, sa) = idx.search(q, &SearchParams::new(5, 48).quantized(true), &mut s1);
+            let (b, sb) = idx.search(q, &SearchParams::new(5, 48).quantized(true), &mut s2);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id);
@@ -1508,12 +1396,12 @@ mod tests {
         idx.add(&[500.0; 8]); // outside the trained box
         assert!(idx.quantizer().is_none(), "add must invalidate the grid");
         // fallback still answers exactly
-        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16, 3);
+        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16);
         assert_eq!(hits[0].id, 200);
         assert_eq!(stats.ndist_quant, 0, "stale grid must not be used");
         idx.train_quantizer();
         assert!(idx.quantizer().is_some());
-        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16, 3);
+        let (hits, stats) = quantized(&idx, &[500.0; 8], 1, 16);
         assert_eq!(hits[0].id, 200);
         assert!(stats.ndist_quant > 0, "retrained grid re-enables quantized");
     }
@@ -1527,7 +1415,7 @@ mod tests {
             HnswConfig::with_m(8).seed(23),
         );
         assert!(idx.quantizer().is_none(), "cosine cannot rank in sq-L2");
-        let (a, stats) = quantized(&idx, data.get(5), 3, 32, 3);
+        let (a, stats) = quantized(&idx, data.get(5), 3, 32);
         let (b, _) = exact(&idx, data.get(5), 3, 32);
         assert_eq!(a, b, "fallback must equal the exact path");
         assert_eq!(stats.ndist_quant, 0);
@@ -1853,47 +1741,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn greedy_descent_tie_break_is_link_order_independent() {
-        // 1-D fixture where two layer-1 nodes are exactly equidistant from
-        // the query: the walk from the entry must settle on the smaller id
-        // regardless of which neighbour the link list names first. Before
-        // the id tie-break, the first-listed neighbour won, so the two
-        // mirror fixtures below disagreed.
-        let mut data = VectorSet::new(1);
-        for v in [[10.0f32], [1.0], [-1.0], [1.5], [-1.5]] {
-            data.push(&v);
-        }
-        let levels = vec![1, 1, 1, 0, 0];
-        let fixture = |layer1_of_0: Vec<u32>| {
-            Hnsw::from_parts(
-                HnswConfig::with_m(4),
-                Distance::L2,
-                data.clone(),
-                levels.clone(),
-                vec![
-                    vec![vec![1, 2], layer1_of_0],
-                    vec![vec![0, 3], vec![0]],
-                    vec![vec![0, 4], vec![0]],
-                    vec![vec![1]],
-                    vec![vec![2]],
-                ],
-                Some((0, 1)),
-                Vec::new(),
-                None,
-            )
-        };
-        let a = fixture(vec![1, 2]);
-        let b = fixture(vec![2, 1]);
-        let mut scratch = SearchScratch::with_capacity(5);
-        // beam = 1 exercises the greedy walk; ef = 1 keeps the layer-0
-        // search confined to the basin the walk picked
-        let (ra, _) = a.search(&[0.0], &SearchParams::new(1, 1).entry_beam(1), &mut scratch);
-        let (rb, _) = b.search(&[0.0], &SearchParams::new(1, 1).entry_beam(1), &mut scratch);
-        assert_eq!(ra[0].id, 1, "tie must resolve to the smaller id");
-        assert_eq!(ra, rb, "descent outcome must not depend on link order");
-    }
-
     /// A layer-0-only 1-D index over `xs` with the given layer-0 links,
     /// entry point 0 and entry set `entry_set`.
     fn line_graph(xs: &[f32], links: Vec<Vec<u32>>, entry_set: Vec<u32>) -> Hnsw {
@@ -2071,20 +1918,6 @@ mod tests {
     }
 
     #[test]
-    fn wider_entry_beam_never_loses_self_hits() {
-        let (data, idx) = small_index(600, 12, 44);
-        let mut scratch = SearchScratch::with_capacity(idx.len());
-        for i in (0..600).step_by(71) {
-            let q = data.get(i);
-            for beam in [1, 2, 8] {
-                let (r, _) =
-                    idx.search(q, &SearchParams::new(1, 24).entry_beam(beam), &mut scratch);
-                assert_eq!(r[0].id, i as u32, "beam {beam} lost point {i}");
-            }
-        }
-    }
-
-    #[test]
     fn entry_seeds_reported_only_when_consumed() {
         let (data, idx) = small_index(900, 12, 45);
         assert!(idx.entry_set().len() > 1);
@@ -2129,7 +1962,7 @@ mod tests {
             );
             let (rq, _) = idx.search(
                 data.get(i),
-                &SearchParams::new(10, 64).quantized(3),
+                &SearchParams::new(10, 64).quantized(true),
                 &mut scratch,
             );
             assert!(
@@ -2184,7 +2017,7 @@ mod tests {
         assert_eq!(idx.tombstone_ratio(), 1.0);
         idx.validate().expect("fully tombstoned index is valid");
         assert!(exact(&idx, data.get(0), 5, 32).0.is_empty());
-        assert!(quantized(&idx, data.get(0), 5, 32, 3).0.is_empty());
+        assert!(quantized(&idx, data.get(0), 5, 32).0.is_empty());
     }
 
     #[test]
@@ -2234,7 +2067,7 @@ mod tests {
         assert_eq!(sq.codes(), rebuilt.codes());
         let bits = |s: &Sq8| s.norms().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(sq), bits(&rebuilt));
-        let (hits, stats) = quantized(&idx, &v, 2, 32, 4);
+        let (hits, stats) = quantized(&idx, &v, 2, 32);
         assert!(stats.ndist_quant > 0, "traversal stays quantized");
         assert!(
             hits.iter().any(|h| h.id == id || h.id == 42),

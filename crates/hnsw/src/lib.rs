@@ -7,8 +7,8 @@
 //! The index is a stack of navigable-small-world layers. Every point lives
 //! in layer 0; each point is independently promoted to higher layers with a
 //! geometric probability (the skip-list construction), and search descends
-//! greedily from the sparse top layer to the dense bottom layer, turning a
-//! k-NN query into an `O(log n)` greedy graph walk.
+//! from the sparse top layer to the dense bottom layer in a narrow beam,
+//! turning a k-NN query into an `O(log n)` graph walk.
 //!
 //! Implemented here:
 //! * insertion with the *heuristic* neighbour selection of the HNSW paper's

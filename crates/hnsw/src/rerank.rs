@@ -5,7 +5,7 @@
 //! zero: the final ordering of a survivor pool must therefore be settled
 //! at full precision. This module is the *only* place in the crate where
 //! search-time exact distances are computed — the `quantized-traversal`
-//! lint in `fastann-check` machine-enforces that `greedy_step` /
+//! lint in `fastann-check` machine-enforces that `descend` /
 //! `search_layer` never touch `squared_l2` or `Distance::eval`, and this
 //! file carries the allowlist entry for the exact stage.
 

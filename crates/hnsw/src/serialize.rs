@@ -8,7 +8,7 @@
 //! ```text
 //! magic "FANNHNSW" | version u32 | dist u8 | dim u32 | n u32
 //! config: m u32 | m_max0 u32 | ef_construction u32 | level_mult f64
-//!         0u8 | 1u8 | seed u64 | entry_beam u32
+//!         0u8 | 1u8 | seed u64 | 4u32
 //! entry: present u8 [node u32, level u8]
 //! levels: n × u8
 //! vectors: n × dim × f32
@@ -27,11 +27,12 @@
 //! [`LoadError::Format`].
 //!
 //! The config record is [`HnswConfig::write_record`]'s, shared with the
-//! distributed index file. `m_max0` and `level_mult` are derived from `m`,
-//! and the two flag bytes are the retired `extendCandidates` (off) and
-//! `keepPrunedConnections` (on) knobs; they stay in the record so the
-//! format does not move, and the reader refuses a record whose stored
-//! values disagree with `m`.
+//! distributed index file. `m_max0` and `level_mult` are derived from `m`.
+//! The two flag bytes are the retired `extendCandidates` (off) and
+//! `keepPrunedConnections` (on) knobs, and the last `u32` is the retired
+//! `entry_beam` knob, pinned to the descent's fixed beam width of 4. They
+//! stay in the record so the format does not move, and the reader refuses
+//! a record whose stored values disagree with `m` or with those pins.
 //!
 //! The reader checks every link list against its layer's degree bound
 //! (`m_max0` at layer 0, `m` above), and refuses an `m` above [`MAX_M`]:
@@ -45,7 +46,7 @@ use std::path::Path;
 use fastann_data::quant::Sq8;
 use fastann_data::{Distance, VectorSet};
 
-use crate::config::HnswConfig;
+use crate::config::{HnswConfig, ENTRY_BEAM};
 use crate::index::Hnsw;
 
 const MAGIC: &[u8; 8] = b"FANNHNSW";
@@ -125,7 +126,8 @@ impl<R: Read> Reader<R> {
 impl HnswConfig {
     /// Writes the config record: `m`, the derived `m_max0`,
     /// `ef_construction`, the derived `level_mult`, the flag bytes `0` and
-    /// `1`, `seed` and `entry_beam` — 34 bytes, little endian.
+    /// `1`, `seed` and the pinned entry-beam slot `4` — 34 bytes, little
+    /// endian.
     pub fn write_record(&self, w: &mut impl Write) -> std::io::Result<()> {
         w.write_all(&(self.m as u32).to_le_bytes())?;
         w.write_all(&(self.m_max0() as u32).to_le_bytes())?;
@@ -133,7 +135,7 @@ impl HnswConfig {
         w.write_all(&self.level_mult().to_bits().to_le_bytes())?;
         w.write_all(&[0, 1])?;
         w.write_all(&self.seed.to_le_bytes())?;
-        w.write_all(&(self.entry_beam as u32).to_le_bytes())
+        w.write_all(&(ENTRY_BEAM as u32).to_le_bytes())
     }
 
     /// Reads a record written by [`HnswConfig::write_record`].
@@ -141,7 +143,8 @@ impl HnswConfig {
     /// # Errors
     /// [`LoadError::Format`] on truncation, an `m` below 2 or above the
     /// cap, a stored `m_max0`, `level_mult` or flag byte that is not the
-    /// one `m` derives, or a zero `ef_construction` or `entry_beam`.
+    /// one `m` derives, an entry-beam slot other than `4`, or a zero
+    /// `ef_construction`.
     pub fn read_record(r: &mut impl Read) -> Result<HnswConfig, LoadError> {
         let mut rd = Reader { inner: r };
         let m = rd.u32()? as usize;
@@ -150,7 +153,7 @@ impl HnswConfig {
         let level_mult = rd.u64()?;
         let flags = [rd.u8()?, rd.u8()?];
         let seed = rd.u64()?;
-        let entry_beam = rd.u32()? as usize;
+        let beam_slot = rd.u32()?;
         if m < 2 {
             return Err(LoadError::Format("implausible link bounds".into()));
         }
@@ -161,7 +164,6 @@ impl HnswConfig {
             m,
             ef_construction,
             seed,
-            entry_beam,
         };
         if m_max0 != config.m_max0() {
             return Err(LoadError::Format(format!(
@@ -176,8 +178,13 @@ impl HnswConfig {
         if flags != [0, 1] {
             return Err(LoadError::Format(format!("bad config flags {flags:?}")));
         }
-        if ef_construction == 0 || entry_beam == 0 {
-            return Err(LoadError::Format("zero construction or entry beam".into()));
+        if beam_slot != ENTRY_BEAM as u32 {
+            return Err(LoadError::Format(format!(
+                "entry beam {beam_slot} is not the fixed {ENTRY_BEAM}"
+            )));
+        }
+        if ef_construction == 0 {
+            return Err(LoadError::Format("zero construction beam".into()));
         }
         Ok(config)
     }
@@ -564,6 +571,9 @@ mod tests {
     /// Byte offset of the record's `level_mult` and flag bytes.
     const MULT_AT: usize = M_AT + 12;
     const FLAGS_AT: usize = MULT_AT + 8;
+    /// Byte offset of the retired entry-beam slot, after the flags and
+    /// `seed`.
+    const BEAM_AT: usize = FLAGS_AT + 10;
 
     #[test]
     fn over_degree_link_list_rejected() {
@@ -632,6 +642,15 @@ mod tests {
             (patched(&bytes, FLAGS_AT, &[1, 1]), "bad config flags"),
             (patched(&bytes, FLAGS_AT, &[0, 0]), "bad config flags"),
             (patched(&bytes, FLAGS_AT, &[0, 2]), "bad config flags"),
+            // an entry-beam slot other than the retired knob's fixed 4
+            (
+                patched(&bytes, BEAM_AT, &0u32.to_le_bytes()),
+                "entry beam 0 is not the fixed 4",
+            ),
+            (
+                patched(&bytes, BEAM_AT, &1u32.to_le_bytes()),
+                "entry beam 1 is not the fixed 4",
+            ),
         ] {
             assert_format_err(&bad, &[msg]);
         }
@@ -652,8 +671,8 @@ mod tests {
         // quantized search answers bit-identically without retraining
         for i in (0..600).step_by(53) {
             let q = idx.vectors().get(i);
-            let (a, sa) = search(&idx, q, SearchParams::new(5, 32).quantized(3));
-            let (b, sb) = search(&back, q, SearchParams::new(5, 32).quantized(3));
+            let (a, sa) = search(&idx, q, SearchParams::new(5, 32).quantized(true));
+            let (b, sb) = search(&back, q, SearchParams::new(5, 32).quantized(true));
             assert_eq!(a.len(), b.len(), "query {i}");
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id, "query {i}");
@@ -673,7 +692,7 @@ mod tests {
         assert!(back.quantizer().is_none());
         // quantized search falls back to exact and still answers
         let q = back.vectors().get(3).to_vec();
-        let (hits, stats) = search(&back, &q, SearchParams::new(3, 16).quantized(3));
+        let (hits, stats) = search(&back, &q, SearchParams::new(3, 16).quantized(true));
         assert_eq!(hits[0].id, 3);
         assert_eq!(stats.ndist_quant, 0, "fallback path is exact");
     }
@@ -693,7 +712,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_entry_set_and_beam() {
+    fn round_trip_preserves_entry_set() {
         let idx = sample_index();
         assert!(
             idx.entry_set().len() > 1,
@@ -705,16 +724,6 @@ mod tests {
             idx.entry_set(),
             "entry set must persist bit-identically"
         );
-        assert_eq!(back.config().entry_beam, idx.config().entry_beam);
-        // a non-default knob survives too
-        let data = synth::sift_like(300, 8, 79);
-        let wide = Hnsw::build(
-            data,
-            Distance::L2,
-            HnswConfig::with_m(8).seed(79).entry_beam(7),
-        );
-        let back = Hnsw::from_bytes(&wide.to_bytes()).expect("round trip");
-        assert_eq!(back.config().entry_beam, 7);
     }
 
     #[test]

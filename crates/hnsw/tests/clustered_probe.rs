@@ -28,7 +28,7 @@ fn run_exact_and_quantized(
         ex.push(hits);
         qu.push(
             index
-                .search(q, &SearchParams::new(10, 64).quantized(3), &mut scratch)
+                .search(q, &SearchParams::new(10, 64).quantized(true), &mut scratch)
                 .0,
         );
     }

@@ -80,7 +80,7 @@ fn hash_searches(index: &Hnsw, queries: &VectorSet, params: &[SearchParams]) -> 
 /// `k`, exact and SQ8.
 fn params_at(k: usize, ef: usize) -> Vec<SearchParams> {
     let exact = SearchParams::new(k, ef);
-    vec![exact, exact.quantized(3)]
+    vec![exact, exact.quantized(true)]
 }
 
 /// Every query at k = 10, ef = 48.

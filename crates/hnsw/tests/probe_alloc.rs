@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fastann_data::{synth, Distance};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, RERANK_FACTOR};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
 
 struct Counting;
 
@@ -58,7 +58,7 @@ fn warm_probe_allocates_only_its_answer() {
     assert!(index.quantizer().is_some());
     let exact = SearchParams::new(10, 40);
     let mut scratch = SearchScratch::default();
-    for params in [exact, exact.quantized(RERANK_FACTOR)] {
+    for params in [exact, exact.quantized(true)] {
         // warm-up: the buffers grow to the largest size these probes use
         for qi in 0..queries.len() {
             index.search(queries.get(qi), &params, &mut scratch);

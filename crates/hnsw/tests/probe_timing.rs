@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use fastann_data::synth::{self, mdcgen};
 use fastann_data::{Distance, VectorSet};
-use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch, RERANK_FACTOR};
+use fastann_hnsw::{Hnsw, HnswConfig, SearchParams, SearchScratch};
 
 const QUERIES: usize = 200;
 const REPS: usize = 15;
@@ -77,7 +77,7 @@ fn probe_us_per_shape() {
         let queries = synth::queries_near(&data, QUERIES, 0.02, 11);
         let index = Hnsw::build(data, Distance::L2, config);
         let exact = SearchParams::new(10, 40);
-        for (path, params) in [("exact", exact), ("sq8", exact.quantized(RERANK_FACTOR))] {
+        for (path, params) in [("exact", exact), ("sq8", exact.quantized(true))] {
             let (us, ndist) = probe_us(&index, &queries, &params);
             let ns_dist = us * 1e3 / ndist;
             println!("{name:>9} {path:>6} {us:>9.2} {ns_dist:>9.1} {ndist:>8.1}");
