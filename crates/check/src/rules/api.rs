@@ -4,18 +4,18 @@
 //! The five legacy `search_batch*` entry points were deleted in favour
 //! of the `SearchRequest` builder; no public function of the family may
 //! appear again (the multiple-owner algorithm keeps its allowlisted
-//! name). In `crates/hnsw/src`,
-//! traversal code (`greedy_step` / `search_layer`) must dispatch every
-//! distance through `QueryDist`, and the raw exact kernel may not be
-//! called anywhere in the crate — the re-rank stage is the one
-//! sanctioned consumer and carries the allowlist entry.
+//! name). In `crates/hnsw/src`, traversal code (the upper-layer
+//! `descend` and the beam's `search_layer`) must dispatch every distance
+//! through `QueryDist`, and the raw exact kernel may not be called
+//! anywhere in the crate — the re-rank stage is the one sanctioned
+//! consumer and carries the allowlist entry.
 
 use crate::engine::FileCtx;
 use crate::lint::{Violation, RULE_QUANT, RULE_SEARCH_BATCH};
 
 /// HNSW traversal functions whose bodies are under `QueryDist`-only
 /// dispatch.
-const TRAVERSAL_FNS: [&str; 2] = ["greedy_step", "search_layer"];
+const TRAVERSAL_FNS: [&str; 2] = ["descend", "search_layer"];
 
 /// Runs both rules over one file.
 pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {

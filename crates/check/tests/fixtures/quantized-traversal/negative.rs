@@ -1,4 +1,4 @@
-fn greedy_step(q: &QueryDist, cand: &[u32]) -> f32 {
+fn descend(q: &QueryDist, cand: &[u32]) -> f32 {
     // squared_l2(a, b) is exactly what the quantized path replaces
     let mut best = f32::INFINITY;
     for &c in cand {

@@ -1,4 +1,4 @@
-fn greedy_step(q: &QueryDist, metric: &Metric, cand: &[u32]) -> f32 {
+fn descend(q: &QueryDist, metric: &Metric, cand: &[u32]) -> f32 {
     let mut best = f32::INFINITY;
     for &c in cand {
         let d = metric.eval(q, c); //~ fires
