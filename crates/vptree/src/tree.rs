@@ -301,60 +301,6 @@ impl VpTree {
         (top.into_sorted(), stats)
     }
 
-    /// Exact range search: every indexed point within `radius` of `q`,
-    /// sorted by ascending distance. The same µ-boundary pruning as k-NN,
-    /// with a fixed ball instead of a shrinking one.
-    pub fn range(&self, q: &[f32], radius: f32) -> (Vec<Neighbor>, VpSearchStats) {
-        assert!(radius >= 0.0, "radius must be non-negative");
-        assert_eq!(q.len(), self.data.dim(), "query dimension mismatch");
-        let mut out = Vec::new();
-        let mut stats = VpSearchStats::default();
-        self.range_rec(self.root, q, radius, &mut out, &mut stats);
-        out.sort_unstable();
-        (out, stats)
-    }
-
-    fn range_rec(
-        &self,
-        node: u32,
-        q: &[f32],
-        radius: f32,
-        out: &mut Vec<Neighbor>,
-        stats: &mut VpSearchStats,
-    ) {
-        stats.nodes_visited += 1;
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, end } => {
-                stats.leaves_visited += 1;
-                for &id in &self.ids[*start as usize..*end as usize] {
-                    stats.ndist += 1;
-                    let d = self.dist.eval(q, self.data.get(id as usize));
-                    if d <= radius {
-                        out.push(Neighbor::new(id, d));
-                    }
-                }
-            }
-            Node::Inner {
-                vp,
-                mu,
-                left,
-                right,
-            } => {
-                stats.ndist += 1;
-                let d = self.dist.eval(q, self.data.get(*vp as usize));
-                if d <= radius {
-                    out.push(Neighbor::new(*vp, d));
-                }
-                if d - radius <= *mu {
-                    self.range_rec(*left, q, radius, out, stats);
-                }
-                if d + radius > *mu {
-                    self.range_rec(*right, q, radius, out, stats);
-                }
-            }
-        }
-    }
-
     fn search_rec(&self, node: u32, q: &[f32], top: &mut TopK, stats: &mut VpSearchStats) {
         stats.nodes_visited += 1;
         match &self.nodes[node as usize] {
@@ -634,50 +580,6 @@ mod tests {
     fn non_metric_rejected() {
         let data = synth::sift_like(10, 4, 9);
         let _ = VpTree::build(data, Distance::Cosine, VpTreeConfig::default());
-    }
-
-    #[test]
-    fn range_matches_linear_scan() {
-        let data = synth::sift_like(1200, 8, 20);
-        let tree = VpTree::build(data.clone(), Distance::L2, VpTreeConfig::default());
-        let queries = synth::queries_near(&data, 10, 0.05, 21);
-        for qi in 0..queries.len() {
-            let q = queries.get(qi);
-            // pick a radius that captures a nontrivial set
-            let radius = {
-                let mut ds: Vec<f32> = data.iter().map(|r| Distance::L2.eval(q, r)).collect();
-                fastann_data::select::select_nth(&mut ds, 25)
-            };
-            let (got, stats) = tree.range(q, radius);
-            let mut want: Vec<_> = data
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| {
-                    let d = Distance::L2.eval(q, r);
-                    (d <= radius).then(|| fastann_data::Neighbor::new(i as u32, d))
-                })
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "range query {qi} differs from scan");
-            assert!(stats.ndist <= 1200 + tree.nodes.len() as u64);
-        }
-    }
-
-    #[test]
-    fn zero_radius_range_finds_exact_duplicates() {
-        let data = synth::sift_like(300, 6, 22);
-        let tree = VpTree::build(data.clone(), Distance::L2, VpTreeConfig::default());
-        let (hits, _) = tree.range(data.get(5), 0.0);
-        assert!(hits.iter().any(|n| n.id == 5));
-        assert!(hits.iter().all(|n| n.dist == 0.0));
-    }
-
-    #[test]
-    fn huge_radius_returns_everything() {
-        let data = synth::sift_like(200, 4, 23);
-        let tree = VpTree::build(data.clone(), Distance::L2, VpTreeConfig::default());
-        let (hits, _) = tree.range(data.get(0), f32::MAX);
-        assert_eq!(hits.len(), 200);
     }
 
     #[test]
