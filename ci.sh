@@ -33,9 +33,10 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
 
 echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
-# SearchScratch carries the beam's heaps from one probe to the next
-# within a rayon split; a state leak between probes would show only where
-# the splits differ, and only on the optimized build that ships.
+# SearchScratch keeps the beam's key pool, the descent seeds and the
+# re-rank buffer from one probe to the next on one pool thread; a state
+# leak between probes would show only where the threads' probe sequences
+# differ, and only on the optimized build that ships.
 FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"

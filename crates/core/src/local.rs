@@ -75,11 +75,11 @@ impl LocalIndex {
     /// `opts.k`/`opts.ef` bound the answer, and `opts.quantized` routes an
     /// HNSW partition to its SQ8 traversal + exact re-rank pipeline
     /// ([`fastann_hnsw::RERANK_FACTOR`] wide, falling back to exact when
-    /// the partition has no trained quantizer). Tree and brute-force kinds are always exact and
-    /// single-entry — they are the ground-truth baselines, so quantizing
-    /// them would defeat their purpose — and report only `ndist` (a tree
-    /// walk has no beam, so `hops`, `heap_pushes` and `ef_churn` stay
-    /// zero).
+    /// the partition has no trained quantizer). Tree and brute-force kinds
+    /// are always exact and single-entry — they are the ground-truth
+    /// baselines, so quantizing them would defeat their purpose — and
+    /// report only `ndist` (a tree walk has no beam, so `hops`,
+    /// `heap_pushes` and `ef_churn` stay zero).
     pub fn search_detailed_opts(
         &self,
         q: &[f32],
