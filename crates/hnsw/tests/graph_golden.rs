@@ -2,7 +2,9 @@
 //!
 //! Each corpus is built with `Hnsw::build`, grown by 100 `add`s,
 //! tombstoned at every 7th id and repaired. Every state is fingerprinted
-//! with FNV-1a over the serialized blob plus `build_ndist`, and 50 queries
+//! with FNV-1a over the serialized blob, its `build_ndist` is pinned
+//! beside it (a cheaper construction may lower the count without moving
+//! a byte of the graph), and 50 queries
 //! are fingerprinted over their result ids, distance bits and every
 //! `SearchStats` field, exact and SQ8 (one multi-entry beam descent; there
 //! is no other). A second sweep fingerprints the live, tombstoned and
@@ -12,6 +14,10 @@
 //! runs on the seeds before any expansion. The constants pin today's
 //! graphs and answers: a refactor of the build or search core must leave
 //! every one of them unchanged.
+//!
+//! All corpora but one build at M = 8 (`m_max0` = 16). The M = 32 corpus
+//! (`m_max0` = 64) reselects overflowing lists of 65 candidates, more than
+//! one 64-bit word of slots.
 //!
 //! The lattice corpus has small-integer coordinates, so squared distances
 //! tie exactly and often: it pins the beam's `(dist, id)` tie-breaks and
@@ -41,11 +47,10 @@ impl Fnv {
     }
 }
 
-/// Serialized blob plus construction cost.
+/// The serialized blob.
 fn graph_hash(index: &Hnsw) -> u64 {
     let mut h = Fnv::new();
     h.bytes(&index.to_bytes());
-    h.u64(index.build_ndist());
     h.0
 }
 
@@ -103,9 +108,11 @@ fn sweep_hash(index: &Hnsw, queries: &VectorSet) -> u64 {
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     build: u64,
+    build_ndist: u64,
     search: u64,
     search_tombstoned: u64,
     mutated: u64,
+    mutated_ndist: u64,
     search_repaired: u64,
 }
 
@@ -118,11 +125,12 @@ struct Sweep {
     repaired: u64,
 }
 
-fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Sweep) {
-    let cfg = HnswConfig::with_m(8).ef_construction(64).seed(seed);
+fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64, m: usize) -> (Golden, Sweep) {
+    let cfg = HnswConfig::with_m(m).ef_construction(64).seed(seed);
     let adds = synth::queries_near(&data, 100, 0.02, seed ^ 0xadd);
     let mut index = Hnsw::build(data, Distance::L2, cfg);
     let build = graph_hash(&index);
+    let build_ndist = index.build_ndist();
     // ef = 1 must sit below the layer-0 seed count for the sweep to run
     // the replace-the-worst rule on the seeds.
     assert!(index.entry_set().len() > 1, "entry set too small to seed");
@@ -140,9 +148,11 @@ fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Swe
     index.validate().expect("repaired graph is valid");
     let golden = Golden {
         build,
+        build_ndist,
         search,
         search_tombstoned,
         mutated: graph_hash(&index),
+        mutated_ndist: index.build_ndist(),
         search_repaired: search_hash(&index, queries),
     };
     let sweep = Sweep {
@@ -157,14 +167,16 @@ fn fingerprints(data: VectorSet, queries: &VectorSet, seed: u64) -> (Golden, Swe
 fn sift_like_golden() {
     let data = synth::sift_like(1500, 24, 11);
     let queries = synth::queries_near(&data, 50, 0.02, 12);
-    let (got, sweep) = fingerprints(data, &queries, 11);
+    let (got, sweep) = fingerprints(data, &queries, 11, 8);
     assert_eq!(
         got,
         Golden {
-            build: 0x07c9_53ae_f2cb_9bd9,
+            build: 0x9dab_66a6_3c74_bb22,
+            build_ndist: 796_751,
             search: 0xd5ea_f91b_8189_4c11,
             search_tombstoned: 0xfef5_1fbe_0bca_021d,
-            mutated: 0xb8bb_f789_8156_485b,
+            mutated: 0xc797_a8d8_3d50_994c,
+            mutated_ndist: 851_730,
             search_repaired: 0xb92f_d81f_562d_3909,
         }
     );
@@ -182,14 +194,16 @@ fn sift_like_golden() {
 fn deep_like_golden() {
     let data = synth::deep_like(1500, 32, 21);
     let queries = synth::queries_near(&data, 50, 0.02, 22);
-    let (got, sweep) = fingerprints(data, &queries, 21);
+    let (got, sweep) = fingerprints(data, &queries, 21, 8);
     assert_eq!(
         got,
         Golden {
-            build: 0x7976_dd10_f1fd_9415,
+            build: 0x7e8a_0f91_ba30_e682,
+            build_ndist: 748_042,
             search: 0xc6fa_9b3d_08c3_90e4,
             search_tombstoned: 0x41b8_e52a_d11f_78f9,
-            mutated: 0xa9bf_979f_42f8_adc2,
+            mutated: 0x0f8b_50e2_8200_145b,
+            mutated_ndist: 799_010,
             search_repaired: 0xb64b_a699_0ca6_8779,
         }
     );
@@ -215,14 +229,16 @@ fn mdcgen_golden() {
         seed: 31,
     });
     let queries = ds.queries_all_clusters(50, 0.01, 32);
-    let (got, sweep) = fingerprints(ds.points, &queries, 31);
+    let (got, sweep) = fingerprints(ds.points, &queries, 31, 8);
     assert_eq!(
         got,
         Golden {
-            build: 0x4b5d_305b_dfa6_7371,
+            build: 0xeb45_d761_81e2_18e2,
+            build_ndist: 664_942,
             search: 0x31e6_a5db_42c2_45d6,
             search_tombstoned: 0x039e_e77e_211f_42c1,
-            mutated: 0xdd56_d9e2_6fbb_70d5,
+            mutated: 0x2d33_67ed_edd0_a37a,
+            mutated_ndist: 721_777,
             search_repaired: 0x5c9c_7d49_a980_68d1,
         }
     );
@@ -232,6 +248,41 @@ fn mdcgen_golden() {
             live: 0xe6ae_623a_b18c_d903,
             tombstoned: 0xed9c_8fd3_7c90_0c49,
             repaired: 0x6519_3a39_3dd5_8715,
+        }
+    );
+}
+
+#[test]
+fn m32_golden() {
+    let ds = mdcgen::generate(&mdcgen::MdcConfig {
+        n_points: 1500,
+        dim: 32,
+        n_clusters: 6,
+        n_outliers: 4,
+        compactness: 0.05,
+        spread: mdcgen::Spread::Mixed,
+        seed: 51,
+    });
+    let queries = ds.queries_all_clusters(50, 0.01, 52);
+    let (got, sweep) = fingerprints(ds.points, &queries, 51, 32);
+    assert_eq!(
+        got,
+        Golden {
+            build: 0xd360_bacb_d793_69a4,
+            build_ndist: 4_422_103,
+            search: 0xff76_5e2c_e382_62c4,
+            search_tombstoned: 0x2099_9193_d126_92cd,
+            mutated: 0xa5a5_2277_0865_5c9b,
+            mutated_ndist: 4_912_674,
+            search_repaired: 0x1dfe_842b_c10c_1519,
+        }
+    );
+    assert_eq!(
+        sweep,
+        Sweep {
+            live: 0x9821_b10f_8c15_fd73,
+            tombstoned: 0x2ffa_b03f_a1e1_9d41,
+            repaired: 0x5c8e_c232_c05e_53dd,
         }
     );
 }
@@ -254,14 +305,16 @@ fn lattice(n: usize, dim: usize, seed: u64) -> VectorSet {
 fn lattice_golden() {
     let data = lattice(1500, 12, 41);
     let queries = lattice(50, 12, 42);
-    let (got, sweep) = fingerprints(data, &queries, 41);
+    let (got, sweep) = fingerprints(data, &queries, 41, 8);
     assert_eq!(
         got,
         Golden {
-            build: 0x3456_9bb8_bc68_f6a5,
+            build: 0x9ef1_4807_d274_bf97,
+            build_ndist: 956_373,
             search: 0xa361_01ea_5fab_216d,
             search_tombstoned: 0x4802_18db_9e50_3a25,
-            mutated: 0xedd9_d99b_9fa0_cbd4,
+            mutated: 0x79d5_71cb_71fe_8d23,
+            mutated_ndist: 1_032_161,
             search_repaired: 0x1e18_17be_b407_292d,
         }
     );
