@@ -7,7 +7,6 @@ use crate::config::{HnswConfig, ENTRY_BEAM};
 use crate::graph::Graph;
 use crate::rerank::rerank_exact;
 use crate::scratch::SearchScratch;
-use crate::select::select_neighbors_heuristic;
 
 /// Per-search accounting. `ndist` is the number the distributed engine
 /// charges to a worker's virtual clock.
@@ -37,6 +36,25 @@ pub struct SearchStats {
     /// ([`Hnsw::entry_set`]) the query actually consumed. Zero when the
     /// index has at most one entry (or on the tree/brute-force kinds).
     pub entry_seeds: u64,
+}
+
+/// Distance evaluations spent constructing an index, by phase of
+/// insertion. [`Hnsw::build_ndist`] is their sum.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BuildCost {
+    /// The beam searches that gather each new node's candidates.
+    pub search: u64,
+    /// The neighbour heuristic choosing each new node's links.
+    pub select: u64,
+    /// Linking back: the reselections of the lists a new link overflows.
+    pub link: u64,
+}
+
+impl BuildCost {
+    /// All evaluations, every phase together.
+    pub fn total(&self) -> u64 {
+        self.search + self.select + self.link
+    }
 }
 
 /// Per-call parameters of [`Hnsw::search`].
@@ -113,7 +131,7 @@ pub struct Hnsw {
     entry_set: Vec<u32>,
     /// Distance evaluations spent during construction (the quantity the
     /// distributed engine charges to a builder's virtual clock).
-    build_ndist: u64,
+    build_cost: BuildCost,
     /// `tombstones[id]` marks a removed point: it stays in `data` and stays
     /// traversable as a graph waypoint until [`Hnsw::repair_tombstones`]
     /// detaches it, but it is filtered from every search result. All-`false`
@@ -163,6 +181,10 @@ impl Hnsw {
     pub fn build(data: VectorSet, dist: Distance, config: HnswConfig) -> Self {
         let mut index = Self::empty_for(data, dist, config);
         let mut scratch = SearchScratch::with_capacity(index.len());
+        // The memo carries each layer-0 list's distances and decided
+        // heuristic checks from one overflow to the next; the graph it
+        // yields is the one recomputing them would.
+        index.graph.keep_memo();
         for id in index.insertion_order() {
             index.insert(id, &mut scratch);
         }
@@ -171,6 +193,7 @@ impl Hnsw {
         // on clustered data, where redundant same-cluster nodes lose all
         // their edges to better-placed peers).
         index.repair_layer0(&mut scratch);
+        index.graph.drop_memo();
         index.refresh_entry_set();
         #[cfg(debug_assertions)]
         if let Err(e) = index.validate() {
@@ -251,7 +274,7 @@ impl Hnsw {
             for nb in self.graph.neighbors(u, layer).to_vec() {
                 self.graph.remove_neighbor(nb, layer, u);
             }
-            self.graph.set_neighbors(u, layer, Vec::new());
+            self.graph.clear_neighbors(u, layer);
         }
     }
 
@@ -271,7 +294,7 @@ impl Hnsw {
             quant: None,
             entry: None,
             entry_set: Vec::new(),
-            build_ndist: 0,
+            build_cost: BuildCost::default(),
             tombstones: vec![false; n],
             live: n,
             mutation_epoch: 0,
@@ -503,32 +526,32 @@ impl Hnsw {
         cand_ids.sort_unstable();
         cand_ids.dedup();
         let uv = self.data.get(u as usize);
-        let mut cands: Vec<Neighbor> = cand_ids
-            .iter()
-            .map(|&c| {
-                scratch.ndist += 1;
-                Neighbor::new(c, self.dist.eval(uv, self.data.get(c as usize)))
-            })
-            .collect();
-        cands.sort_unstable();
-        let selected = select_neighbors_heuristic(
-            &self.data,
-            &cands,
-            self.config.max_links(layer),
-            self.dist,
-            &mut scratch.ndist,
-        );
+        let sel = &mut scratch.select;
+        sel.begin();
+        for &c in &cand_ids {
+            scratch.ndist += 1;
+            sel.push(Neighbor::new(
+                c,
+                self.dist.eval(uv, self.data.get(c as usize)),
+            ));
+        }
+        let max = self.config.max_links(layer);
+        sel.select(&self.data, self.dist, max, None, &mut scratch.ndist);
         for &l in &old {
-            if l != t && !selected.contains(&l) {
+            if l != t && !scratch.select.keeps(l) {
                 self.graph.remove_neighbor(l, layer, u);
             }
         }
-        self.graph.set_neighbors(u, layer, selected.clone());
-        for &s in &selected {
-            if !old.contains(&s) {
-                self.link_back(s, u, layer, scratch);
+        self.graph.set_chosen(u, layer, &scratch.select);
+        let mut links = std::mem::take(&mut scratch.links);
+        links.clear();
+        links.extend(scratch.select.chosen());
+        for n in &links {
+            if !old.contains(&n.id) {
+                self.link_back(n.id, u, n.dist, layer, scratch);
             }
         }
+        scratch.links = links;
     }
 
     /// (Re)trains the SQ8 quantizer on the current vectors, enabling
@@ -555,7 +578,12 @@ impl Hnsw {
 
     /// Total distance evaluations spent constructing the index.
     pub fn build_ndist(&self) -> u64 {
-        self.build_ndist
+        self.build_cost.total()
+    }
+
+    /// [`Hnsw::build_ndist`] split by phase of insertion.
+    pub fn build_cost(&self) -> BuildCost {
+        self.build_cost
     }
 
     /// Current `(entry node, top level)` pair, for serialization.
@@ -610,7 +638,7 @@ impl Hnsw {
             quant,
             entry,
             entry_set,
-            build_ndist: 0,
+            build_cost: BuildCost::default(),
             tombstones: vec![false; n],
             live: n,
             mutation_epoch: 0,
@@ -713,23 +741,6 @@ impl Hnsw {
         }
     }
 
-    /// The beam restricted to link-eligible candidates: tombstoned nodes
-    /// may carry a beam as waypoints but a new node must never link to one
-    /// (their edges vanish at repair, which would orphan the newcomer).
-    /// Borrows the beam unchanged on the all-live fast path.
-    fn live_candidates<'a>(&self, w: &'a [Neighbor]) -> std::borrow::Cow<'a, [Neighbor]> {
-        if self.live == self.len() {
-            std::borrow::Cow::Borrowed(w)
-        } else {
-            std::borrow::Cow::Owned(
-                w.iter()
-                    .copied()
-                    .filter(|n| !self.tombstones[n.id as usize])
-                    .collect(),
-            )
-        }
-    }
-
     /// Deterministically widens a beam bound to compensate for tombstoned
     /// beam slots: `ef · n / live`, rounded up (saturating integer
     /// arithmetic, so the widening is bit-identical everywhere), then
@@ -747,93 +758,122 @@ impl Hnsw {
     }
 
     /// Inserts node `id` (its vector is already in `self.data`): beam
-    /// descent plus per-layer beam search and neighbour selection against
-    /// the current graph, then the links, then promotion to entry point
-    /// when the node tops the graph. Every layer's neighbours are selected
-    /// before any link is written; that selects exactly what interleaved
-    /// linking would, because linking at one layer only touches that
-    /// layer's lists. Construction always runs exact: link structure must
-    /// not inherit quantization error. Into an empty graph the node simply
-    /// becomes the entry point.
+    /// descent, then per layer a beam search, neighbour selection and the
+    /// links, then promotion to entry point when the node tops the graph.
+    /// Linking at one layer touches only that layer's lists, so each
+    /// layer's links are written as soon as they are selected and the next
+    /// layer's search sees the graph a whole plan-then-link pass would.
+    /// Construction always runs exact: link structure must not inherit
+    /// quantization error. Into an empty graph the node simply becomes the
+    /// entry point. The descent seeds, the selection and the chosen links
+    /// live in `scratch`, so an insert allocates nothing once it is warm.
     fn insert(&mut self, id: u32, scratch: &mut SearchScratch) {
         let level = self.levels[id as usize];
         scratch.begin(self.len());
-
-        // `(layer, selected neighbours)` from the node's top layer down to 0
-        let mut layers = Vec::new();
-        if let Some((ep, top)) = self.entry {
+        let Some((ep, top)) = self.entry else {
+            self.entry = Some((id, level));
+            return;
+        };
+        let mut eps = std::mem::take(&mut scratch.seeds);
+        let mut links = std::mem::take(&mut scratch.links);
+        let qd = QueryDist::Exact(self.data.get(id as usize));
+        eps.clear();
+        eps.push(Neighbor::new(ep, self.d(&qd, ep, scratch)));
+        // Beam descent through layers above the node's level.
+        // Construction descends from the single current entry (seeding
+        // not-yet-inserted entry-set nodes would link them prematurely),
+        // but still carries `ENTRY_BEAM` candidates across layers so
+        // clustered inserts do not get stranded in one basin.
+        for lc in ((level as usize + 1)..=(top as usize)).rev() {
+            self.search_layer(&qd, &mut eps, ENTRY_BEAM, lc, scratch);
+        }
+        let mut cost = BuildCost::default();
+        for lc in (0..=(level.min(top) as usize)).rev() {
             let qd = QueryDist::Exact(self.data.get(id as usize));
-            let ep_dist = self.d(&qd, ep, scratch);
-            // Beam descent through layers above the node's level.
-            // Construction descends from the single current entry (seeding
-            // not-yet-inserted entry-set nodes would link them
-            // prematurely), but still carries `ENTRY_BEAM` candidates
-            // across layers so clustered inserts do not get stranded in
-            // one basin.
-            let mut eps = vec![Neighbor::new(ep, ep_dist)];
-            for lc in ((level as usize + 1)..=(top as usize)).rev() {
-                self.search_layer(&qd, &mut eps, ENTRY_BEAM, lc, scratch);
+            self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
+            cost.search += scratch.ndist - cost.total();
+            // Tombstoned nodes may carry the beam as waypoints, but a new
+            // node never links to one: their edges vanish at repair, which
+            // would orphan the newcomer.
+            let sel = &mut scratch.select;
+            sel.begin();
+            for &n in eps.iter().filter(|n| !self.tombstones[n.id as usize]) {
+                sel.push(n);
             }
-            for lc in (0..=(level.min(top) as usize)).rev() {
-                self.search_layer(&qd, &mut eps, self.config.ef_construction, lc, scratch);
-                let selected = select_neighbors_heuristic(
-                    &self.data,
-                    &self.live_candidates(&eps),
-                    self.config.m,
-                    self.dist,
-                    &mut scratch.ndist,
-                );
-                layers.push((lc, selected));
+            sel.select(
+                &self.data,
+                self.dist,
+                self.config.m,
+                None,
+                &mut scratch.ndist,
+            );
+            cost.select += scratch.ndist - cost.total();
+            self.graph.set_chosen(id, lc, &scratch.select);
+            links.clear();
+            links.extend(scratch.select.chosen());
+            for n in &links {
+                self.link_back(n.id, id, n.dist, lc, scratch);
             }
+            cost.link += scratch.ndist - cost.total();
         }
-        for (lc, selected) in layers {
-            self.graph.set_neighbors(id, lc, selected.clone());
-            for &s in &selected {
-                self.link_back(s, id, lc, scratch);
-            }
-        }
-        if self.entry.is_none_or(|(_, top)| level > top) {
+        scratch.seeds = eps;
+        scratch.links = links;
+        if level > top {
             self.entry = Some((id, level));
         }
-        self.build_ndist += scratch.ndist();
+        self.build_cost.search += cost.search;
+        self.build_cost.select += cost.select;
+        self.build_cost.link += cost.link;
     }
 
-    /// Adds edge `from -> to` at `layer`, shrinking `from`'s neighbourhood
-    /// with the selection heuristic if it overflows.
+    /// Adds edge `from -> to` at `layer`, `d` apart, shrinking `from`'s
+    /// neighbourhood with the selection heuristic if it overflows. The
+    /// caller measured `d` from `to`'s side; every metric is symmetric bit
+    /// for bit, so it is the distance `from` would measure.
+    ///
+    /// An overflow reselects over `from`'s links and `to`. On layer 0
+    /// during [`Hnsw::build`] the graph's memo supplies `from`'s distance
+    /// to each link and every pair check decided in earlier overflows, so
+    /// only the checks involving `to`, and those an earlier selection
+    /// never reached, are evaluated. Elsewhere the distances are measured
+    /// afresh.
     ///
     /// Pruning is *symmetric*: every edge the reselection drops from
     /// `from`'s list also drops its reverse edge. Without that, overflow
     /// pruning leaves `l -> from` dangling whenever it discards
     /// `from -> l` — the asymmetry the graph validator
     /// ([`Hnsw::validate`]) was written to catch.
-    fn link_back(&mut self, from: u32, to: u32, layer: usize, scratch: &mut SearchScratch) {
+    fn link_back(&mut self, from: u32, to: u32, d: f32, layer: usize, scratch: &mut SearchScratch) {
         let max = self.config.max_links(layer);
         let links = self.graph.neighbors(from, layer);
         if links.contains(&to) {
             return;
         }
         if links.len() < max {
-            self.graph.push_neighbor(from, layer, to);
+            self.graph.push_neighbor(from, layer, to, d);
             return;
         }
-        let fv = self.data.get(from as usize);
-        let mut cands: Vec<Neighbor> = links
-            .iter()
-            .chain([&to])
-            .map(|&l| {
+        let sel = &mut scratch.select;
+        sel.begin();
+        if self.graph.memo_covers(layer) {
+            let lent = self.graph.load_memo(from, Neighbor::new(to, d), sel);
+            sel.select(&self.data, self.dist, max, Some(lent), &mut scratch.ndist);
+        } else {
+            let fv = self.data.get(from as usize);
+            for &l in links {
                 scratch.ndist += 1;
-                Neighbor::new(l, self.dist.eval(fv, self.data.get(l as usize)))
-            })
-            .collect();
-        cands.sort_unstable();
-        let selected =
-            select_neighbors_heuristic(&self.data, &cands, max, self.dist, &mut scratch.ndist);
-        for c in &cands {
-            if !selected.contains(&c.id) {
-                self.graph.remove_neighbor(c.id, layer, from);
+                sel.push(Neighbor::new(
+                    l,
+                    self.dist.eval(fv, self.data.get(l as usize)),
+                ));
             }
+            sel.push(Neighbor::new(to, d));
+            sel.select(&self.data, self.dist, max, None, &mut scratch.ndist);
         }
-        self.graph.set_neighbors(from, layer, selected);
+        for c in scratch.select.dropped() {
+            self.graph.remove_neighbor(c, layer, from);
+        }
+        self.graph.set_chosen(from, layer, &scratch.select);
     }
 
     /// Multi-entry beam descent — the upper-layer half of a search. Starts
@@ -1638,6 +1678,72 @@ mod tests {
         let data = synth::sift_like(10, 4, 32);
         let mut idx = Hnsw::build(data, Distance::L2, HnswConfig::with_m(4));
         idx.add(&[0.0; 5]);
+    }
+
+    /// Inserts `data` into two graphs, one keeping the memo and one
+    /// measuring every distance afresh, then unlinks and re-inserts every
+    /// `churn`-th node in both, as the repair does. Checks the memo
+    /// against a recomputation after every `every`-th step.
+    fn twin_builds(data: VectorSet, config: HnswConfig, every: usize, churn: usize) -> [Hnsw; 2] {
+        let mut twins = [
+            Hnsw::empty_for(data.clone(), Distance::L2, config),
+            Hnsw::empty_for(data, Distance::L2, config),
+        ];
+        twins[0].graph.keep_memo();
+        let mut scratch = SearchScratch::default();
+        let order = twins[0].insertion_order();
+        let rejoin = order.iter().step_by(churn).copied();
+        let steps: Vec<(u32, bool)> = order
+            .iter()
+            .map(|&id| (id, false))
+            .chain(rejoin.map(|id| (id, true)))
+            .collect();
+        for (i, &(id, again)) in steps.iter().enumerate() {
+            for index in &mut twins {
+                if again {
+                    index.unlink(id);
+                }
+                index.insert(id, &mut scratch);
+            }
+            if i % every == 0 || i + 1 == steps.len() {
+                twins[0]
+                    .graph
+                    .check_memo(&twins[0].data, Distance::L2)
+                    .unwrap();
+            }
+        }
+        twins
+    }
+
+    #[test]
+    fn memo_stays_true_through_overflows_and_reinserts() {
+        let data = synth::sift_like(500, 6, 91);
+        let config = HnswConfig::with_m(4).ef_construction(32).seed(5);
+        let [memo, fresh] = twin_builds(data, config, 7, 9);
+        assert_eq!(memo.to_bytes(), fresh.to_bytes());
+        assert!(memo.build_ndist() < fresh.build_ndist());
+    }
+
+    #[test]
+    fn memo_rows_span_two_words_at_m_33() {
+        // m_max0 = 66: an overflow reselects 67 candidates, and a removed
+        // slot moves bits across the row's word boundary.
+        let data = synth::sift_like(900, 4, 92);
+        let config = HnswConfig::with_m(33).ef_construction(40).seed(6);
+        let [memo, fresh] = twin_builds(data, config, 150, 7);
+        assert_eq!(memo.to_bytes(), fresh.to_bytes());
+    }
+
+    #[test]
+    fn memo_bytes_per_node() {
+        // link slots, distances, used bits and two bit matrices of
+        // m_max0 + 1 memo slots
+        for (m, bytes) in [(16, 128 + 132 + 8 + 528), (64, 512 + 516 + 24 + 6192)] {
+            let mut g = Graph::for_levels(&[0, 0], m, 2 * m);
+            assert_eq!(g.memo_bytes(), 0);
+            g.keep_memo();
+            assert_eq!(g.memo_bytes(), 2 * bytes, "M = {m}");
+        }
     }
 
     fn tiny_points(n: usize) -> VectorSet {

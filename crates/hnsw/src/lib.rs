@@ -47,6 +47,6 @@ mod select;
 mod serialize;
 
 pub use config::HnswConfig;
-pub use index::{Hnsw, SearchParams, SearchStats, RERANK_FACTOR};
+pub use index::{BuildCost, Hnsw, SearchParams, SearchStats, RERANK_FACTOR};
 pub use scratch::SearchScratch;
 pub use serialize::LoadError;

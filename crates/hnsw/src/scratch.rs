@@ -19,6 +19,8 @@
 use fastann_data::quant::Sq8Query;
 use fastann_data::Neighbor;
 
+use crate::select::Selection;
+
 /// Everything one search needs besides the index: the epoch-based visited
 /// set, the layer search's beam and the per-search counters.
 ///
@@ -36,8 +38,14 @@ pub struct SearchScratch {
     pub(crate) fresh: Vec<u32>,
     /// The query of an SQ8 search, prepared for the asymmetric distance.
     pub(crate) query: Sq8Query,
-    /// A search's descent seeds, then its layer-0 beam's survivors.
+    /// A search's descent seeds, then its layer-0 beam's survivors (an
+    /// insert's beam, layer by layer).
     pub(crate) seeds: Vec<Neighbor>,
+    /// An insert's or overflow's neighbour selection.
+    pub(crate) select: Selection,
+    /// The links an insert or repair has just chosen, while it links
+    /// them back (which reuses `select`).
+    pub(crate) links: Vec<Neighbor>,
     /// The exact scores of a quantized search's re-rank pool.
     pub(crate) rerank: Vec<Neighbor>,
     /// The layer search's result and candidate sets.
@@ -100,9 +108,16 @@ pub(crate) struct Beam {
 #[inline]
 fn key(n: Neighbor) -> u64 {
     assert!(n.id < ID_LIMIT, "beam ids must fit in 31 bits");
-    let b = n.dist.to_bits();
-    let ord = b ^ (((b as i32 >> 31) as u32) | SIGN);
-    u64::from(ord) << 32 | u64::from(n.id) << 1
+    u64::from(total_order_bits(n.dist)) << 32 | u64::from(n.id) << 1
+}
+
+/// `d`'s bits mapped so that unsigned order is `f32::total_cmp` order: a
+/// negative float has every bit flipped, any other float only its sign
+/// bit.
+#[inline]
+pub(crate) fn total_order_bits(d: f32) -> u32 {
+    let b = d.to_bits();
+    b ^ (((b as i32 >> 31) as u32) | SIGN)
 }
 
 /// The neighbour packed in `k`, bit for bit.
