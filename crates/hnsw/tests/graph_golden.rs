@@ -172,11 +172,11 @@ fn sift_like_golden() {
         got,
         Golden {
             build: 0x9dab_66a6_3c74_bb22,
-            build_ndist: 796_751,
+            build_ndist: 641_258,
             search: 0xd5ea_f91b_8189_4c11,
             search_tombstoned: 0xfef5_1fbe_0bca_021d,
             mutated: 0xc797_a8d8_3d50_994c,
-            mutated_ndist: 851_730,
+            mutated_ndist: 695_973,
             search_repaired: 0xb92f_d81f_562d_3909,
         }
     );
@@ -199,11 +199,11 @@ fn deep_like_golden() {
         got,
         Golden {
             build: 0x7e8a_0f91_ba30_e682,
-            build_ndist: 748_042,
+            build_ndist: 588_690,
             search: 0xc6fa_9b3d_08c3_90e4,
             search_tombstoned: 0x41b8_e52a_d11f_78f9,
             mutated: 0x0f8b_50e2_8200_145b,
-            mutated_ndist: 799_010,
+            mutated_ndist: 639_398,
             search_repaired: 0xb64b_a699_0ca6_8779,
         }
     );
@@ -234,11 +234,11 @@ fn mdcgen_golden() {
         got,
         Golden {
             build: 0xeb45_d761_81e2_18e2,
-            build_ndist: 664_942,
+            build_ndist: 441_991,
             search: 0x31e6_a5db_42c2_45d6,
             search_tombstoned: 0x039e_e77e_211f_42c1,
             mutated: 0x2d33_67ed_edd0_a37a,
-            mutated_ndist: 721_777,
+            mutated_ndist: 498_496,
             search_repaired: 0x5c9c_7d49_a980_68d1,
         }
     );
@@ -269,11 +269,11 @@ fn m32_golden() {
         got,
         Golden {
             build: 0xd360_bacb_d793_69a4,
-            build_ndist: 4_422_103,
+            build_ndist: 699_416,
             search: 0xff76_5e2c_e382_62c4,
             search_tombstoned: 0x2099_9193_d126_92cd,
             mutated: 0xa5a5_2277_0865_5c9b,
-            mutated_ndist: 4_912_674,
+            mutated_ndist: 1_188_652,
             search_repaired: 0x1dfe_842b_c10c_1519,
         }
     );
@@ -310,11 +310,11 @@ fn lattice_golden() {
         got,
         Golden {
             build: 0x9ef1_4807_d274_bf97,
-            build_ndist: 956_373,
+            build_ndist: 723_727,
             search: 0xa361_01ea_5fab_216d,
             search_tombstoned: 0x4802_18db_9e50_3a25,
             mutated: 0x79d5_71cb_71fe_8d23,
-            mutated_ndist: 1_032_161,
+            mutated_ndist: 799_244,
             search_repaired: 0x1e18_17be_b407_292d,
         }
     );
