@@ -317,26 +317,23 @@ impl Graph {
         let Some(memo) = &mut self.memo else {
             return;
         };
-        let mfirst = memo.first(u);
-        let slots = &mut memo.slot[first..];
+        let row0 = memo.first(u);
         match sel.lender() {
             Some(owner) => {
                 assert_eq!(owner, u, "a selection over another node's memo");
-                for (s, (_, row)) in slots.iter_mut().zip(sel.chosen_in()) {
-                    *s = row;
+                for (k, (_, row)) in sel.chosen_in().enumerate() {
+                    memo.slot[first + k] = row;
+                    memo.used.set(u as usize, row as usize);
                 }
                 for (_, row) in sel.dropped_in() {
                     memo.free(u, row as usize);
                 }
-                for (_, row) in sel.chosen_in() {
-                    memo.used.set(u as usize, row as usize);
-                }
             }
             None => {
                 assert_eq!(was, 0, "a fresh selection replaces a memo-kept list");
-                for (k, (s, n)) in slots.iter_mut().zip(sel.chosen()).enumerate() {
-                    *s = k as u32;
-                    memo.dist[mfirst + k] = n.dist;
+                for (k, n) in sel.chosen().enumerate() {
+                    memo.slot[first + k] = k as u32;
+                    memo.dist[row0 + k] = n.dist;
                     memo.used.set(u as usize, k);
                 }
             }

@@ -232,8 +232,8 @@ impl PairBits {
     }
 }
 
-/// Marks a candidate the selection dropped.
-const DROPPED: u32 = u32::MAX;
+/// The row of a candidate whose pair checks are not lent.
+const NO_ROW: u32 = u32::MAX;
 
 /// One neighbour selection: its candidates and what the heuristic kept.
 /// It lives in the search scratch, so a selection allocates nothing once
@@ -246,48 +246,40 @@ const DROPPED: u32 = u32::MAX;
 /// with its memo slot, which names its row and bit there.
 #[derive(Debug, Default)]
 pub(crate) struct Selection {
-    /// Candidates in the order they were pushed.
-    cands: Vec<Neighbor>,
-    /// `rows[i]` is candidate `i`'s row and bit in the lent pair checks.
-    rows: Vec<u32>,
+    /// Candidates with their rows in the lent pair checks: in push
+    /// order, then nearest first.
+    cands: Vec<(Neighbor, u32)>,
     /// The node whose memo lent the pair checks, if any.
     lender: Option<u32>,
-    /// `(order key, index)` of every candidate, nearest first.
-    order: Vec<(u64, u32)>,
     /// The candidates nearest first: what the heuristic reads.
     sorted: Vec<Neighbor>,
     /// The lent row of each candidate, nearest first.
     sorted_rows: Vec<u32>,
     /// The lent rows of the survivors so far, as one bit row.
     survivors: Vec<u64>,
-    /// Positions in `sorted` the heuristic kept.
+    /// Positions in `sorted` the heuristic kept, in selection order.
     picked: Vec<usize>,
-    /// Indices of the kept candidates, in selection order.
-    chosen: Vec<u32>,
-    /// `rank[i]` is candidate `i`'s index among the kept ones, or
-    /// [`DROPPED`].
-    rank: Vec<u32>,
+    /// `kept[p]`: the heuristic kept `sorted[p]`.
+    kept: Vec<bool>,
 }
 
 impl Selection {
     /// Starts an empty, fresh selection.
     pub(crate) fn begin(&mut self) {
         self.cands.clear();
-        self.rows.clear();
         self.lender = None;
     }
 
     /// Adds a candidate with its distance to the owner.
     #[inline]
     pub(crate) fn push(&mut self, n: Neighbor) {
-        self.push_in(n, DROPPED);
+        self.push_in(n, NO_ROW);
     }
 
     /// Adds a candidate whose pair checks sit in `row` of the lent ones.
     #[inline]
     pub(crate) fn push_in(&mut self, n: Neighbor, row: u32) {
-        self.cands.push(n);
-        self.rows.push(row);
+        self.cands.push((n, row));
     }
 
     /// Records that node `u`'s memo lends this selection its pair checks.
@@ -314,19 +306,15 @@ impl Selection {
         lent: Option<(&mut PairBits, usize)>,
         ndist: &mut u64,
     ) {
-        let n = self.cands.len();
-        self.order.clear();
-        self.order
-            .extend(self.cands.iter().zip(0..).map(|(&c, i)| (order_key(c), i)));
-        if !self.order.windows(2).all(|w| w[0].0 < w[1].0) {
-            self.order.sort_unstable_by_key(|&(k, _)| k);
+        let key = |&(n, _): &(Neighbor, u32)| order_key(n);
+        if !self.cands.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+            self.cands.sort_unstable_by_key(key);
         }
         self.sorted.clear();
+        self.sorted.extend(self.cands.iter().map(|&(n, _)| n));
         self.sorted_rows.clear();
-        for &(_, i) in &self.order {
-            self.sorted.push(self.cands[i as usize]);
-            self.sorted_rows.push(self.rows[i as usize]);
-        }
+        self.sorted_rows
+            .extend(self.cands.iter().map(|&(_, row)| row));
         let sorted = &self.sorted;
         match lent {
             None => select_neighbors_heuristic(sorted, m, &mut self.picked, |c, selected| {
@@ -363,13 +351,10 @@ impl Selection {
                 });
             }
         }
-        self.chosen.clear();
-        self.chosen
-            .extend(self.picked.iter().map(|&p| self.order[p].1));
-        self.rank.clear();
-        self.rank.resize(n, DROPPED);
-        for (k, &i) in self.chosen.iter().enumerate() {
-            self.rank[i as usize] = k as u32;
+        self.kept.clear();
+        self.kept.resize(self.sorted.len(), false);
+        for &p in &self.picked {
+            self.kept[p] = true;
         }
     }
 
@@ -380,14 +365,14 @@ impl Selection {
 
     /// The kept candidates with their lent rows, in selection order.
     pub(crate) fn chosen_in(&self) -> impl Iterator<Item = (Neighbor, u32)> + '_ {
-        self.chosen
+        self.picked
             .iter()
-            .map(|&i| (self.cands[i as usize], self.rows[i as usize]))
+            .map(|&p| (self.sorted[p], self.sorted_rows[p]))
     }
 
     /// How many candidates were kept.
     pub(crate) fn len(&self) -> usize {
-        self.chosen.len()
+        self.picked.len()
     }
 
     /// `true` when `id` was kept.
@@ -395,16 +380,14 @@ impl Selection {
         self.chosen().any(|n| n.id == id)
     }
 
-    /// The candidates not kept, with their lent rows, in push order.
+    /// The candidates not kept, with their lent rows, nearest first.
     pub(crate) fn dropped_in(&self) -> impl Iterator<Item = (Neighbor, u32)> + '_ {
-        self.rank
-            .iter()
-            .zip(self.cands.iter().zip(&self.rows))
-            .filter(|&(&r, _)| r == DROPPED)
-            .map(|(_, (&n, &row))| (n, row))
+        (0..self.sorted.len())
+            .filter(|&p| !self.kept[p])
+            .map(|p| (self.sorted[p], self.sorted_rows[p]))
     }
 
-    /// Ids of the candidates not kept, in push order.
+    /// Ids of the candidates not kept, nearest first.
     pub(crate) fn dropped(&self) -> impl Iterator<Item = u32> + '_ {
         self.dropped_in().map(|(n, _)| n.id)
     }
@@ -539,8 +522,8 @@ mod tests {
         let mut nd = 0;
         let (kept, dropped, rows) = run(&mut facts, &mut nd);
         assert_eq!(kept, vec![2, 3, 1]);
-        assert_eq!(dropped, vec![4, 0], "in push order");
-        assert_eq!(rows, vec![4, 2], "their rows");
+        assert_eq!(dropped, vec![0, 4], "nearest first");
+        assert_eq!(rows, vec![2, 4], "their rows");
         assert_eq!(nd, 5);
         // 1 (row 1) is shadowed by 2 (row 0), filed at row 2 + 1
         assert_eq!(facts.get(3, 0), Some(true));
