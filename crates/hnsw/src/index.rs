@@ -1726,8 +1726,8 @@ mod tests {
 
     #[test]
     fn memo_rows_span_two_words_at_m_33() {
-        // m_max0 = 66: an overflow reselects 67 candidates, and a removed
-        // slot moves bits across the row's word boundary.
+        // m_max0 = 66: an overflow reselects 67 candidates, and memo
+        // slots 64 to 66 live in the second word of every row.
         let data = synth::sift_like(900, 4, 92);
         let config = HnswConfig::with_m(33).ef_construction(40).seed(6);
         let [memo, fresh] = twin_builds(data, config, 150, 7);

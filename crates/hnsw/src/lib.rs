@@ -16,9 +16,11 @@
 //!   (`keepPrunedConnections`; `extendCandidates` is not implemented),
 //! * `ef`-bounded best-first layer search with an epoch-based visited set,
 //! * one build, [`Hnsw::build`]: a seeded, sequential loop of insertions,
-//!   each a read-only plan applied at once. The paper's parallelism lives
-//!   one level up, where the engine builds one graph per partition
-//!   concurrently,
+//!   each linking a layer as soon as its neighbours are selected. While
+//!   it runs, a transient memo of every layer-0 list's distances and
+//!   decided heuristic checks lets an overflowing list skip the checks
+//!   it made before. The paper's parallelism lives one level up, where
+//!   the engine builds one graph per partition concurrently,
 //! * one search entry point, [`Hnsw::search`], whose [`SearchParams`]
 //!   select exact or SQ8 quantized-first traversal,
 //! * distance-evaluation accounting ([`SearchStats`]) — the quantity the
