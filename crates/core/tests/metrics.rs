@@ -121,3 +121,80 @@ fn fault_free_run_records_the_full_pipeline() {
     assert_eq!(snap.counter_total("fastann_chaos_retries_total"), 0);
     assert_eq!(snap.counter_total("fastann_chaos_failovers_total"), 0);
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(FNV-1a of to_prometheus(), FNV-1a of to_json("  "))` of a metered
+/// batch over an index split into 16 partitions, so partition labels
+/// run past "9" and sort as strings ("10" before "2"), with and without
+/// a chaos plan. The plan-free run leaves every `fastann_chaos_*` series
+/// absent; the pinned bytes cover label order, series presence, gauge
+/// values and the fixed-point histogram sums.
+fn split_index_export_hashes(chaos: bool, threads: usize) -> (u64, u64) {
+    use fastann_core::MutationRequest;
+    let data = synth::sift_like(2_000, 16, 61);
+    let queries = synth::queries_near(&data, 24, 0.02, 62);
+    let cfg = EngineConfig::new(8, 2)
+        .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(61))
+        .with_seed(61)
+        .with_threads(threads);
+    let mut index = DistIndex::build(&data, cfg);
+    MutationRequest::new(&mut index).split_above(200).run();
+    assert!(
+        index.n_partitions() >= 12,
+        "the split must pass ten partitions"
+    );
+    let plan = FaultPlan::new(0xBEEF)
+        .drop_msgs(None, None, None, 0.10)
+        .delay_msgs(None, None, None, 0.20, 1e6);
+    let metrics = Metrics::new();
+    let mut req = SearchRequest::new(&index, &queries)
+        .opts(
+            SearchOptions::new(5)
+                .with_routing(RoutingPolicy::Static(2))
+                .with_timeout_ns(5e5)
+                .with_max_retries(2),
+        )
+        .metrics(&metrics);
+    if chaos {
+        req = req.chaos(&plan);
+    }
+    req.run();
+    let snap = metrics.snapshot();
+    assert!(
+        snap.histogram("fastann_worker_service_ns", &[("partition", "10")])
+            .is_some(),
+        "a partition id of two digits must be probed"
+    );
+    assert_eq!(
+        snap.counter_total("fastann_chaos_retries_total") > 0
+            || snap.counter_total("fastann_chaos_timeout_waits_total") > 0,
+        chaos,
+        "the chaos series appear exactly when the plan bites"
+    );
+    (
+        fnv1a(snap.to_prometheus().as_bytes()),
+        fnv1a(snap.to_json("  ").as_bytes()),
+    )
+}
+
+#[test]
+fn split_index_exports_match_goldens() {
+    for threads in [1usize, 4] {
+        assert_eq!(
+            split_index_export_hashes(false, threads),
+            (8182560622766262267, 1830835989957789420),
+            "plan-free exports at threads={threads}"
+        );
+        assert_eq!(
+            split_index_export_hashes(true, threads),
+            (12461769505156933542, 8015466976220134447),
+            "chaos exports at threads={threads}"
+        );
+    }
+}

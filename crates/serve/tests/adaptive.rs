@@ -157,3 +157,76 @@ fn hot_partition_gains_replica_and_its_rejections_drop() {
         "adaptive rejection rate must improve"
     );
 }
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// An adaptive run over 16 partitions whose hot partition has an id of
+/// at least 10: the controller raises it, so the `partition` labels of
+/// `fastann_replica_count` and `fastann_worker_service_ns` run past "9"
+/// and sort as strings. Returns the FNV-1a of `to_prometheus()` and of
+/// `to_json("  ")`, and the hot partition.
+fn wide_adaptive_export_hashes(threads: usize) -> (u64, u64, usize) {
+    let data = corpus();
+    let index = DistIndex::build(
+        &data,
+        EngineConfig::new(16, 1)
+            .with_hnsw(HnswConfig::with_m(8).ef_construction(40).seed(SEED))
+            .with_route(RouteConfig {
+                margin_frac: 0.0,
+                max_partitions: 1,
+            })
+            .with_seed(SEED)
+            .with_threads(threads),
+    );
+    let anchor = (0..data.len())
+        .find(|&i| index.home_partition(data.get(i)) >= 10)
+        .expect("some row lives in a partition numbered 10 or above");
+    let hot = index.home_partition(data.get(anchor)) as usize;
+    let trace: Vec<Request> = skewed_trace(&data, 300)
+        .into_iter()
+        .map(|r| {
+            let mut q = data.get(anchor).to_vec();
+            for (x, (a, b)) in q.iter_mut().zip(r.query.iter().zip(data.get(17))) {
+                *x += a - b;
+            }
+            Request::new(r.id, r.arrival_ns, q, K)
+        })
+        .collect();
+    let mut rt = ServeRuntime::new(
+        index,
+        Sq8::encode(&data),
+        serve_cfg(RoutingPolicy::PowerOfTwo { base: 1, max: 4 }),
+    );
+    let obs = Metrics::new();
+    rt.set_metrics(&obs);
+    let report = rt.serve_open(trace).report;
+    assert!(
+        report.final_replicas[hot] > 1,
+        "the controller must raise partition {hot}: {:?}",
+        report.final_replicas
+    );
+    let snap = obs.snapshot();
+    (
+        fnv1a(snap.to_prometheus().as_bytes()),
+        fnv1a(snap.to_json("  ").as_bytes()),
+        hot,
+    )
+}
+
+#[test]
+fn wide_adaptive_exports_match_goldens() {
+    for threads in [1usize, 4] {
+        let (prom, json, hot) = wide_adaptive_export_hashes(threads);
+        assert!(hot >= 10, "the hot partition must have two digits");
+        assert_eq!(
+            (prom, json),
+            (1753904018472823923, 18204398996397964019),
+            "exports at threads={threads}"
+        );
+    }
+}
