@@ -66,7 +66,13 @@ use fastann_mpisim::{
     Cluster, Comm, FaultPlan, Handler, HandlerSession, Msg, Rank, SchedPerturb, SimConfig,
     SpanKind, Topology, Trace, VThreadPool, Want, Window,
 };
-use fastann_obs::{buckets, Metrics, Stage};
+use fastann_obs::schema::{
+    CHAOS_DEGRADED, CHAOS_FAILOVERS, CHAOS_RETRIES, CHAOS_TIMEOUT_WAITS, DISTS_EXACT, DISTS_QUANT,
+    ENGINE_PROBES, ENGINE_QUERIES, HNSW_EF_CHURN, HNSW_ENTRY_SEEDS, HNSW_HEAP_PUSHES, HNSW_HOPS,
+    HNSW_NDIST, MERGE_OPS, RERANK_POOL, RESULT_BYTES, RMA_DEPOSITS, ROUTER_FANOUT,
+    ROUTING_DECISIONS, WORKER_BATCH_SIZE, WORKER_QUEUE_DEPTH, WORKER_SERVICE_NS,
+};
+use fastann_obs::{Metrics, Shard, Stage};
 
 use crate::build::DistIndex;
 use crate::config::SearchOptions;
@@ -109,7 +115,6 @@ pub(crate) struct Batch<'a> {
     /// Per-partition replica counts ([`effective_replicas`]).
     counts: Vec<usize>,
     trace: Option<Trace>,
-    obs: Option<Metrics>,
     // The only choices of the engine loop that depend on the fault plan:
     /// A non-vacuous plan is installed: results carry their partition id
     /// and are de-duplicated by `(query, partition)`, timed-out probes are
@@ -146,14 +151,22 @@ impl Batch<'_> {
 
     /// The unified span layer: one call records a query-path phase into
     /// the Gantt [`Trace`] (when attached) and into the
-    /// `fastann_span_ns{stage}` histogram of the [`Metrics`] registry
-    /// (when attached), under the same [`Stage::label`].
-    fn span(&self, rank: usize, start: f64, end: f64, kind: SpanKind, stage: Stage) {
+    /// `fastann_span_ns{stage}` histogram of the batch's metrics
+    /// accumulator (when given), under the same [`Stage::label`].
+    fn span(
+        &self,
+        obs: Option<&mut Shard>,
+        rank: usize,
+        start: f64,
+        end: f64,
+        kind: SpanKind,
+        stage: Stage,
+    ) {
         if let Some(t) = &self.trace {
             t.record(rank, start, end, kind, stage.label());
         }
-        if let Some(m) = &self.obs {
-            m.span(stage, start, end);
+        if let Some(s) = obs {
+            s.span(stage, start, end);
         }
     }
 }
@@ -307,11 +320,21 @@ pub(crate) fn dispatch(
         answers,
         counts,
         trace: trace.cloned(),
-        obs: obs.cloned(),
         faults,
         one_sided: opts.one_sided && !faults,
     };
-    let epoch = session.cluster.epoch(batch, master);
+    // the batch's series fold into a local accumulator, without a lock,
+    // and merge into the registry once, after the epoch
+    let mut shard = obs.map(Metrics::shard);
+    let epoch = session
+        .cluster
+        .epoch(batch, |rank, b| master(rank, b, shard.as_mut()));
+    if let (Some(m), Some(mut s)) = (obs, shard) {
+        for w in &epoch.workers {
+            record_worker_batch(&mut s, &epoch.job, &w.served);
+        }
+        m.merge_shard(s);
+    }
     // Even under injected faults the protocol must account for every
     // message: fault-plan drops are ledgered, so anything left over in a
     // mailbox at the end of the batch is a protocol bug.
@@ -363,6 +386,9 @@ pub(crate) struct WorkerOut {
     busy_ns: f64,
     comm_cpu_ns: f64,
     ndist: u64,
+    /// `(probe, arrival, completion)` per answered probe, in the order
+    /// served: what a metered batch folds into its registry.
+    served: Vec<(usize, f64, f64)>,
 }
 
 /// The payload of a data-plane message: its probe's index in the batch's
@@ -395,7 +421,7 @@ fn flush_all(rank: &mut Rank, n_nodes: usize) {
     }
 }
 
-fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
+fn master(rank: &mut Rank, b: &Batch, mut obs: Option<&mut Shard>) -> QueryReport {
     let (index, opts) = (b.index, &b.opts);
     let world = rank.world();
     let p_cores = index.config.n_cores;
@@ -434,13 +460,8 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
         rank.charge(c);
         route_ns += c;
         fanout_total += probes.len() as u64;
-        if let Some(m) = &b.obs {
-            m.observe(
-                "fastann_router_fanout",
-                &[],
-                probes.len() as f64,
-                buckets::COUNT,
-            );
+        if let Some(s) = obs.as_mut() {
+            s.observe(ROUTER_FANOUT, probes.len() as f64);
         }
         for &p in probes {
             let d = b.routes.probes[p].1;
@@ -464,16 +485,20 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
     }
     // Round 0's flush; without faults it is also the shutdown.
     flush_all(rank, n_nodes);
-    if let Some(m) = &b.obs {
-        m.inc("fastann_engine_queries_total", &[], nq as u64);
-        m.inc("fastann_engine_probes_total", &[], fanout_total);
-        m.inc(
-            "fastann_routing_decisions_total",
-            &[("policy", opts.routing.label())],
-            fanout_total,
-        );
+    if let Some(s) = obs.as_mut() {
+        s.inc(ENGINE_QUERIES, nq as u64);
+        s.inc(ENGINE_PROBES, fanout_total);
+        s.inc(ROUTING_DECISIONS.label(opts.routing.label()), fanout_total);
     }
-    b.span(0, start_ns, rank.now(), SpanKind::Compute, Stage::Route);
+    let now = rank.now();
+    b.span(
+        obs.as_deref_mut(),
+        0,
+        start_ns,
+        now,
+        SpanKind::Compute,
+        Stage::Route,
+    );
 
     // Probes whose answer is merged — under faults a second answer for the
     // same probe (duplicate fault, retry racing its original) is discarded
@@ -527,7 +552,15 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
             result_bytes = fanout_total * (k as u64) * 8;
             merge_ops = nq as u64;
         }
-        b.span(0, drain_start, rank.now(), SpanKind::Wait, Stage::Collect);
+        let now = rank.now();
+        b.span(
+            obs.as_deref_mut(),
+            0,
+            drain_start,
+            now,
+            SpanKind::Wait,
+            Stage::Collect,
+        );
 
         outstanding.retain(|p| !merged[p.probe]);
         if outstanding.is_empty() || round == opts.max_retries {
@@ -543,7 +576,15 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
             let t0 = rank.now();
             rank.wait_until(max_deadline);
             timeout_waits += 1;
-            b.span(0, t0, rank.now(), SpanKind::Recovery, Stage::Timeout);
+            let now = rank.now();
+            b.span(
+                obs.as_deref_mut(),
+                0,
+                t0,
+                now,
+                SpanKind::Recovery,
+                Stage::Timeout,
+            );
         }
         for p in outstanding.iter_mut() {
             let part = b.routes.probes[p.probe].1;
@@ -565,7 +606,8 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
             } else {
                 Stage::Retry
             };
-            b.span(0, t0, rank.now(), SpanKind::Recovery, stage);
+            let now = rank.now();
+            b.span(obs.as_deref_mut(), 0, t0, now, SpanKind::Recovery, stage);
         }
         drain_start = rank.now();
         flush_all(rank, n_nodes);
@@ -583,26 +625,21 @@ fn master(rank: &mut Rank, b: &Batch) -> QueryReport {
     }
     let degraded: Vec<bool> = missing_partitions.iter().map(|&m| m > 0).collect();
 
-    if let Some(m) = &b.obs {
+    if let Some(s) = obs {
         let path = if b.one_sided {
             "one_sided"
         } else {
             "two_sided"
         };
-        m.inc(
-            "fastann_master_merge_ops_total",
-            &[("path", path)],
-            merge_ops,
-        );
-        m.inc("fastann_engine_result_bytes_total", &[], result_bytes);
+        s.inc(MERGE_OPS.label(path), merge_ops);
+        s.inc(RESULT_BYTES, result_bytes);
         // the chaos series exist only for batches that ran under faults
         if b.faults {
-            m.inc("fastann_chaos_retries_total", &[], retries);
-            m.inc("fastann_chaos_failovers_total", &[], failovers);
-            m.inc("fastann_chaos_timeout_waits_total", &[], timeout_waits);
-            m.inc(
-                "fastann_chaos_degraded_total",
-                &[],
+            s.inc(CHAOS_RETRIES, retries);
+            s.inc(CHAOS_FAILOVERS, failovers);
+            s.inc(CHAOS_TIMEOUT_WAITS, timeout_waits);
+            s.inc(
+                CHAOS_DEGRADED,
                 degraded.iter().filter(|&&d| d).count() as u64,
             );
         }
@@ -660,8 +697,8 @@ pub(crate) struct Worker {
     serveable: Vec<bool>,
     pool: VThreadPool,
     queued: Vec<PendingQuery>,
-    /// One `(arrival, completion)` pair per answered probe.
-    served: Vec<(f64, f64)>,
+    /// [`WorkerOut::served`].
+    served: Vec<(usize, f64, f64)>,
     ndist: u64,
 }
 
@@ -674,22 +711,21 @@ impl Worker {
         let index = b.index;
         for item in self.queued.drain(..) {
             let p = item.probe;
-            let (qid, part) = b.routes.probes[p];
-            let stats = &b.answers[p].1;
-            self.ndist += stats.ndist;
-            let cost = index.config.cost.dists_ns(stats.ndist, index.dim());
+            let qid = b.routes.probes[p].0;
+            let ndist = b.answers[p].1.ndist;
+            self.ndist += ndist;
+            let cost = index.config.cost.dists_ns(ndist, index.dim());
             let done_at = self.pool.assign(item.arrival, cost);
-            self.served.push((item.arrival, done_at));
+            self.served.push((p, item.arrival, done_at));
+            let start = done_at - cost;
             b.span(
+                None,
                 rank.rank(),
-                done_at - cost,
+                start,
                 done_at,
                 SpanKind::Compute,
                 Stage::LocalSearch,
             );
-            if let Some(m) = &b.obs {
-                record_local_search(m, part as usize, stats, cost);
-            }
             let len = b.result_len(p);
             match &self.window {
                 Some(win) => {
@@ -698,9 +734,6 @@ impl Worker {
                             t.push(n);
                         }
                     });
-                    if let Some(m) = &b.obs {
-                        m.inc("fastann_rma_deposits_total", &[], 1);
-                    }
                 }
                 None => rank.send_sized(0, TAG_RESULT, probe_payload(p), len, Some(done_at)),
             }
@@ -808,82 +841,55 @@ impl<'a> Handler<Batch<'a>> for Worker {
         }
     }
 
-    fn finish(self, rank: &mut Rank, b: &Batch<'a>) -> WorkerOut {
-        if let Some(m) = &b.obs {
-            record_worker_batch(m, &self.served);
-        }
+    fn finish(self, rank: &mut Rank, _: &Batch<'a>) -> WorkerOut {
         let stats = rank.stats();
         WorkerOut {
             busy_ns: self.pool.busy(),
             comm_cpu_ns: stats.send_cpu_ns + stats.recv_cpu_ns + stats.rma_cpu_ns,
             ndist: self.ndist,
+            served: self.served,
         }
     }
 }
 
-/// Folds one answered probe's local-search accounting into the registry:
-/// the HNSW work histograms and the per-partition virtual service time.
-fn record_local_search(m: &Metrics, part: usize, stats: &SearchStats, cost_ns: f64) {
-    m.observe("fastann_hnsw_ndist", &[], stats.ndist as f64, buckets::WORK);
-    // quantized vs exact split of the distance work, plus the re-rank pool
-    // sizes — the counters the recall-delta gate and dashboards read
-    m.inc("fastann_dists_quant_total", &[], stats.ndist_quant);
-    m.inc(
-        "fastann_dists_exact_total",
-        &[],
-        stats.ndist - stats.ndist_quant,
-    );
-    if stats.rerank > 0 {
-        m.observe(
-            "fastann_rerank_pool",
-            &[],
-            stats.rerank as f64,
-            buckets::COUNT,
-        );
+/// Folds a worker node's batch into the accumulator: per answered
+/// probe its local-search work, virtual service time and span, and per
+/// node the probes served and the peak backlog of its virtual threads.
+/// `served` holds `(probe, arrival, completion)` in the order served —
+/// virtual times and counted work, so the fold is identical across real
+/// thread counts.
+fn record_worker_batch(s: &mut Shard, b: &Batch, served: &[(usize, f64, f64)]) {
+    let (cost, dim) = (&b.index.config.cost, b.index.dim());
+    for &(p, _, done) in served {
+        let stats = &b.answers[p].1;
+        let service_ns = cost.dists_ns(stats.ndist, dim);
+        s.span(Stage::LocalSearch, done - service_ns, done);
+        s.observe(HNSW_NDIST, stats.ndist as f64);
+        // quantized vs exact split of the distance work, plus the re-rank
+        // pool sizes — the counters the recall-delta gate and dashboards
+        // read
+        s.inc(DISTS_QUANT, stats.ndist_quant);
+        s.inc(DISTS_EXACT, stats.ndist - stats.ndist_quant);
+        if stats.rerank > 0 {
+            s.observe(RERANK_POOL, stats.rerank as f64);
+        }
+        s.observe(HNSW_HOPS, stats.hops as f64);
+        // diverse entry-set consumption: how many multi-basin seeds the
+        // query actually injected into its descent (DESIGN.md §13)
+        s.inc(HNSW_ENTRY_SEEDS, stats.entry_seeds);
+        s.observe(HNSW_HEAP_PUSHES, stats.heap_pushes as f64);
+        s.observe(HNSW_EF_CHURN, stats.ef_churn as f64);
+        let part = b.routes.probes[p].1 as usize;
+        s.observe(WORKER_SERVICE_NS.at(part), service_ns);
+        if b.one_sided {
+            s.inc(RMA_DEPOSITS, 1);
+        }
     }
-    m.observe("fastann_hnsw_hops", &[], stats.hops as f64, buckets::COUNT);
-    // diverse entry-set consumption: how many multi-basin seeds the query
-    // actually injected into its descent (DESIGN.md §13)
-    m.inc("fastann_hnsw_entry_seeds_total", &[], stats.entry_seeds);
-    m.observe(
-        "fastann_hnsw_heap_pushes",
-        &[],
-        stats.heap_pushes as f64,
-        buckets::WORK,
+    s.observe(WORKER_BATCH_SIZE, served.len() as f64);
+    s.gauge_backlog(
+        WORKER_QUEUE_DEPTH,
+        served.iter().map(|&(_, arrival, done)| (arrival, done)),
     );
-    m.observe(
-        "fastann_hnsw_ef_churn",
-        &[],
-        stats.ef_churn as f64,
-        buckets::WORK,
-    );
-    let part = part.to_string();
-    m.observe(
-        "fastann_worker_service_ns",
-        &[("partition", &part)],
-        cost_ns,
-        buckets::NS,
-    );
-}
-
-/// Folds a worker's whole-batch accounting into the registry: how many
-/// probes it received and the peak backlog of its virtual thread pool.
-/// `served` holds one `(arrival, completion)` pair per answered probe —
-/// virtual times, so the fold is identical across real thread counts.
-fn record_worker_batch(m: &Metrics, served: &[(f64, f64)]) {
-    m.observe(
-        "fastann_worker_batch_size",
-        &[],
-        served.len() as f64,
-        buckets::COUNT,
-    );
-    let mut depth_max = 0usize;
-    for (i, &(arrival, _)) in served.iter().enumerate() {
-        // probes accepted earlier and still unfinished when this one arrives
-        let depth = 1 + served[..i].iter().filter(|&&(_, d)| d > arrival).count();
-        depth_max = depth_max.max(depth);
-    }
-    m.gauge_max("fastann_worker_queue_depth", &[], depth_max as f64);
 }
 
 #[cfg(test)]

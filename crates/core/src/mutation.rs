@@ -39,6 +39,7 @@
 //! reload exactly as the original would.
 
 use fastann_data::VectorSet;
+use fastann_obs::schema::{COMPACTIONS, MUTATIONS, SPLITS, TOMBSTONE_RATIO};
 use fastann_obs::Metrics;
 use fastann_vptree::{median_split, RouteConfig, N_CANDIDATES, N_SCORE_SAMPLE};
 
@@ -329,7 +330,7 @@ impl<'a> MutationRequest<'a> {
 
             for m in &batch {
                 if let Some(obs) = &metrics {
-                    obs.inc("fastann_mutations_total", &[("kind", m.kind())], 1);
+                    obs.with(|s| s.inc(MUTATIONS.label(m.kind()), 1));
                 }
                 let outcome = match m {
                     Mutation::Delete { global_id } => match find_live(parts, *global_id) {
@@ -408,7 +409,7 @@ impl<'a> MutationRequest<'a> {
             &mut ndist_total,
         );
         if let Some(obs) = &metrics {
-            obs.inc("fastann_compactions_total", &[], compactions.len() as u64);
+            obs.with(|s| s.inc(COMPACTIONS, compactions.len() as u64));
         }
 
         // --- dynamic partition splits ---
@@ -420,7 +421,7 @@ impl<'a> MutationRequest<'a> {
             &mut ndist_total,
         );
         if let Some(obs) = &metrics {
-            obs.inc("fastann_splits_total", &[], splits.len() as u64);
+            obs.with(|s| s.inc(SPLITS, splits.len() as u64));
         }
 
         let max_tombstone_ratio = index
@@ -429,7 +430,7 @@ impl<'a> MutationRequest<'a> {
             .map(|p| p.index.tombstone_ratio())
             .fold(0.0f64, f64::max);
         if let Some(obs) = &metrics {
-            obs.gauge_max("fastann_tombstone_ratio", &[], max_tombstone_ratio);
+            obs.with(|s| s.gauge_max(TOMBSTONE_RATIO, max_tombstone_ratio));
         }
 
         let changed = outcomes.iter().any(MutationOutcome::effective)

@@ -296,7 +296,9 @@ impl Shared {
 }
 
 /// What one [`HandlerSession::epoch`] produced.
-pub struct Epoch<R, W> {
+pub struct Epoch<J, R, W> {
+    /// The job, handed back to the caller.
+    pub job: J,
     /// Rank 0's result.
     pub root: R,
     /// The result of ranks `1..n`, in rank order.
@@ -358,7 +360,11 @@ impl<J: Sync, H: Handler<J>> HandlerSession<J, H> {
     /// Panics when a handler still waits at the end of the epoch, or when
     /// rank 0 waits and no handler is ready: the simulated program
     /// deadlocked.
-    pub fn epoch<R>(&mut self, job: J, root: impl FnOnce(&mut Rank, &J) -> R) -> Epoch<R, H::Out> {
+    pub fn epoch<R>(
+        &mut self,
+        job: J,
+        root: impl FnOnce(&mut Rank, &J) -> R,
+    ) -> Epoch<J, R, H::Out> {
         let mut ready = Ready::<J, H> {
             job: &job,
             ranks: &mut self.ranks,
@@ -381,6 +387,7 @@ impl<J: Sync, H: Handler<J>> HandlerSession<J, H> {
         }
         let workers = ready.finish();
         Epoch {
+            job,
             root: out.expect("an epoch that was not poisoned ran its root"),
             workers,
             conservation: self.shared.close_epoch(),

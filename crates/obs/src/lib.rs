@@ -6,6 +6,19 @@
 //! instrumented segment of the query path — the same labels the
 //! `fastann_mpisim` Gantt trace renders.
 //!
+//! # Fixed schema
+//!
+//! Every `fastann_*` series is declared once in [`schema`], with its type,
+//! bucket preset and label, and resolves at compile time to a typed
+//! handle. A series' slots are dense integers: an enum label indexes a
+//! fixed value list and the `partition` label is the partition id, so a
+//! fold through a handle does no string work and no allocation once the
+//! slot exists. Hot paths record into a [`Shard`] — a local accumulator,
+//! no lock — and fold it into the registry once per batch with
+//! [`Metrics::merge_shard`]. The string API ([`Metrics::inc`],
+//! [`Metrics::observe`], …) resolves names into the same store and serves
+//! ad hoc series.
+//!
 //! # Determinism contract
 //!
 //! Snapshots are **bit-identical across `FASTANN_THREADS` settings** and
@@ -25,15 +38,21 @@
 //!
 //! Worker threads may therefore record into one shared handle (it is
 //! `Clone + Send + Sync`) in any interleaving, or into per-thread shards
-//! later combined with [`Metrics::merge_from`] — the snapshot is the
-//! same either way, in any merge order.
+//! later combined with [`Metrics::merge_from`] or
+//! [`Metrics::merge_shard`] — the snapshot is the same either way, in any
+//! merge order.
 
 #![forbid(unsafe_code)]
 
 mod metrics;
+/// The declared series and their typed handles.
+pub mod schema;
+mod shard;
 mod snapshot;
 mod stage;
 
 pub use metrics::{buckets, Metrics};
+pub use schema::{Counter, Gauge, Histogram};
+pub use shard::Shard;
 pub use snapshot::{MetricEntry, MetricsSnapshot, ValueSnapshot};
 pub use stage::Stage;

@@ -1,9 +1,9 @@
 //! The order-invariant metrics registry.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::snapshot::{MetricEntry, MetricsSnapshot, ValueSnapshot};
+use crate::shard::Shard;
+use crate::snapshot::MetricsSnapshot;
 use crate::stage::Stage;
 
 /// Fixed-point scale for histogram sums: each observation contributes
@@ -28,67 +28,27 @@ pub mod buckets {
     pub const NS: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9];
 }
 
-/// One series' accumulated state.
-enum Slot {
-    /// Monotone `u64` counter.
-    Counter(u64),
-    /// Max-gauge: the largest value observed.
-    Gauge(f64),
-    /// Fixed-bucket histogram.
-    Histogram(Hist),
-}
-
-struct Hist {
-    bounds: &'static [f64],
-    /// One count per bound, plus the trailing `+Inf` bucket
-    /// (non-cumulative; the exporters cumulate).
-    counts: Vec<u64>,
-    count: u64,
-    /// Sum in fixed point (see [`SUM_SCALE`]).
-    sum_fp: u64,
-}
-
-impl Hist {
-    fn new(bounds: &'static [f64]) -> Self {
-        Self {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum_fp: 0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum_fp += (v.max(0.0) * SUM_SCALE).round() as u64;
-    }
-}
-
-/// Series key: metric name plus sorted label pairs. Label *names* are
-/// static (they are part of the schema); label *values* are data.
-type Key = (&'static str, Vec<(&'static str, String)>);
-
-fn key(name: &'static str, labels: &[(&'static str, &str)]) -> Key {
-    let mut l: Vec<(&'static str, String)> =
-        labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-    l.sort_unstable();
-    (name, l)
+/// The registry's state: its series and one spare accumulator, kept so
+/// a batch's [`Metrics::shard`] allocates nothing once warm.
+#[derive(Default)]
+struct Registry {
+    store: Shard,
+    spare: Option<Shard>,
 }
 
 /// A shared, thread-safe metrics registry. Cloning is cheap (an `Arc`
-/// bump) and every clone records into the same store, so the engine's
-/// per-rank threads can all hold one handle. All mutations are
+/// bump) and every clone records into the same store. All mutations are
 /// order-invariant folds — see the crate docs for the determinism
 /// contract.
+///
+/// Declared series are recorded through typed handles (see
+/// [`crate::schema`]), either under one lock with [`Metrics::with`] or
+/// lock-free into a [`Shard`] folded in with [`Metrics::merge_shard`].
+/// The string API (`inc`, `gauge_max`, `observe`, `histogram`) resolves
+/// names into the same store and serves ad hoc series.
 #[derive(Clone, Default)]
 pub struct Metrics {
-    inner: Arc<Mutex<BTreeMap<Key, Slot>>>,
+    inner: Arc<Mutex<Registry>>,
 }
 
 impl Metrics {
@@ -97,26 +57,40 @@ impl Metrics {
         Self::default()
     }
 
-    /// Locks the series store. The mismatch panics raised under the lock
-    /// fire before their fold writes, so poison is ignored.
-    fn store(&self) -> MutexGuard<'_, BTreeMap<Key, Slot>> {
+    /// Locks the registry. The mismatch panics raised under the lock fire
+    /// before their fold writes, so poison is ignored.
+    fn lock(&self) -> MutexGuard<'_, Registry> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f` on the registry's store under one lock: several handle
+    /// folds (or reads) for the price of one acquisition.
+    pub fn with<R>(&self, f: impl FnOnce(&mut Shard) -> R) -> R {
+        f(&mut self.lock().store)
+    }
+
+    /// An empty accumulator for lock-free recording, reused from the last
+    /// [`Metrics::merge_shard`] when there is one.
+    pub fn shard(&self) -> Shard {
+        self.lock().spare.take().unwrap_or_default()
+    }
+
+    /// Folds `shard` into the registry, then keeps it, emptied, for the
+    /// next [`Metrics::shard`].
+    pub fn merge_shard(&self, mut shard: Shard) {
+        let mut g = self.lock();
+        g.store.merge(&shard);
+        shard.clear();
+        g.spare.get_or_insert(shard);
     }
 
     /// Adds `n` to the counter series `name{labels}`.
     ///
     /// # Panics
-    /// Panics if the series was already registered as a different type.
+    /// Panics if the series was already registered as a different type,
+    /// or `labels` do not fit a declared series.
     pub fn inc(&self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
-        let mut g = self.store();
-        let slot = g.entry(key(name, labels)).or_insert(Slot::Counter(0));
-        assert!(
-            matches!(slot, Slot::Counter(_)),
-            "metric {name} is not a counter"
-        );
-        if let Slot::Counter(c) = slot {
-            *c += n;
-        }
+        self.lock().store.inc_named(name, labels, n);
     }
 
     /// Folds `v` into the max-gauge series `name{labels}` (the gauge
@@ -129,17 +103,7 @@ impl Metrics {
     /// infinite gauge cannot round-trip through the JSON exporter).
     pub fn gauge_max(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
         assert!(v.is_finite(), "metric {name}: gauge value must be finite");
-        let mut g = self.store();
-        let slot = g
-            .entry(key(name, labels))
-            .or_insert(Slot::Gauge(f64::NEG_INFINITY));
-        assert!(
-            matches!(slot, Slot::Gauge(_)),
-            "metric {name} is not a gauge"
-        );
-        if let Slot::Gauge(cur) = slot {
-            *cur = cur.max(v);
-        }
+        self.lock().store.gauge_named(name, labels, v);
     }
 
     /// Records `v` into the histogram series `name{labels}` with the
@@ -157,21 +121,7 @@ impl Metrics {
         bounds: &'static [f64],
     ) {
         assert!(!v.is_nan(), "metric {name}: observation must not be NaN");
-        let mut g = self.store();
-        let slot = g
-            .entry(key(name, labels))
-            .or_insert_with(|| Slot::Histogram(Hist::new(bounds)));
-        assert!(
-            matches!(slot, Slot::Histogram(_)),
-            "metric {name} is not a histogram"
-        );
-        if let Slot::Histogram(h) = slot {
-            assert!(
-                h.bounds == bounds,
-                "metric {name}: bucket bounds must match the first registration"
-            );
-            h.observe(v);
-        }
+        self.lock().store.observe_named(name, labels, v, bounds);
     }
 
     /// Records a query-path span: folds the duration `end_ns - start_ns`
@@ -179,12 +129,7 @@ impl Metrics {
     /// metrics half of the unified span layer; callers that also hold a
     /// `fastann_mpisim::Trace` record the same [`Stage::label`] there.
     pub fn span(&self, stage: Stage, start_ns: f64, end_ns: f64) {
-        self.observe(
-            "fastann_span_ns",
-            &[("stage", stage.label())],
-            (end_ns - start_ns).max(0.0),
-            buckets::NS,
-        );
+        self.lock().store.span(stage, start_ns, end_ns);
     }
 
     /// Folds every series of `other` into `self`. Merging is
@@ -198,48 +143,8 @@ impl Metrics {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return;
         }
-        let theirs = other.store();
-        let mut ours = self.store();
-        for ((name, labels), slot) in theirs.iter() {
-            let entry = ours.entry((name, labels.clone()));
-            match slot {
-                Slot::Counter(n) => {
-                    let dst = entry.or_insert(Slot::Counter(0));
-                    assert!(
-                        matches!(dst, Slot::Counter(_)),
-                        "metric {name}: merge type mismatch"
-                    );
-                    if let Slot::Counter(c) = dst {
-                        *c += n;
-                    }
-                }
-                Slot::Gauge(v) => {
-                    let dst = entry.or_insert(Slot::Gauge(f64::NEG_INFINITY));
-                    assert!(
-                        matches!(dst, Slot::Gauge(_)),
-                        "metric {name}: merge type mismatch"
-                    );
-                    if let Slot::Gauge(cur) = dst {
-                        *cur = cur.max(*v);
-                    }
-                }
-                Slot::Histogram(h) => {
-                    let dst = entry.or_insert_with(|| Slot::Histogram(Hist::new(h.bounds)));
-                    assert!(
-                        matches!(dst, Slot::Histogram(_)),
-                        "metric {name}: merge type mismatch"
-                    );
-                    if let Slot::Histogram(d) = dst {
-                        assert!(d.bounds == h.bounds, "metric {name}: merge bounds mismatch");
-                        for (a, b) in d.counts.iter_mut().zip(&h.counts) {
-                            *a += b;
-                        }
-                        d.count += h.count;
-                        d.sum_fp += h.sum_fp;
-                    }
-                }
-            }
-        }
+        let theirs = other.lock();
+        self.lock().store.merge(&theirs.store);
     }
 
     /// `(count, sum)` of the histogram series `name{labels}`, read in
@@ -251,10 +156,7 @@ impl Metrics {
         name: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Option<(u64, f64)> {
-        match self.store().get(&key(name, labels)) {
-            Some(Slot::Histogram(h)) => Some((h.count, h.sum_fp as f64 / SUM_SCALE)),
-            _ => None,
-        }
+        self.lock().store.histogram_named(name, labels)
     }
 
     /// An immutable, sorted snapshot of every series. Two registries
@@ -262,34 +164,14 @@ impl Metrics {
     /// number of threads — snapshot identically (`==` compares exact
     /// bits).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.store();
-        let entries = g
-            .iter()
-            .map(|((name, labels), slot)| MetricEntry {
-                name: (*name).to_string(),
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), v.clone()))
-                    .collect(),
-                value: match slot {
-                    Slot::Counter(n) => ValueSnapshot::Counter(*n),
-                    Slot::Gauge(v) => ValueSnapshot::Gauge(*v),
-                    Slot::Histogram(h) => ValueSnapshot::Histogram {
-                        bounds: h.bounds.to_vec(),
-                        counts: h.counts.clone(),
-                        count: h.count,
-                        sum: h.sum_fp as f64 / SUM_SCALE,
-                    },
-                },
-            })
-            .collect();
-        MetricsSnapshot { entries }
+        self.lock().store.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::ValueSnapshot;
 
     #[test]
     fn histogram_reads_in_place_what_the_snapshot_reads() {

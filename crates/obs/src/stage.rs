@@ -29,21 +29,25 @@ pub enum Stage {
     BatchFlush,
 }
 
+/// [`Stage::label`] of every stage, in declaration order: the values of
+/// the `stage` label.
+pub(crate) const STAGE_LABELS: [&str; 9] = [
+    "route+dispatch",
+    "collect results",
+    "hnsw search",
+    "timeout",
+    "retry",
+    "failover",
+    "admission",
+    "cache lookup",
+    "batch flush",
+];
+
 impl Stage {
     /// The canonical label, used both as a trace span label and as the
     /// `stage` label value on span metrics.
     pub fn label(self) -> &'static str {
-        match self {
-            Stage::Route => "route+dispatch",
-            Stage::Collect => "collect results",
-            Stage::LocalSearch => "hnsw search",
-            Stage::Timeout => "timeout",
-            Stage::Retry => "retry",
-            Stage::Failover => "failover",
-            Stage::Admission => "admission",
-            Stage::CacheLookup => "cache lookup",
-            Stage::BatchFlush => "batch flush",
-        }
+        STAGE_LABELS[self as usize]
     }
 }
 

@@ -20,6 +20,7 @@
 use std::collections::VecDeque;
 
 use fastann_core::{DistIndex, ReplicaMap, RoutingPolicy};
+use fastann_obs::schema::WORKER_SERVICE_NS;
 use fastann_obs::Metrics;
 
 /// Tuning knobs of the [`ReplicaController`].
@@ -113,6 +114,10 @@ pub struct ReplicaController {
     /// Last cumulative `fastann_worker_service_ns{partition}` sums, for
     /// delta computation.
     last_service: Vec<f64>,
+    /// Delta vectors of entries that left the window, for reuse.
+    spare: Vec<Vec<f64>>,
+    /// Per-partition sums over the window, recomputed per observation.
+    totals: Vec<f64>,
     raises: u64,
     decays: u64,
 }
@@ -136,6 +141,8 @@ impl ReplicaController {
             map: ReplicaMap::uniform(n_partitions, base),
             window: VecDeque::new(),
             last_service: vec![0.0; n_partitions],
+            spare: Vec::new(),
+            totals: Vec::new(),
             raises: 0,
             decays: 0,
         }
@@ -178,36 +185,43 @@ impl ReplicaController {
         self.ensure_cover(index.n_partitions());
         let n = self.last_service.len();
 
-        // per-partition service-time deltas since the previous observation
-        let mut delta = vec![0.0f64; n];
-        for (p, d) in delta.iter_mut().enumerate() {
-            let label = p.to_string();
-            let sum = metrics
-                .histogram("fastann_worker_service_ns", &[("partition", &label)])
-                .map(|(_count, s)| s)
-                .unwrap_or(0.0);
-            let last = self.last_service[p];
-            // counter-reset semantics: a sum below the baseline means the
-            // registry was swapped — treat the whole new sum as the delta
-            *d = if sum >= last { sum - last } else { sum };
-            self.last_service[p] = sum;
-        }
+        // per-partition service-time deltas since the previous
+        // observation, read under one lock into a recycled window entry
+        let mut delta = self.spare.pop().unwrap_or_default();
+        delta.clear();
+        let last = &mut self.last_service;
+        metrics.with(|s| {
+            for (p, last) in last.iter_mut().enumerate() {
+                let sum = s
+                    .histogram(WORKER_SERVICE_NS.at(p))
+                    .map_or(0.0, |(_, sum)| sum);
+                // counter-reset semantics: a sum below the baseline means
+                // the registry was swapped — treat the whole new sum as
+                // the delta
+                delta.push(if sum >= *last { sum - *last } else { sum });
+                *last = sum;
+            }
+        });
         self.window.push_back((now_ns, delta));
         while let Some((at, _)) = self.window.front() {
             if *at < now_ns - self.policy.window_ns {
-                self.window.pop_front();
+                let (_, d) = self.window.pop_front().expect("front exists");
+                self.spare.push(d);
             } else {
                 break;
             }
         }
 
         // shares over the window
-        let mut totals = vec![0.0f64; n];
+        let totals = &mut self.totals;
+        totals.clear();
+        totals.resize(n, 0.0);
         for (_, d) in &self.window {
             for (t, v) in totals.iter_mut().zip(d.iter()) {
                 *t += v;
             }
         }
+        let totals = &self.totals;
         let total_all: f64 = totals.iter().sum();
         let mut action = ControllerAction::default();
         if total_all <= 0.0 {
@@ -219,10 +233,8 @@ impl ReplicaController {
         if let Some(h) = hottest {
             let share = totals[h] / total_all;
             if share > self.policy.hot_share && self.map.count(h) < self.max {
-                let mut cand = self.map.counts().to_vec();
-                cand[h] += 1;
-                let fits = self.index_memory_fits(index, &cand);
-                if fits && self.map.set_count(h, cand[h]) {
+                let fits = self.raise_fits(index, h);
+                if fits && self.map.set_count(h, self.map.count(h) + 1) {
                     self.raises += 1;
                     action.raised = Some(h);
                 }
@@ -244,13 +256,16 @@ impl ReplicaController {
         action
     }
 
-    /// `true` when every node stays within the memory budget under `cand`.
-    fn index_memory_fits(&self, index: &DistIndex, cand: &[usize]) -> bool {
+    /// `true` when every node stays within the memory budget once
+    /// partition `h` gains a replica.
+    fn raise_fits(&self, index: &DistIndex, h: usize) -> bool {
         if self.policy.node_memory_budget_bytes == usize::MAX {
             return true;
         }
+        let mut cand = self.map.counts().to_vec();
+        cand[h] += 1;
         index
-            .node_memory_bytes_for(cand)
+            .node_memory_bytes_for(&cand)
             .iter()
             .all(|&b| b <= self.policy.node_memory_budget_bytes)
     }
@@ -261,7 +276,6 @@ mod tests {
     use super::*;
     use fastann_core::EngineConfig;
     use fastann_data::synth;
-    use fastann_obs::buckets;
 
     fn po2(base: usize, max: usize) -> RoutingPolicy {
         RoutingPolicy::PowerOfTwo { base, max }
@@ -273,13 +287,7 @@ mod tests {
     }
 
     fn record(m: &Metrics, part: usize, ns: f64) {
-        let label = part.to_string();
-        m.observe(
-            "fastann_worker_service_ns",
-            &[("partition", &label)],
-            ns,
-            buckets::NS,
-        );
+        m.with(|s| s.observe(WORKER_SERVICE_NS.at(part), ns));
     }
 
     #[test]

@@ -23,7 +23,12 @@ use fastann_core::{
 use fastann_data::quant::Sq8;
 use fastann_data::VectorSet;
 use fastann_mpisim::{EventQueue, VClock};
-use fastann_obs::{buckets, Metrics, Stage};
+use fastann_obs::schema::{
+    REPLICA_COUNT, REPLICA_DECAYS, REPLICA_RAISES, ROUTING_GENERATION, SERVE_ADMITTED,
+    SERVE_BATCHES, SERVE_BATCH_OCCUPANCY, SERVE_CACHE, SERVE_DEADLINE_MISSES,
+    SERVE_PARTITION_REJECTED, SERVE_QUEUE_DEPTH, SERVE_REJECTED, SERVE_REQUESTS,
+};
+use fastann_obs::{Metrics, Shard, Stage};
 
 use crate::admission::TokenBucket;
 use crate::cache::ResultCache;
@@ -428,9 +433,11 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// The attached metrics registry, if any.
-    fn obs(&self) -> Option<&'a Metrics> {
-        self.metrics
+    /// Runs `f` on the attached registry's store, if one is attached.
+    fn record(&self, f: impl FnOnce(&mut Shard)) {
+        if let Some(m) = self.metrics {
+            m.with(f);
+        }
     }
 
     fn on_arrival(&mut self, engine: &mut SearchSession<'_>, req: Request) {
@@ -449,11 +456,11 @@ impl<'a> Sim<'a> {
                 break;
             }
         }
-        if let Some(m) = self.obs() {
-            m.inc("fastann_serve_requests_total", &[], 1);
-            let depth = self.forming.len() + self.inflight.len();
-            m.gauge_max("fastann_serve_queue_depth", &[], depth as f64);
-        }
+        let depth = self.forming.len() + self.inflight.len();
+        self.record(|s| {
+            s.inc(SERVE_REQUESTS, 1);
+            s.gauge_max(SERVE_QUEUE_DEPTH, depth as f64);
+        });
 
         // 1. per-tenant token bucket
         let adm = self.cfg.admission;
@@ -471,20 +478,19 @@ impl<'a> Sim<'a> {
         // must stay cheap when the system sheds load
         let metric = self.index.config.metric;
         let cached = self.cache.lookup(&req.query, req.k, metric);
-        if let Some(m) = self.obs() {
-            let outcome = if cached.is_some() { "hit" } else { "miss" };
-            m.inc("fastann_serve_cache_total", &[("outcome", outcome)], 1);
-        }
+        let outcome = if cached.is_some() { "hit" } else { "miss" };
+        self.record(|s| s.inc(SERVE_CACHE.label(outcome), 1));
         if let Some(results) = cached {
             let done = now + CACHE_HIT_NS;
-            if let Some(m) = self.obs() {
-                m.span(Stage::CacheLookup, now, done);
-            }
-            if req.deadline_ns.is_finite() && done > req.deadline_ns {
-                self.deadline_misses += 1;
-                if let Some(m) = self.obs() {
-                    m.inc("fastann_serve_deadline_misses_total", &[], 1);
+            let missed = req.deadline_ns.is_finite() && done > req.deadline_ns;
+            self.record(|s| {
+                s.span(Stage::CacheLookup, now, done);
+                if missed {
+                    s.inc(SERVE_DEADLINE_MISSES, 1);
                 }
+            });
+            if missed {
+                self.deadline_misses += 1;
             }
             self.outcomes.push(Outcome::Completed(Completion {
                 id: req.id,
@@ -533,10 +539,10 @@ impl<'a> Sim<'a> {
         }
 
         // admitted: join the forming batch
-        if let Some(m) = self.obs() {
-            m.inc("fastann_serve_admitted_total", &[], 1);
-            m.span(Stage::Admission, req.arrival_ns, now);
-        }
+        self.record(|s| {
+            s.inc(SERVE_ADMITTED, 1);
+            s.span(Stage::Admission, req.arrival_ns, now);
+        });
         if self.forming.is_empty() {
             self.events.push(
                 now + self.cfg.batch.max_wait_ns,
@@ -571,17 +577,12 @@ impl<'a> Sim<'a> {
                 "hot_partition"
             }
         };
-        if let Some(m) = self.obs() {
-            m.inc("fastann_serve_rejected_total", &[("reason", label)], 1);
+        self.record(|s| {
+            s.inc(SERVE_REJECTED.label(label), 1);
             if let Rejection::HotPartition(p) = reason {
-                let part = p.to_string();
-                m.inc(
-                    "fastann_serve_partition_rejected_total",
-                    &[("partition", &part)],
-                    1,
-                );
+                s.inc(SERVE_PARTITION_REJECTED.at(p as usize), 1);
             }
-        }
+        });
         self.outcomes.push(Outcome::Rejected {
             id: req.id,
             tenant: req.tenant,
@@ -637,16 +638,11 @@ impl<'a> Sim<'a> {
         }
         let report = engine.run(engine_req);
         let done = dispatch + report.total_ns;
-        if let Some(m) = self.obs() {
-            m.inc("fastann_serve_batches_total", &[], 1);
-            m.observe(
-                "fastann_serve_batch_occupancy",
-                &[],
-                batch.len() as f64,
-                buckets::COUNT,
-            );
-            m.span(Stage::BatchFlush, dispatch, done);
-        }
+        self.record(|s| {
+            s.inc(SERVE_BATCHES, 1);
+            s.observe(SERVE_BATCH_OCCUPANCY, batch.len() as f64);
+            s.span(Stage::BatchFlush, dispatch, done);
+        });
         self.engine_free_ns = done;
         self.engine_busy_ns += report.total_ns;
         self.batches += 1;
@@ -665,21 +661,18 @@ impl<'a> Sim<'a> {
         // at the batch's virtual completion instant
         if let (Some(ctl), Some(m)) = (self.controller.as_mut(), self.metrics) {
             let act = ctl.observe(done, m, self.index);
-            if act.raised.is_some() {
-                m.inc("fastann_replica_raises_total", &[], 1);
-            }
-            if act.decayed.is_some() {
-                m.inc("fastann_replica_decays_total", &[], 1);
-            }
-            for (p, &r) in ctl.map().counts().iter().enumerate() {
-                let part = p.to_string();
-                m.gauge_max("fastann_replica_count", &[("partition", &part)], r as f64);
-            }
-            m.gauge_max(
-                "fastann_routing_generation",
-                &[],
-                ctl.map().generation() as f64,
-            );
+            m.with(|s| {
+                if act.raised.is_some() {
+                    s.inc(REPLICA_RAISES, 1);
+                }
+                if act.decayed.is_some() {
+                    s.inc(REPLICA_DECAYS, 1);
+                }
+                for (p, &r) in ctl.map().counts().iter().enumerate() {
+                    s.gauge_max(REPLICA_COUNT.at(p), r as f64);
+                }
+                s.gauge_max(ROUTING_GENERATION, ctl.map().generation() as f64);
+            });
         }
 
         let metric = self.index.config.metric;
@@ -697,9 +690,7 @@ impl<'a> Sim<'a> {
             }
             if req.deadline_ns.is_finite() && done > req.deadline_ns {
                 self.deadline_misses += 1;
-                if let Some(m) = self.metrics {
-                    m.inc("fastann_serve_deadline_misses_total", &[], 1);
-                }
+                self.record(|s| s.inc(SERVE_DEADLINE_MISSES, 1));
             }
             self.inflight.push(Reverse((OrdNs(done), home)));
             self.outcomes.push(Outcome::Completed(Completion {
