@@ -167,8 +167,14 @@ impl LocalIndex {
     /// Appends a vector through the incremental HNSW insertion path and
     /// returns its local row id. `None` when the kind is immutable.
     pub fn insert(&mut self, v: &[f32]) -> Option<u32> {
+        self.insert_with(v, &mut SearchScratch::default())
+    }
+
+    /// [`LocalIndex::insert`] on caller-owned scratch, shared by the
+    /// inserts of one mutation batch ([`Hnsw::add_with`]).
+    pub fn insert_with(&mut self, v: &[f32], scratch: &mut SearchScratch) -> Option<u32> {
         match self {
-            LocalIndex::Hnsw(h) => Some(h.add(v)),
+            LocalIndex::Hnsw(h) => Some(h.add_with(v, scratch)),
             _ => None,
         }
     }

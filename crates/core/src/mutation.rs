@@ -39,6 +39,7 @@
 //! reload exactly as the original would.
 
 use fastann_data::VectorSet;
+use fastann_hnsw::SearchScratch;
 use fastann_obs::schema::{COMPACTIONS, MUTATIONS, SPLITS, TOMBSTONE_RATIO};
 use fastann_obs::Metrics;
 use fastann_vptree::{median_split, RouteConfig, N_CANDIDATES, N_SCORE_SAMPLE};
@@ -328,6 +329,8 @@ impl<'a> MutationRequest<'a> {
                 .max()
                 .map_or(0, |g| g + 1);
 
+            // the batch's inserts share one scratch (`Hnsw::add_with`)
+            let mut scratch = SearchScratch::default();
             for m in &batch {
                 if let Some(obs) = &metrics {
                     obs.with(|s| s.inc(MUTATIONS.label(m.kind()), 1));
@@ -381,7 +384,7 @@ impl<'a> MutationRequest<'a> {
                         let home = route[0] as usize;
                         parts[home]
                             .index
-                            .insert(vector)
+                            .insert_with(vector, &mut scratch)
                             .expect("upsert requires an HNSW partition");
                         parts[home].global_ids.push(gid);
                         match prev {

@@ -979,6 +979,17 @@ impl Hnsw {
     /// # Panics
     /// Panics if `v.len() != dim()` (for a non-empty index).
     pub fn add(&mut self, v: &[f32]) -> u32 {
+        self.add_with(v, &mut SearchScratch::default())
+    }
+
+    /// [`Hnsw::add`] on caller-owned scratch: a run of adds that passes
+    /// one scratch allocates its working buffers once. The scratch holds
+    /// no state from one insert to the next, so the graph is the one
+    /// [`Hnsw::add`] builds.
+    ///
+    /// # Panics
+    /// Panics if `v.len() != dim()` (for a non-empty index).
+    pub fn add_with(&mut self, v: &[f32], scratch: &mut SearchScratch) -> u32 {
         if !self.data.is_empty() {
             assert_eq!(v.len(), self.dim(), "inserted vector has wrong dimension");
         }
@@ -989,8 +1000,7 @@ impl Hnsw {
         self.tombstones.push(false);
         self.live += 1;
         self.graph.push_node(level as usize, self.config.m);
-        let mut scratch = SearchScratch::with_capacity(self.len());
-        self.insert(id, &mut scratch);
+        self.insert(id, scratch);
         // A new upper-layer node can change the k-center selection; pure
         // layer-0 nodes cannot (they are never candidates), so skip the
         // O(cap · n) rescan for the ~94% of adds that stay on layer 0.
@@ -1426,6 +1436,21 @@ mod tests {
             }
             assert_eq!(sa, sb, "stats identical too");
         }
+    }
+
+    #[test]
+    fn adds_on_one_scratch_build_the_graph_fresh_scratch_builds() {
+        let (_, mut one) = small_index(300, 8, 43);
+        let (_, mut shared) = small_index(300, 8, 43);
+        let fresh = synth::sift_like(120, 8, 44);
+        let mut scratch = SearchScratch::default();
+        for i in 0..fresh.len() {
+            assert_eq!(
+                one.add(fresh.get(i)),
+                shared.add_with(fresh.get(i), &mut scratch)
+            );
+        }
+        assert_eq!(one.to_bytes(), shared.to_bytes());
     }
 
     #[test]
