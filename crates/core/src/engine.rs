@@ -490,12 +490,11 @@ fn master(rank: &mut Rank, b: &Batch, mut obs: Option<&mut Shard>) -> QueryRepor
         s.inc(ENGINE_PROBES, fanout_total);
         s.inc(ROUTING_DECISIONS.label(opts.routing.label()), fanout_total);
     }
-    let now = rank.now();
     b.span(
         obs.as_deref_mut(),
         0,
         start_ns,
-        now,
+        rank.now(),
         SpanKind::Compute,
         Stage::Route,
     );
@@ -552,12 +551,11 @@ fn master(rank: &mut Rank, b: &Batch, mut obs: Option<&mut Shard>) -> QueryRepor
             result_bytes = fanout_total * (k as u64) * 8;
             merge_ops = nq as u64;
         }
-        let now = rank.now();
         b.span(
             obs.as_deref_mut(),
             0,
             drain_start,
-            now,
+            rank.now(),
             SpanKind::Wait,
             Stage::Collect,
         );
@@ -576,12 +574,11 @@ fn master(rank: &mut Rank, b: &Batch, mut obs: Option<&mut Shard>) -> QueryRepor
             let t0 = rank.now();
             rank.wait_until(max_deadline);
             timeout_waits += 1;
-            let now = rank.now();
             b.span(
                 obs.as_deref_mut(),
                 0,
                 t0,
-                now,
+                rank.now(),
                 SpanKind::Recovery,
                 Stage::Timeout,
             );
@@ -606,8 +603,14 @@ fn master(rank: &mut Rank, b: &Batch, mut obs: Option<&mut Shard>) -> QueryRepor
             } else {
                 Stage::Retry
             };
-            let now = rank.now();
-            b.span(obs.as_deref_mut(), 0, t0, now, SpanKind::Recovery, stage);
+            b.span(
+                obs.as_deref_mut(),
+                0,
+                t0,
+                rank.now(),
+                SpanKind::Recovery,
+                stage,
+            );
         }
         drain_start = rank.now();
         flush_all(rank, n_nodes);

@@ -2,6 +2,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use crate::schema::Kind;
 use crate::shard::Shard;
 use crate::snapshot::MetricsSnapshot;
 use crate::stage::Stage;
@@ -90,7 +91,9 @@ impl Metrics {
     /// Panics if the series was already registered as a different type,
     /// or `labels` do not fit a declared series.
     pub fn inc(&self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
-        self.lock().store.inc_named(name, labels, n);
+        let mut g = self.lock();
+        let (f, i) = g.store.resolve(name, labels, Kind::Counter);
+        f.inc(i, n);
     }
 
     /// Folds `v` into the max-gauge series `name{labels}` (the gauge
@@ -103,7 +106,9 @@ impl Metrics {
     /// infinite gauge cannot round-trip through the JSON exporter).
     pub fn gauge_max(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
         assert!(v.is_finite(), "metric {name}: gauge value must be finite");
-        self.lock().store.gauge_named(name, labels, v);
+        let mut g = self.lock();
+        let (f, i) = g.store.resolve(name, labels, Kind::Gauge);
+        f.gauge_max(i, v);
     }
 
     /// Records `v` into the histogram series `name{labels}` with the
@@ -121,7 +126,9 @@ impl Metrics {
         bounds: &'static [f64],
     ) {
         assert!(!v.is_nan(), "metric {name}: observation must not be NaN");
-        self.lock().store.observe_named(name, labels, v, bounds);
+        let mut g = self.lock();
+        let (f, i) = g.store.resolve(name, labels, Kind::Histogram(bounds));
+        f.observe(i, v);
     }
 
     /// Records a query-path span: folds the duration `end_ns - start_ns`

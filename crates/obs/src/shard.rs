@@ -32,7 +32,7 @@ const EMPTY: Slot = Slot {
 /// Label pairs sorted by name, as the exporters order them.
 type Key = Vec<(&'static str, String)>;
 
-struct Family {
+pub(crate) struct Family {
     name: &'static str,
     kind: Kind,
     labels: Labels,
@@ -69,25 +69,31 @@ impl Family {
         )
     }
 
-    fn inc(&mut self, i: usize, n: u64) {
+    pub(crate) fn inc(&mut self, i: usize, n: u64) {
         let (s, _) = self.slot(i);
         s.hits += 1;
         s.total += n;
     }
 
-    fn gauge_max(&mut self, i: usize, v: f64) {
+    pub(crate) fn gauge_max(&mut self, i: usize, v: f64) {
         let (s, _) = self.slot(i);
         s.hits += 1;
         s.max = s.max.max(v);
     }
 
-    fn observe(&mut self, i: usize, v: f64) {
+    pub(crate) fn observe(&mut self, i: usize, v: f64) {
         let bounds = self.kind.bounds();
         let b = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
         let (s, counts) = self.slot(i);
         counts[b] += 1;
         s.hits += 1;
         s.total += (v.max(0.0) * SUM_SCALE).round() as u64;
+    }
+
+    /// `(count, sum)` of histogram slot `i`, if recorded.
+    fn histogram(&self, i: usize) -> Option<(u64, f64)> {
+        let s = self.slots.get(i)?;
+        (s.hits > 0).then(|| (s.hits, s.total as f64 / SUM_SCALE))
     }
 
     /// Folds `other`'s slot `j` into slot `i`.
@@ -204,10 +210,7 @@ impl Shard {
 
     /// `(count, sum)` of a histogram, or `None` while it is unrecorded.
     pub fn histogram(&self, h: Histogram) -> Option<(u64, f64)> {
-        let s = self.families[h.family as usize]
-            .slots
-            .get(h.cell as usize)?;
-        (s.hits > 0).then(|| (s.hits, s.total as f64 / SUM_SCALE))
+        self.families[h.family as usize].histogram(h.cell as usize)
     }
 
     /// Folds into `g` the peak backlog of a queue whose items, in the
@@ -287,7 +290,7 @@ impl Shard {
     /// # Panics
     /// Panics on a type or bounds mismatch, or when `labels` do not fit a
     /// declared family's label.
-    fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         name: &'static str,
         labels: &[(&'static str, &str)],
@@ -302,37 +305,6 @@ impl Shard {
         (f, i.unwrap_or(0))
     }
 
-    pub(crate) fn inc_named(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        n: u64,
-    ) {
-        let (f, i) = self.resolve(name, labels, Kind::Counter);
-        f.inc(i, n);
-    }
-
-    pub(crate) fn gauge_named(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        v: f64,
-    ) {
-        let (f, i) = self.resolve(name, labels, Kind::Gauge);
-        f.gauge_max(i, v);
-    }
-
-    pub(crate) fn observe_named(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        v: f64,
-        bounds: &'static [f64],
-    ) {
-        let (f, i) = self.resolve(name, labels, Kind::Histogram(bounds));
-        f.observe(i, v);
-    }
-
     /// `(count, sum)` of histogram `name{labels}`; `None` when it is
     /// absent or not a histogram.
     pub(crate) fn histogram_named(
@@ -345,8 +317,7 @@ impl Shard {
             return None;
         }
         let i = f.find(labels, false)?;
-        let s = f.slots.get(i)?;
-        (s.hits > 0).then(|| (s.hits, s.total as f64 / SUM_SCALE))
+        f.histogram(i)
     }
 
     /// Folds every recorded series of `other` into `self`: declared
