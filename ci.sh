@@ -29,15 +29,16 @@ echo "==> cargo test --release (kernel, graph and engine goldens on optimized co
 # mpisim and kdtree run the simulator's rank spawn, poison and join path
 # on the same optimized build, and vptree runs the splitter the build
 # ships. rayon runs the pool's atomics and condvar hand-offs on the
-# codegen that ships.
-cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
+# codegen that ships. obs and serve run the metrics determinism, backlog
+# and adaptive-serving goldens on it too.
+cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon -p fastann-obs -p fastann-serve
 
 echo "==> cargo test --release (same goldens, FASTANN_THREADS=4)"
 # SearchScratch keeps the beam's key pool, the descent seeds and the
 # re-rank buffer from one probe to the next on one pool thread; a state
 # leak between probes would show only where the threads' probe sequences
 # differ, and only on the optimized build that ships.
-FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon
+FASTANN_THREADS=4 cargo test --release -q -p fastann-data -p fastann-hnsw -p fastann-core -p fastann-mpisim -p fastann-kdtree -p fastann-vptree -p rayon -p fastann-obs -p fastann-serve
 
 echo "==> fastann-check lint (findings archived to target/lint_findings.json)"
 cargo run -q -p fastann-check -- lint --json target/lint_findings.json
