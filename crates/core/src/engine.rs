@@ -863,6 +863,8 @@ impl<'a> Handler<Batch<'a>> for Worker {
 /// thread counts.
 fn record_worker_batch(s: &mut Shard, b: &Batch, served: &[(usize, f64, f64)]) {
     let (cost, dim) = (&b.index.config.cost, b.index.dim());
+    // the counters are sums: added up here, folded once per node
+    let (mut quant, mut exact, mut seeds) = (0, 0, 0);
     for &(p, _, done) in served {
         let stats = &b.answers[p].1;
         let service_ns = cost.dists_ns(stats.ndist, dim);
@@ -871,21 +873,26 @@ fn record_worker_batch(s: &mut Shard, b: &Batch, served: &[(usize, f64, f64)]) {
         // quantized vs exact split of the distance work, plus the re-rank
         // pool sizes — the counters the recall-delta gate and dashboards
         // read
-        s.inc(DISTS_QUANT, stats.ndist_quant);
-        s.inc(DISTS_EXACT, stats.ndist - stats.ndist_quant);
+        quant += stats.ndist_quant;
+        exact += stats.ndist - stats.ndist_quant;
         if stats.rerank > 0 {
             s.observe(RERANK_POOL, stats.rerank as f64);
         }
         s.observe(HNSW_HOPS, stats.hops as f64);
         // diverse entry-set consumption: how many multi-basin seeds the
         // query actually injected into its descent (DESIGN.md §13)
-        s.inc(HNSW_ENTRY_SEEDS, stats.entry_seeds);
+        seeds += stats.entry_seeds;
         s.observe(HNSW_HEAP_PUSHES, stats.heap_pushes as f64);
         s.observe(HNSW_EF_CHURN, stats.ef_churn as f64);
         let part = b.routes.probes[p].1 as usize;
         s.observe(WORKER_SERVICE_NS.at(part), service_ns);
+    }
+    if !served.is_empty() {
+        s.inc(DISTS_QUANT, quant);
+        s.inc(DISTS_EXACT, exact);
+        s.inc(HNSW_ENTRY_SEEDS, seeds);
         if b.one_sided {
-            s.inc(RMA_DEPOSITS, 1);
+            s.inc(RMA_DEPOSITS, served.len() as u64);
         }
     }
     s.observe(WORKER_BATCH_SIZE, served.len() as f64);

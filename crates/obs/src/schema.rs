@@ -21,15 +21,6 @@ pub(crate) enum Kind {
 }
 
 impl Kind {
-    /// The Prometheus type name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            Kind::Counter => "counter",
-            Kind::Gauge => "gauge",
-            Kind::Histogram(_) => "histogram",
-        }
-    }
-
     /// A histogram's bucket bounds; empty for the other types.
     pub(crate) fn bounds(self) -> &'static [f64] {
         match self {
@@ -75,22 +66,6 @@ const REASON: Labels = Labels::Enum("reason", &["overloaded", "deadline", "hot_p
 const KIND: Labels = Labels::Enum("kind", &["upsert", "delete"]);
 const PARTITION: Labels = Labels::Index("partition");
 
-/// `true` when `a` and `b` hold the same bytes (usable in `const`).
-const fn str_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut i = 0;
-    while i < a.len() {
-        if a[i] != b[i] {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
 /// A handle to one declared counter series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Counter {
@@ -133,22 +108,17 @@ macro_rules! label_lookups {
             }
 
             /// The series of this family whose enum label reads `value`.
-            /// In a `const` item the lookup runs at compile time.
             ///
             /// # Panics
             /// Panics when the family's label is not an enum holding
             /// `value`.
-            pub const fn label(self, value: &str) -> Self {
-                let values = match SCHEMA[self.family as usize].labels {
-                    Labels::Enum(_, values) => values,
-                    _ => &[],
+            pub fn label(self, value: &str) -> Self {
+                let i = match SCHEMA[self.family as usize].labels {
+                    Labels::Enum(_, values) => values.iter().position(|v| *v == value),
+                    _ => None,
                 };
-                let mut i = 0;
-                while i < values.len() && !str_eq(values[i], value) {
-                    i += 1;
-                }
-                assert!(i < values.len(), "no such enum label value");
-                Self { family: self.family, cell: i as u32 }
+                assert!(i.is_some(), "no label value {value:?}");
+                self.at(i.unwrap_or(0))
             }
         }
     )*};
@@ -281,8 +251,7 @@ mod tests {
 
     #[test]
     fn enum_labels_resolve_to_their_positions() {
-        const MISS: Counter = SERVE_CACHE.label("miss");
-        assert_eq!(MISS, SERVE_CACHE.at(1));
+        assert_eq!(SERVE_CACHE.label("miss"), SERVE_CACHE.at(1));
         assert_eq!(SPAN_NS.label("hnsw search"), SPAN_NS.at(2));
     }
 

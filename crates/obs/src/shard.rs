@@ -57,11 +57,11 @@ impl Family {
     }
 
     /// Slot `i` and its buckets, created on first use.
+    #[inline]
     fn slot(&mut self, i: usize) -> (&mut Slot, &mut [u64]) {
         let stride = self.kind.stride();
         if i >= self.slots.len() {
-            self.slots.resize(i + 1, EMPTY);
-            self.buckets.resize((i + 1) * stride, 0);
+            self.grow(i);
         }
         (
             &mut self.slots[i],
@@ -69,21 +69,33 @@ impl Family {
         )
     }
 
+    /// Creates the slots up to `i`.
+    #[cold]
+    fn grow(&mut self, i: usize) {
+        self.slots.resize(i + 1, EMPTY);
+        self.buckets.resize((i + 1) * self.kind.stride(), 0);
+    }
+
+    #[inline]
     pub(crate) fn inc(&mut self, i: usize, n: u64) {
         let (s, _) = self.slot(i);
         s.hits += 1;
         s.total += n;
     }
 
+    #[inline]
     pub(crate) fn gauge_max(&mut self, i: usize, v: f64) {
         let (s, _) = self.slot(i);
         s.hits += 1;
         s.max = s.max.max(v);
     }
 
+    #[inline]
     pub(crate) fn observe(&mut self, i: usize, v: f64) {
         let bounds = self.kind.bounds();
-        let b = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
+        // the first bound at or above `v`, counted without a branch per
+        // bound (the bounds ascend)
+        let b = bounds.iter().filter(|&&b| v > b).count();
         let (s, counts) = self.slot(i);
         counts[b] += 1;
         s.hits += 1;
@@ -160,8 +172,10 @@ impl Family {
 /// folded into the registry with [`crate::Metrics::merge_shard`].
 pub struct Shard {
     families: Vec<Family>,
-    /// [`Shard::gauge_backlog`]'s scratch: events and a Fenwick tree.
-    events: Vec<(f64, bool, u32)>,
+    /// [`Shard::gauge_backlog`]'s scratch: `(time key, position)` of the
+    /// arrivals and of the completions, and a Fenwick tree.
+    arrivals: Vec<(u64, u32)>,
+    dones: Vec<(u64, u32)>,
     tree: Vec<u32>,
 }
 
@@ -172,7 +186,8 @@ impl Default for Shard {
                 .iter()
                 .map(|d| Family::new(d.name, d.kind, d.labels))
                 .collect(),
-            events: Vec::new(),
+            arrivals: Vec::new(),
+            dones: Vec::new(),
             tree: Vec::new(),
         }
     }
@@ -180,6 +195,7 @@ impl Default for Shard {
 
 impl Shard {
     /// Adds `n` to a counter.
+    #[inline]
     pub fn inc(&mut self, c: Counter, n: u64) {
         self.families[c.family as usize].inc(c.cell as usize, n);
     }
@@ -188,6 +204,7 @@ impl Shard {
     ///
     /// # Panics
     /// Panics if `v` is not finite.
+    #[inline]
     pub fn gauge_max(&mut self, g: Gauge, v: f64) {
         assert!(v.is_finite(), "gauge value must be finite");
         self.families[g.family as usize].gauge_max(g.cell as usize, v);
@@ -197,6 +214,7 @@ impl Shard {
     ///
     /// # Panics
     /// Panics if `v` is NaN.
+    #[inline]
     pub fn observe(&mut self, h: Histogram, v: f64) {
         assert!(!v.is_nan(), "observation must not be NaN");
         self.families[h.family as usize].observe(h.cell as usize, v);
@@ -204,6 +222,7 @@ impl Shard {
 
     /// Records a query-path span of `end_ns - start_ns` into
     /// `fastann_span_ns{stage}`.
+    #[inline]
     pub fn span(&mut self, stage: Stage, start_ns: f64, end_ns: f64) {
         self.observe(SPAN_NS.at(stage as usize), (end_ns - start_ns).max(0.0));
     }
@@ -219,41 +238,43 @@ impl Shard {
     /// item itself plus the items accepted before it and unfinished when
     /// it arrived.
     ///
-    /// One sorted sweep: the pairs become arrival and completion events in
-    /// time order (a completion at an arrival's instant first), and a
-    /// Fenwick tree over acceptance positions counts, at each arrival,
-    /// the earlier-accepted items that have not completed. Acceptance
-    /// order need not be arrival order, so the count is by position, not
-    /// by time alone.
+    /// One sorted sweep: arrivals and completions are each sorted by time
+    /// (a node's arrivals usually are already, which the sort detects),
+    /// and walking the arrivals in time order, after first taking in every
+    /// completion at or before the arrival's instant, a Fenwick tree over
+    /// acceptance positions counts the earlier-accepted items that have
+    /// not completed. Acceptance order need not be arrival order, so the
+    /// count is by position, not by time alone.
     pub fn gauge_backlog(&mut self, g: Gauge, items: impl Iterator<Item = (f64, f64)>) {
-        self.events.clear();
+        let (arrivals, dones) = (&mut self.arrivals, &mut self.dones);
+        arrivals.clear();
+        dones.clear();
         for (i, (arrival, done)) in items.enumerate() {
-            self.events.push((arrival, true, i as u32));
-            self.events.push((done, false, i as u32));
+            arrivals.push((order_key(arrival), i as u32));
+            dones.push((order_key(done), i as u32));
         }
-        self.events
-            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let n = self.events.len() / 2;
+        arrivals.sort_unstable_by_key(|e| e.0);
+        dones.sort_unstable_by_key(|e| e.0);
+        let n = arrivals.len();
         self.tree.clear();
         self.tree.resize(n + 1, 0);
-        let mut peak = 0usize;
-        for &(_, arrival, i) in &self.events {
-            let i = i as usize;
-            if arrival {
-                // completed items accepted before item i
-                let (mut done_before, mut j) = (0, i);
-                while j > 0 {
-                    done_before += self.tree[j] as usize;
-                    j &= j - 1;
-                }
-                peak = peak.max(1 + i - done_before);
-            } else {
-                let mut j = i + 1;
+        let (mut peak, mut next) = (0usize, 0usize);
+        for &(at, i) in arrivals.iter() {
+            while next < n && dones[next].0 <= at {
+                let mut j = dones[next].1 as usize + 1;
                 while j <= n {
                     self.tree[j] += 1;
                     j += j & j.wrapping_neg();
                 }
+                next += 1;
             }
+            let i = i as usize;
+            let (mut done_before, mut j) = (0, i);
+            while j > 0 {
+                done_before += self.tree[j] as usize;
+                j &= j - 1;
+            }
+            peak = peak.max(1 + i - done_before);
         }
         self.gauge_max(g, peak as f64);
     }
@@ -272,15 +293,9 @@ impl Shard {
                 self.families.len() - 1
             }
         };
-        let have = self.families[f].kind;
         assert!(
-            std::mem::discriminant(&have) == std::mem::discriminant(&kind),
-            "metric {name} is not a {}",
-            kind.name()
-        );
-        assert!(
-            have == kind,
-            "metric {name}: bucket bounds must match the first registration"
+            self.families[f].kind == kind,
+            "metric {name}: type and bucket bounds must match the first registration"
         );
         &mut self.families[f]
     }
@@ -385,5 +400,15 @@ impl Shard {
         }
         entries.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         MetricsSnapshot { entries }
+    }
+}
+
+/// `x`'s bits mapped so that unsigned order is [`f64::total_cmp`] order.
+fn order_key(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
     }
 }
